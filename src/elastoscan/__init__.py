@@ -53,9 +53,8 @@ from .indicators import (
     IndicatorField,
     IndicatorKind,
     SamplingGrid,
-    indicator_ff,
-    indicator_pp,
-    indicator_ss,
+    indicator_fields,
+    indicator_values_at,
     normalize_field,
     test_vectors,
 )

@@ -26,7 +26,7 @@ import numpy as np
 
 from .forward import MSRMatrix
 from .geometry import scene_from_string
-from .indicators import IndicatorField, IndicatorKind, SamplingGrid, _field_from_values, indicator_values_at
+from .indicators import IndicatorField, IndicatorKind, SamplingGrid, indicator_fields
 
 BLOCK_NAMES = ("f_pp", "f_ps", "f_sp", "f_ss")
 RECIPROCAL_BLOCK = {"f_pp": "f_pp", "f_ss": "f_ss", "f_ps": "f_sp", "f_sp": "f_ps"}
@@ -221,9 +221,8 @@ def tikhonov_retrieve(masked: MaskedMSR, ball_radius: float, n_boundary: int = 2
                    retrieval=f"R={ball_radius!r} nB={n_boundary} alpha={alpha_desc}")
 
 
-def limited_indicator(masked: MaskedMSR, grid: SamplingGrid, q, kind: IndicatorKind
-                      ) -> IndicatorField:
-    """Indicator double sum restricted to known (j, i) pairs (unknown contribute zero)."""
-    vals = indicator_values_at(grid.points(), masked.assembled_known(), masked.m,
-                               masked.base.medium, q, kind)
-    return _field_from_values(grid, vals, kind, np.asarray(q, float))
+def limited_indicator(masked: MaskedMSR, grid: SamplingGrid, kinds, q=(1.0, 0.0)
+                      ) -> dict[IndicatorKind, IndicatorField]:
+    """Indicator fields restricted to known (j, i) pairs (unknown ones contribute zero)."""
+    return indicator_fields(masked.assembled_known(), masked.m, masked.base.medium, grid,
+                            kinds, q)

@@ -17,18 +17,20 @@ from .aperture import ApertureMask, apply_mask, limited_indicator, reciprocity_f
 from .forward import MsrFormatError, NumericError, add_noise, load_msr, save_msr, synthesize_msr
 from .harness import (
     ENV_OUT,
-    ENV_THREADS,
     ConfigError,
     ExperimentConfig,
     build_preset,
     parse_config,
     preset_names,
     PRESET_BUILDERS,
+    SMALL_GRID_PTS,
+    SMALL_M,
+    SMALL_N,
     render_heatmap,
     run_preset,
     run_experiment,
 )
-from .indicators import IndicatorKind, SamplingGrid, indicator_field
+from .indicators import IndicatorKind, SamplingGrid, indicator_fields
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -40,10 +42,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="config file (see harness grammar)")
     p.add_argument("--preset", help="preset name (see 'presets')")
     p.add_argument("--small", action="store_true",
-                   help="desk-scale preset variant (m=64, n=256, 161x161 grid)")
+                   help=f"desk-scale preset variant (m={SMALL_M}, n={SMALL_N}, "
+                        f"{SMALL_GRID_PTS}x{SMALL_GRID_PTS} grid)")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--threads", type=int, default=None, help="field-evaluation parallelism")
     p.add_argument("--quiet", action="store_true", help="suppress progress logging")
 
 
@@ -53,17 +55,6 @@ def _resolve_out(args) -> str:
     if ENV_OUT in os.environ:
         return os.environ[ENV_OUT]
     return "out"
-
-
-def _resolve_threads(args) -> int:
-    if getattr(args, "threads", None):
-        return max(1, args.threads)
-    if ENV_THREADS in os.environ:
-        try:
-            return max(1, int(os.environ[ENV_THREADS]))
-        except ValueError:
-            raise ConfigError(f"bad {ENV_THREADS} value {os.environ[ENV_THREADS]!r}") from None
-    return 1
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -141,18 +132,22 @@ def cmd_indicate(args) -> int:
              else [IndicatorKind.SS, IndicatorKind.PP, IndicatorKind.FF])
     obs = _parse_arcs(args.observed)
     inc = _parse_arcs(args.incident)
+    if obs is None and inc is None:
+        fields = indicator_fields(msr.assembled(), msr.m, msr.medium, grid, kinds, q)
+    else:
+        masked = apply_mask(msr, ApertureMask.from_arcs(msr.m, obs, inc))
+        fields = limited_indicator(masked, grid, kinds, q)
+    try:
+        images = {kind: render_heatmap(fld) for kind, fld in fields.items()}
+    except ValueError as exc:
+        raise NumericError(str(exc)) from None
     out = _resolve_out(args)
     os.makedirs(out, exist_ok=True)
-    for kind in kinds:
-        if obs is None and inc is None:
-            fld = indicator_field(msr, grid, kind, q)
-        else:
-            mask = ApertureMask.from_arcs(msr.m, obs, inc)
-            fld = limited_indicator(apply_mask(msr, mask), grid, q, kind)
+    for kind, fld in fields.items():
         base = os.path.join(out, f"indicator_{kind.value}")
         fld.to_csv(base + ".csv")
         with open(base + ".pgm", "wb") as fh:
-            fh.write(render_heatmap(fld))
+            fh.write(images[kind])
         if not args.quiet:
             print(f"wrote {base}.csv {base}.pgm")
     return EXIT_OK
@@ -179,16 +174,14 @@ def cmd_retrieve(args) -> int:
 
 def cmd_experiment(args) -> int:
     out = _resolve_out(args)
-    threads = _resolve_threads(args)
     if args.preset:
-        manifest = run_preset(args.preset, out, small=args.small, threads=threads,
-                              seed=args.seed)
+        manifest = run_preset(args.preset, out, small=args.small, seed=args.seed)
     else:
         cfg = _load_config(args)
         from dataclasses import replace
 
         cfg = replace(cfg, out=out)
-        manifest = run_experiment(cfg, label="run", outdir=out, threads=threads)
+        manifest = run_experiment(cfg, label="run", outdir=out)
         with open(os.path.join(out, "manifest.json"), "w") as fh:
             fh.write(manifest.to_json())
     if not args.quiet:

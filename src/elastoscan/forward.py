@@ -435,12 +435,6 @@ class MSRMatrix:
     def medium(self) -> Medium:
         return Medium(self.lam, self.mu, self.omega)
 
-    @property
-    def scene_hash(self) -> str:
-        import hashlib
-
-        return hashlib.sha256(self.scene.encode()).hexdigest()
-
     def assembled(self) -> np.ndarray:
         """4m x 4m far-field operator layout [[pp, sp], [ps, ss]]."""
         return np.block([[self.f_pp, self.f_sp], [self.f_ps, self.f_ss]])
@@ -571,6 +565,8 @@ def load_msr(path) -> MSRMatrix:
                 nums = np.array([float(p) for p in parts])
             except ValueError:
                 raise MsrFormatError(f"line {lineno}: non-numeric entry") from None
+            if not np.isfinite(nums).all():
+                raise MsrFormatError(f"line {lineno}: non-finite entry")
             rows.append(nums[0::2] + 1j * nums[1::2])
 
     missing = [k for k in _HEADER_KEYS if k not in header]

@@ -8,7 +8,6 @@ clockwise rotation of the unit tangent.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from enum import Enum
 
@@ -201,9 +200,6 @@ class Scene:
 
     def describe(self) -> str:
         return " + ".join(c.describe() for c, _ in self.components)
-
-    def describe_hash(self) -> str:
-        return hashlib.sha256(self.describe().encode()).hexdigest()
 
     def circumradius(self) -> float:
         """Max distance of any boundary sample from the origin."""

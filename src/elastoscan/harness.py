@@ -32,9 +32,7 @@ import hashlib
 import json
 import logging
 import os
-
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -43,12 +41,11 @@ from .aperture import ApertureMask, apply_mask, limited_indicator, reciprocity_f
 from .elastic import Medium
 from .forward import MSRMatrix, add_noise, save_msr, synthesize_msr
 from .geometry import BoundaryCondition, BoundaryCurve, BoundaryKind, Scene, scene_from_string
-from .indicators import IndicatorField, IndicatorKind, SamplingGrid, indicator_field, normalize_field
+from .indicators import IndicatorField, IndicatorKind, SamplingGrid, indicator_fields
 
 logger = logging.getLogger(__name__)
 
 ENV_OUT = "ELASTOSCAN_OUT"
-ENV_THREADS = "ELASTOSCAN_THREADS"
 
 DEFAULT_OMEGA = 8.0 * np.pi
 DEFAULT_GRID = (-6.0, 6.0, -6.0, 6.0, 321, 321)
@@ -400,7 +397,6 @@ def build_preset(name: str, small: bool = False) -> ExperimentConfig:
 class RunManifest:
     config_text: str
     seed: int
-    threads: int
     timings: dict = field(default_factory=dict)
     files: list = field(default_factory=list)
     env_overrides: dict = field(default_factory=dict)
@@ -414,8 +410,8 @@ class RunManifest:
 
     def to_json(self) -> str:
         return json.dumps({"config": self.config_text, "seed": self.seed,
-                           "threads": self.threads, "timings": self.timings,
-                           "files": self.files, "env_overrides": self.env_overrides},
+                           "timings": self.timings, "files": self.files,
+                           "env_overrides": self.env_overrides},
                           indent=2, sort_keys=True)
 
 class _Emitter:
@@ -461,15 +457,8 @@ def _emit_fields(emitter: _Emitter, label: str, fields: dict) -> None:
     for kind, fld in fields.items():
         emitter.write_field(f"{label}_{kind.value}", fld)
 
-def _compute_fields(kinds, compute_one, threads: int) -> dict:
-    if threads > 1 and len(kinds) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = {k: pool.submit(compute_one, k) for k in kinds}
-            return {k: f.result() for k, f in futs.items()}
-    return {k: compute_one(k) for k in kinds}
-
 def run_experiment(config: ExperimentConfig, label: str = "run", outdir: str | None = None,
-                   threads: int = 1, manifest: RunManifest | None = None) -> RunManifest:
+                   manifest: RunManifest | None = None) -> RunManifest:
     """Synthesize, perturb, (mask/fill/retrieve), indicate, and emit artifacts.
 
     Deterministic for a fixed config: the only randomness is the seeded noise.
@@ -478,8 +467,7 @@ def run_experiment(config: ExperimentConfig, label: str = "run", outdir: str | N
     config.validate()
     outdir = outdir or config.out
     if manifest is None:
-        manifest = RunManifest(config_text=emit_config(config), seed=config.seed,
-                               threads=threads)
+        manifest = RunManifest(config_text=emit_config(config), seed=config.seed)
     emitter = _Emitter(outdir, manifest)
     try:
         t0 = time.perf_counter()
@@ -497,9 +485,8 @@ def run_experiment(config: ExperimentConfig, label: str = "run", outdir: str | N
         grid = config.sampling_grid()
         t0 = time.perf_counter()
         if config.observed is None and config.incident is None:
-            fields = _compute_fields(
-                config.kinds, lambda k: indicator_field(msr, grid, k, config.q), threads)
-            _emit_fields(emitter, label, fields)
+            _emit_fields(emitter, label, indicator_fields(
+                msr.assembled(), config.m, medium, grid, config.kinds, config.q))
         else:
             mask = ApertureMask(
                 observed=(config.observed.to_indices(config.m) if config.observed
@@ -507,50 +494,44 @@ def run_experiment(config: ExperimentConfig, label: str = "run", outdir: str | N
                 incident=(config.incident.to_indices(config.m) if config.incident
                           else frozenset(range(2 * config.m))))
             masked = apply_mask(msr, mask)
-            fields = _compute_fields(
-                config.kinds, lambda k: limited_indicator(masked, grid, config.q, k), threads)
-            _emit_fields(emitter, f"{label}_limit", fields)
+            _emit_fields(emitter, f"{label}_limit",
+                         limited_indicator(masked, grid, config.kinds, config.q))
             if config.retrieve is not None:
                 filled = reciprocity_fill(masked)
                 retrieved = tikhonov_retrieve(filled, config.retrieve.radius,
                                               config.retrieve.n_boundary,
                                               config.retrieve.alpha)
                 emitter.write_msr(f"{label}_retrieved.msr", retrieved)
-                fields = _compute_fields(
-                    config.kinds, lambda k: indicator_field(retrieved, grid, k, config.q),
-                    threads)
-                _emit_fields(emitter, f"{label}_retr", fields)
+                _emit_fields(emitter, f"{label}_retr", indicator_fields(
+                    retrieved.assembled(), config.m, medium, grid, config.kinds, config.q))
         manifest.timings[f"{label}.indicate_s"] = round(time.perf_counter() - t0, 3)
         return manifest
     except Exception:
         emitter.cleanup()
         raise
 
-def run_preset(name: str, outdir: str, small: bool = False, threads: int = 1,
+def run_preset(name: str, outdir: str, small: bool = False,
                seed: int | None = None) -> RunManifest:
     """Run a named preset (its variants included) and write manifest.json."""
     cfg = build_preset(name, small=small)
     if seed is not None:
         cfg = replace(cfg, seed=seed)
     cfg = replace(cfg, out=outdir)
-    manifest = RunManifest(config_text=emit_config(cfg), seed=cfg.seed, threads=threads)
-    manifest.env_overrides = {k: os.environ[k] for k in (ENV_OUT, ENV_THREADS)
-                              if k in os.environ}
+    manifest = RunManifest(config_text=emit_config(cfg), seed=cfg.seed)
+    manifest.env_overrides = {k: os.environ[k] for k in (ENV_OUT,) if k in os.environ}
 
     if name == "limited-quarters":
         for idx, arc in enumerate(QUARTER_ARCS, start=1):
             sub = replace(cfg, observed=MaskSpec(arcs=(arc,)))
-            run_experiment(sub, label=f"{name}_q{idx}", outdir=outdir, threads=threads,
-                           manifest=manifest)
+            run_experiment(sub, label=f"{name}_q{idx}", outdir=outdir, manifest=manifest)
     elif name == "few-incident":
         for count in FEW_INCIDENT_COUNTS:
             step = (2 * cfg.m) // count
             idx = tuple(1 + j * step for j in range(count))
             sub = replace(cfg, incident=MaskSpec(indices=idx))
-            run_experiment(sub, label=f"{name}_n{count}", outdir=outdir, threads=threads,
-                           manifest=manifest)
+            run_experiment(sub, label=f"{name}_n{count}", outdir=outdir, manifest=manifest)
     else:
-        run_experiment(cfg, label=name, outdir=outdir, threads=threads, manifest=manifest)
+        run_experiment(cfg, label=name, outdir=outdir, manifest=manifest)
 
     mpath = os.path.join(outdir, "manifest.json")
     with open(mpath, "w") as fh:

@@ -12,8 +12,10 @@ and with the direction-grid weight w = pi/m the indicators are
     I_SS(z) = | w^2  phi_s^H  F_ss  phi_s |,
 
 where F is the assembled 4m x 4m operator layout [[pp, sp], [ps, ss]].
-Grid evaluation is one chunked matrix-matrix product over all sampling
-points; nothing is re-assembled per z.
+I_FF is the sum of the four block forms, of which the pp and ss forms are
+I_PP and I_SS, so every kind comes from one chunked pass of block
+matrix-matrix products over all sampling points; nothing is re-assembled
+per z.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .elastic import Medium
-from .forward import MSRMatrix, direction_grid
+from .forward import direction_grid
 
 EVAL_CHUNK = 8192
 
@@ -81,11 +83,11 @@ class IndicatorField:
         return np.array([self.grid.xs[ix], self.grid.ys[iy]])
 
     def to_csv(self, path) -> None:
-        """nx*ny rows of 'x,y,value'."""
-        pts = self.grid.points()
+        """nx*ny rows of 'x,y,value', each number the repr of a Python float."""
+        pts = self.grid.points().tolist()
         with open(path, "w") as fh:
             fh.write("x,y,value\n")
-            for (x, y), v in zip(pts, self.values.ravel()):
+            for (x, y), v in zip(pts, self.values.ravel().tolist()):
                 fh.write(f"{x!r},{y!r},{v!r}\n")
 
 
@@ -108,66 +110,57 @@ def _test_vector_batch(z: np.ndarray, q: np.ndarray, directions: np.ndarray,
     return phi_p, phi_s
 
 
-def indicator_values_at(points: np.ndarray, msr_full: np.ndarray, m: int,
-                        medium: Medium, q, kind: IndicatorKind) -> np.ndarray:
-    """Indicator at arbitrary points (M, 2) from an assembled 4m x 4m matrix.
+def indicator_values_at(points: np.ndarray, fmat: np.ndarray, m: int, medium: Medium,
+                        q, kinds) -> dict[IndicatorKind, np.ndarray]:
+    """Indicators of every requested kind at points (M, 2) from an assembled 4m x 4m matrix.
 
-    Chunked BLAS3: per chunk, one product F @ Phi and one column-wise sesquilinear
-    contraction. Works on masked (zero-filled) matrices as well.
+    One pass: per chunk the test vectors are built once, and each block product
+    F_ab @ phi_b is contracted against phi_a as soon as it is formed.  Only the
+    blocks the kinds need are multiplied (pp for PP, ss for SS, all four for FF);
+    the FF form is the sum of the four block forms, so PP and SS come free with
+    it.  Works on masked (zero-filled) matrices as well.
     """
     q = np.asarray(q, float)
     points = np.atleast_2d(np.asarray(points, float))
+    n = 2 * m
     dirs = direction_grid(m)
     w = np.pi / m
-    out = np.empty(len(points))
+    out = {kind: np.empty(len(points)) for kind in kinds}
+    need_ff = IndicatorKind.FF in out
+    need_pp = need_ff or IndicatorKind.PP in out
+    need_ss = need_ff or IndicatorKind.SS in out
+
+    def form(block, phi_obs, phi_inc):
+        return np.einsum("dm,dm->m", np.conj(phi_obs), block @ phi_inc)
+
     for lo in range(0, len(points), EVAL_CHUNK):
         hi = min(lo + EVAL_CHUNK, len(points))
         phi_p, phi_s = _test_vector_batch(points[lo:hi], q, dirs, medium)
-        if kind is IndicatorKind.FF:
-            phi = np.vstack([phi_p, phi_s])               # (4m, C)
-            fmat = msr_full
-        elif kind is IndicatorKind.PP:
-            phi = phi_p
-            fmat = msr_full[: 2 * m, : 2 * m]
-        else:
-            phi = phi_s
-            fmat = msr_full[2 * m:, 2 * m:]
-        out[lo:hi] = np.abs(w**2 * np.einsum("dm,dm->m", np.conj(phi), fmat @ phi))
+        forms = {}
+        if need_pp:
+            forms[IndicatorKind.PP] = form(fmat[:n, :n], phi_p, phi_p)
+        if need_ss:
+            forms[IndicatorKind.SS] = form(fmat[n:, n:], phi_s, phi_s)
+        if need_ff:
+            forms[IndicatorKind.FF] = (forms[IndicatorKind.PP] + form(fmat[:n, n:], phi_p, phi_s)
+                                       + form(fmat[n:, :n], phi_s, phi_p)
+                                       + forms[IndicatorKind.SS])
+        for kind, vals in out.items():
+            vals[lo:hi] = np.abs(w**2 * forms[kind])
     return out
 
 
-def _field_from_values(grid: SamplingGrid, vals: np.ndarray, kind: IndicatorKind,
-                       q) -> IndicatorField:
-    return IndicatorField(grid, vals.reshape(grid.ny, grid.nx), kind,
-                          (float(q[0]), float(q[1])))
+def indicator_fields(fmat: np.ndarray, m: int, medium: Medium, grid: SamplingGrid, kinds,
+                     q=(1.0, 0.0)) -> dict[IndicatorKind, IndicatorField]:
+    """Indicator fields on a grid, in the order of kinds, from one evaluation pass.
 
-
-def indicator_ff(msr: MSRMatrix, grid: SamplingGrid, q=(1.0, 0.0)) -> IndicatorField:
-    """Full-data indicator from all four MSR blocks."""
-    vals = indicator_values_at(grid.points(), msr.assembled(), msr.m, msr.medium,
-                               q, IndicatorKind.FF)
-    return _field_from_values(grid, vals, IndicatorKind.FF, q)
-
-
-def indicator_pp(msr: MSRMatrix, grid: SamplingGrid, q=(1.0, 0.0)) -> IndicatorField:
-    """Compressional-only indicator (F_pp block, phi_p test vectors)."""
-    vals = indicator_values_at(grid.points(), msr.assembled(), msr.m, msr.medium,
-                               q, IndicatorKind.PP)
-    return _field_from_values(grid, vals, IndicatorKind.PP, q)
-
-
-def indicator_ss(msr: MSRMatrix, grid: SamplingGrid, q=(1.0, 0.0)) -> IndicatorField:
-    """Shear-only indicator (F_ss block, phi_s test vectors)."""
-    vals = indicator_values_at(grid.points(), msr.assembled(), msr.m, msr.medium,
-                               q, IndicatorKind.SS)
-    return _field_from_values(grid, vals, IndicatorKind.SS, q)
-
-
-def indicator_field(msr: MSRMatrix, grid: SamplingGrid, kind: IndicatorKind,
-                    q=(1.0, 0.0)) -> IndicatorField:
-    return {IndicatorKind.FF: indicator_ff,
-            IndicatorKind.PP: indicator_pp,
-            IndicatorKind.SS: indicator_ss}[kind](msr, grid, q)
+    fmat is any assembled 4m x 4m matrix: full data (MSRMatrix.assembled), limited
+    data with unknown entries zeroed (MaskedMSR.assembled_known), or retrieved data.
+    """
+    q = (float(q[0]), float(q[1]))
+    vals = indicator_values_at(grid.points(), fmat, m, medium, q, kinds)
+    return {kind: IndicatorField(grid, v.reshape(grid.ny, grid.nx), kind, q)
+            for kind, v in vals.items()}
 
 
 def normalize_field(field: IndicatorField, square: bool = False) -> IndicatorField:

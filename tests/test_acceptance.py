@@ -40,7 +40,7 @@ from elastoscan.geometry import (
 from elastoscan.indicators import (
     IndicatorKind,
     SamplingGrid,
-    indicator_field,
+    indicator_fields,
     indicator_values_at,
     normalize_field,
 )
@@ -51,6 +51,7 @@ from test_indicators import naive_indicator
 D = BoundaryCondition.DIRICHLET
 N = BoundaryCondition.NEUMANN
 Q10 = (1.0, 0.0)
+FF, SS = IndicatorKind.FF, IndicatorKind.SS
 
 _RESULTS = []
 
@@ -224,9 +225,9 @@ def test_criterion_06_stability_bound(msr_kite_m64):
         pp, ps = phi_samples(z, q, dirs, medium)
         bound = w**2 * (np.abs(pp) ** 2 + np.abs(ps) ** 2).sum() * spec_norm
         ia = indicator_values_at(np.asarray(z)[None, :], msr_kite_m64.assembled(), m,
-                                 medium, q, IndicatorKind.FF)[0]
+                                 medium, q, [FF])[FF][0]
         ib = indicator_values_at(np.asarray(z)[None, :], noisy.assembled(), m,
-                                 medium, q, IndicatorKind.FF)[0]
+                                 medium, q, [FF])[FF][0]
         if abs(ia - ib) > bound + 1e-12:
             violations += 1
     assert report(6, "stability bound", violations == 0, f"{violations} violations")
@@ -237,12 +238,12 @@ def test_criterion_07_oracle_equivalence(msr_kite_m64):
     grid = SamplingGrid(-2.0, 2.0, -2.0, 2.0, 5, 5)
     pts = grid.points()
     worst = 0.0
+    batched = indicator_values_at(pts, msr_kite_m64.assembled(), msr_kite_m64.m,
+                                  medium, Q10, IndicatorKind)
     for kind in IndicatorKind:
-        batched = indicator_values_at(pts, msr_kite_m64.assembled(), msr_kite_m64.m,
-                                      medium, Q10, kind)
         for idx in range(len(pts)):
             ref = naive_indicator(msr_kite_m64, pts[idx], Q10, kind, medium)
-            worst = max(worst, abs(batched[idx] - ref) / max(1.0, ref))
+            worst = max(worst, abs(batched[kind][idx] - ref) / max(1.0, ref))
     assert report(7, "batched = naive double sum", worst <= 1e-12, f"max rel {worst:.2e}")
 
 
@@ -253,7 +254,12 @@ def test_criterion_08_localization(small_msrs):
     boundary and mean normalized I^2 at distance > 2 outside below 0.2.
     The PP indicator's literal argmax sits on an interior symmetry-axis
     caustic for these shapes (5-13% above its boundary ridge), so the PP
-    argmax sub-checks fail; see the decisions ledger for the analysis.
+    argmax sub-checks fail, and so does the FF argmax for the pear cavity.
+    Observed sub-failures: kite/dirichlet pp argmax_dist=0.70, kite/neumann
+    pp 0.55, pear/dirichlet pp 1.16, pear/neumann pp 1.03 and pear/neumann ff
+    1.21.  The same five fail for m in {128, 256}, n in {256, 512}, delta in
+    {0, 0.3} and q in {(1,0), (0,1), their sum}, so they are not a
+    discretization, noise or polarization effect.
     """
     t0 = time.perf_counter()
     grid = SamplingGrid(-6, 6, -6, 6, 161, 161)
@@ -266,8 +272,9 @@ def test_criterion_08_localization(small_msrs):
         inside = contains_points(scene, pts)
         far_out = (~inside) & (dist > 2.0)
         label = f"{kind.value}/{bc.value}"
-        for ikind in (IndicatorKind.SS, IndicatorKind.PP, IndicatorKind.FF):
-            fld = indicator_field(msr, grid, ikind, Q10)
+        fields = indicator_fields(msr.assembled(), msr.m, msr.medium, grid,
+                                  (IndicatorKind.SS, IndicatorKind.PP, IndicatorKind.FF), Q10)
+        for ikind, fld in fields.items():
             d = distance_to_boundary(scene, fld.argmax_point()[None, :])[0]
             mean_out = float(normalize_field(fld, square=True).values.ravel()[far_out].mean())
             if d > 0.3:
@@ -299,12 +306,10 @@ def test_criterion_09_decay(kite_scene, medium):
                 hi = mid
         far_pts.append(cen + 0.5 * (lo + hi) * dv)
     far_pts = np.array(far_pts)
-    worst = 0.0
-    for kind in IndicatorKind:
-        near_max = indicator_field(msr, grid, kind, Q10).values.max()
-        far_vals = indicator_values_at(far_pts, msr.assembled(), msr.m, medium,
-                                       Q10, kind)
-        worst = max(worst, float(far_vals.max() / near_max))
+    fmat = msr.assembled()
+    near = indicator_fields(fmat, msr.m, medium, grid, IndicatorKind, Q10)
+    far = indicator_values_at(far_pts, fmat, msr.m, medium, Q10, IndicatorKind)
+    worst = max(float(far[kind].max() / near[kind].values.max()) for kind in IndicatorKind)
     assert report(9, "indicator decay at distance 50", worst <= 0.1,
                   f"max normalized far value {worst:.3f}")
 
@@ -348,10 +353,13 @@ def test_criterion_11_retrieval_improvement(retrieval_setup):
     grid = SamplingGrid(-6, 6, -6, 6, 161, 161)
     details = []
     ok = True
+    full = indicator_fields(msr.assembled(), msr.m, msr.medium, grid, IndicatorKind, Q10)
+    naive = limited_indicator(masked, grid, IndicatorKind, Q10)
+    retr = indicator_fields(retrieved.assembled(), msr.m, msr.medium, grid, IndicatorKind, Q10)
     for kind in IndicatorKind:
-        full_f = indicator_field(msr, grid, kind, Q10).values.ravel()
-        naive_f = limited_indicator(masked, grid, Q10, kind).values.ravel()
-        retr_f = indicator_field(retrieved, grid, kind, Q10).values.ravel()
+        full_f = full[kind].values.ravel()
+        naive_f = naive[kind].values.ravel()
+        retr_f = retr[kind].values.ravel()
         c_naive = float(np.corrcoef(naive_f, full_f)[0, 1])
         c_retr = float(np.corrcoef(retr_f, full_f)[0, 1])
         ok &= c_retr > c_naive
@@ -371,7 +379,7 @@ def test_criterion_12_few_incident_trend(kite_scene, medium):
         step = (2 * m) // count
         mask = ApertureMask(frozenset(range(2 * m)),
                             frozenset(j * step for j in range(count)))
-        fld = limited_indicator(apply_mask(msr, mask), grid, q, IndicatorKind.SS)
+        fld = limited_indicator(apply_mask(msr, mask), grid, [SS], q)[SS]
         dists.append(float(distance_to_boundary(kite_scene,
                                                 fld.argmax_point()[None, :])[0]))
     ok = all(dists[i + 1] <= dists[i] + 0.1 for i in range(len(dists) - 1))

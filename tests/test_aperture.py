@@ -18,7 +18,7 @@ from elastoscan.geometry import (
     Scene,
     distance_to_boundary,
 )
-from elastoscan.indicators import IndicatorKind, SamplingGrid, indicator_field
+from elastoscan.indicators import IndicatorKind, SamplingGrid, indicator_fields
 
 QUARTER = (0.0, np.pi / 2)
 
@@ -221,18 +221,21 @@ class TestTikhonovRetrieve:
 class TestLimitedIndicator:
     def test_full_mask_matches_unrestricted(self, msr_kite_m64):
         grid = SamplingGrid(-3, 3, -3, 3, 9, 9)
-        masked = apply_mask(msr_kite_m64, ApertureMask.full(msr_kite_m64.m))
+        m, medium = msr_kite_m64.m, msr_kite_m64.medium
+        masked = apply_mask(msr_kite_m64, ApertureMask.full(m))
+        limited = limited_indicator(masked, grid, IndicatorKind)
+        full = indicator_fields(msr_kite_m64.assembled(), m, medium, grid, IndicatorKind)
         for kind in IndicatorKind:
-            a = limited_indicator(masked, grid, (1.0, 0.0), kind).values
-            b = indicator_field(msr_kite_m64, grid, kind, (1.0, 0.0)).values
+            a, b = limited[kind].values, full[kind].values
             assert np.abs(a - b).max() <= 1e-13 * max(1.0, b.max())
 
     def test_single_shear_incidence_localizes(self, kite_scene, medium):
         # q = (0,1): q.d_perp = 0 degenerates the d = (1,0) column for q = (1,0)
         msr = synthesize_msr(kite_scene, medium, 128, 256)
         mask = ApertureMask(frozenset(range(2 * msr.m)), frozenset({0}))
+        ss = IndicatorKind.SS
         fld = limited_indicator(apply_mask(msr, mask), SamplingGrid(-6, 6, -6, 6, 121, 121),
-                                (0.0, 1.0), IndicatorKind.SS)
+                                [ss], (0.0, 1.0))[ss]
         assert np.all(np.isfinite(fld.values))
         assert fld.values.max() > 0
         d = distance_to_boundary(kite_scene, fld.argmax_point()[None, :])[0]
@@ -245,6 +248,6 @@ class TestLimitedIndicator:
         # zero out the known flags directly
         masked = apply_mask(msr_disk_m16, ApertureMask.full(m))
         masked.known["f_pp"][:] = False
-        fld = limited_indicator(masked, SamplingGrid(-2, 2, -2, 2, 5, 5),
-                                (1.0, 0.0), IndicatorKind.PP)
+        pp = IndicatorKind.PP
+        fld = limited_indicator(masked, SamplingGrid(-2, 2, -2, 2, 5, 5), [pp], (1.0, 0.0))[pp]
         assert np.all(fld.values == 0.0)

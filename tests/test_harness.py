@@ -206,16 +206,6 @@ class TestRunExperiment:
             run_experiment(cfg, label="tiny", outdir=str(out))
         assert list(out.iterdir()) == []
 
-    def test_thread_count_does_not_change_artifacts(self, tmp_path):
-        cfg = parse_config(TINY_CONFIG.replace("kinds = ss", "kinds = ss pp ff"))
-        digests = []
-        for threads, sub in ((1, "t1"), (2, "t2")):
-            out = tmp_path / sub
-            run_experiment(cfg, label="tiny", outdir=str(out), threads=threads)
-            digests.append({p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                            for p in sorted(out.iterdir())})
-        assert digests[0] == digests[1]
-
     def test_manifest_lists_every_artifact(self, tmp_path):
         cfg = parse_config(TINY_CONFIG)
         out = tmp_path / "m"
@@ -287,6 +277,39 @@ class TestCli:
         assert os.path.exists(os.path.join(out, "indicator_ss.csv"))
         assert os.path.exists(os.path.join(out, "indicator_ss.pgm"))
 
+    def _indicate_all_into_empty_dir(self, tmp_path, edit_pp):
+        """Exit code and output files of 'indicate --kind all' on tiny data with an edited pp block."""
+        from dataclasses import replace
+
+        from elastoscan.forward import load_msr, save_msr
+
+        src = str(tmp_path / "src")
+        assert cli_main(["synth", "--config", self._write_cfg(tmp_path), "--out", src,
+                         "--quiet"]) == 0
+        msr = load_msr(os.path.join(src, "data.msr"))
+        f_pp = msr.f_pp.copy()
+        edit_pp(f_pp)
+        path = str(tmp_path / "edited.msr")
+        save_msr(replace(msr, f_pp=f_pp), path)
+        out = tmp_path / "out"
+        out.mkdir()
+        code = cli_main(["indicate", "--msr", path, "--kind", "all", "--grid", "-3 3 -3 3 9 9",
+                         "--out", str(out), "--quiet"])
+        return code, sorted(p.name for p in out.iterdir())
+
+    def test_non_finite_msr_exit_4_writes_nothing(self, tmp_path):
+        def put_nan(f_pp):
+            f_pp[3, 5] = np.nan
+
+        assert self._indicate_all_into_empty_dir(tmp_path, put_nan) == (4, [])
+
+    def test_degenerate_field_exit_3_writes_nothing(self, tmp_path):
+        # an all-zero pp block gives an all-zero PP field, which has no heatmap
+        def zero(f_pp):
+            f_pp[:] = 0.0
+
+        assert self._indicate_all_into_empty_dir(tmp_path, zero) == (3, [])
+
     def test_retrieve_subcommand(self, tmp_path):
         cfg = self._write_cfg(tmp_path)
         out = str(tmp_path / "o")
@@ -320,18 +343,6 @@ class TestCli:
         monkeypatch.setenv("ELASTOSCAN_OUT", str(target))
         assert cli_main(["synth", "--config", cfg, "--quiet"]) == 0
         assert (target / "data.msr").exists()
-
-    def test_env_threads_override(self, monkeypatch):
-        from types import SimpleNamespace
-
-        from elastoscan.cli import _resolve_threads
-
-        monkeypatch.setenv("ELASTOSCAN_THREADS", "3")
-        assert _resolve_threads(SimpleNamespace(threads=None)) == 3
-        assert _resolve_threads(SimpleNamespace(threads=2)) == 2
-        monkeypatch.setenv("ELASTOSCAN_THREADS", "junk")
-        with pytest.raises(ConfigError):
-            _resolve_threads(SimpleNamespace(threads=None))
 
     def test_presets_listing(self, capsys):
         assert cli_main(["presets"]) == 0

@@ -5,15 +5,14 @@ from elastoscan.forward import MSRMatrix, direction_grid
 from elastoscan.indicators import (
     IndicatorKind,
     SamplingGrid,
-    indicator_ff,
-    indicator_pp,
-    indicator_ss,
+    indicator_fields,
     indicator_values_at,
     normalize_field,
 )
 from elastoscan.indicators import test_vectors as phi_samples
 
 Q_DEFAULT = (1.0, 0.0)
+FF = IndicatorKind.FF
 
 
 def zero_msr(m, medium):
@@ -73,8 +72,9 @@ class TestIndicatorAlgebra:
     def test_zero_msr_zero_field(self, medium):
         msr = zero_msr(8, medium)
         grid = SamplingGrid(-2, 2, -2, 2, 5, 5)
-        for fn in (indicator_ff, indicator_pp, indicator_ss):
-            assert np.all(fn(msr, grid).values == 0.0)
+        for fld in indicator_fields(msr.assembled(), msr.m, msr.medium, grid,
+                                    IndicatorKind).values():
+            assert np.all(fld.values == 0.0)
 
     def test_rank_one_ff_gives_four_pi_squared(self, medium):
         m = 16
@@ -86,7 +86,7 @@ class TestIndicatorAlgebra:
         n = 2 * m
         msr = zero_msr(m, medium).with_blocks_from(full)
         vals = indicator_values_at(z0[None, :], msr.assembled(), m, msr.medium,
-                                   Q_DEFAULT, IndicatorKind.FF)
+                                   Q_DEFAULT, [FF])[FF]
         # w^2 |phi^H (phi phi^H) phi| = (w ||phi||^2)^2 = (2 pi)^2
         assert abs(vals[0] - (2 * np.pi) ** 2) < 1e-10
 
@@ -106,27 +106,28 @@ class TestIndicatorAlgebra:
             msr = MSRMatrix(m, msr.f_pp, msr.f_ps, msr.f_sp, block, msr.lam, msr.mu,
                             msr.omega, scene=msr.scene, bc=msr.bc)
         vals = indicator_values_at(z0[None, :], msr.assembled(), m, msr.medium,
-                                   Q_DEFAULT, kind)
+                                   Q_DEFAULT, [kind])[kind]
         assert abs(vals[0] - np.pi**2) < 1e-10
 
     def test_batched_equals_naive(self, msr_kite_m64, medium):
         grid = SamplingGrid(-2, 2, -2, 2, 5, 5)
         pts = grid.points()
+        batched = indicator_values_at(pts, msr_kite_m64.assembled(), msr_kite_m64.m,
+                                      medium, Q_DEFAULT, IndicatorKind)
         for kind in IndicatorKind:
-            batched = indicator_values_at(pts, msr_kite_m64.assembled(), msr_kite_m64.m,
-                                          medium, Q_DEFAULT, kind)
             for idx in (0, 7, 24):
                 ref = naive_indicator(msr_kite_m64, pts[idx], Q_DEFAULT, kind, medium)
-                assert abs(batched[idx] - ref) < 1e-12 * max(1.0, ref)
+                assert abs(batched[kind][idx] - ref) < 1e-12 * max(1.0, ref)
 
     def test_polarization_sign_invariance(self, msr_kite_m64):
         grid = SamplingGrid(-3, 3, -3, 3, 7, 7)
         q = (np.cos(0.8), np.sin(0.8))
         qneg = (-q[0], -q[1])
-        for fn in (indicator_ff, indicator_pp, indicator_ss):
-            a = fn(msr_kite_m64, grid, q).values
-            b = fn(msr_kite_m64, grid, qneg).values
-            assert np.array_equal(a, b)
+        fmat, m, medium = msr_kite_m64.assembled(), msr_kite_m64.m, msr_kite_m64.medium
+        a = indicator_fields(fmat, m, medium, grid, IndicatorKind, q)
+        b = indicator_fields(fmat, m, medium, grid, IndicatorKind, qneg)
+        for kind in IndicatorKind:
+            assert np.array_equal(a[kind].values, b[kind].values)
 
     def test_disk_rotation_invariance(self, msr_disk_m16):
         # for a fixed q the test-function factor (q.theta) makes I_PP anisotropic
@@ -134,10 +135,10 @@ class TestIndicatorAlgebra:
         # with the polarization co-rotated: I(Rz, Rq) = I(z, q)
         a = indicator_values_at(np.array([[2.0, 0.0]]), msr_disk_m16.assembled(),
                                 msr_disk_m16.m, msr_disk_m16.medium, (1.0, 0.0),
-                                IndicatorKind.PP)[0]
+                                [IndicatorKind.PP])[IndicatorKind.PP][0]
         b = indicator_values_at(np.array([[0.0, 2.0]]), msr_disk_m16.assembled(),
                                 msr_disk_m16.m, msr_disk_m16.medium, (0.0, 1.0),
-                                IndicatorKind.PP)[0]
+                                [IndicatorKind.PP])[IndicatorKind.PP][0]
         assert abs(a - b) < 1e-6 * a
 
 
@@ -157,12 +158,28 @@ class TestStabilityBound:
             pp, ps = phi_samples(z, q, dirs, msr_kite_m64.medium)
             phi_sq = (np.abs(pp) ** 2 + np.abs(ps) ** 2).sum()
             ia = indicator_values_at(np.array(z)[None, :], msr_kite_m64.assembled(), m,
-                                     msr_kite_m64.medium, q, IndicatorKind.FF)[0]
+                                     msr_kite_m64.medium, q, [FF])[FF][0]
             ib = indicator_values_at(np.array(z)[None, :], msr_kite_m64_noisy.assembled(),
-                                     m, msr_kite_m64.medium, q, IndicatorKind.FF)[0]
+                                     m, msr_kite_m64.medium, q, [FF])[FF][0]
             if abs(ia - ib) > w**2 * phi_sq * spec_norm + 1e-12:
                 violations += 1
         assert violations == 0
+
+
+class TestCsv:
+    def test_rows_parse_back_to_grid_and_values(self, tmp_path):
+        from elastoscan.indicators import IndicatorField
+
+        grid = SamplingGrid(-1.5, 2.0, -0.3, 0.7, 7, 5)
+        vals = np.random.RandomState(3).rand(5, 7) * 1e3
+        path = tmp_path / "f.csv"
+        IndicatorField(grid, vals, FF, Q_DEFAULT).to_csv(path)
+        header, *rows = path.read_text().splitlines()
+        assert header == "x,y,value"
+        table = np.array([[float(tok) for tok in row.split(",")] for row in rows])
+        assert table.shape == (grid.nx * grid.ny, 3)
+        assert np.array_equal(table[:, :2], grid.points())
+        assert np.array_equal(table[:, 2], vals.ravel())
 
 
 class TestNormalizeField:
@@ -202,9 +219,10 @@ class TestDecay:
 
         msr = synthesize_msr(kite_scene, medium, 256, 384)
         grid = SamplingGrid(-6, 6, -6, 6, 81, 81)
-        near_max = indicator_ff(msr, grid).values.max()
+        near_max = indicator_fields(msr.assembled(), msr.m, medium, grid,
+                                    [FF])[FF].values.max()
         ang = 2 * np.pi * np.arange(8) / 8
         far = 50.0 * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
         far_vals = indicator_values_at(far, msr.assembled(), msr.m, medium,
-                                       Q_DEFAULT, IndicatorKind.FF)
+                                       Q_DEFAULT, [FF])[FF]
         assert np.all(far_vals <= 0.1 * near_max)
