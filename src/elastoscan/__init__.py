@@ -1,10 +1,10 @@
 """Direct sampling reconstruction for 2D inverse elastic scattering.
 
 Layers, bottom up: geometry (parameterized boundaries and quadrature),
-specfun (Bessel/Hankel/circular harmonics), elastic (medium, plane waves,
-Green tensor and tractions), forward (Nystrom solver and MSR synthesis),
-indicators (sampling functionals), aperture (limited-data machinery),
-harness (configs, presets, artifact emission) and cli.
+elastic (medium, plane waves, Green tensor and tractions), forward (Nystrom
+solver and MSR synthesis), indicators (sampling functionals), aperture
+(limited-data machinery), harness (config grammar, presets, the pipeline
+stages and the one artifact writer) and cli, a thin shell over the harness.
 """
 
 from .geometry import (
@@ -39,8 +39,6 @@ from .forward import (
     MsrVersionError,
     NumericError,
     add_noise,
-    assemble_dirichlet_system,
-    assemble_neumann_system,
     assemble_system,
     direction_grid,
     farfield_from_density,
@@ -72,7 +70,10 @@ from .harness import (
     RunManifest,
     build_preset,
     emit_config,
+    parse_arcs,
     parse_config,
+    parse_grid,
+    parse_q,
     preset_names,
     render_heatmap,
     run_experiment,

@@ -170,6 +170,8 @@ def tikhonov_retrieve(masked: MaskedMSR, ball_radius: float, n_boundary: int = 2
     """
     if alpha is not None and not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
+    if not n_boundary >= 1:
+        raise ValueError(f"need n_boundary >= 1, got {n_boundary}")
     scene = scene_from_string(masked.base.scene)
     circ = scene.circumradius()
     if not ball_radius > circ:

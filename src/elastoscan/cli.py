@@ -1,7 +1,17 @@
-"""Command-line interface.
+"""Command-line interface: a thin shell over the harness.
 
-Subcommands: synth, noise, indicate, retrieve, experiment, presets.
-Exit codes: 0 success, 2 config error, 3 numeric failure, 4 I/O error.
+Subcommands: synth, noise, indicate, retrieve, experiment, presets.  Each one
+turns its flags into the harness's value types (parse_grid, parse_q,
+parse_arcs), runs the harness's pipeline stages and writes through its
+emitter: every artifact lands atomically, and a failed command removes what
+it wrote.  Only experiment hashes its artifacts and writes manifest.json.
+
+Exit codes, mapped from exceptions in main() alone:
+
+    0  success
+    2  ConfigError, or any other ValueError (bad config, flag or argument)
+    3  NumericError or numpy.linalg.LinAlgError (singular system, degenerate field)
+    4  OSError or MsrFormatError (unreadable or unwritable path, malformed MSR file)
 """
 
 from __future__ import annotations
@@ -10,27 +20,16 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from .aperture import ApertureMask, apply_mask, limited_indicator, reciprocity_fill, tikhonov_retrieve
-from .forward import MsrFormatError, NumericError, add_noise, load_msr, save_msr, synthesize_msr
-from .harness import (
-    ENV_OUT,
-    ConfigError,
-    ExperimentConfig,
-    build_preset,
-    parse_config,
-    preset_names,
-    PRESET_BUILDERS,
-    SMALL_GRID_PTS,
-    SMALL_M,
-    SMALL_N,
-    render_heatmap,
-    run_preset,
-    run_experiment,
-)
-from .indicators import IndicatorKind, SamplingGrid, indicator_fields
+from .forward import MsrFormatError, NumericError, add_noise, load_msr, synthesize_msr
+from .harness import (ENV_OUT, PRESET_BUILDERS, SMALL_GRID_PTS, SMALL_M, SMALL_N, ConfigError,
+                      ExperimentConfig, MaskSpec, RetrieveSpec, _Emitter, build_preset, fields_of,
+                      parse_arcs, parse_config, parse_grid, parse_q, preset_names, restrict,
+                      retrieve_msr, run_preset, run_recorded)
+from .indicators import IndicatorKind, SamplingGrid
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -72,120 +71,68 @@ def _load_config(args) -> ExperimentConfig:
     else:
         raise ConfigError("a --config file or --preset name is required")
     if args.seed is not None:
-        from dataclasses import replace
-
         cfg = replace(cfg, seed=args.seed)
     return cfg
 
 
-def _parse_arcs(spec: str | None):
-    if spec is None:
-        return None
-    arcs = []
-    for tok in spec.split():
-        if not (tok.startswith("[") and tok.endswith(")")):
-            raise ConfigError(f"arc must look like [a,b), got {tok!r}")
-        a, _, b = tok[1:-1].partition(",")
-        arcs.append((float(a), float(b)))
-    return tuple(arcs)
+def _arc_masks(args) -> tuple[MaskSpec | None, MaskSpec | None]:
+    return tuple(None if spec is None else MaskSpec(arcs=parse_arcs(spec))
+                 for spec in (args.observed, args.incident))
+
+
+def _write_msr(args, name: str, msr) -> int:
+    with _Emitter(_resolve_out(args)) as emitter:
+        emitter.write_msr(name, msr)
+    if not args.quiet:
+        print(f"wrote {emitter.path(name)}")
+    return EXIT_OK
 
 
 def cmd_synth(args) -> int:
     cfg = _load_config(args)
-    out = _resolve_out(args)
-    os.makedirs(out, exist_ok=True)
-    msr = synthesize_msr(cfg.scene_object(), cfg.medium(), cfg.m, cfg.n)
-    path = os.path.join(out, "data.msr")
-    save_msr(msr, path)
-    if not args.quiet:
-        print(f"wrote {path}")
-    return EXIT_OK
+    return _write_msr(args, "data.msr",
+                      synthesize_msr(cfg.scene_object(), cfg.medium(), cfg.m, cfg.n))
 
 
 def cmd_noise(args) -> int:
     msr = load_msr(args.msr)
-    noisy = add_noise(msr, args.delta, args.seed if args.seed is not None else 1)
-    out = _resolve_out(args)
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, "noisy.msr")
-    save_msr(noisy, path)
-    if not args.quiet:
-        print(f"wrote {path}")
-    return EXIT_OK
-
-
-def _grid_from_arg(spec: str) -> SamplingGrid:
-    parts = spec.split()
-    if len(parts) != 6:
-        raise ConfigError(f"grid needs 'x0 x1 y0 y1 nx ny', got {spec!r}")
-    return SamplingGrid(float(parts[0]), float(parts[1]), float(parts[2]),
-                        float(parts[3]), int(parts[4]), int(parts[5]))
+    return _write_msr(args, "noisy.msr",
+                      add_noise(msr, args.delta, args.seed if args.seed is not None else 1))
 
 
 def cmd_indicate(args) -> int:
-    msr = load_msr(args.msr)
-    grid = _grid_from_arg(args.grid)
-    q = tuple(float(v) for v in args.q.split())
-    if len(q) != 2 or abs(np.hypot(*q) - 1.0) > 1e-12:
-        raise ConfigError(f"polarization must be a unit 2-vector, got {args.q!r}")
+    grid = SamplingGrid(*parse_grid(args.grid))
+    q = parse_q(args.q)
     kinds = ([IndicatorKind(args.kind)] if args.kind != "all"
              else [IndicatorKind.SS, IndicatorKind.PP, IndicatorKind.FF])
-    obs = _parse_arcs(args.observed)
-    inc = _parse_arcs(args.incident)
-    if obs is None and inc is None:
-        fields = indicator_fields(msr.assembled(), msr.m, msr.medium, grid, kinds, q)
-    else:
-        masked = apply_mask(msr, ApertureMask.from_arcs(msr.m, obs, inc))
-        fields = limited_indicator(masked, grid, kinds, q)
-    try:
-        images = {kind: render_heatmap(fld) for kind, fld in fields.items()}
-    except ValueError as exc:
-        raise NumericError(str(exc)) from None
-    out = _resolve_out(args)
-    os.makedirs(out, exist_ok=True)
-    for kind, fld in fields.items():
-        base = os.path.join(out, f"indicator_{kind.value}")
-        fld.to_csv(base + ".csv")
-        with open(base + ".pgm", "wb") as fh:
-            fh.write(images[kind])
-        if not args.quiet:
+    observed, incident = _arc_masks(args)
+    fields = fields_of(restrict(load_msr(args.msr), observed, incident), grid, kinds, q)
+    with _Emitter(_resolve_out(args)) as emitter:
+        emitter.write_fields("indicator", fields)
+    if not args.quiet:
+        for kind in fields:
+            base = emitter.path(f"indicator_{kind.value}")
             print(f"wrote {base}.csv {base}.pgm")
     return EXIT_OK
 
 
 def cmd_retrieve(args) -> int:
-    msr = load_msr(args.msr)
-    obs = _parse_arcs(args.observed)
-    inc = _parse_arcs(args.incident)
-    if obs is None and inc is None:
+    observed, incident = _arc_masks(args)
+    if observed is None and incident is None:
         raise ConfigError("retrieve needs --observed and/or --incident arcs")
-    mask = ApertureMask.from_arcs(msr.m, obs, inc)
-    masked = apply_mask(msr, mask)
-    filled = reciprocity_fill(masked)
-    retrieved = tikhonov_retrieve(filled, args.radius, args.nb, args.alpha)
-    out = _resolve_out(args)
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, "retrieved.msr")
-    save_msr(retrieved, path)
-    if not args.quiet:
-        print(f"wrote {path}")
-    return EXIT_OK
+    masked = restrict(load_msr(args.msr), observed, incident)
+    return _write_msr(args, "retrieved.msr",
+                      retrieve_msr(masked, RetrieveSpec(args.radius, args.nb, args.alpha)))
 
 
 def cmd_experiment(args) -> int:
-    out = _resolve_out(args)
+    cfg = replace(_load_config(args), out=_resolve_out(args))
     if args.preset:
-        manifest = run_preset(args.preset, out, small=args.small, seed=args.seed)
+        manifest = run_preset(args.preset, cfg.out, small=args.small, seed=args.seed)
     else:
-        cfg = _load_config(args)
-        from dataclasses import replace
-
-        cfg = replace(cfg, out=out)
-        manifest = run_experiment(cfg, label="run", outdir=out)
-        with open(os.path.join(out, "manifest.json"), "w") as fh:
-            fh.write(manifest.to_json())
+        manifest = run_recorded(cfg)
     if not args.quiet:
-        print(f"wrote {len(manifest.files)} artifacts to {out}")
+        print(f"wrote {len(manifest.files)} artifacts to {cfg.out}")
     return EXIT_OK
 
 
@@ -248,12 +195,15 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NumericError as exc:
+    except (NumericError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (OSError, MsrFormatError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except ValueError as exc:          # after LinAlgError and MsrFormatError, its subclasses
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

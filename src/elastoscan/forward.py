@@ -149,16 +149,12 @@ def _traction_block(xi, nui, xj, medium: Medium, pack_fn) -> np.ndarray:
     return traction_of_green(w, nu, medium, pack_fn=pack_fn)
 
 
-def _mask_diagonal(n: int) -> np.ndarray:
-    return np.eye(n, dtype=bool)
-
-
 def _dirichlet_self_block(quad: Quadrature, medium: Medium) -> np.ndarray:
     """Singular Nystrom block of the single-layer operator on one component."""
     n = quad.n_nodes
     x, s = quad.points, quad.speeds
     t = quad.t
-    diag = _mask_diagonal(n)
+    diag = np.eye(n, dtype=bool)
 
     # keep the diagonal finite during vectorized evaluation; overwritten below
     w = x[:, None, :] - x[None, :, :]
@@ -171,7 +167,7 @@ def _dirichlet_self_block(quad: Quadrature, medium: Medium) -> np.ndarray:
     smooth = kern - kern_log * logterm[..., None, None]
 
     a_diag, b_diag = _single_layer_smooth_diag(medium, s)
-    that = (curve_tangent_from(quad))
+    that = perp(quad.normals)
     eye = np.eye(2)
     smooth[diag] = s[:, None, None] * (a_diag[:, None, None] * eye
                                        + b_diag * that[:, :, None] * that[:, None, :])
@@ -190,17 +186,11 @@ def _kernel_from_w(w: np.ndarray, medium: Medium, pack_fn) -> np.ndarray:
             + pack["phi2"][..., None, None] * what[..., :, None] * what[..., None, :])
 
 
-def curve_tangent_from(quad: Quadrature) -> np.ndarray:
-    """Unit tangents recovered from the stored normals (nu = (t2, -t1))."""
-    nu = quad.normals
-    return np.stack([-nu[:, 1], nu[:, 0]], axis=-1)
-
-
 def _neumann_self_block(curve: BoundaryCurve, quad: Quadrature, medium: Medium) -> np.ndarray:
     """Singular Nystrom block of (-I/2 + K') on one component."""
     n = quad.n_nodes
     x, s, nu, t = quad.points, quad.speeds, quad.normals, quad.t
-    diag = _mask_diagonal(n)
+    diag = np.eye(n, dtype=bool)
 
     w = x[:, None, :] - x[None, :, :]
     w[diag] = (1.0, 0.0)
@@ -289,8 +279,13 @@ class SystemMatrix:
         return sla.lu_solve(lu, rhs, check_finite=False)
 
 
-def _assemble(scene: Scene, medium: Medium, n_per_component: int,
-              conditions: tuple[BoundaryCondition, ...]) -> SystemMatrix:
+def assemble_system(scene: Scene, medium: Medium, n_per_component: int) -> SystemMatrix:
+    """System honoring each component's own boundary-condition tag.
+
+    A Dirichlet component contributes single-layer (S) rows, a Neumann one
+    (-I/2 + K') rows.
+    """
+    conditions = tuple(bc for _, bc in scene.components)
     quads = [boundary_quadrature(curve, n_per_component, component_id=i)
              for i, (curve, _) in enumerate(scene.components)]
     ncomp = len(quads)
@@ -321,24 +316,6 @@ def _assemble(scene: Scene, medium: Medium, n_per_component: int,
     quad = Quadrature(*(np.concatenate([getattr(q, f) for q in quads])
                         for f in ("t", "points", "normals", "speeds", "weights", "component")))
     return SystemMatrix(matrix, quad, scene, medium, conditions)
-
-
-def assemble_dirichlet_system(scene: Scene, medium: Medium, n_per_component: int) -> SystemMatrix:
-    """Single-layer (S) system for an all-Dirichlet scene."""
-    conds = tuple(BoundaryCondition.DIRICHLET for _ in scene.components)
-    return _assemble(scene, medium, n_per_component, conds)
-
-
-def assemble_neumann_system(scene: Scene, medium: Medium, n_per_component: int) -> SystemMatrix:
-    """(-I/2 + K') system for an all-Neumann scene."""
-    conds = tuple(BoundaryCondition.NEUMANN for _ in scene.components)
-    return _assemble(scene, medium, n_per_component, conds)
-
-
-def assemble_system(scene: Scene, medium: Medium, n_per_component: int) -> SystemMatrix:
-    """System honoring each component's own boundary-condition tag."""
-    conds = tuple(bc for _, bc in scene.components)
-    return _assemble(scene, medium, n_per_component, conds)
 
 
 @dataclass(frozen=True)
@@ -483,8 +460,8 @@ def add_noise(msr: MSRMatrix, delta: float, seed: int) -> MSRMatrix:
     across platforms and library versions.  The relative Frobenius perturbation
     equals delta exactly by construction.
     """
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
+    if not (np.isfinite(delta) and delta >= 0):
+        raise ValueError(f"delta must be finite and >= 0, got {delta}")
     if delta == 0.0:
         return replace(msr, delta=0.0, seed=seed)
     n = 4 * msr.m
@@ -518,6 +495,13 @@ class MsrDimensionError(MsrFormatError):
 
 
 _HEADER_KEYS = ("version", "m", "lambda", "mu", "omega", "scene", "bc", "delta", "seed", "norm")
+
+
+def _header_value(header: dict[str, str], key: str, parse):
+    try:
+        return parse(header[key])
+    except ValueError:
+        raise MsrFormatError(f"bad {key} header {header[key]!r}") from None
 
 
 def save_msr(msr: MSRMatrix, path) -> None:
@@ -574,22 +558,23 @@ def load_msr(path) -> MSRMatrix:
         raise MsrFormatError(f"missing header keys: {missing}")
     if header["version"] != MSR_FORMAT_VERSION:
         raise MsrVersionError(f"unsupported version {header['version']!r}")
-    try:
-        m = int(header["m"])
-    except ValueError:
-        raise MsrFormatError(f"bad m header {header['m']!r}") from None
+    m = _header_value(header, "m", int)
+    if not m >= 1:
+        raise MsrFormatError(f"need m >= 1, got m={m}")
     n = 4 * m
     if len(rows) != n or any(len(r) != n for r in rows):
         raise MsrDimensionError(
             f"expected {n} rows of {n} entries for m={m}, got {len(rows)} rows "
             f"of lengths {sorted({len(r) for r in rows})}"
         )
-    full = np.vstack(rows)
-    seed = None if header["seed"] == "none" else int(header["seed"])
-    base = MSRMatrix(m, np.zeros((2 * m, 2 * m), complex), np.zeros((2 * m, 2 * m), complex),
-                     np.zeros((2 * m, 2 * m), complex), np.zeros((2 * m, 2 * m), complex),
-                     float(header["lambda"]), float(header["mu"]), float(header["omega"]),
-                     scene=header["scene"], bc=header["bc"], delta=float(header["delta"]),
-                     seed=seed, noise_norm=header["norm"],
-                     retrieval=header.get("retrieval"))
-    return base.with_blocks_from(full)
+    lam, mu, omega, delta = (_header_value(header, key, float)
+                             for key in ("lambda", "mu", "omega", "delta"))
+    try:
+        Medium(lam, mu, omega)
+    except ValueError as exc:
+        raise MsrFormatError(f"bad lambda/mu/omega headers: {exc}") from None
+    seed = None if header["seed"] == "none" else _header_value(header, "seed", int)
+    base = MSRMatrix(m, *(np.zeros((2 * m, 2 * m), complex) for _ in range(4)),
+                     lam, mu, omega, scene=header["scene"], bc=header["bc"], delta=delta,
+                     seed=seed, noise_norm=header["norm"], retrieval=header.get("retrieval"))
+    return base.with_blocks_from(np.vstack(rows))

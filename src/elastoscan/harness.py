@@ -23,27 +23,30 @@ canonical grammar (all keys optional except none; defaults in parentheses):
 
 Pipeline per config: synthesize MSR -> add noise -> (mask -> reciprocity fill
 -> Tikhonov retrieval) -> indicators -> emit CSV (raw values), PGM (squared,
-normalized) and a JSON manifest listing every artifact with its sha256.
+normalized) and a JSON manifest listing every artifact with its sha256.  The
+stages (aperture_mask, restrict, fields_of, retrieve_msr), the flag parsers
+(parse_grid, parse_q, parse_arcs) and the one artifact writer (_Emitter) are
+shared with the CLI subcommands.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
-import logging
 import os
 import time
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
-from .aperture import ApertureMask, apply_mask, limited_indicator, reciprocity_fill, tikhonov_retrieve
+from .aperture import (ApertureMask, MaskedMSR, apply_mask, limited_indicator, reciprocity_fill,
+                       tikhonov_retrieve)
 from .elastic import Medium
-from .forward import MSRMatrix, add_noise, save_msr, synthesize_msr
+from .forward import MSRMatrix, NumericError, add_noise, save_msr, synthesize_msr
 from .geometry import BoundaryCondition, BoundaryCurve, BoundaryKind, Scene, scene_from_string
 from .indicators import IndicatorField, IndicatorKind, SamplingGrid, indicator_fields
-
-logger = logging.getLogger(__name__)
 
 ENV_OUT = "ELASTOSCAN_OUT"
 
@@ -114,60 +117,125 @@ class ExperimentConfig:
         return SamplingGrid(*self.grid)
 
     def validate(self) -> None:
-        try:
-            self.scene_object()
-            self.medium()
-            self.sampling_grid()
-        except ValueError as exc:
-            raise ConfigValueError(str(exc)) from None
         if self.m < 4:
             raise ConfigValueError(f"need m >= 4, got {self.m}")
         if self.n < 64:
             raise ConfigValueError(f"need n >= 64, got {self.n}")
-        if self.delta < 0:
-            raise ConfigValueError(f"need delta >= 0, got {self.delta}")
-        if abs(np.hypot(*self.q) - 1.0) > 1e-12:
-            raise ConfigValueError(f"polarization must be unit, got {self.q}")
+        if not (np.isfinite(self.delta) and self.delta >= 0):
+            raise ConfigValueError(f"need a finite delta >= 0, got {self.delta}")
+        _check_polarization(self.q)
         if self.retrieve is not None and self.retrieve.alpha is not None \
                 and not self.retrieve.alpha > 0:
             raise ConfigValueError("retrieval alpha must be positive")
+        try:
+            self.scene_object()
+            self.medium()
+            self.sampling_grid()
+            aperture_mask(self.m, self.observed, self.incident)
+        except ValueError as exc:
+            raise ConfigValueError(str(exc)) from None
 
-_CONFIG_KEYS = ("scene", "bc", "lambda", "mu", "omega", "m", "n", "grid", "delta",
-                "seed", "kinds", "q", "observed", "incident", "retrieve", "out")
-
-def _parse_scene(value: str, lineno: int):
-    try:
-        scene = scene_from_string(value)
-    except ValueError as exc:
-        raise ConfigValueError(f"line {lineno}: {exc}") from None
+def _parse_scene(value: str):
+    scene = scene_from_string(value)
     return tuple((c.kind, c.center, c.rho) for c, _ in scene.components)
 
-def _parse_mask(value: str, lineno: int) -> MaskSpec | None:
-    value = value.strip()
+def parse_grid(value: str) -> tuple[float, float, float, float, int, int]:
+    """'x0 x1 y0 y1 nx ny' -> the grid tuple of a valid SamplingGrid."""
+    parts = value.split()
+    if len(parts) != 6:
+        raise ConfigSyntaxError(f"grid needs 'x0 x1 y0 y1 nx ny', got {value!r}")
+    try:
+        grid = (float(parts[0]), float(parts[1]), float(parts[2]), float(parts[3]),
+                int(parts[4]), int(parts[5]))
+        SamplingGrid(*grid)
+    except ValueError as exc:
+        raise ConfigValueError(f"bad grid {value!r}: {exc}") from None
+    return grid
+
+def _check_polarization(q) -> None:
+    # written so that a NaN or infinite component fails it too
+    if not abs(np.hypot(*q) - 1.0) <= 1e-12:
+        raise ConfigValueError(f"polarization must be a unit 2-vector, got {q}")
+
+def parse_q(value: str) -> tuple[float, float]:
+    """'qx qy' -> a finite unit polarization vector."""
+    parts = value.split()
+    if len(parts) != 2:
+        raise ConfigSyntaxError(f"polarization needs 'qx qy', got {value!r}")
+    try:
+        q = (float(parts[0]), float(parts[1]))
+    except ValueError:
+        raise ConfigValueError(f"bad polarization {value!r}") from None
+    _check_polarization(q)
+    return q
+
+def parse_arcs(value: str) -> tuple[tuple[float, float], ...]:
+    """'[a,b) [c,d) ...' (radians, end exclusive) -> a nonempty tuple of (a, b)."""
+    arcs = []
+    for tok in value.split():
+        if not (tok.startswith("[") and tok.endswith(")")):
+            raise ConfigSyntaxError(f"arc must look like [a,b), got {tok!r}")
+        a_s, _, b_s = tok[1:-1].partition(",")
+        try:
+            arcs.append((float(a_s), float(b_s)))
+        except ValueError:
+            raise ConfigSyntaxError(f"bad arc bounds {tok!r}") from None
+    if not arcs:
+        raise ConfigValueError("empty arc list")
+    return tuple(arcs)
+
+def _parse_mask(value: str) -> MaskSpec | None:
     if value == "full":
         return None
     if value.startswith("indices"):
         try:
             idx = tuple(int(tok) for tok in value[len("indices"):].split())
         except ValueError:
-            raise ConfigSyntaxError(f"line {lineno}: bad index list {value!r}") from None
+            raise ConfigSyntaxError(f"bad index list {value!r}") from None
         if not idx or min(idx) < 1:
-            raise ConfigValueError(f"line {lineno}: indices are 1-based and nonempty")
+            raise ConfigValueError("indices are 1-based and nonempty")
         return MaskSpec(indices=idx)
     if value.startswith("arcs"):
-        arcs = []
-        for tok in value[len("arcs"):].split():
-            if not (tok.startswith("[") and tok.endswith(")")):
-                raise ConfigSyntaxError(f"line {lineno}: arc must look like [a,b), got {tok!r}")
-            a_s, _, b_s = tok[1:-1].partition(",")
-            try:
-                arcs.append((float(a_s), float(b_s)))
-            except ValueError:
-                raise ConfigSyntaxError(f"line {lineno}: bad arc bounds {tok!r}") from None
-        if not arcs:
-            raise ConfigValueError(f"line {lineno}: empty arc list")
-        return MaskSpec(arcs=tuple(arcs))
-    raise ConfigSyntaxError(f"line {lineno}: expected full | arcs ... | indices ..., got {value!r}")
+        return MaskSpec(arcs=parse_arcs(value[len("arcs"):]))
+    raise ConfigSyntaxError(f"expected full | arcs ... | indices ..., got {value!r}")
+
+def _parse_retrieve(value: str) -> RetrieveSpec | None:
+    if value == "off":
+        return None
+    spec = RetrieveSpec()
+    for tok in value.split():
+        key, sep, val = tok.partition("=")
+        if not sep:
+            raise ConfigSyntaxError(f"retrieve token {tok!r}")
+        if key == "R":
+            spec = replace(spec, radius=float(val))
+        elif key == "nB":
+            spec = replace(spec, n_boundary=int(val))
+        elif key == "alpha":
+            spec = replace(spec, alpha=None if val == "auto" else float(val))
+        else:
+            raise ConfigKeyError(f"unknown retrieve key {key!r}")
+    return spec
+
+# config key -> (ExperimentConfig field, value parser)
+_CONFIG_FIELDS = {
+    "scene": ("scene", _parse_scene),
+    "bc": ("bc", BoundaryCondition),
+    "lambda": ("lam", float),
+    "mu": ("mu", float),
+    "omega": ("omega", float),
+    "m": ("m", int),
+    "n": ("n", int),
+    "grid": ("grid", parse_grid),
+    "delta": ("delta", float),
+    "seed": ("seed", int),
+    "kinds": ("kinds", lambda value: tuple(IndicatorKind(tok) for tok in value.split())),
+    "q": ("q", parse_q),
+    "observed": ("observed", _parse_mask),
+    "incident": ("incident", _parse_mask),
+    "retrieve": ("retrieve", _parse_retrieve),
+    "out": ("out", str),
+}
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the canonical config grammar; strict about keys, values, invariants."""
@@ -181,75 +249,20 @@ def parse_config(text: str) -> ExperimentConfig:
         if not sep:
             raise ConfigSyntaxError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key = key.strip()
-        value = value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _CONFIG_FIELDS:
             raise ConfigKeyError(f"line {lineno}: unknown key {key!r}")
         if key in seen:
             raise ConfigSyntaxError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
+        attr, parse = _CONFIG_FIELDS[key]
         try:
-            if key == "scene":
-                cfg = replace(cfg, scene=_parse_scene(value, lineno))
-            elif key == "bc":
-                cfg = replace(cfg, bc=BoundaryCondition(value))
-            elif key == "lambda":
-                cfg = replace(cfg, lam=float(value))
-            elif key == "mu":
-                cfg = replace(cfg, mu=float(value))
-            elif key == "omega":
-                cfg = replace(cfg, omega=float(value))
-            elif key == "m":
-                cfg = replace(cfg, m=int(value))
-            elif key == "n":
-                cfg = replace(cfg, n=int(value))
-            elif key == "grid":
-                parts = value.split()
-                if len(parts) != 6:
-                    raise ConfigSyntaxError(
-                        f"line {lineno}: grid needs 'x0 x1 y0 y1 nx ny', got {value!r}")
-                cfg = replace(cfg, grid=(float(parts[0]), float(parts[1]), float(parts[2]),
-                                         float(parts[3]), int(parts[4]), int(parts[5])))
-            elif key == "delta":
-                cfg = replace(cfg, delta=float(value))
-            elif key == "seed":
-                cfg = replace(cfg, seed=int(value))
-            elif key == "kinds":
-                cfg = replace(cfg, kinds=tuple(IndicatorKind(tok) for tok in value.split()))
-            elif key == "q":
-                qx, qy = value.split()
-                cfg = replace(cfg, q=(float(qx), float(qy)))
-            elif key == "observed":
-                cfg = replace(cfg, observed=_parse_mask(value, lineno))
-            elif key == "incident":
-                cfg = replace(cfg, incident=_parse_mask(value, lineno))
-            elif key == "retrieve":
-                cfg = replace(cfg, retrieve=_parse_retrieve(value, lineno))
-            elif key == "out":
-                cfg = replace(cfg, out=value)
+            cfg = replace(cfg, **{attr: parse(value.strip())})
+        except ConfigError as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from None
         except (ValueError, KeyError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
             raise ConfigValueError(f"line {lineno}: bad value for {key!r}: {exc}") from None
     cfg.validate()
     return cfg
-
-def _parse_retrieve(value: str, lineno: int) -> RetrieveSpec | None:
-    if value == "off":
-        return None
-    spec = RetrieveSpec()
-    for tok in value.split():
-        key, sep, val = tok.partition("=")
-        if not sep:
-            raise ConfigSyntaxError(f"line {lineno}: retrieve token {tok!r}")
-        if key == "R":
-            spec = replace(spec, radius=float(val))
-        elif key == "nB":
-            spec = replace(spec, n_boundary=int(val))
-        elif key == "alpha":
-            spec = replace(spec, alpha=None if val == "auto" else float(val))
-        else:
-            raise ConfigKeyError(f"line {lineno}: unknown retrieve key {key!r}")
-    return spec
 
 def _emit_mask(spec: MaskSpec | None) -> str:
     if spec is None:
@@ -391,7 +404,38 @@ def build_preset(name: str, small: bool = False) -> ExperimentConfig:
     return cfg
 
 # ---------------------------------------------------------------------------
-# Pipeline runner
+# Pipeline stages (shared by run_experiment and the CLI subcommands)
+# ---------------------------------------------------------------------------
+def aperture_mask(m: int, observed: MaskSpec | None, incident: MaskSpec | None
+                  ) -> ApertureMask | None:
+    """The aperture on 2m directions of an observed/incident spec pair; None = full data."""
+    if observed is None and incident is None:
+        return None
+    every = frozenset(range(2 * m))
+    mask = ApertureMask(observed=observed.to_indices(m) if observed else every,
+                        incident=incident.to_indices(m) if incident else every)
+    mask.validate_for(m)
+    return mask
+
+def restrict(msr: MSRMatrix, observed: MaskSpec | None, incident: MaskSpec | None
+             ) -> MSRMatrix | MaskedMSR:
+    """The data seen through an aperture: msr itself for full data, else its masked form."""
+    mask = aperture_mask(msr.m, observed, incident)
+    return msr if mask is None else apply_mask(msr, mask)
+
+def fields_of(data: MSRMatrix | MaskedMSR, grid: SamplingGrid, kinds, q
+              ) -> dict[IndicatorKind, IndicatorField]:
+    """Indicator fields of full data, or of the known entries of limited data."""
+    if isinstance(data, MaskedMSR):
+        return limited_indicator(data, grid, kinds, q)
+    return indicator_fields(data.assembled(), data.m, data.medium, grid, kinds, q)
+
+def retrieve_msr(masked: MaskedMSR, spec: RetrieveSpec) -> MSRMatrix:
+    """Reciprocity fill, then Tikhonov extrapolation of what fill cannot reach."""
+    return tikhonov_retrieve(reciprocity_fill(masked), spec.radius, spec.n_boundary, spec.alpha)
+
+# ---------------------------------------------------------------------------
+# Artifact emission
 # ---------------------------------------------------------------------------
 @dataclass
 class RunManifest:
@@ -415,100 +459,135 @@ class RunManifest:
                           indent=2, sort_keys=True)
 
 class _Emitter:
-    """Tracks written files so a failed run can clean up after itself."""
+    """The only writer of artifacts.
 
-    def __init__(self, outdir: str, manifest: RunManifest):
+    Each file is written under a temporary name in the output directory and
+    moved into place with os.replace, so no artifact is ever seen half
+    written.  Used as a context manager, an exception removes every file the
+    emitter wrote, temporary ones included.  With a manifest, each artifact is
+    hashed into it as it lands.
+    """
+
+    def __init__(self, outdir: str, manifest: RunManifest | None = None):
         self.outdir = outdir
         self.manifest = manifest
         self.written: list[str] = []
         os.makedirs(outdir, exist_ok=True)
 
+    def __enter__(self) -> "_Emitter":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None:
+            self.cleanup()
+
     def path(self, name: str) -> str:
         return os.path.join(self.outdir, name)
 
+    def _commit(self, name: str, write, hashed: bool = True) -> None:
+        """write(tmp_path) the artifact, then rename it to name."""
+        tmp, final = self.path(f".{name}.tmp"), self.path(name)
+        self.written.append(tmp)
+        write(tmp)
+        os.replace(tmp, final)
+        self.written[-1] = final
+        if hashed and self.manifest is not None:
+            self.manifest.add_file(final)
+
     def write_bytes(self, name: str, data: bytes) -> None:
-        p = self.path(name)
-        with open(p, "wb") as fh:
-            fh.write(data)
-        self.written.append(p)
-        self.manifest.add_file(p)
+        self._commit(name, lambda tmp: Path(tmp).write_bytes(data))
 
     def write_msr(self, name: str, msr: MSRMatrix) -> None:
-        p = self.path(name)
-        save_msr(msr, p)
-        self.written.append(p)
-        self.manifest.add_file(p)
+        self._commit(name, lambda tmp: save_msr(msr, tmp))
 
     def write_field(self, label: str, fld: IndicatorField) -> None:
-        csv_path = self.path(f"{label}.csv")
-        fld.to_csv(csv_path)
-        self.written.append(csv_path)
-        self.manifest.add_file(csv_path)
-        self.write_bytes(f"{label}.pgm", render_heatmap(fld))
+        try:
+            image = render_heatmap(fld)
+        except ValueError as exc:
+            raise NumericError(str(exc)) from None
+        self._commit(f"{label}.csv", fld.to_csv)
+        self.write_bytes(f"{label}.pgm", image)
+
+    def write_fields(self, label: str, fields: dict) -> None:
+        for kind, fld in fields.items():
+            self.write_field(f"{label}_{kind.value}", fld)
+
+    def write_manifest(self) -> None:
+        data = self.manifest.to_json().encode()
+        self._commit("manifest.json", lambda tmp: Path(tmp).write_bytes(data), hashed=False)
 
     def cleanup(self) -> None:
         for p in self.written:
-            try:
+            with contextlib.suppress(OSError):
                 os.remove(p)
-            except OSError:
-                pass
 
-def _emit_fields(emitter: _Emitter, label: str, fields: dict) -> None:
-    for kind, fld in fields.items():
-        emitter.write_field(f"{label}_{kind.value}", fld)
-
+# ---------------------------------------------------------------------------
+# Pipeline runner
+# ---------------------------------------------------------------------------
 def run_experiment(config: ExperimentConfig, label: str = "run", outdir: str | None = None,
-                   manifest: RunManifest | None = None) -> RunManifest:
+                   emitter: _Emitter | None = None) -> RunManifest:
     """Synthesize, perturb, (mask/fill/retrieve), indicate, and emit artifacts.
 
     Deterministic for a fixed config: the only randomness is the seeded noise.
-    On failure, files written so far are removed.
+    Writes through emitter, whose owner cleans up on failure; without one, a
+    fresh emitter into outdir (default config.out) removes this run's files
+    on failure.  Writes no manifest.json.
     """
     config.validate()
-    outdir = outdir or config.out
-    if manifest is None:
+    if emitter is None:
         manifest = RunManifest(config_text=emit_config(config), seed=config.seed)
-    emitter = _Emitter(outdir, manifest)
-    try:
-        t0 = time.perf_counter()
-        scene = config.scene_object()
-        medium = config.medium()
-        msr = synthesize_msr(scene, medium, config.m, config.n)
-        manifest.timings[f"{label}.synth_s"] = round(time.perf_counter() - t0, 3)
+        with _Emitter(outdir or config.out, manifest) as own:
+            return run_experiment(config, label, emitter=own)
+    timings = emitter.manifest.timings
+    t0 = time.perf_counter()
+    msr = synthesize_msr(config.scene_object(), config.medium(), config.m, config.n)
+    timings[f"{label}.synth_s"] = round(time.perf_counter() - t0, 3)
 
-        if config.delta > 0:
-            t0 = time.perf_counter()
-            msr = add_noise(msr, config.delta, config.seed)
-            manifest.timings[f"{label}.noise_s"] = round(time.perf_counter() - t0, 3)
-        emitter.write_msr(f"{label}.msr", msr)
-
-        grid = config.sampling_grid()
+    if config.delta > 0:
         t0 = time.perf_counter()
-        if config.observed is None and config.incident is None:
-            _emit_fields(emitter, label, indicator_fields(
-                msr.assembled(), config.m, medium, grid, config.kinds, config.q))
-        else:
-            mask = ApertureMask(
-                observed=(config.observed.to_indices(config.m) if config.observed
-                          else frozenset(range(2 * config.m))),
-                incident=(config.incident.to_indices(config.m) if config.incident
-                          else frozenset(range(2 * config.m))))
-            masked = apply_mask(msr, mask)
-            _emit_fields(emitter, f"{label}_limit",
-                         limited_indicator(masked, grid, config.kinds, config.q))
-            if config.retrieve is not None:
-                filled = reciprocity_fill(masked)
-                retrieved = tikhonov_retrieve(filled, config.retrieve.radius,
-                                              config.retrieve.n_boundary,
-                                              config.retrieve.alpha)
-                emitter.write_msr(f"{label}_retrieved.msr", retrieved)
-                _emit_fields(emitter, f"{label}_retr", indicator_fields(
-                    retrieved.assembled(), config.m, medium, grid, config.kinds, config.q))
-        manifest.timings[f"{label}.indicate_s"] = round(time.perf_counter() - t0, 3)
-        return manifest
-    except Exception:
-        emitter.cleanup()
-        raise
+        msr = add_noise(msr, config.delta, config.seed)
+        timings[f"{label}.noise_s"] = round(time.perf_counter() - t0, 3)
+    emitter.write_msr(f"{label}.msr", msr)
+
+    grid = config.sampling_grid()
+    t0 = time.perf_counter()
+    data = restrict(msr, config.observed, config.incident)
+    if isinstance(data, MaskedMSR):
+        emitter.write_fields(f"{label}_limit", fields_of(data, grid, config.kinds, config.q))
+        if config.retrieve is not None:
+            retrieved = retrieve_msr(data, config.retrieve)
+            emitter.write_msr(f"{label}_retrieved.msr", retrieved)
+            emitter.write_fields(f"{label}_retr",
+                                 fields_of(retrieved, grid, config.kinds, config.q))
+    else:
+        emitter.write_fields(label, fields_of(data, grid, config.kinds, config.q))
+    timings[f"{label}.indicate_s"] = round(time.perf_counter() - t0, 3)
+    return emitter.manifest
+
+def run_recorded(config: ExperimentConfig, variants=None) -> RunManifest:
+    """Run (label, config) variants (default: config itself as "run") into config.out.
+
+    Every variant writes through one emitter, which then writes manifest.json;
+    a failure anywhere removes every file of the run, manifest included.
+    """
+    manifest = RunManifest(config_text=emit_config(config), seed=config.seed,
+                           env_overrides={k: os.environ[k] for k in (ENV_OUT,)
+                                          if k in os.environ})
+    with _Emitter(config.out, manifest) as emitter:
+        for label, sub in variants or [("run", config)]:
+            run_experiment(sub, label=label, emitter=emitter)
+        emitter.write_manifest()
+    return manifest
+
+def _preset_variants(name: str, cfg: ExperimentConfig) -> list[tuple[str, ExperimentConfig]]:
+    if name == "limited-quarters":
+        return [(f"{name}_q{idx}", replace(cfg, observed=MaskSpec(arcs=(arc,))))
+                for idx, arc in enumerate(QUARTER_ARCS, start=1)]
+    if name == "few-incident":
+        return [(f"{name}_n{count}", replace(cfg, incident=MaskSpec(
+                    indices=tuple(1 + j * ((2 * cfg.m) // count) for j in range(count)))))
+                for count in FEW_INCIDENT_COUNTS]
+    return [(name, cfg)]
 
 def run_preset(name: str, outdir: str, small: bool = False,
                seed: int | None = None) -> RunManifest:
@@ -517,23 +596,4 @@ def run_preset(name: str, outdir: str, small: bool = False,
     if seed is not None:
         cfg = replace(cfg, seed=seed)
     cfg = replace(cfg, out=outdir)
-    manifest = RunManifest(config_text=emit_config(cfg), seed=cfg.seed)
-    manifest.env_overrides = {k: os.environ[k] for k in (ENV_OUT,) if k in os.environ}
-
-    if name == "limited-quarters":
-        for idx, arc in enumerate(QUARTER_ARCS, start=1):
-            sub = replace(cfg, observed=MaskSpec(arcs=(arc,)))
-            run_experiment(sub, label=f"{name}_q{idx}", outdir=outdir, manifest=manifest)
-    elif name == "few-incident":
-        for count in FEW_INCIDENT_COUNTS:
-            step = (2 * cfg.m) // count
-            idx = tuple(1 + j * step for j in range(count))
-            sub = replace(cfg, incident=MaskSpec(indices=idx))
-            run_experiment(sub, label=f"{name}_n{count}", outdir=outdir, manifest=manifest)
-    else:
-        run_experiment(cfg, label=name, outdir=outdir, manifest=manifest)
-
-    mpath = os.path.join(outdir, "manifest.json")
-    with open(mpath, "w") as fh:
-        fh.write(manifest.to_json())
-    return manifest
+    return run_recorded(cfg, _preset_variants(name, cfg))

@@ -4,10 +4,17 @@ These deliberately avoid the code paths they check: Bessel/Neumann values come
 from explicit power series in high-precision arithmetic, derivatives from
 central differences, arc lengths from adaptive quadrature, and interiority
 from a polygonal winding number.
+
+The Bessel/Hankel/circular-harmonic wrappers at the end are thin,
+domain-checked scipy.special calls (J up to order 3, H^(1) up to order 1,
+Y_a^b = sqrt(1/2pi) e^{i b phi}); the package itself calls scipy.special
+directly, so they serve as the closed sides of the Funk-Hecke checks and are
+themselves checked against the series above.
 """
 
 import mpmath as mp
 import numpy as np
+from scipy import special as _sp
 from scipy.integrate import quad
 
 EULER = mp.mpf(
@@ -108,3 +115,50 @@ def winding_number(poly: np.ndarray, point: np.ndarray) -> float:
     b = np.roll(a, -1, axis=0)
     ang = np.arctan2(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0], (a * b).sum(axis=1))
     return float(ang.sum() / (2.0 * np.pi))
+
+
+GAMMA_HARMONIC = np.sqrt(1.0 / (2.0 * np.pi))
+MAX_BESSEL_ORDER = 3
+MAX_HANKEL_ORDER = 1
+
+
+def bessel_j(order: int, x):
+    """J_order(x) for order 0..3 and real x >= 0."""
+    if order not in range(MAX_BESSEL_ORDER + 1):
+        raise ValueError(f"order must be 0..{MAX_BESSEL_ORDER}, got {order}")
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0):
+        raise ValueError("negative argument not supported")
+    out = _sp.jv(order, x)
+    return out if out.shape else float(out)
+
+
+def hankel1(order: int, x):
+    """H^(1)_order(x) = J_order(x) + i Y_order(x) for order 0..1 and x > 0."""
+    if order not in range(MAX_HANKEL_ORDER + 1):
+        raise ValueError(f"order must be 0..{MAX_HANKEL_ORDER}, got {order}")
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= 0):
+        raise ValueError("argument must be positive (branch point at 0)")
+    out = _sp.hankel1(order, x)
+    return out if out.shape else complex(out)
+
+
+def circular_harmonic(alpha: int, beta: int, phi):
+    """Y_alpha^beta(phi) = gamma e^{i beta phi}, gamma = sqrt(1/2pi), |beta| = alpha."""
+    if alpha not in range(MAX_BESSEL_ORDER + 1):
+        raise ValueError(f"alpha must be 0..{MAX_BESSEL_ORDER}, got {alpha}")
+    if abs(beta) != alpha:
+        raise ValueError(f"need |beta| = alpha, got alpha={alpha}, beta={beta}")
+    phi = np.asarray(phi, dtype=float)
+    out = GAMMA_HARMONIC * np.exp(1j * beta * phi)
+    return out if out.shape else complex(out)
+
+
+def funk_hecke_rhs(alpha: int, beta: int, k: float, z: np.ndarray):
+    """(2 pi / i^alpha) J_alpha(k |z|) Y_alpha^beta(z-hat), the closed side of
+    the Funk-Hecke identity for the circular integral of e^{-i k z.xhat} Y_alpha^beta."""
+    z = np.asarray(z, dtype=float)
+    rz = float(np.hypot(z[0], z[1]))
+    phi_z = float(np.arctan2(z[1], z[0]))
+    return (2.0 * np.pi / 1j**alpha) * bessel_j(alpha, k * rz) * circular_harmonic(alpha, beta, phi_z)

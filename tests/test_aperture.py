@@ -185,6 +185,12 @@ class TestTikhonovRetrieve:
         with pytest.raises(ValueError):
             tikhonov_retrieve(masked, 5.0, 64, alpha=0.0)
 
+    def test_no_boundary_nodes_rejected(self, msr_kite_m64):
+        masked = apply_mask(msr_kite_m64, ApertureMask.from_arcs(msr_kite_m64.m,
+                                                                 [QUARTER], None))
+        with pytest.raises(ValueError, match="n_boundary"):
+            tikhonov_retrieve(masked, 5.0, 0)
+
     def test_records_retrieval_metadata(self, msr_kite_m64):
         masked = apply_mask(msr_kite_m64, ApertureMask.from_arcs(msr_kite_m64.m,
                                                                  [QUARTER], None))

