@@ -41,8 +41,8 @@ class WaveMode(Enum):
 class Medium:
     """Homogeneous isotropic elastic medium: Lame constants and frequency.
 
-    Requires mu > 0, lam + 2 mu > 0, omega > 0; the derived wave numbers are
-    k_p = omega / sqrt(lam + 2 mu) and k_s = omega / sqrt(mu).
+    Requires finite values with mu > 0, lam + 2 mu > 0, omega > 0; the derived
+    wave numbers are k_p = omega / sqrt(lam + 2 mu) and k_s = omega / sqrt(mu).
     """
 
     lam: float
@@ -50,6 +50,9 @@ class Medium:
     omega: float
 
     def __post_init__(self) -> None:
+        if not np.isfinite([self.lam, self.mu, self.omega]).all():
+            raise ValueError(f"need finite lam, mu, omega, got "
+                             f"{self.lam}, {self.mu}, {self.omega}")
         if not self.mu > 0:
             raise ValueError(f"need mu > 0, got {self.mu}")
         if not self.lam + 2.0 * self.mu > 0:

@@ -521,10 +521,9 @@ def save_msr(msr: MSRMatrix, path) -> None:
         fh.write(f"#norm={msr.noise_norm}\n")
         if msr.retrieval is not None:
             fh.write(f"#retrieval={msr.retrieval}\n")
-        for j in range(n):
-            row = full[j]
-            fh.write(" ".join(f"{v.real:.17g} {v.imag:.17g}" for v in row))
-            fh.write("\n")
+        row_format = " ".join(["%.17g"] * (2 * n)) + "\n"
+        for row in full.view(float):
+            fh.write(row_format % tuple(row.tolist()))
 
 
 def load_msr(path) -> MSRMatrix:
@@ -546,7 +545,7 @@ def load_msr(path) -> MSRMatrix:
             if len(parts) % 2 != 0:
                 raise MsrFormatError(f"line {lineno}: odd number of fields")
             try:
-                nums = np.array([float(p) for p in parts])
+                nums = np.array(parts, dtype=float)
             except ValueError:
                 raise MsrFormatError(f"line {lineno}: non-numeric entry") from None
             if not np.isfinite(nums).all():

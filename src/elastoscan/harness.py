@@ -18,7 +18,7 @@ canonical grammar (all keys optional except none; defaults in parentheses):
     q        = 1.0 0.0      # polarization (unit vector)
     observed = full | arcs [a,b) ... | indices i1 i2 ...      (full, 1-based indices)
     incident = full | arcs [a,b) ... | indices i1 i2 ...      (full)
-    retrieve = off | R=5.0 nB=256 alpha=auto                  (off)
+    retrieve = off | R=5.0 nB=256 alpha=auto                  (off; needs observed/incident)
     out      = out
 
 Pipeline per config: synthesize MSR -> add noise -> (mask -> reciprocity fill
@@ -131,9 +131,11 @@ class ExperimentConfig:
             self.scene_object()
             self.medium()
             self.sampling_grid()
-            aperture_mask(self.m, self.observed, self.incident)
+            mask = aperture_mask(self.m, self.observed, self.incident)
         except ValueError as exc:
             raise ConfigValueError(str(exc)) from None
+        if self.retrieve is not None and mask is None:
+            raise ConfigValueError("retrieve needs limited data: set observed and/or incident")
 
 def _parse_scene(value: str):
     scene = scene_from_string(value)

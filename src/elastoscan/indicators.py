@@ -13,9 +13,14 @@ and with the direction-grid weight w = pi/m the indicators are
 
 where F is the assembled 4m x 4m operator layout [[pp, sp], [ps, ss]].
 I_FF is the sum of the four block forms, of which the pp and ss forms are
-I_PP and I_SS, so every kind comes from one chunked pass of block
-matrix-matrix products over all sampling points; nothing is re-assembled
-per z.
+I_PP and I_SS, so every kind comes from one pass over the sampling points.
+
+The phases separate, e^{-ik z.theta} = e^{-ik x cos t} e^{-ik y sin t}, and the
+directions d and 2m - d have the same cos t.  So each 2m x 2m block, with the
+y phases of one row folded in, becomes an (m+1) x (m+1) kernel that acts on
+the (m+1) distinct x phases: per run of points with equal y, one kernel per
+block and one product with the x-phase table of the run.  This is exact up to
+rounding, and a quarter of the flops of the unfolded product.
 """
 
 from __future__ import annotations
@@ -27,8 +32,6 @@ import numpy as np
 
 from .elastic import Medium
 from .forward import direction_grid
-
-EVAL_CHUNK = 8192
 
 
 class IndicatorKind(Enum):
@@ -49,6 +52,8 @@ class SamplingGrid:
     ny: int
 
     def __post_init__(self) -> None:
+        if not np.isfinite([self.x0, self.x1, self.y0, self.y1]).all():
+            raise ValueError("need finite x0, x1, y0, y1")
         if not (self.x1 > self.x0 and self.y1 > self.y0):
             raise ValueError("need x1 > x0 and y1 > y0")
         if self.nx < 2 or self.ny < 2:
@@ -94,31 +99,29 @@ class IndicatorField:
 def test_vectors(z, q, directions: np.ndarray, medium: Medium
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Samples of (phi_p, phi_s) at the given unit directions for one z."""
-    phi_p, phi_s = _test_vector_batch(np.atleast_2d(np.asarray(z, float)),
-                                      np.asarray(q, float), directions, medium)
-    return phi_p[:, 0], phi_s[:, 0]
-
-
-def _test_vector_batch(z: np.ndarray, q: np.ndarray, directions: np.ndarray,
-                       medium: Medium) -> tuple[np.ndarray, np.ndarray]:
-    """z (M, 2) -> (phi_p, phi_s) each (2m, M)."""
-    dq = directions @ q                                   # (2m,)
+    z = np.asarray(z, float)
+    q = np.asarray(q, float)
+    dq = directions @ q
     dqp = -directions[:, 1] * q[0] + directions[:, 0] * q[1]
-    zdot = directions @ z.T                               # (2m, M)
-    phi_p = np.exp(-1j * medium.k_p * zdot) * dq[:, None]
-    phi_s = np.exp(-1j * medium.k_s * zdot) * dqp[:, None]
-    return phi_p, phi_s
+    zdot = directions @ z
+    return (np.exp(-1j * medium.k_p * zdot) * dq,
+            np.exp(-1j * medium.k_s * zdot) * dqp)
 
 
 def indicator_values_at(points: np.ndarray, fmat: np.ndarray, m: int, medium: Medium,
                         q, kinds) -> dict[IndicatorKind, np.ndarray]:
     """Indicators of every requested kind at points (M, 2) from an assembled 4m x 4m matrix.
 
-    One pass: per chunk the test vectors are built once, and each block product
-    F_ab @ phi_b is contracted against phi_a as soon as it is formed.  Only the
-    blocks the kinds need are multiplied (pp for PP, ss for SS, all four for FF);
-    the FF form is the sum of the four block forms, so PP and SS come free with
-    it.  Works on masked (zero-filled) matrices as well.
+    The phases separate, e^{-ik d.z} = e^{-ik cos(t) x} e^{-ik sin(t) y}, and are
+    built once per distinct x and per distinct y.  Direction d and 2m - d share
+    cos(t), so the x phases have m + 1 distinct rows (classes r = 0..m, where
+    r = 0 and r = m have one member and the others two).  Each needed 2m x 2m block
+    is split once into its four (m+1) x (m+1) member parts; for each run of
+    consecutive points with equal y the y phases are folded into them, giving an
+    (m+1) x (m+1) kernel K, and the forms are conj(X_a)^T (K X_b) column by column.
+    Only the blocks the kinds need are used (pp for PP, ss for SS, all four for FF);
+    the FF form is the sum of the four block forms, so PP and SS come free with it.
+    Works on masked (zero-filled) matrices as well.
     """
     q = np.asarray(q, float)
     points = np.atleast_2d(np.asarray(points, float))
@@ -126,27 +129,47 @@ def indicator_values_at(points: np.ndarray, fmat: np.ndarray, m: int, medium: Me
     dirs = direction_grid(m)
     w = np.pi / m
     out = {kind: np.empty(len(points)) for kind in kinds}
-    need_ff = IndicatorKind.FF in out
-    need_pp = need_ff or IndicatorKind.PP in out
-    need_ss = need_ff or IndicatorKind.SS in out
+    # (a, b) is the block F[half a, half b], contracted with phi_a on the observed
+    # (row) side and phi_b on the incident (column) side
+    half = {"p": slice(None, n), "s": slice(n, None)}
+    if IndicatorKind.FF in out:
+        pairs = [("p", "p"), ("p", "s"), ("s", "p"), ("s", "s")]
+    else:
+        pairs = [(c, c) for c in "ps" if IndicatorKind(c + c) in out]
 
-    def form(block, phi_obs, phi_inc):
-        return np.einsum("dm,dm->m", np.conj(phi_obs), block @ phi_inc)
+    # class r = 0..m has the members r and 2m - r; the second member of 0 and m is void
+    r = np.arange(m + 1)
+    member = np.stack([r, (n - r) % n])
+    single = (r == 0) | (r == m)
+    parts = {}
+    for a, b in pairs:
+        part = fmat[half[a], half[b]][member[:, None, :, None], member[None, :, None, :]]
+        part[1][:, single] = 0.0
+        part[:, 1][..., single] = 0.0
+        parts[a, b] = part                                # (2, 2, m+1, m+1)
 
-    for lo in range(0, len(points), EVAL_CHUNK):
-        hi = min(lo + EVAL_CHUNK, len(points))
-        phi_p, phi_s = _test_vector_batch(points[lo:hi], q, dirs, medium)
+    xs, xi = np.unique(points[:, 0], return_inverse=True)
+    ys, yi = np.unique(points[:, 1], return_inverse=True)
+    k = {"p": medium.k_p, "s": medium.k_s}
+    weight = {"p": dirs @ q, "s": -dirs[:, 1] * q[0] + dirs[:, 0] * q[1]}
+    xphase = {c: np.exp(-1j * k[c] * np.outer(dirs[: m + 1, 0], xs)) for c in k}
+    yphase = {c: np.exp(-1j * k[c] * np.outer(dirs[:, 1], ys)) * weight[c][:, None]
+              for c in k}
+
+    starts = np.flatnonzero(np.diff(yi, prepend=-1))
+    for lo, hi in zip(starts, np.append(starts[1:], len(points))):
+        x = {c: xphase[c][:, xi[lo:hi]] for c in k}
+        y = {c: yphase[c][member, yi[lo]] for c in k}      # (2, m+1)
         forms = {}
-        if need_pp:
-            forms[IndicatorKind.PP] = form(fmat[:n, :n], phi_p, phi_p)
-        if need_ss:
-            forms[IndicatorKind.SS] = form(fmat[n:, n:], phi_s, phi_s)
-        if need_ff:
-            forms[IndicatorKind.FF] = (forms[IndicatorKind.PP] + form(fmat[:n, n:], phi_p, phi_s)
-                                       + form(fmat[n:, :n], phi_s, phi_p)
-                                       + forms[IndicatorKind.SS])
+        for (a, b), part in parts.items():
+            ya, yb = np.conj(y[a]), y[b]
+            kern = (ya[0][:, None] * (part[0, 0] * yb[0] + part[0, 1] * yb[1])
+                    + ya[1][:, None] * (part[1, 0] * yb[0] + part[1, 1] * yb[1]))
+            forms[a + b] = (np.conj(x[a]) * (kern @ x[b])).sum(axis=0)
+        if IndicatorKind.FF in out:
+            forms["ff"] = sum(forms.values())
         for kind, vals in out.items():
-            vals[lo:hi] = np.abs(w**2 * forms[kind])
+            vals[lo:hi] = np.abs(w**2 * forms[kind.value])
     return out
 
 

@@ -123,6 +123,17 @@ class TestParseConfig:
         with pytest.raises(ConfigValueError, match="< 16"):
             parse_config("m = 8\nobserved = indices 99\n")
 
+    @pytest.mark.parametrize("aperture", ["", "observed = full\nincident = full\n"])
+    def test_retrieve_on_full_data_rejected(self, aperture):
+        with pytest.raises(ConfigValueError, match="retrieve needs limited data"):
+            parse_config(aperture + "retrieve = R=5.0 nB=64 alpha=auto\n")
+
+    @pytest.mark.parametrize("line", ["omega = inf", "mu = inf", "lambda = inf",
+                                      "grid = -6 inf -6 6 9 9"])
+    def test_infinite_medium_or_grid_rejected(self, line):
+        with pytest.raises(ConfigValueError, match="finite"):
+            parse_config(line + "\n")
+
 
 class TestSharedParsers:
     def test_grid(self):
@@ -456,6 +467,16 @@ class TestCli:
                                   ("#m=", "#m=0", False), 4),
         "19-experiment-config-and-preset": (["experiment", "--config", "{cfg}", "--preset",
                                              "dirichlet-kite", "--small"], TINY_KITE, None, 2),
+        "20-experiment-omega-inf": (["experiment", "--config", "{cfg}"],
+                                    TINY_KITE.replace("omega = 3.141592653589793",
+                                                      "omega = inf"), None, 2),
+        "21-indicate-grid-inf": (["indicate", "--msr", "{msr}", "--grid", "-inf 3 -3 3 9 9"],
+                                 None, None, 2),
+        "22-msr-omega-inf": (["indicate", "--msr", "{msr}"], None,
+                             ("#omega=", "#omega=inf", True), 4),
+        "23-experiment-retrieve-full-data": (["experiment", "--config", "{cfg}"],
+                                             TINY_KITE + "retrieve = R=5.0 nB=64 alpha=auto\n",
+                                             None, 2),
     }
 
     @pytest.mark.parametrize("row", sorted(BAD_INPUTS))

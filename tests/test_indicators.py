@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from elastoscan.elastic import Medium
 from elastoscan.forward import MSRMatrix, direction_grid
 from elastoscan.indicators import (
     IndicatorKind,
@@ -140,6 +143,68 @@ class TestIndicatorAlgebra:
                                 msr_disk_m16.m, msr_disk_m16.medium, (0.0, 1.0),
                                 [IndicatorKind.PP])[IndicatorKind.PP][0]
         assert abs(a - b) < 1e-6 * a
+
+
+def direct_values(points, fmat, m, medium, q):
+    """{kind: |w^2 phi^H F phi|} point by point, from the sampled test vectors."""
+    n, w = 2 * m, np.pi / m
+    dirs = direction_grid(m)
+    out = {kind: [] for kind in IndicatorKind}
+    for z in points:
+        pp, ps = phi_samples(z, q, dirs, medium)
+        phi = np.concatenate([pp, ps])
+        out[FF].append(abs(w**2 * np.conj(phi) @ fmat @ phi))
+        out[IndicatorKind.PP].append(abs(w**2 * np.conj(pp) @ fmat[:n, :n] @ pp))
+        out[IndicatorKind.SS].append(abs(w**2 * np.conj(ps) @ fmat[n:, n:] @ ps))
+    return {kind: np.array(v) for kind, v in out.items()}
+
+
+@st.composite
+def point_sets(draw):
+    """Full grid rows, rows and points sharing y values across non-adjacent runs,
+    duplicate points and single scattered points, in drawn order."""
+    coord = st.floats(-6.0, 6.0, allow_nan=False)
+    xs = draw(st.lists(coord, min_size=1, max_size=6, unique=True))
+    ys = draw(st.lists(coord, min_size=1, max_size=3))
+    row = st.sampled_from(ys).map(lambda y: [(x, y) for x in xs])
+    on_grid = st.tuples(st.sampled_from(xs), st.sampled_from(ys)).map(lambda p: [p])
+    scattered = st.tuples(coord, coord).map(lambda p: [p])
+    pieces = draw(st.lists(st.one_of(row, on_grid, scattered), min_size=1, max_size=8))
+    points = [p for piece in pieces for p in piece]
+    if draw(st.booleans()):
+        points.append(draw(st.sampled_from(points)))
+    return np.array(points, float)
+
+
+class TestFoldedEvaluator:
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           omega=st.floats(0.5, 12.0), angle=st.floats(0.0, 2 * np.pi),
+           points=point_sets(),
+           kinds=st.lists(st.sampled_from(list(IndicatorKind)), min_size=1, max_size=3,
+                          unique=True))
+    def test_equals_direct_quadratic_form(self, m, seed, omega, angle, points, kinds):
+        rng = np.random.default_rng(seed)
+        fmat = rng.normal(size=(4 * m, 4 * m)) + 1j * rng.normal(size=(4 * m, 4 * m))
+        medium = Medium(1.0, 1.0, omega)
+        q = (np.cos(angle), np.sin(angle))
+        got = indicator_values_at(points, fmat, m, medium, q, kinds)
+        ref = direct_values(points, fmat, m, medium, q)
+        assert list(got) == kinds
+        for kind in kinds:
+            tol = 1e-12 * max(1.0, ref[kind].max())
+            assert np.abs(got[kind] - ref[kind]).max() <= tol
+
+    def test_grid_field_equals_per_point_values(self, msr_kite_m64, medium):
+        grid = SamplingGrid(-3.0, 2.5, -1.5, 4.0, 33, 17)
+        fmat, m = msr_kite_m64.assembled(), msr_kite_m64.m
+        fields = indicator_fields(fmat, m, medium, grid, IndicatorKind, Q_DEFAULT)
+        ref = direct_values(grid.points(), fmat, m, medium, Q_DEFAULT)
+        for kind in IndicatorKind:
+            values = fields[kind].values
+            assert values.shape == (17, 33)
+            tol = 1e-12 * max(1.0, ref[kind].max())
+            assert np.abs(values.ravel() - ref[kind]).max() <= tol
 
 
 class TestStabilityBound:
