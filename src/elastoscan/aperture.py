@@ -1,12 +1,15 @@
 """Limited-aperture machinery: masking, reciprocity fill, Tikhonov retrieval.
 
-The reciprocity relations
+Far-field data have one layout, the 4m x 4m operator F = [[F_pp, F_sp],
+[F_ps, F_ss]] of MSRMatrix.full; a limited data set is that operator with a
+known-entry mask of the same shape.  The reciprocity relations
 
     u_pp(xhat, d) = u_pp(-d, -xhat),  u_ss likewise,  u_ps(xhat, d) = u_sp(-d, -xhat)
 
-become, on the direction grid with the antipode map sigma(i) = ((i+m-1) mod 2m)+1,
+become, with the antipode map sigma(i) = ((i+m-1) mod 2m)+1 on the direction
+grid and Sigma = [sigma, sigma + 2m] on the rows and columns of F, one map
 
-    F_pp[j, i] = F_pp[sigma(i), sigma(j)],   F_ps[j, i] = F_sp[sigma(i), sigma(j)],
+    F = F[Sigma, Sigma]^T,
 
 so unmeasured entries can be copied from measured ones.  What reciprocity
 cannot reach is extrapolated by solving the severely ill-posed far-field
@@ -24,12 +27,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .forward import MSRMatrix
+from .forward import MSRMatrix, blocks, direction_grid
 from .geometry import scene_from_string
 from .indicators import IndicatorField, IndicatorKind, SamplingGrid, indicator_fields
-
-BLOCK_NAMES = ("f_pp", "f_ps", "f_sp", "f_ss")
-RECIPROCAL_BLOCK = {"f_pp": "f_pp", "f_ss": "f_ss", "f_ps": "f_sp", "f_sp": "f_ps"}
 
 
 @dataclass(frozen=True)
@@ -82,70 +82,58 @@ def antipode(i, m: int):
 
 @dataclass(frozen=True)
 class MaskedMSR:
-    """MSR with per-entry known flags; unknown values are absent (NaN-filled)."""
+    """MSR with a known-entry mask; unknown values are absent (NaN-filled).
+
+    mask and data share the 4m x 4m layout of MSRMatrix.full.
+    """
 
     base: MSRMatrix
-    known: dict            # block name -> (2m, 2m) bool
-    values: dict           # block name -> (2m, 2m) complex, NaN where unknown
+    mask: np.ndarray       # (4m, 4m) bool
+    data: np.ndarray       # (4m, 4m) complex, NaN where unknown
 
     @property
     def m(self) -> int:
         return self.base.m
 
-    def known_matrix(self, name: str) -> np.ndarray:
-        """Block with unknown entries as zeros (the restricted-sum convention)."""
-        vals = self.values[name]
-        return np.where(self.known[name], vals, 0.0)
+    @property
+    def known(self) -> dict[str, np.ndarray]:
+        """Block name -> view of mask."""
+        return blocks(self.mask, self.m)
+
+    @property
+    def values(self) -> dict[str, np.ndarray]:
+        """Block name -> view of data."""
+        return blocks(self.data, self.m)
 
     def assembled_known(self) -> np.ndarray:
-        n = 2 * self.m
-        out = np.zeros((2 * n, 2 * n), dtype=complex)
-        out[:n, :n] = self.known_matrix("f_pp")
-        out[:n, n:] = self.known_matrix("f_sp")
-        out[n:, :n] = self.known_matrix("f_ps")
-        out[n:, n:] = self.known_matrix("f_ss")
-        return out
+        """The operator with unknown entries as zeros (the restricted-sum convention)."""
+        return np.where(self.mask, self.data, 0.0)
 
 
 def apply_mask(msr: MSRMatrix, mask: ApertureMask) -> MaskedMSR:
-    """Mark entry (j, i) known iff j in observed and i in incident, per block."""
+    """Mark entry (j, i) of every block known iff j in observed and i in incident."""
     mask.validate_for(msr.m)
     n = 2 * msr.m
     obs = np.zeros(n, dtype=bool)
     obs[list(mask.observed)] = True
     inc = np.zeros(n, dtype=bool)
     inc[list(mask.incident)] = True
-    known2d = obs[:, None] & inc[None, :]
-    known = {}
-    values = {}
-    for name in BLOCK_NAMES:
-        known[name] = known2d.copy()
-        vals = getattr(msr, name).copy()
-        vals[~known2d] = np.nan
-        values[name] = vals
-    return MaskedMSR(msr, known, values)
+    known = np.tile(obs[:, None] & inc[None, :], (2, 2))
+    return MaskedMSR(msr, known, np.where(known, msr.full, np.nan))
 
 
 def reciprocity_fill(masked: MaskedMSR) -> MaskedMSR:
     """Fill unknown entries from their reciprocity images where those are known.
 
-    sigma is an involution, so the pass is idempotent and never touches a
-    known entry.
+    The image of F is F[Sigma, Sigma]^T; Sigma is an involution, so the pass
+    is idempotent and never touches a known entry.
     """
     m = masked.m
-    idx = np.arange(2 * m)
-    sig = antipode(idx, m)
-    known = {k: v.copy() for k, v in masked.known.items()}
-    values = {k: v.copy() for k, v in masked.values.items()}
-    for name in BLOCK_NAMES:
-        src = RECIPROCAL_BLOCK[name]
-        # source entry for (j, i) is src[sigma(i), sigma(j)]
-        src_vals = masked.values[src][np.ix_(sig, sig)].T
-        src_known = masked.known[src][np.ix_(sig, sig)].T
-        fill = ~known[name] & src_known
-        values[name][fill] = src_vals[fill]
-        known[name][fill] = True
-    return MaskedMSR(masked.base, known, values)
+    sig = antipode(np.arange(2 * m), m)
+    sigma = np.concatenate([sig, sig + 2 * m])
+    image = np.ix_(sigma, sigma)
+    return MaskedMSR(masked.base, masked.mask | masked.mask[image].T,
+                     np.where(masked.mask, masked.data, masked.data[image].T))
 
 
 def tikhonov_alpha_default(a_obs: np.ndarray, noise_delta: float = 0.0) -> float:
@@ -162,43 +150,33 @@ def tikhonov_retrieve(masked: MaskedMSR, ball_radius: float, n_boundary: int = 2
                       alpha: float | None = None) -> MSRMatrix:
     """Extrapolate unknown entries via the ball far-field operator.
 
-    Per block and incident column: solve (A^H A + alpha I) c = A^H u over the
-    known rows (A[j, l] = w_l e^{-i k xhat_j . y_l}, k of the received
-    component: k_p for pp/sp, k_s for ps/ss), then predict unknown rows as
-    A_full c.  Known entries are kept verbatim.  Columns sharing a known-row
-    pattern share one factorization.
+    Per row half and column: solve (A^H A + alpha I) c = A^H u over the known
+    rows (A[j, l] = w_l e^{-i k xhat_j . y_l}, k of the received component:
+    k_p for the p rows, k_s for the s rows), then predict unknown rows as
+    A_full c.  Known entries are kept verbatim.  Columns of a row half
+    sharing a known-row pattern share one factorization.
     """
-    if alpha is not None and not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if alpha is not None and not (np.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
     if not n_boundary >= 1:
         raise ValueError(f"need n_boundary >= 1, got {n_boundary}")
     scene = scene_from_string(masked.base.scene)
     circ = scene.circumradius()
-    if not ball_radius > circ:
-        raise ValueError(
-            f"ball radius {ball_radius} must exceed the scene circumradius {circ:.3f}")
+    if not (np.isfinite(ball_radius) and ball_radius > circ):
+        raise ValueError(f"ball radius {ball_radius} must be finite and exceed "
+                         f"the scene circumradius {circ:.3f}")
 
     medium = masked.base.medium
-    m = masked.m
-    n2m = 2 * m
-    from .forward import direction_grid
-
-    dirs = direction_grid(m)
+    n2m = 2 * masked.m
+    dirs = direction_grid(masked.m)
     tb = 2.0 * np.pi * np.arange(n_boundary) / n_boundary
     yb = ball_radius * np.stack([np.cos(tb), np.sin(tb)], axis=-1)   # (nB, 2)
     wb = 2.0 * np.pi * ball_radius / n_boundary
 
-    kernels = {
-        "f_pp": medium.k_p, "f_sp": medium.k_p,
-        "f_ps": medium.k_s, "f_ss": medium.k_s,
-    }
-    out_blocks = {}
-    for name in BLOCK_NAMES:
-        k = kernels[name]
+    full = masked.assembled_known()
+    for half, k in ((slice(0, n2m), medium.k_p), (slice(n2m, 2 * n2m), medium.k_s)):
         a_full = wb * np.exp(-1j * k * (dirs @ yb.T))                # (2m, nB)
-        vals = masked.values[name]
-        known = masked.known[name]
-        filled = np.where(known, vals, 0.0)
+        vals, known, filled = masked.data[half], masked.mask[half], full[half]
         todo = np.flatnonzero(~known.all(axis=0) & known.any(axis=0))
         patterns: dict[bytes, list[int]] = {}
         for i in todo:
@@ -211,15 +189,10 @@ def tikhonov_retrieve(masked: MaskedMSR, ball_radius: float, n_boundary: int = 2
             gram = a_obs.conj().T @ a_obs + alpha_eff * np.eye(n_boundary)
             rhs = a_obs.conj().T @ vals[np.ix_(rows, cols)]
             coef = np.linalg.solve(gram, rhs)                        # (nB, ncols)
-            pred = a_full @ coef                                     # (2m, ncols)
-            block_cols = filled[:, cols]
-            block_cols[~rows] = pred[~rows]
-            filled[:, cols] = block_cols
-        out_blocks[name] = filled
+            filled[np.ix_(~rows, cols)] = (a_full @ coef)[~rows]
 
     alpha_desc = (f"auto(delta={masked.base.delta!r})" if alpha is None else repr(alpha))
-    return replace(masked.base, f_pp=out_blocks["f_pp"], f_ps=out_blocks["f_ps"],
-                   f_sp=out_blocks["f_sp"], f_ss=out_blocks["f_ss"],
+    return replace(masked.base, full=full,
                    retrieval=f"R={ball_radius!r} nB={n_boundary} alpha={alpha_desc}")
 
 

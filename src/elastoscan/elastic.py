@@ -138,17 +138,26 @@ def logcoef_pack(r, medium: Medium) -> dict:
 # ---------------------------------------------------------------------------
 # Green tensor and tractions
 # ---------------------------------------------------------------------------
-def greens_tensor(x, y, medium: Medium) -> np.ndarray:
-    """Phi(x, y): complex (..., 2, 2); x, y broadcastable (..., 2), x != y."""
-    w = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+def green_of_w(w, medium: Medium, pack_fn) -> np.ndarray:
+    """Phi~(w) = phi1(r) I + phi2(r) what what^T, w = x - y (..., 2) with r > 0 unchecked.
+
+    pack_fn selects the radial functions (hankel_pack for the kernel itself,
+    logcoef_pack for its logarithmic coefficient); returns (..., 2, 2).
+    """
     r = np.linalg.norm(w, axis=-1)
-    if np.any(r == 0):
-        raise ValueError("greens_tensor is singular at x == y")
-    pack = hankel_pack(r, medium)
+    pack = pack_fn(r, medium)
     what = w / r[..., None]
     eye = np.eye(2)
     return (pack["phi1"][..., None, None] * eye
             + pack["phi2"][..., None, None] * what[..., :, None] * what[..., None, :])
+
+
+def greens_tensor(x, y, medium: Medium) -> np.ndarray:
+    """Phi(x, y): complex (..., 2, 2); x, y broadcastable (..., 2), x != y."""
+    w = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    if np.any(np.linalg.norm(w, axis=-1) == 0):
+        raise ValueError("greens_tensor is singular at x == y")
+    return green_of_w(w, medium, hankel_pack)
 
 
 def traction_of_green(w, nu, medium: Medium, pack_fn=hankel_pack) -> np.ndarray:

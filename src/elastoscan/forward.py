@@ -31,7 +31,9 @@ Far fields of a density follow the trapezoid rule
     u_s(xhat) = sum_k w_k e^{-i ks xhat.y_k} (psi_k . xhat_perp),
 
 and the MSR matrix collects them over the direction grid
-theta_i = (i-1) pi / m, i = 1..2m (rows = observation, columns = incidence).
+theta_i = (i-1) pi / m, i = 1..2m (rows = observation, columns = incidence)
+into one 4m x 4m operator [[F_pp, F_sp], [F_ps, F_ss]]; block() is the one
+place that slices it.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from .elastic import (
     PlaneWave,
     PointSource,
     WaveMode,
+    green_of_w,
     hankel_pack,
     logcoef_pack,
     perp,
@@ -137,18 +140,6 @@ def cauchy_strength(medium: Medium) -> np.ndarray:
     return c * np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
-def _green_block(xi: np.ndarray, xj: np.ndarray, medium: Medium, pack_fn) -> np.ndarray:
-    """Phi(x_i, x_j) for all pairs: (Ni, Nj, 2, 2). Assumes no coincident points."""
-    return _kernel_from_w(xi[:, None, :] - xj[None, :, :], medium, pack_fn)
-
-
-def _traction_block(xi, nui, xj, medium: Medium, pack_fn) -> np.ndarray:
-    """M(x_i - x_j, nu_i) for all pairs: (Ni, Nj, 2, 2)."""
-    w = xi[:, None, :] - xj[None, :, :]
-    nu = np.broadcast_to(nui[:, None, :], w.shape)
-    return traction_of_green(w, nu, medium, pack_fn=pack_fn)
-
-
 def _dirichlet_self_block(quad: Quadrature, medium: Medium) -> np.ndarray:
     """Singular Nystrom block of the single-layer operator on one component."""
     n = quad.n_nodes
@@ -159,8 +150,8 @@ def _dirichlet_self_block(quad: Quadrature, medium: Medium) -> np.ndarray:
     # keep the diagonal finite during vectorized evaluation; overwritten below
     w = x[:, None, :] - x[None, :, :]
     w[diag] = (1.0, 0.0)
-    kern = _kernel_from_w(w, medium, hankel_pack) * s[None, :, None, None]
-    kern_log = _kernel_from_w(w, medium, logcoef_pack) * s[None, :, None, None]
+    kern = green_of_w(w, medium, hankel_pack) * s[None, :, None, None]
+    kern_log = green_of_w(w, medium, logcoef_pack) * s[None, :, None, None]
 
     dt = t[:, None] - t[None, :]
     logterm = np.log(np.where(diag, 1.0, 4.0 * np.sin(dt / 2.0) ** 2))
@@ -175,15 +166,6 @@ def _dirichlet_self_block(quad: Quadrature, medium: Medium) -> np.ndarray:
 
     rmat = _toeplitz_circ(log_quadrature_weights(n))
     return rmat[..., None, None] * kern_log + (2.0 * np.pi / n) * smooth
-
-
-def _kernel_from_w(w: np.ndarray, medium: Medium, pack_fn) -> np.ndarray:
-    r = np.linalg.norm(w, axis=-1)
-    pack = pack_fn(r, medium)
-    what = w / r[..., None]
-    eye = np.eye(2)
-    return (pack["phi1"][..., None, None] * eye
-            + pack["phi2"][..., None, None] * what[..., :, None] * what[..., None, :])
 
 
 def _neumann_self_block(curve: BoundaryCurve, quad: Quadrature, medium: Medium) -> np.ndarray:
@@ -292,7 +274,7 @@ def assemble_system(scene: Scene, medium: Medium, n_per_component: int) -> Syste
     sizes = [q.n_nodes for q in quads]
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     ntot = offsets[-1]
-    blocks = np.zeros((ntot, ntot, 2, 2), dtype=complex)
+    kernel = np.zeros((ntot, ntot, 2, 2), dtype=complex)
     for i in range(ncomp):
         qi = quads[i]
         bc = conditions[i]
@@ -301,18 +283,20 @@ def assemble_system(scene: Scene, medium: Medium, n_per_component: int) -> Syste
             si, sj = slice(offsets[i], offsets[i + 1]), slice(offsets[j], offsets[j + 1])
             if i == j:
                 if bc is BoundaryCondition.DIRICHLET:
-                    blocks[si, sj] = _dirichlet_self_block(qi, medium)
+                    kernel[si, sj] = _dirichlet_self_block(qi, medium)
                 else:
-                    blocks[si, sj] = _neumann_self_block(scene.components[i][0], qi, medium)
+                    kernel[si, sj] = _neumann_self_block(scene.components[i][0], qi, medium)
             else:
+                w = qi.points[:, None, :] - qj.points[None, :, :]
                 if bc is BoundaryCondition.DIRICHLET:
-                    smooth = _green_block(qi.points, qj.points, medium, hankel_pack)
+                    smooth = green_of_w(w, medium, hankel_pack)
                 else:
-                    smooth = _traction_block(qi.points, qi.normals, qj.points, medium, hankel_pack)
-                blocks[si, sj] = smooth * qj.weights[None, :, None, None]
+                    smooth = traction_of_green(w, qi.normals[:, None, :], medium,
+                                               pack_fn=hankel_pack)
+                kernel[si, sj] = smooth * qj.weights[None, :, None, None]
 
-    matrix = np.block([[blocks[..., 0, 0], blocks[..., 0, 1]],
-                       [blocks[..., 1, 0], blocks[..., 1, 1]]])
+    matrix = np.block([[kernel[..., 0, 0], kernel[..., 0, 1]],
+                       [kernel[..., 1, 0], kernel[..., 1, 1]]])
     quad = Quadrature(*(np.concatenate([getattr(q, f) for q in quads])
                         for f in ("t", "points", "normals", "speeds", "weights", "component")))
     return SystemMatrix(matrix, quad, scene, medium, conditions)
@@ -379,19 +363,33 @@ def direction_grid(m: int) -> np.ndarray:
     return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
 
 
+# (row half, column half) of each 2m x 2m block in the layout [[pp, sp], [ps, ss]]
+_BLOCK_HALVES = {"f_pp": (0, 0), "f_ps": (1, 0), "f_sp": (0, 1), "f_ss": (1, 1)}
+
+
+def block(a: np.ndarray, m: int, name: str) -> np.ndarray:
+    """View of the named 2m x 2m block of a 4m x 4m array."""
+    row, col = _BLOCK_HALVES[name]
+    n = 2 * m
+    return a[row * n:(row + 1) * n, col * n:(col + 1) * n]
+
+
+def blocks(a: np.ndarray, m: int) -> dict[str, np.ndarray]:
+    """Block name -> view, for all four blocks."""
+    return {name: block(a, m, name) for name in _BLOCK_HALVES}
+
+
 @dataclass
 class MSRMatrix:
     """Multi-static far-field data over the equidistant direction grid.
 
-    Blocks F_ab[j, i] = u_ab(xhat_j, d_i): received component a, incident
-    mode b, row = observation, column = incidence.
+    full is the 4m x 4m far-field operator [[F_pp, F_sp], [F_ps, F_ss]] with
+    F_ab[j, i] = u_ab(xhat_j, d_i): received component a, incident mode b,
+    row = observation, column = incidence.  The blocks are views of it.
     """
 
     m: int
-    f_pp: np.ndarray
-    f_ps: np.ndarray
-    f_sp: np.ndarray
-    f_ss: np.ndarray
+    full: np.ndarray
     lam: float
     mu: float
     omega: float
@@ -403,26 +401,25 @@ class MSRMatrix:
     retrieval: str | None = None  # "R=.. nB=.. alpha=.." when rows were extrapolated
 
     def __post_init__(self) -> None:
-        shape = (2 * self.m, 2 * self.m)
-        for name in ("f_pp", "f_ps", "f_sp", "f_ss"):
-            if getattr(self, name).shape != shape:
-                raise ValueError(f"{name} must have shape {shape}")
+        shape = (4 * self.m, 4 * self.m)
+        if self.full.shape != shape:
+            raise ValueError(f"full must have shape {shape}, got {self.full.shape}")
+
+    f_pp = property(lambda self: block(self.full, self.m, "f_pp"))
+    f_ps = property(lambda self: block(self.full, self.m, "f_ps"))
+    f_sp = property(lambda self: block(self.full, self.m, "f_sp"))
+    f_ss = property(lambda self: block(self.full, self.m, "f_ss"))
 
     @property
     def medium(self) -> Medium:
         return Medium(self.lam, self.mu, self.omega)
 
     def assembled(self) -> np.ndarray:
-        """4m x 4m far-field operator layout [[pp, sp], [ps, ss]]."""
-        return np.block([[self.f_pp, self.f_sp], [self.f_ps, self.f_ss]])
-
-    def with_blocks_from(self, full: np.ndarray) -> "MSRMatrix":
-        n = 2 * self.m
-        return replace(self, f_pp=full[:n, :n], f_sp=full[:n, n:],
-                       f_ps=full[n:, :n], f_ss=full[n:, n:])
+        """The 4m x 4m far-field operator itself (not a copy)."""
+        return self.full
 
     def frobenius(self) -> float:
-        return float(np.linalg.norm(self.assembled()))
+        return float(np.linalg.norm(self.full))
 
 
 def synthesize_msr(scene: Scene, medium: Medium, m: int, n_per_component: int) -> MSRMatrix:
@@ -444,11 +441,10 @@ def synthesize_msr(scene: Scene, medium: Medium, m: int, n_per_component: int) -
     psi = np.stack([sol[:n], sol[n:]], axis=1)                 # (N, 2, 2*2m)
     up, us = _farfield_batch(psi, quad, medium, dirs)          # (2m, 2*2m)
 
-    f_pp, f_ps = up[:, 0::2], us[:, 0::2]
-    f_sp, f_ss = up[:, 1::2], us[:, 1::2]
+    # columns alternate P, S incidence; rows of up / us are the p / s receivers
+    full = np.block([[up[:, 0::2], up[:, 1::2]], [us[:, 0::2], us[:, 1::2]]])
     bc_names = ",".join(bc.value for bc in system.conditions)
-    return MSRMatrix(m, f_pp, f_ps, f_sp, f_ss,
-                     medium.lam, medium.mu, medium.omega,
+    return MSRMatrix(m, full, medium.lam, medium.mu, medium.omega,
                      scene=scene.describe(), bc=bc_names)
 
 
@@ -471,12 +467,9 @@ def add_noise(msr: MSRMatrix, delta: float, seed: int) -> MSRMatrix:
     r1 = normals[: n * n].reshape(n, n)
     r2 = normals[n * n:].reshape(n, n)
     noise = r1 + 1j * r2
-    full = msr.assembled()
-    fullnoisy = full + delta * np.linalg.norm(full) * noise / np.linalg.norm(noise)
-    out = msr.with_blocks_from(fullnoisy)
-    out.delta = delta
-    out.seed = seed
-    return out
+    full = msr.full
+    return replace(msr, full=full + delta * np.linalg.norm(full) * noise / np.linalg.norm(noise),
+                   delta=delta, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +499,6 @@ def _header_value(header: dict[str, str], key: str, parse):
 
 def save_msr(msr: MSRMatrix, path) -> None:
     """Write the MSR/1 text format: #key=value headers, then 4m rows of re/im pairs."""
-    full = msr.assembled()
     n = 4 * msr.m
     with open(path, "w") as fh:
         fh.write(f"#version={MSR_FORMAT_VERSION}\n")
@@ -522,7 +514,7 @@ def save_msr(msr: MSRMatrix, path) -> None:
         if msr.retrieval is not None:
             fh.write(f"#retrieval={msr.retrieval}\n")
         row_format = " ".join(["%.17g"] * (2 * n)) + "\n"
-        for row in full.view(float):
+        for row in msr.full.view(float):
             fh.write(row_format % tuple(row.tolist()))
 
 
@@ -573,7 +565,6 @@ def load_msr(path) -> MSRMatrix:
     except ValueError as exc:
         raise MsrFormatError(f"bad lambda/mu/omega headers: {exc}") from None
     seed = None if header["seed"] == "none" else _header_value(header, "seed", int)
-    base = MSRMatrix(m, *(np.zeros((2 * m, 2 * m), complex) for _ in range(4)),
-                     lam, mu, omega, scene=header["scene"], bc=header["bc"], delta=delta,
-                     seed=seed, noise_norm=header["norm"], retrieval=header.get("retrieval"))
-    return base.with_blocks_from(np.vstack(rows))
+    return MSRMatrix(m, np.vstack(rows), lam, mu, omega, scene=header["scene"], bc=header["bc"],
+                     delta=delta, seed=seed, noise_norm=header["norm"],
+                     retrieval=header.get("retrieval"))

@@ -178,13 +178,7 @@ class Scene:
                 # sampled distance alone misses transversal crossings; also
                 # reject any boundary sample landing inside the other closure
                 for a, b in ((i, j), (j, i)):
-                    poly = samples[b]
-                    pts = samples[a]
-                    u = poly[None, :, :] - pts[:, None, :]
-                    v = np.roll(poly, -1, axis=0)[None, :, :] - pts[:, None, :]
-                    cross = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
-                    winding = np.arctan2(cross, (u * v).sum(axis=-1)).sum(axis=-1)
-                    if np.any(np.abs(winding) > np.pi):
+                    if _inside_polygon(samples[b], samples[a]).any():
                         raise ValueError(
                             f"components {a} and {b} are not disjoint "
                             f"(boundary of {a} enters {b})"
@@ -246,32 +240,38 @@ def scene_from_string(text: str) -> Scene:
     return Scene(tuple(comps))
 
 
+def _inside_polygon(poly: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Even-odd crossing test of points (M, 2) against the closed polygon poly (S, 2)."""
+    chunk = 1024                           # points per (chunk, S) temporary
+    x0, y0 = poly[:, 0], poly[:, 1]
+    x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = (x1 - x0) / (y1 - y0)      # not finite only on edges that never straddle
+        inside = np.zeros(len(points), dtype=bool)
+        for lo in range(0, len(points), chunk):
+            px, py = points[lo:lo + chunk, 0:1], points[lo:lo + chunk, 1:2]
+            straddle = (y0 > py) != (y1 > py)
+            crossings = straddle & (px < x0 + (py - y0) * slope)
+            inside[lo:lo + chunk] = crossings.sum(axis=1) % 2 == 1
+    return inside
+
+
 def contains_points(scene: Scene, points: np.ndarray, n_samples: int = 2048) -> np.ndarray:
-    """Winding-number interior test. points (M, 2) -> bool (M,)."""
+    """Interior test against each component's n_samples-gon. points (M, 2) -> bool (M,)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     inside = np.zeros(len(points), dtype=bool)
     t = 2.0 * np.pi * np.arange(n_samples) / n_samples
     for curve, _ in scene.components:
-        poly = curve_point(curve, t)  # (S, 2)
-        a = poly[None, :, :] - points[:, None, :]            # (M, S, 2)
-        b = np.roll(poly, -1, axis=0)[None, :, :] - points[:, None, :]
-        cross = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-        dot = (a * b).sum(axis=-1)
-        winding = np.arctan2(cross, dot).sum(axis=-1) / (2.0 * np.pi)
-        inside |= np.abs(winding) > 0.5
+        inside |= _inside_polygon(curve_point(curve, t), points)
     return inside
 
 
 def distance_to_boundary(scene: Scene, points: np.ndarray, n_samples: int = 4096) -> np.ndarray:
     """Distance from each point to the nearest boundary sample. points (M,2) -> (M,)."""
+    # imported here, not at the top: scipy.spatial is slow to import and only checks call this
+    from scipy.spatial import cKDTree
+
     points = np.atleast_2d(np.asarray(points, dtype=float))
     t = 2.0 * np.pi * np.arange(n_samples) / n_samples
-    best = np.full(len(points), np.inf)
-    for curve, _ in scene.components:
-        poly = curve_point(curve, t)
-        # chunk over points to bound memory
-        for lo in range(0, len(points), 4096):
-            hi = min(lo + 4096, len(points))
-            d = points[lo:hi, None, :] - poly[None, :, :]
-            best[lo:hi] = np.minimum(best[lo:hi], np.sqrt((d**2).sum(-1)).min(axis=1))
-    return best
+    samples = np.concatenate([curve_point(curve, t) for curve, _ in scene.components])
+    return cKDTree(samples).query(points)[0]

@@ -13,12 +13,13 @@ canonical grammar (all keys optional except none; defaults in parentheses):
     n        = 512          # quadrature nodes per boundary component
     grid     = -6.0 6.0 -6.0 6.0 321 321                      (x0 x1 y0 y1 nx ny)
     delta    = 0.0          # relative noise level
-    seed     = 1
-    kinds    = ss pp ff
+    seed     = 1            # >= 0
+    kinds    = ss pp ff     # at least one
     q        = 1.0 0.0      # polarization (unit vector)
     observed = full | arcs [a,b) ... | indices i1 i2 ...      (full, 1-based indices)
     incident = full | arcs [a,b) ... | indices i1 i2 ...      (full)
-    retrieve = off | R=5.0 nB=256 alpha=auto                  (off; needs observed/incident)
+    retrieve = off | R=5.0 nB=256 alpha=auto                  (off; needs observed/incident,
+                                                               R > scene circumradius, nB >= 1)
     out      = out
 
 Pipeline per config: synthesize MSR -> add noise -> (mask -> reciprocity fill
@@ -123,19 +124,31 @@ class ExperimentConfig:
             raise ConfigValueError(f"need n >= 64, got {self.n}")
         if not (np.isfinite(self.delta) and self.delta >= 0):
             raise ConfigValueError(f"need a finite delta >= 0, got {self.delta}")
+        if self.seed < 0:
+            raise ConfigValueError(f"need seed >= 0, got {self.seed}")
+        if not self.kinds:
+            raise ConfigValueError("kinds needs at least one of ss, pp, ff")
         _check_polarization(self.q)
-        if self.retrieve is not None and self.retrieve.alpha is not None \
-                and not self.retrieve.alpha > 0:
-            raise ConfigValueError("retrieval alpha must be positive")
         try:
-            self.scene_object()
+            scene = self.scene_object()
             self.medium()
             self.sampling_grid()
             mask = aperture_mask(self.m, self.observed, self.incident)
         except ValueError as exc:
             raise ConfigValueError(str(exc)) from None
-        if self.retrieve is not None and mask is None:
-            raise ConfigValueError("retrieve needs limited data: set observed and/or incident")
+        if self.retrieve is not None:
+            spec = self.retrieve
+            if mask is None:
+                raise ConfigValueError("retrieve needs limited data: set observed and/or incident")
+            if spec.alpha is not None and not (np.isfinite(spec.alpha) and spec.alpha > 0):
+                raise ConfigValueError(f"retrieval alpha must be finite and positive, "
+                                       f"got {spec.alpha}")
+            if not spec.n_boundary >= 1:
+                raise ConfigValueError(f"retrieval needs nB >= 1, got {spec.n_boundary}")
+            circ = scene.circumradius()
+            if not (np.isfinite(spec.radius) and spec.radius > circ):
+                raise ConfigValueError(f"retrieval ball radius R={spec.radius!r} must be finite "
+                                       f"and exceed the scene circumradius {circ:.3f}")
 
 def _parse_scene(value: str):
     scene = scene_from_string(value)

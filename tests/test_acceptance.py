@@ -326,10 +326,10 @@ def test_criterion_10_reciprocity_fill_round_trip(msr_kite_m64, medium):
     # known-set predicate, exhaustively at m = 8
     m8 = 8
     rng = np.random.RandomState(0)
-    blocks = [rng.randn(16, 16) + 1j * rng.randn(16, 16) for _ in range(4)]
+    pp, ps, sp, ss = [rng.randn(16, 16) + 1j * rng.randn(16, 16) for _ in range(4)]
     from elastoscan.forward import MSRMatrix
 
-    msr8 = MSRMatrix(m8, *blocks, medium.lam, medium.mu, medium.omega,
+    msr8 = MSRMatrix(m8, np.block([[pp, sp], [ps, ss]]), medium.lam, medium.mu, medium.omega,
                      scene="kite@(0.0,0.0)*1.0", bc="dirichlet")
     obs = frozenset({0, 1, 2, 3})
     filled8 = reciprocity_fill(apply_mask(msr8, ApertureMask(obs, frozenset(range(16)))))

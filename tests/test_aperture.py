@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elastoscan.aperture import (
     ApertureMask,
@@ -25,8 +27,8 @@ QUARTER = (0.0, np.pi / 2)
 
 def random_msr(m, medium, seed=0, scene="kite@(0.0,0.0)*1.0"):
     rng = np.random.RandomState(seed)
-    mk = lambda: rng.randn(2 * m, 2 * m) + 1j * rng.randn(2 * m, 2 * m)
-    return MSRMatrix(m, mk(), mk(), mk(), mk(), medium.lam, medium.mu, medium.omega,
+    pp, ps, sp, ss = (rng.randn(2 * m, 2 * m) + 1j * rng.randn(2 * m, 2 * m) for _ in range(4))
+    return MSRMatrix(m, np.block([[pp, sp], [ps, ss]]), medium.lam, medium.mu, medium.omega,
                      scene=scene, bc="dirichlet")
 
 
@@ -130,6 +132,62 @@ class TestReciprocityFill:
                 for i in range(2 * m):
                     expect = (j in obs) or (int(antipode(i, m)) in obs)
                     assert filled.known[name][j, i] == expect
+
+
+@st.composite
+def random_aperture(draw):
+    """(random 4m x 4m data, arbitrary observed x incident aperture) for m in 1..6."""
+    m = draw(st.integers(1, 6))
+    index = st.integers(0, 2 * m - 1)
+    mask = ApertureMask(frozenset(draw(st.sets(index, min_size=1))),
+                        frozenset(draw(st.sets(index, min_size=1))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    full = rng.standard_normal((4 * m, 4 * m)) + 1j * rng.standard_normal((4 * m, 4 * m))
+    msr = MSRMatrix(m, full, 1.0, 1.0, 4 * np.pi, scene="kite@(0.0,0.0)*1.0", bc="dirichlet")
+    return msr, mask
+
+
+def reciprocal_source(row, col, m):
+    """Entry of F whose value reciprocity copies into (row, col), block by block:
+    F_ab[j, i] comes from F_ba[sigma(i), sigma(j)]."""
+    (a, j), (b, i) = divmod(row, 2 * m), divmod(col, 2 * m)
+    return b * 2 * m + int(antipode(i, m)), a * 2 * m + int(antipode(j, m))
+
+
+class TestApertureProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(case=random_aperture())
+    def test_mask_fill_retrieve(self, case):
+        msr, mask = case
+        m, size = msr.m, 4 * msr.m
+        measured = np.zeros((size, size), dtype=bool)
+        for row in range(size):
+            for col in range(size):
+                measured[row, col] = (row % (2 * m) in mask.observed
+                                      and col % (2 * m) in mask.incident)
+        masked = apply_mask(msr, mask)
+        assert np.array_equal(masked.mask, measured)
+        assert np.array_equal(masked.data[measured], msr.full[measured])
+        assert np.isnan(masked.data[~measured]).all()
+
+        filled = reciprocity_fill(masked)
+        assert np.array_equal(filled.data[measured], msr.full[measured])
+        for row in range(size):
+            for col in range(size):
+                src = reciprocal_source(row, col, m)
+                assert filled.mask[row, col] == (measured[row, col] or measured[src])
+                if filled.mask[row, col] and not measured[row, col]:
+                    assert filled.data[row, col] == msr.full[src]
+                if not filled.mask[row, col]:
+                    assert np.isnan(filled.data[row, col])
+
+        twice = reciprocity_fill(filled)
+        assert np.array_equal(twice.mask, filled.mask)
+        assert np.array_equal(twice.data, filled.data, equal_nan=True)
+
+        out = tikhonov_retrieve(filled, 5.0, 16)
+        assert np.array_equal(out.full[filled.mask], filled.data[filled.mask])
+        assert np.isfinite(out.full).all()
 
 
 class TestTikhonovRetrieve:

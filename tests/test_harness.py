@@ -101,7 +101,8 @@ class TestParseConfig:
             kinds=(IndicatorKind.SS,), q=(0.0, 1.0),
             observed=MaskSpec(arcs=((0.0, np.pi / 2),)),
             incident=MaskSpec(indices=(1, 5, 9)),
-            retrieve=RetrieveSpec(radius=5.0, n_boundary=128, alpha=None),
+            # R must exceed the scene circumradius, 4 sqrt(2) + 0.1 for the circle at (4, 4)
+            retrieve=RetrieveSpec(radius=6.0, n_boundary=128, alpha=None),
             out="elsewhere")
         assert parse_config(emit_config(cfg)) == cfg
 
@@ -133,6 +134,19 @@ class TestParseConfig:
     def test_infinite_medium_or_grid_rejected(self, line):
         with pytest.raises(ConfigValueError, match="finite"):
             parse_config(line + "\n")
+
+    # each of these used to pass the parser and be caught after the forward solve, if at all
+    @pytest.mark.parametrize("text, match", [
+        ("kinds =\n", "kinds"),
+        ("seed = -1\n", "seed"),
+        ("observed = arcs [0,1.57)\nretrieve = R=0.5 nB=64 alpha=auto\n", "circumradius"),
+        ("observed = arcs [0,1.57)\nretrieve = R=5.0 nB=0 alpha=auto\n", "nB"),
+        ("observed = arcs [0,1.57)\nretrieve = R=inf nB=64 alpha=auto\n", "finite"),
+        ("observed = arcs [0,1.57)\nretrieve = R=5.0 nB=64 alpha=inf\n", "finite"),
+    ])
+    def test_rejected_before_synthesis(self, text, match):
+        with pytest.raises(ConfigValueError, match=match):
+            parse_config(text)
 
 
 class TestSharedParsers:
@@ -354,10 +368,10 @@ class TestCli:
         assert cli_main(["synth", "--config", self._write_cfg(tmp_path), "--out", src,
                          "--quiet"]) == 0
         msr = load_msr(os.path.join(src, "data.msr"))
-        f_pp = msr.f_pp.copy()
-        edit_pp(f_pp)
+        edited = replace(msr, full=msr.full.copy())
+        edit_pp(edited.f_pp)
         path = str(tmp_path / "edited.msr")
-        save_msr(replace(msr, f_pp=f_pp), path)
+        save_msr(edited, path)
         out = tmp_path / "out"
         out.mkdir()
         code = cli_main(["indicate", "--msr", path, "--kind", "all", "--grid", "-3 3 -3 3 9 9",
@@ -477,6 +491,22 @@ class TestCli:
         "23-experiment-retrieve-full-data": (["experiment", "--config", "{cfg}"],
                                              TINY_KITE + "retrieve = R=5.0 nB=64 alpha=auto\n",
                                              None, 2),
+        "24-experiment-kinds-empty": (["experiment", "--config", "{cfg}"],
+                                      TINY_KITE + "kinds =\n", None, 2),
+        "25-experiment-seed-negative": (["experiment", "--config", "{cfg}"],
+                                        TINY_KITE + "seed = -1\n", None, 2),
+        "26-experiment-nb-zero": (["experiment", "--config", "{cfg}"],
+                                  TINY_KITE + "observed = arcs [0,1.57)\n"
+                                  "retrieve = R=5.0 nB=0 alpha=auto\n", None, 2),
+        "27-experiment-seed-flag-negative": (["experiment", "--config", "{cfg}", "--seed", "-1"],
+                                             TINY_KITE, None, 2),
+        "28-retrieve-radius-inf": (["retrieve", "--msr", "{msr}", "--observed", "[0,1.57)",
+                                    "--radius", "inf"], None, None, 2),
+        "29-retrieve-alpha-inf": (["retrieve", "--msr", "{msr}", "--observed", "[0,1.57)",
+                                   "--alpha", "inf"], None, None, 2),
+        "30-experiment-radius-inf": (["experiment", "--config", "{cfg}"],
+                                     TINY_KITE + "observed = arcs [0,1.57)\n"
+                                     "retrieve = R=inf nB=64 alpha=auto\n", None, 2),
     }
 
     @pytest.mark.parametrize("row", sorted(BAD_INPUTS))
