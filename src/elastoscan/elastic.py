@@ -12,6 +12,10 @@ phi1/phi2 come from the Helmholtz-decomposed fundamental solution
 
 with all derivatives taken in closed form through the Hankel recurrence
 H0' = -H1; numerical differentiation appears only in the test oracles.
+Every Bessel value is real-argument: H_a = J_a + i Y_a and the log
+coefficient's J_a come from the Cephes j0/j1/y0/y1 of scipy.special, whose
+relative error at z = k r is below z * eps (the rounding z itself carries);
+the complex-argument AMOS routines are kept only as the test oracle.
 
 The far-field normalization is the one the test functions and the
 single-layer far-field quadrature share: a point source at y with
@@ -26,8 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import hankel1 as _h1
-from scipy.special import jv as _jv
+from scipy.special import j0, j1, y0, y1
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -116,10 +119,15 @@ def _radial_combos(r, h0s, h1s, h0p, h1p, medium: Medium) -> dict:
 
 
 def hankel_pack(r, medium: Medium) -> dict:
-    """Radial functions of the dynamic kernel (Hankel based). r > 0."""
-    ks, kp = medium.k_s, medium.k_p
-    return _radial_combos(r, _h1(0, ks * r), _h1(1, ks * r),
-                          _h1(0, kp * r), _h1(1, kp * r), medium)
+    """Radial functions of the dynamic kernel (Hankel based). r > 0.
+
+    H_a(z) = J_a(z) + i Y_a(z) from the real-argument Cephes routines j0/j1/y0/y1,
+    z = k r formed once per wave number.  Their relative error stays below
+    z * eps, the rounding z itself already carries.
+    """
+    zs, zp = medium.k_s * r, medium.k_p * r
+    return _radial_combos(r, j0(zs) + 1j * y0(zs), j1(zs) + 1j * y1(zs),
+                          j0(zp) + 1j * y0(zp), j1(zp) + 1j * y1(zp), medium)
 
 
 def logcoef_pack(r, medium: Medium) -> dict:
@@ -129,10 +137,9 @@ def logcoef_pack(r, medium: Medium) -> dict:
     the logarithmic part of every Hankel function while preserving the
     pole-cancelling combinations.
     """
-    ks, kp = medium.k_s, medium.k_p
+    zs, zp = medium.k_s * r, medium.k_p * r
     c = 1j / np.pi
-    return _radial_combos(r, c * _jv(0, ks * r), c * _jv(1, ks * r),
-                          c * _jv(0, kp * r), c * _jv(1, kp * r), medium)
+    return _radial_combos(r, c * j0(zs), c * j1(zs), c * j0(zp), c * j1(zp), medium)
 
 
 # ---------------------------------------------------------------------------

@@ -454,10 +454,15 @@ def add_noise(msr: MSRMatrix, delta: float, seed: int) -> MSRMatrix:
     R1 then R2 are drawn row-major over the assembled 4m x 4m matrix; normals
     come from the inverse CDF of Philox uniforms so the stream is reproducible
     across platforms and library versions.  The relative Frobenius perturbation
-    equals delta exactly by construction.
+    equals delta exactly by construction.  Needs a finite delta >= 0 and an
+    integer seed >= 0 (ValueError otherwise).
     """
     if not (np.isfinite(delta) and delta >= 0):
         raise ValueError(f"delta must be finite and >= 0, got {delta}")
+    if not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"need an integer seed, got {seed!r}")
+    if seed < 0:
+        raise ValueError(f"need seed >= 0, got {seed}")
     if delta == 0.0:
         return replace(msr, delta=0.0, seed=seed)
     n = 4 * msr.m

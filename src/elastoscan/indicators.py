@@ -88,12 +88,13 @@ class IndicatorField:
         return np.array([self.grid.xs[ix], self.grid.ys[iy]])
 
     def to_csv(self, path) -> None:
-        """nx*ny rows of 'x,y,value', each number the repr of a Python float."""
-        pts = self.grid.points().tolist()
+        """nx*ny rows of 'x,y,value' (x fastest), each number the repr of a Python float."""
+        xs = [f"{x!r}," for x in self.grid.xs.tolist()]
         with open(path, "w") as fh:
             fh.write("x,y,value\n")
-            for (x, y), v in zip(pts, self.values.ravel().tolist()):
-                fh.write(f"{x!r},{y!r},{v!r}\n")
+            for y, row in zip(self.grid.ys.tolist(), self.values):
+                ypart = f"{y!r},"
+                fh.writelines([x + ypart + repr(v) + "\n" for x, v in zip(xs, row.tolist())])
 
 
 def test_vectors(z, q, directions: np.ndarray, medium: Medium

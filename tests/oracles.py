@@ -7,9 +7,11 @@ from a polygonal winding number.
 
 The Bessel/Hankel/circular-harmonic wrappers at the end are thin,
 domain-checked scipy.special calls (J up to order 3, H^(1) up to order 1,
-Y_a^b = sqrt(1/2pi) e^{i b phi}); the package itself calls scipy.special
-directly, so they serve as the closed sides of the Funk-Hecke checks and are
-themselves checked against the series above.
+Y_a^b = sqrt(1/2pi) e^{i b phi}) on scipy's complex-argument AMOS routines
+(jv, hankel1).  The package itself calls the real-argument Cephes j0/j1/y0/y1
+instead, so these stay an independent oracle for its kernels as well as the
+closed sides of the Funk-Hecke checks, and are themselves checked against the
+series above.
 """
 
 import mpmath as mp

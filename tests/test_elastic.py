@@ -241,3 +241,56 @@ class TestPointSourceFarfield:
         got = src.traction(x, nu, med)
         ref = fd_traction(lambda z: src.field(z, med), x, nu, med)
         assert np.linalg.norm(got - ref) < 1e-5
+
+
+class TestKernelBesselSource:
+    """The real-argument packs against the same radial formulas on AMOS Bessel values."""
+
+    @staticmethod
+    def amos_packs():
+        from elastoscan.elastic import _radial_combos
+        from oracles import bessel_j, hankel1
+
+        def hankel(r, med):
+            zs, zp = med.k_s * r, med.k_p * r
+            return _radial_combos(r, hankel1(0, zs), hankel1(1, zs),
+                                  hankel1(0, zp), hankel1(1, zp), med)
+
+        def logcoef(r, med):
+            zs, zp = med.k_s * r, med.k_p * r
+            c = 1j / np.pi
+            return _radial_combos(r, c * bessel_j(0, zs), c * bessel_j(1, zs),
+                                  c * bessel_j(0, zp), c * bessel_j(1, zp), med)
+
+        return hankel, logcoef
+
+    @pytest.mark.parametrize("omega", [8 * np.pi, 4 * np.pi])
+    def test_green_and_traction_match_amos(self, omega):
+        from elastoscan.elastic import green_of_w, hankel_pack, logcoef_pack
+
+        med = Medium(1.0, 1.0, omega)
+        rng = np.random.default_rng(7)
+        r = rng.uniform(0.01, 12.0, 4000)
+        a, b = rng.uniform(0.0, 2 * np.pi, (2, 4000))
+        w = r[:, None] * np.stack([np.cos(a), np.sin(a)], axis=-1)
+        nu = np.stack([np.cos(b), np.sin(b)], axis=-1)
+        for pack, amos in zip((hankel_pack, logcoef_pack), self.amos_packs()):
+            for got, ref in ((green_of_w(w, med, pack), green_of_w(w, med, amos)),
+                             (traction_of_green(w, nu, med, pack),
+                              traction_of_green(w, nu, med, amos))):
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_package_imports_no_complex_argument_bessel(self):
+        import ast
+        import pathlib
+
+        import elastoscan
+
+        names = set()
+        for path in pathlib.Path(elastoscan.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    names.update(alias.name for alias in node.names)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+        assert not names & {"hankel1", "jv"}

@@ -291,6 +291,13 @@ class TestNoise:
         with pytest.raises(ValueError, match="finite"):
             add_noise(msr_disk_m16, delta, seed=1)
 
+    @pytest.mark.parametrize("delta", [0.0, 0.1])
+    @pytest.mark.parametrize("seed,message", [(-1, "need seed >= 0, got -1"),
+                                              (1.5, "integer seed")])
+    def test_bad_seed_rejected(self, msr_disk_m16, delta, seed, message):
+        with pytest.raises(ValueError, match=message):
+            add_noise(msr_disk_m16, delta, seed=seed)
+
 
 class TestMsrPersistence:
     def test_round_trip_value_exact(self, msr_disk_m16, tmp_path):

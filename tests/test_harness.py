@@ -507,6 +507,8 @@ class TestCli:
         "30-experiment-radius-inf": (["experiment", "--config", "{cfg}"],
                                      TINY_KITE + "observed = arcs [0,1.57)\n"
                                      "retrieve = R=inf nB=64 alpha=auto\n", None, 2),
+        "31-noise-seed-negative": (["noise", "--msr", "{msr}", "--delta", "0.1", "--seed", "-1"],
+                                   None, None, 2),
     }
 
     @pytest.mark.parametrize("row", sorted(BAD_INPUTS))

@@ -246,6 +246,22 @@ class TestCsv:
         assert np.array_equal(table[:, :2], grid.points())
         assert np.array_equal(table[:, 2], vals.ravel())
 
+    @pytest.mark.parametrize("nx,ny", [(2, 2), (7, 5), (33, 41)])
+    def test_bytes_equal_row_by_row_writer(self, tmp_path, nx, ny):
+        from elastoscan.indicators import IndicatorField
+
+        grid = SamplingGrid(-6.1, 6.3, -0.7, 1e-3, nx, ny)
+        rng = np.random.default_rng(nx * ny)
+        vals = rng.random((ny, nx)) * 10.0 ** rng.integers(-300, 300, (ny, nx))
+        vals.flat[::3] = 0.0
+        vals.flat[1] = 5e-324
+        path = tmp_path / "f.csv"
+        IndicatorField(grid, vals, FF, Q_DEFAULT).to_csv(path)
+        expected = "x,y,value\n" + "".join(
+            f"{x!r},{y!r},{v!r}\n"
+            for (x, y), v in zip(grid.points().tolist(), vals.ravel().tolist()))
+        assert path.read_bytes() == expected.encode()
+
 
 class TestNormalizeField:
     def _field(self, values):
