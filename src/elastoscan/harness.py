@@ -47,7 +47,8 @@ from .aperture import (ApertureMask, MaskedMSR, apply_mask, limited_indicator, r
 from .elastic import Medium
 from .forward import MSRMatrix, NumericError, add_noise, save_msr, synthesize_msr
 from .geometry import BoundaryCondition, BoundaryCurve, BoundaryKind, Scene, scene_from_string
-from .indicators import IndicatorField, IndicatorKind, SamplingGrid, indicator_fields
+from .indicators import (IndicatorField, IndicatorKind, SamplingGrid, indicator_fields,
+                         skeleton_summary)
 
 ENV_OUT = "ELASTOSCAN_OUT"
 
@@ -459,6 +460,7 @@ class RunManifest:
     timings: dict = field(default_factory=dict)
     files: list = field(default_factory=list)
     env_overrides: dict = field(default_factory=dict)
+    skeletons: dict = field(default_factory=dict)   # field label -> skeleton_summary
 
     def add_file(self, path: str) -> None:
         with open(path, "rb") as fh:
@@ -470,7 +472,7 @@ class RunManifest:
     def to_json(self) -> str:
         return json.dumps({"config": self.config_text, "seed": self.seed,
                            "timings": self.timings, "files": self.files,
-                           "env_overrides": self.env_overrides},
+                           "env_overrides": self.env_overrides, "skeletons": self.skeletons},
                           indent=2, sort_keys=True)
 
 class _Emitter:
@@ -564,18 +566,22 @@ def run_experiment(config: ExperimentConfig, label: str = "run", outdir: str | N
         timings[f"{label}.noise_s"] = round(time.perf_counter() - t0, 3)
     emitter.write_msr(f"{label}.msr", msr)
 
-    grid = config.sampling_grid()
+    grid, medium = config.sampling_grid(), config.medium()
+
+    def emit_fields(tag: str, source) -> None:
+        emitter.write_fields(tag, fields_of(source, grid, config.kinds, config.q))
+        emitter.manifest.skeletons[tag] = skeleton_summary(grid, medium)
+
     t0 = time.perf_counter()
     data = restrict(msr, config.observed, config.incident)
     if isinstance(data, MaskedMSR):
-        emitter.write_fields(f"{label}_limit", fields_of(data, grid, config.kinds, config.q))
+        emit_fields(f"{label}_limit", data)
         if config.retrieve is not None:
             retrieved = retrieve_msr(data, config.retrieve)
             emitter.write_msr(f"{label}_retrieved.msr", retrieved)
-            emitter.write_fields(f"{label}_retr",
-                                 fields_of(retrieved, grid, config.kinds, config.q))
+            emit_fields(f"{label}_retr", retrieved)
     else:
-        emitter.write_fields(label, fields_of(data, grid, config.kinds, config.q))
+        emit_fields(label, data)
     timings[f"{label}.indicate_s"] = round(time.perf_counter() - t0, 3)
     return emitter.manifest
 

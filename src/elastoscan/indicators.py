@@ -21,17 +21,39 @@ y phases of one row folded in, becomes an (m+1) x (m+1) kernel that acts on
 the (m+1) distinct x phases: per run of points with equal y, one kernel per
 block and one product with the x-phase table of the run.  This is exact up to
 rounding, and a quarter of the flops of the unfolded product.
+
+Along a grid axis each complex block form phi_a^H F_ab phi_b is a band-limited
+function: its frequencies k_a cos t_j - k_b cos t_i lie within the band
+2 max(k_p, k_s), so an axis of length L carries about 2 k_s L / pi degrees of
+freedom, whatever the number of points on it.  For a rectangular grid the forms
+are therefore evaluated exactly on a skeleton of each axis and interpolated to
+the full grid before the modulus is taken: a column-pivoted QR of
+E[w, x] = e^{i w (x - x_mid)}, with w sampled at SKELETON_OVERSAMPLE times the
+Nyquist density of the band (and at no fewer than n + 1 values), keeps the rho points
+whose |R_ii| > SKELETON_TOL |R_00|, and B = [I, R11^-1 R12] (rho x n) maps forms
+on the skeleton to the axis, G -> B_y^T G B_x.  The skeleton of an axis depends
+only on its coordinates and the band, so it is cached and shared between passes
+and between equal axes.  Where rho = n the skeleton is the whole axis, B is the
+identity and is not applied, and the values are those of the per-row
+evaluation bit for bit (every omega = 8 pi grid of 161 points).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import qr, solve_triangular
 
 from .elastic import Medium
 from .forward import direction_grid
+
+
+SKELETON_TOL = 5e-15          # keep the skeleton pivots with |R_ii| > SKELETON_TOL |R_00|
+SKELETON_OVERSAMPLE = 6       # frequency samples per Nyquist interval of the band
+_DIRECT_CHUNK = 1024          # scattered points per batched unfolded product
 
 
 class IndicatorKind(Enum):
@@ -109,6 +131,118 @@ def test_vectors(z, q, directions: np.ndarray, medium: Medium
             np.exp(-1j * medium.k_s * zdot) * dqp)
 
 
+def _axis_skeleton(coords: np.ndarray, band: float) -> tuple[np.ndarray, np.ndarray | None]:
+    """Skeleton indices (ascending) and interpolation matrix B (rho x n) of one grid axis.
+
+    B is None when the skeleton is the whole axis (rho = n).
+    """
+    return _skeleton_of(coords.tobytes(), float(band))
+
+
+@lru_cache(maxsize=8)
+def _skeleton_of(coords: bytes, band: float) -> tuple[np.ndarray, np.ndarray | None]:
+    x = np.frombuffer(coords)
+    n = len(x)
+    # at least n + 1 frequencies, so a short axis or a small band is never undersampled
+    count = max(int(np.ceil(SKELETON_OVERSAMPLE * band * (x[-1] - x[0]) / np.pi)), n) + 1
+    omega = np.linspace(-band, band, count)
+    r, piv = qr(np.exp(1j * np.outer(omega, x - 0.5 * (x[0] + x[-1]))), mode="r",
+                pivoting=True)
+    diag = np.abs(np.diag(r))
+    rank = int(np.count_nonzero(diag > SKELETON_TOL * diag[0]))
+    if rank == n:
+        skeleton, interp = np.arange(n), None
+    else:
+        interp = np.empty((rank, n), complex)
+        interp[:, piv[:rank]] = np.eye(rank)
+        interp[:, piv[rank:]] = solve_triangular(r[:rank, :rank], r[:rank, rank:])
+        order = np.argsort(piv[:rank])
+        skeleton, interp = piv[:rank][order], interp[order]
+        interp.setflags(write=False)
+    # cached: every caller gets the same arrays
+    skeleton.setflags(write=False)
+    return skeleton, interp
+
+
+def _band(medium: Medium) -> float:
+    """Band of every block form along any axis: k_a + k_b <= 2 max(k_p, k_s)."""
+    return 2.0 * max(medium.k_p, medium.k_s)
+
+
+def skeleton_summary(grid: SamplingGrid, medium: Medium) -> dict:
+    """Axis ranks of the skeleton the grid's indicator pass used, with its constants.
+
+    Reads the cached skeleton of a pass that has run, so no factorization is repeated.
+    """
+    band = _band(medium)
+    sx, _ = _axis_skeleton(grid.xs, band)
+    sy, _ = _axis_skeleton(grid.ys, band)
+    return {"x_rank": len(sx), "nx": grid.nx, "y_rank": len(sy), "ny": grid.ny,
+            "tol": SKELETON_TOL, "oversample": SKELETON_OVERSAMPLE}
+
+
+def _needed_blocks(fmat: np.ndarray, m: int, kinds) -> dict[tuple[str, str], np.ndarray]:
+    """{(a, b): F[half a, half b]} for the blocks the kinds need.
+
+    Block (a, b) is contracted with phi_a on the observed (row) side and phi_b on
+    the incident (column) side: pp for PP, ss for SS, all four for FF.
+    """
+    n = 2 * m
+    half = {"p": slice(None, n), "s": slice(n, None)}
+    if IndicatorKind.FF in kinds:
+        pairs = [("p", "p"), ("p", "s"), ("s", "p"), ("s", "s")]
+    else:
+        pairs = [(c, c) for c in "ps" if IndicatorKind(c + c) in kinds]
+    return {(a, b): fmat[half[a], half[b]] for a, b in pairs}
+
+
+def _folded_forms(blocks, m, k, weight, xs, ys, runs) -> dict[str, list]:
+    """Complex block forms per run of points with equal y, by the direction fold.
+
+    runs is a list of (y index, x indices) into the distinct coordinates xs, ys;
+    the result holds, per block ab, one array of forms per run.
+    """
+    n = 2 * m
+    dirs = direction_grid(m)
+    # class r = 0..m has the members r and 2m - r; the second member of 0 and m is void
+    r = np.arange(m + 1)
+    member = np.stack([r, (n - r) % n])
+    single = (r == 0) | (r == m)
+    parts = {}
+    for (a, b), blk in blocks.items():
+        part = blk[member[:, None, :, None], member[None, :, None, :]]
+        part[1][:, single] = 0.0
+        part[:, 1][..., single] = 0.0
+        parts[a, b] = part                                # (2, 2, m+1, m+1)
+
+    xphase = {c: np.exp(-1j * k[c] * np.outer(dirs[: m + 1, 0], xs)) for c in k}
+    yphase = {c: np.exp(-1j * k[c] * np.outer(dirs[:, 1], ys)) * weight[c][:, None]
+              for c in k}
+    forms = {a + b: [] for a, b in blocks}
+    for iy, ix in runs:
+        x = {c: xphase[c][:, ix] for c in k}
+        y = {c: yphase[c][member, iy] for c in k}          # (2, m+1)
+        for (a, b), part in parts.items():
+            ya, yb = np.conj(y[a]), y[b]
+            kern = (ya[0][:, None] * (part[0, 0] * yb[0] + part[0, 1] * yb[1])
+                    + ya[1][:, None] * (part[1, 0] * yb[0] + part[1, 1] * yb[1]))
+            forms[a + b].append((np.conj(x[a]) * (kern @ x[b])).sum(axis=0))
+    return forms
+
+
+def _direct_forms(blocks, m, k, weight, points) -> dict[str, np.ndarray]:
+    """Complex block forms phi_a^H F_ab phi_b at scattered points, unfolded and batched."""
+    dirs = direction_grid(m)
+    forms = {a + b: np.empty(len(points), complex) for a, b in blocks}
+    for lo in range(0, len(points), _DIRECT_CHUNK):
+        chunk = slice(lo, lo + _DIRECT_CHUNK)
+        zdot = dirs @ points[chunk].T
+        phi = {c: np.exp(-1j * k[c] * zdot) * weight[c][:, None] for c in k}
+        for (a, b), blk in blocks.items():
+            forms[a + b][chunk] = (np.conj(phi[a]) * (blk @ phi[b])).sum(axis=0)
+    return forms
+
+
 def indicator_values_at(points: np.ndarray, fmat: np.ndarray, m: int, medium: Medium,
                         q, kinds) -> dict[IndicatorKind, np.ndarray]:
     """Indicators of every requested kind at points (M, 2) from an assembled 4m x 4m matrix.
@@ -123,54 +257,55 @@ def indicator_values_at(points: np.ndarray, fmat: np.ndarray, m: int, medium: Me
     Only the blocks the kinds need are used (pp for PP, ss for SS, all four for FF);
     the FF form is the sum of the four block forms, so PP and SS come free with it.
     Works on masked (zero-filled) matrices as well.
+
+    When the points are the full x-fastest tensor grid of their distinct
+    coordinates (SamplingGrid.points), the forms are evaluated on the skeleton of
+    each axis and interpolated to the grid, G -> B_y^T G B_x, before the modulus.
+    Any other point set is evaluated exactly: runs of two or more points by the
+    fold, single points by one batched unfolded product.
     """
     q = np.asarray(q, float)
     points = np.atleast_2d(np.asarray(points, float))
-    n = 2 * m
     dirs = direction_grid(m)
     w = np.pi / m
     out = {kind: np.empty(len(points)) for kind in kinds}
-    # (a, b) is the block F[half a, half b], contracted with phi_a on the observed
-    # (row) side and phi_b on the incident (column) side
-    half = {"p": slice(None, n), "s": slice(n, None)}
-    if IndicatorKind.FF in out:
-        pairs = [("p", "p"), ("p", "s"), ("s", "p"), ("s", "s")]
-    else:
-        pairs = [(c, c) for c in "ps" if IndicatorKind(c + c) in out]
-
-    # class r = 0..m has the members r and 2m - r; the second member of 0 and m is void
-    r = np.arange(m + 1)
-    member = np.stack([r, (n - r) % n])
-    single = (r == 0) | (r == m)
-    parts = {}
-    for a, b in pairs:
-        part = fmat[half[a], half[b]][member[:, None, :, None], member[None, :, None, :]]
-        part[1][:, single] = 0.0
-        part[:, 1][..., single] = 0.0
-        parts[a, b] = part                                # (2, 2, m+1, m+1)
+    blocks = _needed_blocks(fmat, m, out)
+    k = {"p": medium.k_p, "s": medium.k_s}
+    weight = {"p": dirs @ q, "s": -dirs[:, 1] * q[0] + dirs[:, 0] * q[1]}
 
     xs, xi = np.unique(points[:, 0], return_inverse=True)
     ys, yi = np.unique(points[:, 1], return_inverse=True)
-    k = {"p": medium.k_p, "s": medium.k_s}
-    weight = {"p": dirs @ q, "s": -dirs[:, 1] * q[0] + dirs[:, 0] * q[1]}
-    xphase = {c: np.exp(-1j * k[c] * np.outer(dirs[: m + 1, 0], xs)) for c in k}
-    yphase = {c: np.exp(-1j * k[c] * np.outer(dirs[:, 1], ys)) * weight[c][:, None]
-              for c in k}
-
-    starts = np.flatnonzero(np.diff(yi, prepend=-1))
-    for lo, hi in zip(starts, np.append(starts[1:], len(points))):
-        x = {c: xphase[c][:, xi[lo:hi]] for c in k}
-        y = {c: yphase[c][member, yi[lo]] for c in k}      # (2, m+1)
-        forms = {}
-        for (a, b), part in parts.items():
-            ya, yb = np.conj(y[a]), y[b]
-            kern = (ya[0][:, None] * (part[0, 0] * yb[0] + part[0, 1] * yb[1])
-                    + ya[1][:, None] * (part[1, 0] * yb[0] + part[1, 1] * yb[1]))
-            forms[a + b] = (np.conj(x[a]) * (kern @ x[b])).sum(axis=0)
-        if IndicatorKind.FF in out:
-            forms["ff"] = sum(forms.values())
-        for kind, vals in out.items():
-            vals[lo:hi] = np.abs(w**2 * forms[kind.value])
+    nx, ny = len(xs), len(ys)
+    if (len(points) == nx * ny and np.array_equal(xi, np.tile(np.arange(nx), ny))
+            and np.array_equal(yi, np.repeat(np.arange(ny), nx))):
+        band = _band(medium)
+        sx, bx = _axis_skeleton(xs, band)
+        sy, by = _axis_skeleton(ys, band)
+        rows = _folded_forms(blocks, m, k, weight, xs, ys, [(iy, sx) for iy in sy])
+        forms = {ab: np.array(f) for ab, f in rows.items()}
+    else:
+        bx = by = None
+        starts = np.flatnonzero(np.diff(yi, prepend=-1))
+        ends = np.append(starts[1:], len(points))
+        folded = ends - starts > 1
+        runs = [(yi[lo], xi[lo:hi]) for lo, hi in zip(starts[folded], ends[folded])]
+        rows = _folded_forms(blocks, m, k, weight, xs, ys, runs)
+        lone = starts[~folded]
+        forms = _direct_forms(blocks, m, k, weight, points[lone])
+        for ab, f in rows.items():
+            direct, forms[ab] = forms[ab], np.empty(len(points), complex)
+            forms[ab][lone] = direct
+            for lo, hi, v in zip(starts[folded], ends[folded], f):
+                forms[ab][lo:hi] = v
+    if IndicatorKind.FF in out:
+        forms["ff"] = sum(forms.values())
+    for kind, vals in out.items():
+        g = forms[kind.value]
+        if by is not None:
+            g = by.T @ g
+        if bx is not None:
+            g = g @ bx
+        vals[:] = np.abs(w**2 * g).ravel()
     return out
 
 

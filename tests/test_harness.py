@@ -300,11 +300,16 @@ class TestRunExperiment:
         text = TINY_CONFIG + "observed = arcs [0.0,1.5707963267948966)\nretrieve = R=5.0 nB=64 alpha=auto\n"
         cfg = parse_config(text)
         out = tmp_path / "r"
-        run_experiment(cfg, label="lim", outdir=str(out))
+        manifest = run_experiment(cfg, label="lim", outdir=str(out))
         names = {p.name for p in out.iterdir()}
         assert "lim_limit_ss.csv" in names
         assert "lim_retr_ss.csv" in names
         assert "lim_retrieved.msr" in names
+        assert set(manifest.skeletons) == {"lim_limit", "lim_retr"}
+        for summary in manifest.skeletons.values():
+            assert (summary["nx"], summary["ny"]) == (11, 11)
+            assert 1 <= summary["x_rank"] <= 11 and 1 <= summary["y_rank"] <= 11
+            assert summary["tol"] > 0 and summary["oversample"] > 1
 
 
 class TestRunPresetSmall:

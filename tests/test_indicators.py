@@ -5,14 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elastoscan import indicators
+from elastoscan.aperture import ApertureMask, apply_mask
 from elastoscan.elastic import Medium
-from elastoscan.forward import MSRMatrix, direction_grid
+from elastoscan.forward import MSRMatrix, add_noise, direction_grid, synthesize_msr
 from elastoscan.indicators import (
     IndicatorKind,
     SamplingGrid,
     indicator_fields,
     indicator_values_at,
     normalize_field,
+    skeleton_summary,
 )
 from elastoscan.indicators import test_vectors as phi_samples
 
@@ -205,6 +208,74 @@ class TestFoldedEvaluator:
             assert values.shape == (17, 33)
             tol = 1e-12 * max(1.0, ref[kind].max())
             assert np.abs(values.ravel() - ref[kind]).max() <= tol
+
+
+class TestScatteredPoints:
+    def test_scattered_points_equal_direct_values(self, msr_kite_m64, medium, monkeypatch):
+        # distinct random y values: every point is its own run, so all of them go
+        # through the batched unfolded product, here in three chunks
+        monkeypatch.setattr(indicators, "_DIRECT_CHUNK", 100)
+        points = np.random.default_rng(8).uniform(-6.0, 6.0, (257, 2))
+        fmat, m = msr_kite_m64.assembled(), msr_kite_m64.m
+        got = indicator_values_at(points, fmat, m, medium, Q_DEFAULT, IndicatorKind)
+        ref = direct_values(points, fmat, m, medium, Q_DEFAULT)
+        for kind in IndicatorKind:
+            tol = 1e-12 * max(1.0, ref[kind].max())
+            assert np.abs(got[kind] - ref[kind]).max() <= tol
+
+
+def exact_rows(grid, fmat, m, medium, q, kinds):
+    """Grid values from the exact per-row evaluation: one point off the grid makes
+    the point set non-tensor, so every grid row runs through the fold."""
+    points = np.vstack([grid.points(), [[100.0, 100.0]]])
+    vals = indicator_values_at(points, fmat, m, medium, q, kinds)
+    return {kind: v[:-1].reshape(grid.ny, grid.nx) for kind, v in vals.items()}
+
+
+@pytest.fixture(scope="module")
+def kite_4pi_fields(kite_scene):
+    """Noisy full and quarter-aperture kite data at omega = 4 pi on the 161 x 161
+    grid of [-6, 6]^2: the band x length of limited-retrieval --small."""
+    medium = Medium(1.0, 1.0, 4.0 * np.pi)
+    msr = add_noise(synthesize_msr(kite_scene, medium, 64, 256), 0.1, seed=3)
+    masked = apply_mask(msr, ApertureMask.from_arcs(64, [(0.0, np.pi / 2)], None))
+    grid = SamplingGrid(-6.0, 6.0, -6.0, 6.0, 161, 161)
+    return medium, grid, [msr.assembled(), masked.assembled_known()]
+
+
+class TestSkeletonGrid:
+    def test_skeleton_fields_match_exact_rows(self, kite_4pi_fields):
+        medium, grid, fmats = kite_4pi_fields
+        for fmat in fmats:
+            fields = indicator_fields(fmat, 64, medium, grid, IndicatorKind, Q_DEFAULT)
+            summary = skeleton_summary(grid, medium)
+            assert summary["x_rank"] < grid.nx and summary["y_rank"] < grid.ny
+            exact = exact_rows(grid, fmat, 64, medium, Q_DEFAULT, IndicatorKind)
+            for kind in IndicatorKind:
+                delta = np.abs(fields[kind].values - exact[kind])
+                assert (delta / np.maximum(1.0, exact[kind])).max() <= 1e-13
+                assert delta.max() <= 1e-12 * exact[kind].max()
+
+    def test_full_rank_skeleton_is_bit_identical(self, msr_kite_m64, medium):
+        # omega = 8 pi on the --small grid: every point of each axis is a skeleton point
+        grid = SamplingGrid(-6.0, 6.0, -6.0, 6.0, 161, 161)
+        fmat, m = msr_kite_m64.assembled(), msr_kite_m64.m
+        fields = indicator_fields(fmat, m, medium, grid, IndicatorKind, Q_DEFAULT)
+        summary = skeleton_summary(grid, medium)
+        assert (summary["x_rank"], summary["y_rank"]) == (grid.nx, grid.ny)
+        exact = exact_rows(grid, fmat, m, medium, Q_DEFAULT, IndicatorKind)
+        for kind in IndicatorKind:
+            assert np.array_equal(fields[kind].values, exact[kind])
+
+    def test_summary_reads_the_cached_skeleton(self, msr_kite_m64, medium):
+        grid = SamplingGrid(-5.0, 4.0, -3.0, 6.0, 47, 39)
+        indicator_fields(msr_kite_m64.assembled(), msr_kite_m64.m, medium, grid, [FF])
+        misses = indicators._skeleton_of.cache_info().misses
+        summary = skeleton_summary(grid, medium)
+        assert indicators._skeleton_of.cache_info().misses == misses
+        assert summary == {"x_rank": 47, "nx": 47, "y_rank": 39, "ny": 39,
+                           "tol": indicators.SKELETON_TOL,
+                           "oversample": indicators.SKELETON_OVERSAMPLE}
 
 
 class TestStabilityBound:
