@@ -469,6 +469,13 @@ class RunManifest:
                            "sha256": hashlib.sha256(data).hexdigest(),
                            "bytes": len(data)})
 
+    @contextlib.contextmanager
+    def span(self, key: str):
+        """Record the wall time of the with-block under timings[key] (seconds)."""
+        t0 = time.perf_counter()
+        yield
+        self.timings[key] = round(time.perf_counter() - t0, 3)
+
     def to_json(self) -> str:
         return json.dumps({"config": self.config_text, "seed": self.seed,
                            "timings": self.timings, "files": self.files,
@@ -555,34 +562,35 @@ def run_experiment(config: ExperimentConfig, label: str = "run", outdir: str | N
         manifest = RunManifest(config_text=emit_config(config), seed=config.seed)
         with _Emitter(outdir or config.out, manifest) as own:
             return run_experiment(config, label, emitter=own)
-    timings = emitter.manifest.timings
-    t0 = time.perf_counter()
-    msr = synthesize_msr(config.scene_object(), config.medium(), config.m, config.n)
-    timings[f"{label}.synth_s"] = round(time.perf_counter() - t0, 3)
-
+    span = emitter.manifest.span
+    with span(f"{label}.synth_s"):
+        msr = synthesize_msr(config.scene_object(), config.medium(), config.m, config.n)
     if config.delta > 0:
-        t0 = time.perf_counter()
-        msr = add_noise(msr, config.delta, config.seed)
-        timings[f"{label}.noise_s"] = round(time.perf_counter() - t0, 3)
-    emitter.write_msr(f"{label}.msr", msr)
+        with span(f"{label}.noise_s"):
+            msr = add_noise(msr, config.delta, config.seed)
+    with span(f"{label}.msr_write_s"):
+        emitter.write_msr(f"{label}.msr", msr)
 
     grid, medium = config.sampling_grid(), config.medium()
 
     def emit_fields(tag: str, source) -> None:
-        emitter.write_fields(tag, fields_of(source, grid, config.kinds, config.q))
+        with span(f"{tag}.eval_s"):
+            fields = fields_of(source, grid, config.kinds, config.q)
+        with span(f"{tag}.write_s"):
+            emitter.write_fields(tag, fields)
         emitter.manifest.skeletons[tag] = skeleton_summary(grid, medium)
 
-    t0 = time.perf_counter()
     data = restrict(msr, config.observed, config.incident)
     if isinstance(data, MaskedMSR):
         emit_fields(f"{label}_limit", data)
         if config.retrieve is not None:
-            retrieved = retrieve_msr(data, config.retrieve)
-            emitter.write_msr(f"{label}_retrieved.msr", retrieved)
+            with span(f"{label}_retr.retrieve_s"):
+                retrieved = retrieve_msr(data, config.retrieve)
+            with span(f"{label}_retr.msr_write_s"):
+                emitter.write_msr(f"{label}_retrieved.msr", retrieved)
             emit_fields(f"{label}_retr", retrieved)
     else:
         emit_fields(label, data)
-    timings[f"{label}.indicate_s"] = round(time.perf_counter() - t0, 3)
     return emitter.manifest
 
 def run_recorded(config: ExperimentConfig, variants=None) -> RunManifest:

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elastoscan.elastic import Medium, PlaneWave, PointSource, WaveMode
 from elastoscan.forward import (
@@ -8,6 +12,7 @@ from elastoscan.forward import (
     MsrFormatError,
     MsrVersionError,
     NumericError,
+    _format_rows,
     add_noise,
     assemble_system,
     cot_quadrature_weights,
@@ -299,7 +304,102 @@ class TestNoise:
             add_noise(msr_disk_m16, delta, seed=seed)
 
 
+def percent_rows(rows) -> bytes:
+    """Row-by-row %-template writer: the reference for the MSR/1 data rows."""
+    template = " ".join(["%.17g"] * rows.shape[1]) + "\n"
+    return "".join(template % tuple(row) for row in rows.tolist()).encode()
+
+
+def percent_msr(msr) -> bytes:
+    """The whole MSR/1 file as the row-by-row writer produces it."""
+    header = (f"#version=MSR/1\n#m={msr.m}\n#lambda={msr.lam!r}\n#mu={msr.mu!r}\n"
+              f"#omega={msr.omega!r}\n#scene={msr.scene}\n#bc={msr.bc}\n"
+              f"#delta={msr.delta!r}\n#seed={'none' if msr.seed is None else msr.seed}\n"
+              f"#norm={msr.noise_norm}\n")
+    if msr.retrieval is not None:
+        header += f"#retrieval={msr.retrieval}\n"
+    return header.encode() + percent_rows(np.ascontiguousarray(msr.full).view(float))
+
+
+def edge_values() -> list[float]:
+    vals = []
+    for j in range(-8, 19):                       # 10**j and its neighbours
+        p = float(f"1e{j}")
+        vals += [p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)]
+    vals += [
+        2.0**53 - 2, 2.0**53, 2.0**53 + 2,
+        9.9999999999999991e-06, 1.0000000000000001e-05,   # scientific / fixed at 1e-5
+        99999999999999984.0, 1.0000000000000002e17,      # fixed / scientific at 1e17
+        1e-14,                                            # 17 digits round up to 1e-14
+        123456789012345.625, 1234567890123456.25,         # half-even ties: ...45.62, ...56.2
+        1234567890123456.75, 0.30000000000000004,         # ... and ...56.8
+        1.5, 0.5, 100.0, 1e16, 12345.0, 0.0001220703125,  # trailing zeros stripped
+        9.9999999999999995e-07, 1e-7, 3.14e-100, 5e-324, 2.2250738585072014e-308,
+        1.7976931348623157e308, 0.0, -0.0,               # per-value path
+    ]
+    return vals + [-v for v in vals]
+
+
+class TestMsrNumberFormat:
+    """_format_rows writes exactly the bytes of "%.17g" % x."""
+
+    def test_edge_table(self):
+        vals = np.array(edge_values())
+        assert _format_rows(vals[None, :]) == percent_rows(vals[None, :])
+        assert _format_rows(vals[:, None]) == percent_rows(vals[:, None])
+
+    def test_every_binade_and_the_fast_range(self):
+        rng = np.random.default_rng(20261018)
+        n = 2**19
+        exponent = rng.integers(0, 2047, n, dtype=np.uint64)       # 0: subnormals
+        bits = (rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63)) \
+            | (exponent << np.uint64(52)) | rng.integers(0, 2**52, n, dtype=np.uint64)
+        spread = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-6, 17, n)
+        rows = np.concatenate([bits.view(np.float64), spread]).reshape(-1, 1024)
+        assert _format_rows(rows) == percent_rows(rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                              st.floats(1e-7, 1e18), st.floats(-1e18, -1e-7)),
+                    min_size=1, max_size=48))
+    def test_matches_percent_format(self, values):
+        vals = np.array(values)
+        for rows in (vals[None, :], vals[:, None]):
+            assert _format_rows(rows) == percent_rows(rows)
+
+
 class TestMsrPersistence:
+    @pytest.mark.parametrize("name", ["msr_disk_m16", "msr_kite_m64_noisy"])
+    def test_bytes_equal_row_by_row_writer(self, request, tmp_path, name):
+        msr = request.getfixturevalue(name)
+        path = tmp_path / "x.msr"
+        save_msr(msr, path)
+        assert path.read_bytes() == percent_msr(msr)
+
+    def test_round_trip_is_byte_stable_with_signed_zeros(self, msr_disk_m16, tmp_path):
+        full = np.zeros((8, 8), complex)
+        full.real[0, 0], full.imag[0, 0] = -0.0, 1.0
+        full.real[1, 2], full.imag[1, 2] = 2.5, -0.0
+        full.real[3, 3], full.imag[3, 3] = -0.0, -0.0
+        full[4] = msr_disk_m16.full[4, :8]
+        msr = replace(msr_disk_m16, m=2, full=full)
+        first, second = tmp_path / "a.msr", tmp_path / "b.msr"
+        save_msr(msr, first)
+        back = load_msr(first)
+        save_msr(back, second)
+        assert second.read_bytes() == first.read_bytes()
+        assert np.array_equal(np.signbit(back.full.view(float)), np.signbit(full.view(float)))
+        assert np.array_equal(back.full, full)
+
+    def test_non_contiguous_full_is_written_by_value(self, msr_kite_m64_noisy, tmp_path):
+        transposed = msr_kite_m64_noisy.full.T
+        assert not transposed.flags.c_contiguous
+        path = tmp_path / "t.msr"
+        save_msr(replace(msr_kite_m64_noisy, full=transposed), path)
+        assert path.read_bytes() == percent_msr(
+            replace(msr_kite_m64_noisy, full=transposed.copy()))
+        assert np.array_equal(load_msr(path).full, transposed)
+
     def test_round_trip_value_exact(self, msr_disk_m16, tmp_path):
         noisy = add_noise(msr_disk_m16, 0.1, seed=2)
         path = tmp_path / "disk.msr"

@@ -306,6 +306,11 @@ class TestRunExperiment:
         assert "lim_retr_ss.csv" in names
         assert "lim_retrieved.msr" in names
         assert set(manifest.skeletons) == {"lim_limit", "lim_retr"}
+        assert set(manifest.timings) == {
+            "lim.synth_s", "lim.noise_s", "lim.msr_write_s",
+            "lim_limit.eval_s", "lim_limit.write_s",
+            "lim_retr.retrieve_s", "lim_retr.msr_write_s", "lim_retr.eval_s", "lim_retr.write_s"}
+        assert all(t >= 0 for t in manifest.timings.values())
         for summary in manifest.skeletons.values():
             assert (summary["nx"], summary["ny"]) == (11, 11)
             assert 1 <= summary["x_rank"] <= 11 and 1 <= summary["y_rank"] <= 11
