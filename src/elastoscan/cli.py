@@ -5,11 +5,15 @@ turns its flags into the harness's value types (parse_grid, parse_q,
 parse_arcs), runs the harness's pipeline stages and writes through its
 emitter: every artifact lands atomically, and a failed command removes what
 it wrote.  Only experiment hashes its artifacts and writes manifest.json.
+synth and experiment take the experiment from --config or --preset (with
+--small); noise, indicate and retrieve take their data from --msr and
+everything else from their own flags.
 
 Exit codes, mapped from exceptions in main() alone:
 
     0  success
-    2  ConfigError, or any other ValueError (bad config, flag or argument)
+    2  usage error (an unknown flag or subcommand, a flag the subcommand does not
+       take), ConfigError, or any other ValueError (bad config, flag or argument)
     3  NumericError or numpy.linalg.LinAlgError (singular system, degenerate field)
     4  OSError or MsrFormatError (unreadable or unwritable path, malformed MSR file)
 """
@@ -37,12 +41,16 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_source(p: argparse.ArgumentParser) -> None:
+    """The experiment flags, for the subcommands that synthesize data: synth, experiment."""
     p.add_argument("--config", help="config file (see harness grammar)")
     p.add_argument("--preset", help="preset name (see 'presets')")
     p.add_argument("--small", action="store_true",
                    help=f"desk-scale preset variant (m={SMALL_M}, n={SMALL_N}, "
                         f"{SMALL_GRID_PTS}x{SMALL_GRID_PTS} grid)")
+
+
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--quiet", action="store_true", help="suppress progress logging")
@@ -148,6 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="synthesize a clean MSR matrix")
+    _add_source(p)
     _add_common(p)
     p.set_defaults(fn=cmd_synth)
 
@@ -178,6 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_retrieve)
 
     p = sub.add_parser("experiment", help="run a preset or config end to end")
+    _add_source(p)
     _add_common(p)
     p.set_defaults(fn=cmd_experiment)
 
@@ -187,7 +197,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:          # argparse has printed the usage error, or --help
+        return exc.code
     logging.basicConfig(level=logging.WARNING if getattr(args, "quiet", False)
                         else logging.INFO)
     try:

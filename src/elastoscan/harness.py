@@ -36,6 +36,7 @@ import contextlib
 import hashlib
 import json
 import os
+import shutil
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -524,6 +525,10 @@ class _Emitter:
     def write_msr(self, name: str, msr: MSRMatrix) -> None:
         self._commit(name, lambda tmp: save_msr(msr, tmp))
 
+    def copy(self, name: str, source: str) -> None:
+        """Write the bytes of the artifact source, already written, under name."""
+        self._commit(name, lambda tmp: shutil.copyfile(self.path(source), tmp))
+
     def write_field(self, label: str, fld: IndicatorField) -> None:
         try:
             image = render_heatmap(fld)
@@ -548,28 +553,44 @@ class _Emitter:
 # ---------------------------------------------------------------------------
 # Pipeline runner
 # ---------------------------------------------------------------------------
+def _forward_key(config: ExperimentConfig) -> tuple:
+    """Every field the noisy MSR depends on; configs equal here share one forward solve."""
+    return (config.scene, config.bc, config.lam, config.mu, config.omega, config.m, config.n,
+            config.delta, config.seed)
+
 def run_experiment(config: ExperimentConfig, label: str = "run", outdir: str | None = None,
-                   emitter: _Emitter | None = None) -> RunManifest:
+                   emitter: _Emitter | None = None, solved: dict | None = None) -> RunManifest:
     """Synthesize, perturb, (mask/fill/retrieve), indicate, and emit artifacts.
 
     Deterministic for a fixed config: the only randomness is the seeded noise.
     Writes through emitter, whose owner cleans up on failure; without one, a
     fresh emitter into outdir (default config.out) removes this run's files
-    on failure.  Writes no manifest.json.
+    on failure.  Writes no manifest.json.  solved maps _forward_key to a noisy
+    MSR this emitter has written and the name of its file; a config found there
+    copies that file to <label>.msr instead of solving again, and a config solved
+    here is added.
     """
     config.validate()
     if emitter is None:
         manifest = RunManifest(config_text=emit_config(config), seed=config.seed)
         with _Emitter(outdir or config.out, manifest) as own:
-            return run_experiment(config, label, emitter=own)
+            return run_experiment(config, label, emitter=own, solved=solved)
     span = emitter.manifest.span
-    with span(f"{label}.synth_s"):
-        msr = synthesize_msr(config.scene_object(), config.medium(), config.m, config.n)
-    if config.delta > 0:
-        with span(f"{label}.noise_s"):
-            msr = add_noise(msr, config.delta, config.seed)
-    with span(f"{label}.msr_write_s"):
-        emitter.write_msr(f"{label}.msr", msr)
+    solved = {} if solved is None else solved
+    key = _forward_key(config)
+    if key in solved:
+        msr, source = solved[key]
+        with span(f"{label}.msr_write_s"):
+            emitter.copy(f"{label}.msr", source)
+    else:
+        with span(f"{label}.synth_s"):
+            msr = synthesize_msr(config.scene_object(), config.medium(), config.m, config.n)
+        if config.delta > 0:
+            with span(f"{label}.noise_s"):
+                msr = add_noise(msr, config.delta, config.seed)
+        with span(f"{label}.msr_write_s"):
+            emitter.write_msr(f"{label}.msr", msr)
+        solved[key] = (msr, f"{label}.msr")
 
     grid, medium = config.sampling_grid(), config.medium()
 
@@ -578,7 +599,7 @@ def run_experiment(config: ExperimentConfig, label: str = "run", outdir: str | N
             fields = fields_of(source, grid, config.kinds, config.q)
         with span(f"{tag}.write_s"):
             emitter.write_fields(tag, fields)
-        emitter.manifest.skeletons[tag] = skeleton_summary(grid, medium)
+        emitter.manifest.skeletons[tag] = skeleton_summary(grid, medium, config.kinds)
 
     data = restrict(msr, config.observed, config.incident)
     if isinstance(data, MaskedMSR):
@@ -598,13 +619,16 @@ def run_recorded(config: ExperimentConfig, variants=None) -> RunManifest:
 
     Every variant writes through one emitter, which then writes manifest.json;
     a failure anywhere removes every file of the run, manifest included.
+    Variants that differ only in their aperture (limited-quarters, few-incident)
+    share one forward solve and write the same MSR/1 bytes under their names.
     """
     manifest = RunManifest(config_text=emit_config(config), seed=config.seed,
                            env_overrides={k: os.environ[k] for k in (ENV_OUT,)
                                           if k in os.environ})
     with _Emitter(config.out, manifest) as emitter:
+        solved = {}
         for label, sub in variants or [("run", config)]:
-            run_experiment(sub, label=label, emitter=emitter)
+            run_experiment(sub, label=label, emitter=emitter, solved=solved)
         emitter.write_manifest()
     return manifest
 

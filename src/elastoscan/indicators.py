@@ -23,19 +23,21 @@ block and one product with the x-phase table of the run.  This is exact up to
 rounding, and a quarter of the flops of the unfolded product.
 
 Along a grid axis each complex block form phi_a^H F_ab phi_b is a band-limited
-function: its frequencies k_a cos t_j - k_b cos t_i lie within the band
-2 max(k_p, k_s), so an axis of length L carries about 2 k_s L / pi degrees of
-freedom, whatever the number of points on it.  For a rectangular grid the forms
-are therefore evaluated exactly on a skeleton of each axis and interpolated to
-the full grid before the modulus is taken: a column-pivoted QR of
-E[w, x] = e^{i w (x - x_mid)}, with w sampled at SKELETON_OVERSAMPLE times the
-Nyquist density of the band (and at no fewer than n + 1 values), keeps the rho points
-whose |R_ii| > SKELETON_TOL |R_00|, and B = [I, R11^-1 R12] (rho x n) maps forms
-on the skeleton to the axis, G -> B_y^T G B_x.  The skeleton of an axis depends
-only on its coordinates and the band, so it is cached and shared between passes
-and between equal axes.  Where rho = n the skeleton is the whole axis, B is the
-identity and is not applied, and the values are those of the per-row
-evaluation bit for bit (every omega = 8 pi grid of 161 points).
+function: its frequencies k_a cos t_j - k_b cos t_i lie within the band k_a + k_b
+(2 k_p for pp, k_p + k_s for ps and sp, 2 k_s for ss), so an axis of length L
+carries about (k_a + k_b) L / pi degrees of freedom, whatever the number of points
+on it.  For a rectangular grid each block form is therefore evaluated exactly on
+a skeleton of each axis for its own band and interpolated to the full grid before
+the modulus is taken: a column-pivoted QR of E[w, x] = e^{i w (x - x_mid)}, with w
+sampled at SKELETON_OVERSAMPLE times the Nyquist density of the band (and at no
+fewer than n + 1 values), keeps the rho points whose |R_ii| > SKELETON_TOL |R_00|,
+and B = [I, R11^-1 R12] (rho x n) maps forms on the skeleton to the axis,
+G -> B_y^T G B_x.  PP and SS are the interpolated pp and ss forms, FF the sum of
+all four.  The skeleton of an axis depends only on its coordinates and the band,
+so it is cached and shared between passes and between equal axes.  Where rho = n
+the skeleton is the whole axis, B is the identity and is not applied, and the
+block's values are those of the per-row evaluation bit for bit (the ss and mixed
+blocks on every omega = 8 pi grid of 161 points).
 """
 
 from __future__ import annotations
@@ -139,6 +141,7 @@ def _axis_skeleton(coords: np.ndarray, band: float) -> tuple[np.ndarray, np.ndar
     return _skeleton_of(coords.tobytes(), float(band))
 
 
+# a pass uses at most three bands (2 k_p, k_p + k_s, 2 k_s) on each of its two axes
 @lru_cache(maxsize=8)
 def _skeleton_of(coords: bytes, band: float) -> tuple[np.ndarray, np.ndarray | None]:
     x = np.frombuffer(coords)
@@ -164,70 +167,94 @@ def _skeleton_of(coords: bytes, band: float) -> tuple[np.ndarray, np.ndarray | N
     return skeleton, interp
 
 
-def _band(medium: Medium) -> float:
-    """Band of every block form along any axis: k_a + k_b <= 2 max(k_p, k_s)."""
-    return 2.0 * max(medium.k_p, medium.k_s)
+def _wave_numbers(medium: Medium) -> dict[str, float]:
+    return {"p": medium.k_p, "s": medium.k_s}
 
 
-def skeleton_summary(grid: SamplingGrid, medium: Medium) -> dict:
-    """Axis ranks of the skeleton the grid's indicator pass used, with its constants.
+def _block_pairs(kinds) -> list[tuple[str, str]]:
+    """The blocks (a, b) the kinds need: pp for PP, ss for SS, all four for FF."""
+    if IndicatorKind.FF in kinds:
+        return [("p", "p"), ("p", "s"), ("s", "p"), ("s", "s")]
+    return [(c, c) for c in "ps" if IndicatorKind(c + c) in kinds]
 
-    Reads the cached skeleton of a pass that has run, so no factorization is repeated.
+
+def skeleton_summary(grid: SamplingGrid, medium: Medium, kinds) -> dict:
+    """Axis ranks of each band that the indicator pass of kinds on grid used, with the
+    skeleton constants.
+
+    Block ab has the band k_a + k_b; "ps" names the band of both mixed blocks.  Reads
+    the cached skeletons of a pass that has run, so no factorization is repeated.
     """
-    band = _band(medium)
-    sx, _ = _axis_skeleton(grid.xs, band)
-    sy, _ = _axis_skeleton(grid.ys, band)
-    return {"x_rank": len(sx), "nx": grid.nx, "y_rank": len(sy), "ny": grid.ny,
+    k = _wave_numbers(medium)
+    bands = {}
+    for a, b in _block_pairs(kinds):
+        name = "".join(sorted(a + b))
+        if name not in bands:
+            sx, _ = _axis_skeleton(grid.xs, k[a] + k[b])
+            sy, _ = _axis_skeleton(grid.ys, k[a] + k[b])
+            bands[name] = {"band": float(k[a] + k[b]), "x_rank": len(sx), "y_rank": len(sy)}
+    return {"bands": bands, "nx": grid.nx, "ny": grid.ny,
             "tol": SKELETON_TOL, "oversample": SKELETON_OVERSAMPLE}
+
+
+class _Fold:
+    """The direction fold of one pass: its tables, and the one row routine.
+
+    Class r = 0..m has the members r and 2m - r (the second member of 0 and m is
+    void).  parts[a, b] holds the four (m+1) x (m+1) member parts of block ab,
+    xphase[c] the x phases of the classes (m+1, nx) and yphase[c][iy] the weighted
+    y phases of row iy by member (2, m+1).
+    """
+
+    def __init__(self, blocks, m, k, weight, xs, ys):
+        n = 2 * m
+        dirs = direction_grid(m)
+        r = np.arange(m + 1)
+        member = np.stack([r, (n - r) % n])
+        single = (r == 0) | (r == m)
+        self.parts = {}
+        for ab, blk in blocks.items():
+            part = blk[member[:, None, :, None], member[None, :, None, :]]
+            part[1][:, single] = 0.0
+            part[:, 1][..., single] = 0.0
+            self.parts[ab] = part                         # (2, 2, m+1, m+1)
+        self.xphase = {c: np.exp(-1j * k[c] * np.outer(dirs[: m + 1, 0], xs)) for c in k}
+        self.yphase = {}
+        for c in k:
+            yph = np.exp(-1j * k[c] * np.outer(dirs[:, 1], ys)) * weight[c][:, None]
+            self.yphase[c] = np.moveaxis(yph[member], -1, 0).copy()
+        self._buffers = np.empty((3, m + 1, m + 1), complex)
+
+    def row(self, a, b, iy, xa_conj, xb) -> np.ndarray:
+        """Forms of block ab on row iy at the columns of the x tables conj(X_a), X_b.
+
+        The y phases of the row are folded into the member parts, in reused buffers,
+        giving the kernel K; the forms are conj(X_a)^T (K X_b) column by column.
+        """
+        part, (kern, tmp, tmp2) = self.parts[a, b], self._buffers
+        ya, yb = np.conj(self.yphase[a][iy]), self.yphase[b][iy]
+        np.multiply(part[0, 0], yb[0], out=kern)
+        np.multiply(part[0, 1], yb[1], out=tmp)
+        kern += tmp
+        np.multiply(ya[0][:, None], kern, out=kern)
+        np.multiply(part[1, 0], yb[0], out=tmp)
+        np.multiply(part[1, 1], yb[1], out=tmp2)
+        tmp += tmp2
+        np.multiply(ya[1][:, None], tmp, out=tmp)
+        kern += tmp
+        # column-major, so that each column is summed pairwise
+        return np.multiply(xa_conj, kern @ xb, order="F").sum(axis=0)
 
 
 def _needed_blocks(fmat: np.ndarray, m: int, kinds) -> dict[tuple[str, str], np.ndarray]:
     """{(a, b): F[half a, half b]} for the blocks the kinds need.
 
     Block (a, b) is contracted with phi_a on the observed (row) side and phi_b on
-    the incident (column) side: pp for PP, ss for SS, all four for FF.
+    the incident (column) side.
     """
     n = 2 * m
     half = {"p": slice(None, n), "s": slice(n, None)}
-    if IndicatorKind.FF in kinds:
-        pairs = [("p", "p"), ("p", "s"), ("s", "p"), ("s", "s")]
-    else:
-        pairs = [(c, c) for c in "ps" if IndicatorKind(c + c) in kinds]
-    return {(a, b): fmat[half[a], half[b]] for a, b in pairs}
-
-
-def _folded_forms(blocks, m, k, weight, xs, ys, runs) -> dict[str, list]:
-    """Complex block forms per run of points with equal y, by the direction fold.
-
-    runs is a list of (y index, x indices) into the distinct coordinates xs, ys;
-    the result holds, per block ab, one array of forms per run.
-    """
-    n = 2 * m
-    dirs = direction_grid(m)
-    # class r = 0..m has the members r and 2m - r; the second member of 0 and m is void
-    r = np.arange(m + 1)
-    member = np.stack([r, (n - r) % n])
-    single = (r == 0) | (r == m)
-    parts = {}
-    for (a, b), blk in blocks.items():
-        part = blk[member[:, None, :, None], member[None, :, None, :]]
-        part[1][:, single] = 0.0
-        part[:, 1][..., single] = 0.0
-        parts[a, b] = part                                # (2, 2, m+1, m+1)
-
-    xphase = {c: np.exp(-1j * k[c] * np.outer(dirs[: m + 1, 0], xs)) for c in k}
-    yphase = {c: np.exp(-1j * k[c] * np.outer(dirs[:, 1], ys)) * weight[c][:, None]
-              for c in k}
-    forms = {a + b: [] for a, b in blocks}
-    for iy, ix in runs:
-        x = {c: xphase[c][:, ix] for c in k}
-        y = {c: yphase[c][member, iy] for c in k}          # (2, m+1)
-        for (a, b), part in parts.items():
-            ya, yb = np.conj(y[a]), y[b]
-            kern = (ya[0][:, None] * (part[0, 0] * yb[0] + part[0, 1] * yb[1])
-                    + ya[1][:, None] * (part[1, 0] * yb[0] + part[1, 1] * yb[1]))
-            forms[a + b].append((np.conj(x[a]) * (kern @ x[b])).sum(axis=0))
-    return forms
+    return {(a, b): fmat[half[a], half[b]] for a, b in _block_pairs(kinds)}
 
 
 def _direct_forms(blocks, m, k, weight, points) -> dict[str, np.ndarray]:
@@ -251,18 +278,20 @@ def indicator_values_at(points: np.ndarray, fmat: np.ndarray, m: int, medium: Me
     built once per distinct x and per distinct y.  Direction d and 2m - d share
     cos(t), so the x phases have m + 1 distinct rows (classes r = 0..m, where
     r = 0 and r = m have one member and the others two).  Each needed 2m x 2m block
-    is split once into its four (m+1) x (m+1) member parts; for each run of
-    consecutive points with equal y the y phases are folded into them, giving an
-    (m+1) x (m+1) kernel K, and the forms are conj(X_a)^T (K X_b) column by column.
-    Only the blocks the kinds need are used (pp for PP, ss for SS, all four for FF);
-    the FF form is the sum of the four block forms, so PP and SS come free with it.
-    Works on masked (zero-filled) matrices as well.
+    is split once into its four (m+1) x (m+1) member parts; for each row of points
+    with equal y the y phases are folded into them, giving an (m+1) x (m+1) kernel
+    K, and the forms are conj(X_a)^T (K X_b) column by column.  Only the blocks the
+    kinds need are used (pp for PP, ss for SS, all four for FF); the FF form is the
+    sum of the four block forms, so PP and SS come free with it.  Works on masked
+    (zero-filled) matrices as well.
 
     When the points are the full x-fastest tensor grid of their distinct
-    coordinates (SamplingGrid.points), the forms are evaluated on the skeleton of
-    each axis and interpolated to the grid, G -> B_y^T G B_x, before the modulus.
-    Any other point set is evaluated exactly: runs of two or more points by the
-    fold, single points by one batched unfolded product.
+    coordinates (SamplingGrid.points), each block form is evaluated on the skeleton
+    of each axis for its own band k_a + k_b, with the x tables of the skeleton
+    columns built once per block, and interpolated to the grid, G -> B_y^T G B_x,
+    before the modulus.  Any other point set is evaluated exactly: runs of two or
+    more points with equal y by the same row routine, single points by one batched
+    unfolded product.
     """
     q = np.asarray(q, float)
     points = np.atleast_2d(np.asarray(points, float))
@@ -270,42 +299,43 @@ def indicator_values_at(points: np.ndarray, fmat: np.ndarray, m: int, medium: Me
     w = np.pi / m
     out = {kind: np.empty(len(points)) for kind in kinds}
     blocks = _needed_blocks(fmat, m, out)
-    k = {"p": medium.k_p, "s": medium.k_s}
+    k = _wave_numbers(medium)
     weight = {"p": dirs @ q, "s": -dirs[:, 1] * q[0] + dirs[:, 0] * q[1]}
 
     xs, xi = np.unique(points[:, 0], return_inverse=True)
     ys, yi = np.unique(points[:, 1], return_inverse=True)
     nx, ny = len(xs), len(ys)
+    fold = _Fold(blocks, m, k, weight, xs, ys)
     if (len(points) == nx * ny and np.array_equal(xi, np.tile(np.arange(nx), ny))
             and np.array_equal(yi, np.repeat(np.arange(ny), nx))):
-        band = _band(medium)
-        sx, bx = _axis_skeleton(xs, band)
-        sy, by = _axis_skeleton(ys, band)
-        rows = _folded_forms(blocks, m, k, weight, xs, ys, [(iy, sx) for iy in sy])
-        forms = {ab: np.array(f) for ab, f in rows.items()}
+        forms = {}
+        for a, b in blocks:
+            sx, bx = _axis_skeleton(xs, k[a] + k[b])
+            sy, by = _axis_skeleton(ys, k[a] + k[b])
+            xa_conj, xb = np.conj(fold.xphase[a][:, sx]), fold.xphase[b][:, sx]
+            g = np.array([fold.row(a, b, iy, xa_conj, xb) for iy in sy])
+            if by is not None:
+                g = by.T @ g
+            if bx is not None:
+                g = g @ bx
+            forms[a + b] = g.ravel()
     else:
-        bx = by = None
         starts = np.flatnonzero(np.diff(yi, prepend=-1))
         ends = np.append(starts[1:], len(points))
         folded = ends - starts > 1
-        runs = [(yi[lo], xi[lo:hi]) for lo, hi in zip(starts[folded], ends[folded])]
-        rows = _folded_forms(blocks, m, k, weight, xs, ys, runs)
         lone = starts[~folded]
         forms = _direct_forms(blocks, m, k, weight, points[lone])
-        for ab, f in rows.items():
-            direct, forms[ab] = forms[ab], np.empty(len(points), complex)
-            forms[ab][lone] = direct
-            for lo, hi, v in zip(starts[folded], ends[folded], f):
-                forms[ab][lo:hi] = v
+        for a, b in blocks:
+            direct, forms[a + b] = forms[a + b], np.empty(len(points), complex)
+            forms[a + b][lone] = direct
+            for lo, hi in zip(starts[folded], ends[folded]):
+                ix = xi[lo:hi]
+                forms[a + b][lo:hi] = fold.row(a, b, yi[lo], np.conj(fold.xphase[a][:, ix]),
+                                               fold.xphase[b][:, ix])
     if IndicatorKind.FF in out:
         forms["ff"] = sum(forms.values())
     for kind, vals in out.items():
-        g = forms[kind.value]
-        if by is not None:
-            g = by.T @ g
-        if bx is not None:
-            g = g @ bx
-        vals[:] = np.abs(w**2 * g).ravel()
+        vals[:] = np.abs(w**2 * forms[kind.value])
     return out
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -313,7 +314,11 @@ class TestRunExperiment:
         assert all(t >= 0 for t in manifest.timings.values())
         for summary in manifest.skeletons.values():
             assert (summary["nx"], summary["ny"]) == (11, 11)
-            assert 1 <= summary["x_rank"] <= 11 and 1 <= summary["y_rank"] <= 11
+            # kinds = ss: the pass used the one band of the ss block
+            assert list(summary["bands"]) == ["ss"]
+            ranks = summary["bands"]["ss"]
+            assert ranks["band"] == 2.0 * cfg.medium().k_s
+            assert 1 <= ranks["x_rank"] <= 11 and 1 <= ranks["y_rank"] <= 11
             assert summary["tol"] > 0 and summary["oversample"] > 1
 
 
@@ -370,8 +375,6 @@ class TestCli:
 
     def _indicate_all_into_empty_dir(self, tmp_path, edit_pp):
         """Exit code and output files of 'indicate --kind all' on tiny data with an edited pp block."""
-        from dataclasses import replace
-
         from elastoscan.forward import load_msr, save_msr
 
         src = str(tmp_path / "src")
@@ -519,6 +522,14 @@ class TestCli:
                                      "retrieve = R=inf nB=64 alpha=auto\n", None, 2),
         "31-noise-seed-negative": (["noise", "--msr", "{msr}", "--delta", "0.1", "--seed", "-1"],
                                    None, None, 2),
+        # --config, --preset and --small belong to synth and experiment only
+        "32-noise-preset-flag": (["noise", "--msr", "{msr}", "--delta", "0.1", "--preset",
+                                  "dirichlet-kite"], None, None, 2),
+        "33-indicate-small-flag": (["indicate", "--msr", "{msr}", "--small"], None, None, 2),
+        "34-retrieve-config-flag": (["retrieve", "--msr", "{msr}", "--observed", "[0,1.57)",
+                                     "--config", "{cfg}"], None, None, 2),
+        "35-indicate-preset-flag": (["indicate", "--msr", "{msr}", "--preset",
+                                     "dirichlet-kite"], None, None, 2),
     }
 
     @pytest.mark.parametrize("row", sorted(BAD_INPUTS))
@@ -560,21 +571,55 @@ class TestCli:
 
         monkeypatch.setitem(hz.PRESET_BUILDERS, "limited-quarters",
                             lambda: parse_config(TINY_KITE.replace("delta = 0.1", "delta = 0")))
-        synthesize = hz.synthesize_msr
+        # the variants share one forward solve; each evaluates its own fields
+        fields_of = hz.fields_of
         calls = []
 
         def third_fails(*args):
             calls.append(args)
             if len(calls) == 3:
                 raise NumericError("forced failure in the third variant")
-            return synthesize(*args)
+            return fields_of(*args)
 
-        monkeypatch.setattr(hz, "synthesize_msr", third_fails)
+        monkeypatch.setattr(hz, "fields_of", third_fails)
         out = tmp_path / "out"
         assert cli_main(["experiment", "--preset", "limited-quarters", "--out", str(out),
                          "--quiet"]) == 3
         assert len(calls) == 3
         assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("preset,variants", [("limited-quarters", 4), ("few-incident", 5)])
+    def test_aperture_variants_share_one_forward_solve(self, tmp_path, monkeypatch, preset,
+                                                       variants):
+        import elastoscan.harness as hz
+
+        # the tiny kite with the preset's indicators and polarization
+        real = build_preset(preset)
+        tiny = replace(parse_config(TINY_KITE), kinds=real.kinds, q=real.q)
+        monkeypatch.setitem(hz.PRESET_BUILDERS, preset, lambda: tiny)
+        calls = {"synthesize_msr": 0, "add_noise": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(hz, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(hz, name, counted)
+        out = tmp_path / "out"
+        assert cli_main(["experiment", "--preset", preset, "--out", str(out), "--quiet"]) == 0
+        assert calls == {"synthesize_msr": 1, "add_noise": 1}
+        data = [p.read_bytes() for p in sorted(out.glob("*.msr"))]
+        assert len(data) == variants and all(d == data[0] for d in data)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert {f["path"] for f in manifest["files"]} == {p.name for p in out.iterdir()} - {
+            "manifest.json"}
+
+    @pytest.mark.parametrize("command,takes_source", [
+        ("synth", True), ("experiment", True),
+        ("noise", False), ("indicate", False), ("retrieve", False)])
+    def test_help_lists_the_flags_the_command_reads(self, capsys, command, takes_source):
+        assert cli_main([command, "--help"]) == 0
+        usage = capsys.readouterr().out
+        for flag in ("--config", "--preset", "--small"):
+            assert (flag in usage) == takes_source
 
     def test_config_run_manifest_echoes_env_out(self, tmp_path, tiny_kite, monkeypatch):
         target = tmp_path / "env_out"

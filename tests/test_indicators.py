@@ -243,39 +243,67 @@ def kite_4pi_fields(kite_scene):
     return medium, grid, [msr.assembled(), masked.assembled_known()]
 
 
+PP, SS = IndicatorKind.PP, IndicatorKind.SS
+
+
 class TestSkeletonGrid:
     def test_skeleton_fields_match_exact_rows(self, kite_4pi_fields):
+        # each kind alone, so that each block is checked on the skeleton of its own band
         medium, grid, fmats = kite_4pi_fields
         for fmat in fmats:
-            fields = indicator_fields(fmat, 64, medium, grid, IndicatorKind, Q_DEFAULT)
-            summary = skeleton_summary(grid, medium)
-            assert summary["x_rank"] < grid.nx and summary["y_rank"] < grid.ny
             exact = exact_rows(grid, fmat, 64, medium, Q_DEFAULT, IndicatorKind)
-            for kind in IndicatorKind:
-                delta = np.abs(fields[kind].values - exact[kind])
-                assert (delta / np.maximum(1.0, exact[kind])).max() <= 1e-13
-                assert delta.max() <= 1e-12 * exact[kind].max()
+            for kinds in ([PP], [SS], [FF]):
+                fields = indicator_fields(fmat, 64, medium, grid, kinds, Q_DEFAULT)
+                for ranks in skeleton_summary(grid, medium, kinds)["bands"].values():
+                    assert ranks["x_rank"] < grid.nx and ranks["y_rank"] < grid.ny
+                for kind in kinds:
+                    delta = np.abs(fields[kind].values - exact[kind])
+                    assert (delta / np.maximum(1.0, exact[kind])).max() <= 1e-13
+                    assert delta.max() <= 1e-12 * exact[kind].max()
+
+    def test_block_ranks_follow_their_bands(self, kite_4pi_fields):
+        medium, grid, fmats = kite_4pi_fields
+        indicator_fields(fmats[0], 64, medium, grid, [FF], Q_DEFAULT)
+        bands = skeleton_summary(grid, medium, [FF])["bands"]
+        assert list(bands) == ["pp", "ps", "ss"]
+        assert [b["band"] for b in bands.values()] == [
+            2 * medium.k_p, medium.k_p + medium.k_s, 2 * medium.k_s]
+        for axis in ("x_rank", "y_rank"):
+            assert bands["pp"][axis] <= bands["ps"][axis] <= bands["ss"][axis]
 
     def test_full_rank_skeleton_is_bit_identical(self, msr_kite_m64, medium):
-        # omega = 8 pi on the --small grid: every point of each axis is a skeleton point
+        # omega = 8 pi on the --small grid: the ss skeleton is the whole axis, so SS is
+        # the per-row evaluation bit for bit; the pp band is narrower and interpolated
         grid = SamplingGrid(-6.0, 6.0, -6.0, 6.0, 161, 161)
         fmat, m = msr_kite_m64.assembled(), msr_kite_m64.m
         fields = indicator_fields(fmat, m, medium, grid, IndicatorKind, Q_DEFAULT)
-        summary = skeleton_summary(grid, medium)
-        assert (summary["x_rank"], summary["y_rank"]) == (grid.nx, grid.ny)
+        bands = skeleton_summary(grid, medium, IndicatorKind)["bands"]
+        assert (bands["ss"]["x_rank"], bands["ss"]["y_rank"]) == (grid.nx, grid.ny)
+        assert bands["pp"]["x_rank"] < grid.nx and bands["pp"]["y_rank"] < grid.ny
         exact = exact_rows(grid, fmat, m, medium, Q_DEFAULT, IndicatorKind)
-        for kind in IndicatorKind:
-            assert np.array_equal(fields[kind].values, exact[kind])
+        assert np.array_equal(fields[SS].values, exact[SS])
+        for kind in (PP, FF):
+            delta = np.abs(fields[kind].values - exact[kind])
+            assert (delta / np.maximum(1.0, exact[kind])).max() <= 1e-13
+            assert delta.max() <= 1e-12 * exact[kind].max()
 
     def test_summary_reads_the_cached_skeleton(self, msr_kite_m64, medium):
+        # unequal axes and all four blocks: three bands on each of two axes, each
+        # factorized once by the pass and still cached for the summary
         grid = SamplingGrid(-5.0, 4.0, -3.0, 6.0, 47, 39)
+        indicators._skeleton_of.cache_clear()
         indicator_fields(msr_kite_m64.assembled(), msr_kite_m64.m, medium, grid, [FF])
-        misses = indicators._skeleton_of.cache_info().misses
-        summary = skeleton_summary(grid, medium)
-        assert indicators._skeleton_of.cache_info().misses == misses
-        assert summary == {"x_rank": 47, "nx": 47, "y_rank": 39, "ny": 39,
-                           "tol": indicators.SKELETON_TOL,
-                           "oversample": indicators.SKELETON_OVERSAMPLE}
+        assert indicators._skeleton_of.cache_info().misses == 6
+        summary = skeleton_summary(grid, medium, [FF])
+        assert indicators._skeleton_of.cache_info().misses == 6
+        kp, ks = medium.k_p, medium.k_s
+        assert summary == {
+            "bands": {name: {"band": band, "x_rank": 47, "y_rank": 39}
+                      for name, band in (("pp", 2 * kp), ("ps", kp + ks), ("ss", 2 * ks))},
+            "nx": 47, "ny": 39,
+            "tol": indicators.SKELETON_TOL, "oversample": indicators.SKELETON_OVERSAMPLE}
+        assert list(skeleton_summary(grid, medium, [PP])["bands"]) == ["pp"]
+        assert indicators._skeleton_of.cache_info().misses == 6
 
 
 class TestStabilityBound:
