@@ -7,7 +7,9 @@ emitter: every artifact lands atomically, and a failed command removes what
 it wrote.  Only experiment hashes its artifacts and writes manifest.json.
 synth and experiment take the experiment from --config or --preset (with
 --small); noise, indicate and retrieve take their data from --msr and
-everything else from their own flags.
+everything else from their own flags.  --seed belongs to synth, noise and
+experiment: noise and experiment draw noise with it, and synth accepts it so
+that one seed can be passed to every stage, although clean synthesis uses none.
 
 Exit codes, mapped from exceptions in main() alone:
 
@@ -52,8 +54,12 @@ def _add_source(p: argparse.ArgumentParser) -> None:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--quiet", action="store_true", help="suppress progress logging")
+
+
+def _add_seed(p: argparse.ArgumentParser, help_text: str) -> None:
+    """--seed, for the subcommands that read it: synth, noise, experiment."""
+    p.add_argument("--seed", type=int, default=None, help=help_text)
 
 
 def _resolve_out(args) -> str:
@@ -158,10 +164,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="synthesize a clean MSR matrix")
     _add_source(p)
     _add_common(p)
+    _add_seed(p, "override the config seed; accepted so that one seed can be passed to "
+                 "every stage, but clean synthesis uses no seed")
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("noise", help="perturb an MSR file")
     _add_common(p)
+    _add_seed(p, "noise seed (default 1)")
     p.add_argument("--msr", required=True)
     p.add_argument("--delta", type=float, required=True)
     p.set_defaults(fn=cmd_noise)
@@ -189,6 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run a preset or config end to end")
     _add_source(p)
     _add_common(p)
+    _add_seed(p, "override the config seed")
     p.set_defaults(fn=cmd_experiment)
 
     p = sub.add_parser("presets", help="list available presets")

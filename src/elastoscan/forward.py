@@ -37,7 +37,7 @@ place that slices it.
 
 MSR/1 files hold that operator as text.  save_msr writes each number as the
 bytes of "%.17g" % x, computed for a chunk of rows at a time with exact array
-arithmetic (_format_rows); load_msr reads them back to the same binary64
+arithmetic (_numtext.format_rows); load_msr reads them back to the same binary64
 values, the sign of zero included, so a load and a save reproduce a file.
 """
 
@@ -53,6 +53,7 @@ import scipy.linalg as sla
 from scipy.linalg import lapack as _lapack
 from scipy.special import ndtri
 
+from ._numtext import CHUNK_VALUES, format_rows
 from .elastic import (
     EULER_GAMMA,
     Medium,
@@ -483,128 +484,6 @@ def add_noise(msr: MSRMatrix, delta: float, seed: int) -> MSRMatrix:
 
 
 # ---------------------------------------------------------------------------
-# MSR/1 number formatting
-# ---------------------------------------------------------------------------
-# The bytes of "%.17g" % x depend only on the binary value of x, so a block of
-# values is formatted with exact array arithmetic.  For 1e-6 < |x| < 1e17 the
-# decimal exponent X lies in -6..16, so 10**(16 - X) is exact in binary64 and
-# Dekker's two-product gives |x| * 10**(16 - X) = p + e exactly; p >= 2**53 is
-# an integer, and the 17 significant digits are D = p + floor(e) plus a
-# round-half-even carry from e - floor(e).  Every other value (0, -0,
-# subnormals, the far ends of the range, non-finite) is formatted one at a time.
-_FORMAT_VALUES = 8192               # numbers per chunk: the temporaries stay in cache
-_CELL = 25                          # longest "%.17g" text (24 bytes) plus its separator
-_POW10 = 10.0 ** np.arange(23)      # 10**k is exact in binary64 for k <= 22
-_QUADS = (48 + np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
-          ).astype(np.uint8).view(np.uint32).ravel()      # "0000" .. "9999"
-
-
-def _veltkamp(a):
-    """a = hi + lo exactly, each half with at most 26 significant bits."""
-    c = 134217729.0 * a             # 2**27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-_POW10_HI, _POW10_LO = _veltkamp(_POW10)
-
-
-def _scaled_floor(a, X):
-    """(e, floor(e), floor(a * 10**(16 - X))) where a * 10**(16 - X) = p + e exactly.
-
-    The floor (int64) is exact when it lies in [10**16, 10**17), where p is an
-    integer; outside that range it still lies outside, so it detects a wrong X.
-    """
-    k = 16 - X
-    p = a * _POW10[k]
-    a_hi, a_lo = _veltkamp(a)
-    b_hi, b_lo = _POW10_HI[k], _POW10_LO[k]
-    e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-    f = np.floor(e)
-    return e, f, p.astype(np.int64) + f.astype(np.int64)
-
-
-def _digits17(a):
-    """17 significant digits of each a in (1e-6, 1e17), rounded half-even.
-
-    Returns the digit characters (n x 17 uint8, a writable view) and the
-    decimal exponent X: a rounds to d.dddd * 10**X.
-    """
-    X = np.clip(np.floor(np.log10(a)), -6, 16).astype(np.int64)
-    e, f, D = _scaled_floor(a, X)
-    off = np.flatnonzero((D < 10**16) | (D >= 10**17))     # log10 rounded across 10**X
-    while off.size:
-        X[off] += np.where(D[off] < 10**16, -1, 1)
-        e[off], f[off], D[off] = _scaled_floor(a[off], X[off])
-        off = off[(D[off] < 10**16) | (D[off] >= 10**17)]
-    half = f + 0.5
-    D += (e > half) | ((e == half) & (D & 1).astype(bool))
-    # No carry reaches 10**17: that would need a double within 5e-18 (relative)
-    # below a power of ten, and in (1e-6, 1e17) the nearest lies 4.5e-17 away.
-    hi, lo = np.divmod(D, 10**8)
-    hi, lo = hi.astype(np.uint32), lo.astype(np.uint32)
-    quads = np.empty((a.size, 5), np.uint32)
-    q, r = np.divmod(hi, 10000)
-    quads[:, 2] = _QUADS[r]
-    quads[:, 0], quads[:, 1] = _QUADS[q // 10000], _QUADS[q % 10000]
-    quads[:, 3], quads[:, 4] = _QUADS[lo // 10000], _QUADS[lo % 10000]
-    return quads.view(np.uint8)[:, 3:], X
-
-
-def _format_rows(values: np.ndarray) -> bytes:
-    """The bytes of "%.17g" % v for every value: ' ' between values, a newline after each row.
-
-    Each value gets a fixed-width cell of characters padded with void (zero)
-    bytes; the voids are dropped once for the whole block.
-    """
-    vals = values.ravel()
-    mag = np.abs(vals)
-    fast = (mag > 1e-6) & (mag < 1e17)          # 1e-6 rounds below 10**-6, so X >= -6
-    cells = np.zeros((vals.size, _CELL), np.uint8)
-    idx = np.flatnonzero(fast)
-    digits, X = _digits17(mag[idx])
-    lead = np.where(X < -4, 0, X)               # digits before the point are kept (0..lead)
-    dot = np.where(lead < 16, 46, 0).astype(np.uint8)
-    ends0 = np.flatnonzero(digits[:, 16] == 48)  # strip trailing zeros after the point
-    if ends0.size:
-        sub = digits[ends0]
-        last = 16 - np.argmax(sub[:, ::-1] != 48, axis=1)
-        sub[np.arange(17) > np.maximum(last, lead[ends0])[:, None]] = 0
-        digits[ends0] = sub
-        dot[ends0[last <= lead[ends0]]] = 0
-    # one block per exponent: sort by X, lay out each run with fixed columns
-    order = np.argsort(X.astype(np.int8), kind="stable")   # int8: a radix sort
-    counts = np.bincount(X + 6, minlength=23)
-    digits, dot = digits[order], dot[order]
-    block = np.zeros((idx.size, _CELL), np.uint8)
-    block[:, 0] = np.where(vals[idx[order]] < 0, 45, 0)
-    end = 0
-    for c in np.flatnonzero(counts) - 6:
-        start, end = end, end + counts[c + 6]
-        dig, cell = digits[start:end], block[start:end]
-        if c >= 0:                              # ddd.ddd
-            cell[:, 1:c + 2] = dig[:, :c + 1]
-            cell[:, c + 2] = dot[start:end]
-            cell[:, c + 3:19] = dig[:, c + 1:]
-        elif c >= -4:                           # 0.000ddd
-            cell[:, 1:2 - c] = np.frombuffer(b"0.000"[:1 - c], np.uint8)
-            cell[:, 2 - c:19 - c] = dig
-        else:                                   # d.ddde-0X
-            cell[:, 1] = dig[:, 0]
-            cell[:, 2] = dot[start:end]
-            cell[:, 3:19] = dig[:, 1:]
-            cell[:, 19:23] = np.frombuffer(b"e-0%d" % -c, np.uint8)
-    cells[idx[order]] = block
-    slow = np.flatnonzero(~fast)
-    if slow.size:
-        text = "".join(("%.17g" % v).ljust(_CELL - 1, "\0") for v in vals[slow].tolist())
-        cells[slow, :-1] = np.frombuffer(text.encode(), np.uint8).reshape(-1, _CELL - 1)
-    cells[:, -1] = 32
-    cells.reshape(values.shape[0], -1)[:, -1] = 10
-    return cells.tobytes().translate(None, b"\0")
-
-
-# ---------------------------------------------------------------------------
 # MSR/1 persistence
 # ---------------------------------------------------------------------------
 class MsrFormatError(ValueError):
@@ -634,11 +513,11 @@ def save_msr(msr: MSRMatrix, path) -> None:
 
     Each number is written as the bytes of ``"%.17g" % x``, which load_msr
     reads back to the same binary64 value, the sign of zero included.  Rows
-    are formatted a chunk at a time by _format_rows; any memory layout of
+    are formatted a chunk at a time by _numtext.format_rows; any memory layout of
     ``msr.full`` is accepted.
     """
     n = 4 * msr.m
-    chunk = max(1, _FORMAT_VALUES // (2 * n))
+    chunk = max(1, CHUNK_VALUES // (2 * n))
     header = [f"#version={MSR_FORMAT_VERSION}", f"#m={msr.m}", f"#lambda={msr.lam!r}",
               f"#mu={msr.mu!r}", f"#omega={msr.omega!r}", f"#scene={msr.scene}",
               f"#bc={msr.bc}", f"#delta={msr.delta!r}",
@@ -649,7 +528,7 @@ def save_msr(msr: MSRMatrix, path) -> None:
         fh.write("".join(line + "\n" for line in header).encode())
         for r0 in range(0, n, chunk):
             rows = np.ascontiguousarray(msr.full[r0:r0 + chunk], dtype=np.complex128)
-            fh.write(_format_rows(rows.view(np.float64)))
+            fh.write(format_rows(rows.view(np.float64)))
 
 
 def load_msr(path) -> MSRMatrix:

@@ -22,6 +22,16 @@ the (m+1) distinct x phases: per run of points with equal y, one kernel per
 block and one product with the x-phase table of the run.  This is exact up to
 rounding, and a quarter of the flops of the unfolded product.
 
+Limited data, zero-filled outside the aperture, leave whole direction classes
+without data: an observed arc voids row classes, an incident arc or a few
+incident directions void column classes.  Once per pass each block's four
+member parts are checked for exact zeros; the fold keeps only the row and
+column classes that hold a nonzero entry, restricts the x tables to them once
+per block and skips every member part that is entirely zero.  The skipped
+terms are exact zeros, so only the summation order can change; a block with
+no void class (full or retrieved data) runs the same sequence of operations
+as without the check.
+
 Along a grid axis each complex block form phi_a^H F_ab phi_b is a band-limited
 function: its frequencies k_a cos t_j - k_b cos t_i lie within the band k_a + k_b
 (2 k_p for pp, k_p + k_s for ps and sp, 2 k_s for ss), so an axis of length L
@@ -49,6 +59,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import qr, solve_triangular
 
+from ._numtext import CHUNK_VALUES, repr_cells
 from .elastic import Medium
 from .forward import direction_grid
 
@@ -112,13 +123,31 @@ class IndicatorField:
         return np.array([self.grid.xs[ix], self.grid.ys[iy]])
 
     def to_csv(self, path) -> None:
-        """nx*ny rows of 'x,y,value' (x fastest), each number the repr of a Python float."""
-        xs = [f"{x!r}," for x in self.grid.xs.tolist()]
-        with open(path, "w") as fh:
-            fh.write("x,y,value\n")
-            for y, row in zip(self.grid.ys.tolist(), self.values):
-                ypart = f"{y!r},"
-                fh.writelines([x + ypart + repr(v) + "\n" for x, v in zip(xs, row.tolist())])
+        """Header 'x,y,value', then nx*ny rows 'x,y,value' (x fastest), each number the
+        bytes of repr(float).
+
+        Whole lines are laid out a chunk of grid rows at a time in one buffer of
+        fixed-width cells padded with void (zero) bytes, which are dropped once per
+        chunk; the x and y strings of the grid are formatted once.
+        """
+        nx = self.grid.nx
+        axes = repr_cells(np.concatenate([self.grid.xs, self.grid.ys]))
+        xs, ys = (cells[:, :np.flatnonzero(cells.any(axis=0))[-1] + 1]
+                  for cells in (axes[:nx], axes[nx:]))
+        wx, wy = xs.shape[1], ys.shape[1]
+        rows = max(1, CHUNK_VALUES // nx)
+        with open(path, "wb") as fh:
+            fh.write(b"x,y,value\n")
+            for r0 in range(0, self.grid.ny, rows):
+                vals = self.values[r0:r0 + rows]
+                cells = repr_cells(vals)
+                lines = np.empty(vals.shape + (wx + wy + cells.shape[1] + 3,), np.uint8)
+                lines[..., :wx] = xs
+                lines[..., wx + 1:wx + wy + 1] = ys[r0:r0 + rows, None]
+                lines[..., wx + wy + 2:-1] = cells.reshape(vals.shape + (-1,))
+                lines[..., [wx, wx + wy + 1]] = 44           # ','
+                lines[..., -1] = 10
+                fh.write(lines.tobytes().translate(None, b"\0"))
 
 
 def test_vectors(z, q, directions: np.ndarray, medium: Medium
@@ -201,9 +230,13 @@ class _Fold:
     """The direction fold of one pass: its tables, and the one row routine.
 
     Class r = 0..m has the members r and 2m - r (the second member of 0 and m is
-    void).  parts[a, b] holds the four (m+1) x (m+1) member parts of block ab,
-    xphase[c] the x phases of the classes (m+1, nx) and yphase[c][iy] the weighted
-    y phases of row iy by member (2, m+1).
+    void).  xphase[c] holds the x phases of the classes (m+1, nx) and yphase[c][iy]
+    the weighted y phases of row iy by member (2, m+1).  Each block keeps only its
+    live classes, the a-side (row) and b-side (column) classes that hold a nonzero
+    entry: classes[a, b] gives them (a full slice where every class is live),
+    parts[a, b] the four member parts on them (2, 2, rows, columns), and
+    members[a, b] the parts that are not entirely zero, as (i, (j, ...)) for each
+    a-side member i.
     """
 
     def __init__(self, blocks, m, k, weight, xs, ys):
@@ -212,36 +245,57 @@ class _Fold:
         r = np.arange(m + 1)
         member = np.stack([r, (n - r) % n])
         single = (r == 0) | (r == m)
-        self.parts = {}
+        self.parts, self.classes, self.members = {}, {}, {}
         for ab, blk in blocks.items():
             part = blk[member[:, None, :, None], member[None, :, None, :]]
             part[1][:, single] = 0.0
             part[:, 1][..., single] = 0.0
-            self.parts[ab] = part                         # (2, 2, m+1, m+1)
+            nonzero = part != 0
+            rows = np.flatnonzero(nonzero.any(axis=(0, 1, 3)))     # a-side classes with data
+            cols = np.flatnonzero(nonzero.any(axis=(0, 1, 2)))     # b-side classes with data
+            rows, cols = (slice(None) if live.size == m + 1 else live for live in (rows, cols))
+            self.parts[ab] = part[:, :, rows][..., cols]
+            self.classes[ab] = rows, cols
+            used = nonzero.any(axis=(2, 3))
+            self.members[ab] = [(i, tuple(np.flatnonzero(used[i]).tolist())) for i in (0, 1)
+                                if used[i].any()]
         self.xphase = {c: np.exp(-1j * k[c] * np.outer(dirs[: m + 1, 0], xs)) for c in k}
         self.yphase = {}
         for c in k:
             yph = np.exp(-1j * k[c] * np.outer(dirs[:, 1], ys)) * weight[c][:, None]
             self.yphase[c] = np.moveaxis(yph[member], -1, 0).copy()
-        self._buffers = np.empty((3, m + 1, m + 1), complex)
+        self._buffer = np.empty(3 * (m + 1) ** 2, complex)
+
+    def tables(self, a, b, ix) -> tuple[np.ndarray, np.ndarray]:
+        """The x tables conj(X_a), X_b of block ab at the x columns ix, on its live classes."""
+        rows, cols = self.classes[a, b]
+        return np.conj(self.xphase[a][rows][:, ix]), self.xphase[b][cols][:, ix]
 
     def row(self, a, b, iy, xa_conj, xb) -> np.ndarray:
-        """Forms of block ab on row iy at the columns of the x tables conj(X_a), X_b.
+        """Forms of block ab on row iy at the columns of its x tables conj(X_a), X_b.
 
-        The y phases of the row are folded into the member parts, in reused buffers,
-        giving the kernel K; the forms are conj(X_a)^T (K X_b) column by column.
+        The y phases of the row are folded into the member parts that are not all
+        zero, in reused buffers, giving the kernel K on the live classes; the forms
+        are conj(X_a)^T (K X_b) column by column.  With every class live and every
+        part nonzero this is one fixed sequence of operations.
         """
-        part, (kern, tmp, tmp2) = self.parts[a, b], self._buffers
-        ya, yb = np.conj(self.yphase[a][iy]), self.yphase[b][iy]
-        np.multiply(part[0, 0], yb[0], out=kern)
-        np.multiply(part[0, 1], yb[1], out=tmp)
-        kern += tmp
-        np.multiply(ya[0][:, None], kern, out=kern)
-        np.multiply(part[1, 0], yb[0], out=tmp)
-        np.multiply(part[1, 1], yb[1], out=tmp2)
-        tmp += tmp2
-        np.multiply(ya[1][:, None], tmp, out=tmp)
-        kern += tmp
+        members = self.members[a, b]
+        if not members:
+            return np.zeros(xb.shape[1], complex)
+        part, (rows, cols) = self.parts[a, b], self.classes[a, b]
+        kern, tmp, tmp2 = self._buffer[: 3 * part[0, 0].size].reshape((3,) + part.shape[2:])
+        ya, yb = np.conj(self.yphase[a][iy][:, rows]), self.yphase[b][iy][:, cols]
+        first = True
+        for i, (j0, *rest) in members:
+            acc, spare = (kern, tmp) if first else (tmp, tmp2)
+            np.multiply(part[i, j0], yb[j0], out=acc)
+            for j in rest:
+                np.multiply(part[i, j], yb[j], out=spare)
+                acc += spare
+            np.multiply(ya[i][:, None], acc, out=acc)
+            if not first:
+                kern += acc
+            first = False
         # column-major, so that each column is summed pairwise
         return np.multiply(xa_conj, kern @ xb, order="F").sum(axis=0)
 
@@ -312,7 +366,7 @@ def indicator_values_at(points: np.ndarray, fmat: np.ndarray, m: int, medium: Me
         for a, b in blocks:
             sx, bx = _axis_skeleton(xs, k[a] + k[b])
             sy, by = _axis_skeleton(ys, k[a] + k[b])
-            xa_conj, xb = np.conj(fold.xphase[a][:, sx]), fold.xphase[b][:, sx]
+            xa_conj, xb = fold.tables(a, b, sx)
             g = np.array([fold.row(a, b, iy, xa_conj, xb) for iy in sy])
             if by is not None:
                 g = by.T @ g
@@ -329,9 +383,7 @@ def indicator_values_at(points: np.ndarray, fmat: np.ndarray, m: int, medium: Me
             direct, forms[a + b] = forms[a + b], np.empty(len(points), complex)
             forms[a + b][lone] = direct
             for lo, hi in zip(starts[folded], ends[folded]):
-                ix = xi[lo:hi]
-                forms[a + b][lo:hi] = fold.row(a, b, yi[lo], np.conj(fold.xphase[a][:, ix]),
-                                               fold.xphase[b][:, ix])
+                forms[a + b][lo:hi] = fold.row(a, b, yi[lo], *fold.tables(a, b, xi[lo:hi]))
     if IndicatorKind.FF in out:
         forms["ff"] = sum(forms.values())
     for kind, vals in out.items():

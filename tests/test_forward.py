@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elastoscan._numtext import format_rows
 from elastoscan.elastic import Medium, PlaneWave, PointSource, WaveMode
 from elastoscan.forward import (
     MSRMatrix,
@@ -12,7 +13,6 @@ from elastoscan.forward import (
     MsrFormatError,
     MsrVersionError,
     NumericError,
-    _format_rows,
     add_noise,
     assemble_system,
     cot_quadrature_weights,
@@ -341,12 +341,12 @@ def edge_values() -> list[float]:
 
 
 class TestMsrNumberFormat:
-    """_format_rows writes exactly the bytes of "%.17g" % x."""
+    """format_rows writes exactly the bytes of "%.17g" % x."""
 
     def test_edge_table(self):
         vals = np.array(edge_values())
-        assert _format_rows(vals[None, :]) == percent_rows(vals[None, :])
-        assert _format_rows(vals[:, None]) == percent_rows(vals[:, None])
+        assert format_rows(vals[None, :]) == percent_rows(vals[None, :])
+        assert format_rows(vals[:, None]) == percent_rows(vals[:, None])
 
     def test_every_binade_and_the_fast_range(self):
         rng = np.random.default_rng(20261018)
@@ -356,7 +356,7 @@ class TestMsrNumberFormat:
             | (exponent << np.uint64(52)) | rng.integers(0, 2**52, n, dtype=np.uint64)
         spread = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-6, 17, n)
         rows = np.concatenate([bits.view(np.float64), spread]).reshape(-1, 1024)
-        assert _format_rows(rows) == percent_rows(rows)
+        assert format_rows(rows) == percent_rows(rows)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
@@ -365,7 +365,7 @@ class TestMsrNumberFormat:
     def test_matches_percent_format(self, values):
         vals = np.array(values)
         for rows in (vals[None, :], vals[:, None]):
-            assert _format_rows(rows) == percent_rows(rows)
+            assert format_rows(rows) == percent_rows(rows)
 
 
 class TestMsrPersistence:

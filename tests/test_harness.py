@@ -530,6 +530,10 @@ class TestCli:
                                      "--config", "{cfg}"], None, None, 2),
         "35-indicate-preset-flag": (["indicate", "--msr", "{msr}", "--preset",
                                      "dirichlet-kite"], None, None, 2),
+        # --seed belongs to synth, noise and experiment only
+        "36-indicate-seed-flag": (["indicate", "--msr", "{msr}", "--seed", "3"], None, None, 2),
+        "37-retrieve-seed-flag": (["retrieve", "--msr", "{msr}", "--observed", "[0,1.57)",
+                                   "--seed", "3"], None, None, 2),
     }
 
     @pytest.mark.parametrize("row", sorted(BAD_INPUTS))

@@ -1,9 +1,12 @@
+import os
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from elastoscan import indicators
 from elastoscan.aperture import ApertureMask, apply_mask
@@ -306,6 +309,73 @@ class TestSkeletonGrid:
         assert indicators._skeleton_of.cache_info().misses == 6
 
 
+def void_masks(m):
+    """Apertures that leave whole direction classes (r and 2m - r) without data."""
+    arcs = ApertureMask.from_arcs
+    every = frozenset(range(2 * m))
+    return {"observed-arc": arcs(m, [(0.0, np.pi / 2)], None),
+            "incident-arc": arcs(m, None, [(np.pi / 4, np.pi)]),
+            "few-incident": ApertureMask(every, frozenset({0, 5, 10})),
+            "both-arcs": arcs(m, [(np.pi / 2, 3 * np.pi / 2)], [(3 * np.pi / 2, 2 * np.pi)])}
+
+
+class TestVoidClasses:
+    M = 8
+
+    @pytest.fixture(scope="class")
+    def limited(self):
+        """Random data at m = 8 under each mask (a MaskedMSR per mask)."""
+        m, rng = self.M, np.random.default_rng(31)
+        full = rng.normal(size=(4 * m, 4 * m)) + 1j * rng.normal(size=(4 * m, 4 * m))
+        msr = MSRMatrix(m, full, 1.0, 1.0, 3 * np.pi, scene="circle@(0.0,0.0)*1.0",
+                        bc="dirichlet")
+        return {name: apply_mask(msr, mask) for name, mask in void_masks(m).items()}
+
+    @pytest.mark.parametrize("name", ["observed-arc", "incident-arc", "few-incident",
+                                      "both-arcs"])
+    @pytest.mark.parametrize("layout", ["grid", "runs"])
+    def test_limited_fields_equal_known_sum_and_dense_pass(self, limited, name, layout):
+        masked, m = limited[name], self.M
+        medium = Medium(1.0, 1.0, 3 * np.pi)
+        points = SamplingGrid(-2.0, 2.5, -1.5, 2.0, 9, 7).points()
+        if layout == "runs":          # two lone points: the rows run through the fold
+            points = np.vstack([points, [[0.3, 10.0], [-4.0, 11.0]]])
+        fmat = masked.assembled_known()
+        got = indicator_values_at(points, fmat, m, medium, Q_DEFAULT, IndicatorKind)
+        # the double sum over every entry: the unknown ones are exact zeros
+        known = MSRMatrix(m, fmat, medium.lam, medium.mu, medium.omega,
+                          scene="circle@(0.0,0.0)*1.0", bc="dirichlet")
+        dense = direct_values(points, fmat, m, medium, Q_DEFAULT)
+        for kind in IndicatorKind:
+            naive = np.array([naive_indicator(known, z, Q_DEFAULT, kind, medium)
+                              for z in points])
+            assert (np.abs(got[kind] - naive) / np.maximum(1.0, naive)).max() <= 1e-13
+            assert np.abs(got[kind] - dense[kind]).max() <= 1e-12 * dense[kind].max()
+
+    def test_fold_keeps_live_classes_only(self, limited, msr_kite_m64, medium):
+        def fold_of(fmat, m):
+            return indicators._Fold(indicators._needed_blocks(fmat, m, [FF]), m,
+                                    {"p": 1.0, "s": 2.0}, {c: np.ones(2 * m) for c in "ps"},
+                                    np.zeros(1), np.zeros(1))
+
+        m = self.M
+        # observed [0, pi/2): directions 0..3, the first members of classes 0..3
+        fold = fold_of(limited["observed-arc"].assembled_known(), m)
+        rows, cols = fold.classes["p", "s"]
+        assert rows.tolist() == [0, 1, 2, 3] and cols == slice(None)
+        assert fold.members["p", "s"] == [(0, (0, 1))]
+        # incident indices 0, 5, 10: classes 0, 5 (first members) and 6 (second member)
+        fold = fold_of(limited["few-incident"].assembled_known(), m)
+        rows, cols = fold.classes["s", "p"]
+        assert rows == slice(None) and cols.tolist() == [0, 5, 6]
+        assert fold.members["s", "p"] == [(0, (0, 1)), (1, (0, 1))]
+        # full data: every class and part, the fixed sequence of operations
+        fold = fold_of(msr_kite_m64.assembled(), msr_kite_m64.m)
+        for ab in fold.parts:
+            assert fold.classes[ab] == (slice(None), slice(None))
+            assert fold.members[ab] == [(0, (0, 1)), (1, (0, 1))]
+
+
 class TestStabilityBound:
     def test_quadratic_form_perturbation_bound(self, msr_kite_m64, msr_kite_m64_noisy):
         m = msr_kite_m64.m
@@ -360,6 +430,28 @@ class TestCsv:
             f"{x!r},{y!r},{v!r}\n"
             for (x, y), v in zip(grid.points().tolist(), vals.ravel().tolist()))
         assert path.read_bytes() == expected.encode()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_bytes_equal_repr_writer_on_any_finite_grid(self, data):
+        from elastoscan.indicators import IndicatorField
+
+        bounds = st.lists(st.floats(-1e12, 1e12), min_size=2, max_size=2,
+                          unique=True).map(sorted)
+        (x0, x1), (y0, y1) = data.draw(bounds), data.draw(bounds)
+        grid = SamplingGrid(x0, x1, y0, y1, data.draw(st.integers(2, 9)),
+                            data.draw(st.integers(2, 9)))
+        vals = data.draw(arrays(np.float64, (grid.ny, grid.nx),
+                                elements=st.floats(allow_nan=False, allow_infinity=False)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "f.csv")
+            IndicatorField(grid, vals, FF, Q_DEFAULT).to_csv(path)
+            with open(path, "rb") as fh:
+                written = fh.read()
+        expected = "x,y,value\n" + "".join(
+            f"{x!r},{y!r},{v!r}\n"
+            for (x, y), v in zip(grid.points().tolist(), vals.ravel().tolist()))
+        assert written == expected.encode()
 
 
 class TestNormalizeField:
