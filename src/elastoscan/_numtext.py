@@ -148,6 +148,16 @@ def format_rows(values: np.ndarray) -> bytes:
     return cells.tobytes().translate(None, b"\0")
 
 
+def _trailing_zeros(D):
+    """The number of trailing decimal zeros of each D in [10**16, 10**17)."""
+    t = np.zeros(D.shape, np.int64)
+    for k in (16, 8, 4, 2, 1):
+        whole = D % _POW10_INT[k] == 0
+        D = np.where(whole, D // _POW10_INT[k], D)
+        t += k * whole
+    return t
+
+
 def _shortest(a):
     """Shortest round-trip digits of each a in (1e-6, 1e17).
 
@@ -157,7 +167,8 @@ def _shortest(a):
     the exact scaled value D + frac, the n-digit values next to a are q M and
     (q + 1) M, M = 10**(17 - n), q = D // M.  If an n-digit value lies in the
     interval, so does an (n+1)-digit one, so the lengths are scanned downwards
-    from 16 while a candidate stays inside (17 digits always do).  Of two
+    from 16 while a candidate stays inside (17 digits always do); a value that
+    is itself a short decimal starts lower (see below).  Of two
     candidates inside, the nearer is kept, and of two as near, the one with an
     even last digit, as repr does.
 
@@ -192,16 +203,29 @@ def _shortest(a):
         lean[tie] = q[tie] % 2 - 0.5                            # to the even digit
         return down_in | up_in, (q + (up_in & (~down_in | (lean > 0)))) * M
 
+    # Where frac = 0, a is the decimal D * 10**(X - 16) itself: with t trailing zeros
+    # in D, every length from 17 - t up has D as its candidate, so the scan of such
+    # a value starts at 16 - t with R = D, n = 17 - t.
     R, n = np.empty_like(D), np.empty_like(D)
-    live = np.arange(a.size)
+    exact = np.flatnonzero(frac == 0)
+    zeros = _trailing_zeros(D[exact])
+    R[exact], n[exact] = D[exact], 17 - zeros
+    starts_late = np.zeros(a.size, bool)
+    starts_late[exact[zeros > 0]] = True
+    live = np.flatnonzero(~starts_late)
+    most_zeros = zeros.max(initial=0)
     for digits in range(16, 0, -1):
+        if digits < 16:
+            live = np.concatenate([live, exact[zeros == 16 - digits]])
+        if not live.size:
+            if 16 - digits >= most_zeros:           # no scan starts below
+                break
+            continue
         inside, cand = nearest(live, _POW10_INT[17 - digits])
         if digits == 16:
             rest = live[~inside]
             R[rest], n[rest] = nearest(rest, 1)[1], 17
         kept = np.flatnonzero(inside)
-        if not kept.size:
-            break
         live = live[kept]
         R[live], n[live] = cand[kept], digits
     carry = R == 10**17

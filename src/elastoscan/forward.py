@@ -25,6 +25,14 @@ diagonal both schemes reduce to kernel-times-weight, so assembly is fully
 vectorized; one LU factorization per (scene, medium, bc) is reused for all
 right-hand sides.
 
+The kernel at (x_i, x_j) and at (x_j, x_i) has the same radial functions, so
+each unordered node pair's Bessel values and radial functions are evaluated
+once, and only those the block's kernel reads (green_radial's for a Dirichlet
+row block, traction_radial's for a Neumann one): a self block on its upper
+triangle, mirrored, and block (j, i) from the transposes of block (i, j)'s.
+The tensors are still built per block.  The right-hand sides of all 4m plane
+waves are built in one pass over the direction array.
+
 Far fields of a density follow the trapezoid rule
 
     u_p(xhat) = sum_k w_k e^{-i kp xhat.y_k} (psi_k . xhat),
@@ -43,6 +51,7 @@ values, the sign of zero included, so a load and a save reproduce a file.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -59,12 +68,15 @@ from .elastic import (
     Medium,
     PlaneWave,
     PointSource,
-    WaveMode,
     green_of_w,
+    green_radial,
     hankel_pack,
     logcoef_pack,
     perp,
+    plane_wave_fields,
+    plane_wave_tractions,
     traction_of_green,
+    traction_radial,
 )
 from .geometry import (
     BoundaryCondition,
@@ -146,6 +158,24 @@ def cauchy_strength(medium: Medium) -> np.ndarray:
     return c * np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
+def _mirrored(r: np.ndarray, upper, radial_fn, pack_fn, medium: Medium) -> list[np.ndarray]:
+    """radial_fn's functions on a symmetric n x n distance array, each unordered pair once.
+
+    They are evaluated on the upper triangle (indices upper, diagonal included)
+    and mirrored: r[i, j] = r[j, i] holds exactly, since x_i - x_j = -(x_j - x_i)
+    in floating point.
+    """
+    n = r.shape[0]
+    rv = r[upper]
+    out = []
+    for v in radial_fn(rv, pack_fn(rv, medium), medium):
+        full = np.empty((n, n), dtype=v.dtype)
+        full[upper] = v
+        full[upper[1], upper[0]] = v
+        out.append(full)
+    return out
+
+
 def _dirichlet_self_block(quad: Quadrature, medium: Medium) -> np.ndarray:
     """Singular Nystrom block of the single-layer operator on one component."""
     n = quad.n_nodes
@@ -156,8 +186,12 @@ def _dirichlet_self_block(quad: Quadrature, medium: Medium) -> np.ndarray:
     # keep the diagonal finite during vectorized evaluation; overwritten below
     w = x[:, None, :] - x[None, :, :]
     w[diag] = (1.0, 0.0)
-    kern = green_of_w(w, medium, hankel_pack) * s[None, :, None, None]
-    kern_log = green_of_w(w, medium, logcoef_pack) * s[None, :, None, None]
+    r = np.linalg.norm(w, axis=-1)
+    upper = np.triu_indices(n)
+    kern = green_of_w(w, r, _mirrored(r, upper, green_radial, hankel_pack, medium))
+    kern *= s[None, :, None, None]
+    kern_log = green_of_w(w, r, _mirrored(r, upper, green_radial, logcoef_pack, medium))
+    kern_log *= s[None, :, None, None]
 
     dt = t[:, None] - t[None, :]
     logterm = np.log(np.where(diag, 1.0, 4.0 * np.sin(dt / 2.0) ** 2))
@@ -182,9 +216,15 @@ def _neumann_self_block(curve: BoundaryCurve, quad: Quadrature, medium: Medium) 
 
     w = x[:, None, :] - x[None, :, :]
     w[diag] = (1.0, 0.0)
+    r = np.linalg.norm(w, axis=-1)
+    upper = np.triu_indices(n)
     nui = np.broadcast_to(nu[:, None, :], w.shape)
-    full = traction_of_green(w, nui, medium, pack_fn=hankel_pack) * s[None, :, None, None]
-    blog = traction_of_green(w, nui, medium, pack_fn=logcoef_pack) * s[None, :, None, None]
+    full = traction_of_green(w, r, nui, _mirrored(r, upper, traction_radial, hankel_pack,
+                                                  medium), medium)
+    full *= s[None, :, None, None]
+    blog = traction_of_green(w, r, nui, _mirrored(r, upper, traction_radial, logcoef_pack,
+                                                  medium), medium)
+    blog *= s[None, :, None, None]
 
     lam_mat = cauchy_strength(medium)
     dt = t[:, None] - t[None, :]
@@ -220,12 +260,41 @@ def _neumann_smooth_diag(curve: BoundaryCurve, quad: Quadrature, medium: Medium)
             xt = curve_point(curve, t + sgn * eps)
             st = np.linalg.norm(curve_tangent(curve, t + sgn * eps), axis=-1)
             w = x - xt
-            fv = traction_of_green(w, nu, medium, pack_fn=hankel_pack) * st[:, None, None]
-            bv = traction_of_green(w, nu, medium, pack_fn=logcoef_pack) * st[:, None, None]
+            r = np.linalg.norm(w, axis=-1)
+            fv, bv = (traction_of_green(w, r, nu, traction_radial(r, pack_fn(r, medium), medium),
+                                        medium) * st[:, None, None]
+                      for pack_fn in (hankel_pack, logcoef_pack))
             acc = acc + fv - logterm * bv
         vals.append(acc / 2.0)
     v1, v2, v3 = vals
     return (64.0 * v3 - 20.0 * v2 + v1) / 45.0
+
+
+def _cross_blocks(qi: Quadrature, qj: Quadrature, bci: BoundaryCondition,
+                  bcj: BoundaryCondition, medium: Medium) -> tuple[np.ndarray, np.ndarray]:
+    """Blocks (i, j) and (j, i) between two components (trapezoid weights, smooth kernels).
+
+    The Hankel values and radial functions of each node pair are evaluated once,
+    on block (i, j)'s distances; block (j, i) takes their transposes.
+    """
+    w = qi.points[:, None, :] - qj.points[None, :, :]
+    r = np.linalg.norm(w, axis=-1)
+    pack = hankel_pack(r, medium)
+    radial = {bc: (green_radial if bc is BoundaryCondition.DIRICHLET else traction_radial)(
+        r, pack, medium) for bc in (bci, bcj)}
+
+    def smooth(w, r, bc, radial, normals, weights):
+        if bc is BoundaryCondition.DIRICHLET:
+            kern = green_of_w(w, r, radial)
+        else:
+            kern = traction_of_green(w, r, normals[:, None, :], radial, medium)
+        return kern * weights[None, :, None, None]
+
+    # contiguous, so every elementwise step runs on the layout block (j, i) would have
+    wt = qj.points[:, None, :] - qi.points[None, :, :]
+    transposed = [np.ascontiguousarray(v.T) for v in radial[bcj]]
+    return (smooth(w, r, bci, radial[bci], qi.normals, qj.weights),
+            smooth(wt, np.ascontiguousarray(r.T), bcj, transposed, qj.normals, qi.weights))
 
 
 # ---------------------------------------------------------------------------
@@ -281,25 +350,17 @@ def assemble_system(scene: Scene, medium: Medium, n_per_component: int) -> Syste
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     ntot = offsets[-1]
     kernel = np.zeros((ntot, ntot, 2, 2), dtype=complex)
+    span = [slice(offsets[i], offsets[i + 1]) for i in range(ncomp)]
     for i in range(ncomp):
-        qi = quads[i]
-        bc = conditions[i]
-        for j in range(ncomp):
-            qj = quads[j]
-            si, sj = slice(offsets[i], offsets[i + 1]), slice(offsets[j], offsets[j + 1])
-            if i == j:
-                if bc is BoundaryCondition.DIRICHLET:
-                    kernel[si, sj] = _dirichlet_self_block(qi, medium)
-                else:
-                    kernel[si, sj] = _neumann_self_block(scene.components[i][0], qi, medium)
-            else:
-                w = qi.points[:, None, :] - qj.points[None, :, :]
-                if bc is BoundaryCondition.DIRICHLET:
-                    smooth = green_of_w(w, medium, hankel_pack)
-                else:
-                    smooth = traction_of_green(w, qi.normals[:, None, :], medium,
-                                               pack_fn=hankel_pack)
-                kernel[si, sj] = smooth * qj.weights[None, :, None, None]
+        si = span[i]
+        if conditions[i] is BoundaryCondition.DIRICHLET:
+            kernel[si, si] = _dirichlet_self_block(quads[i], medium)
+        else:
+            kernel[si, si] = _neumann_self_block(scene.components[i][0], quads[i], medium)
+        for j in range(i + 1, ncomp):
+            sj = span[j]
+            kernel[si, sj], kernel[sj, si] = _cross_blocks(quads[i], quads[j], conditions[i],
+                                                           conditions[j], medium)
 
     matrix = np.block([[kernel[..., 0, 0], kernel[..., 0, 1]],
                        [kernel[..., 1, 0], kernel[..., 1, 1]]])
@@ -316,18 +377,40 @@ class Density:
     nodes: Quadrature
 
 
-def _incident_rhs(system: SystemMatrix, incident: Incident) -> np.ndarray:
-    """Stacked right-hand side [-f_x; -f_y] with f = u^in or T_nu u^in per row block."""
+def _stacked_rhs(system: SystemMatrix, k: int, field, traction) -> np.ndarray:
+    """k right-hand sides [-f_x; -f_y], (2N, k): f = field(x) on the nodes of a Dirichlet
+    component and traction(x, nu) on those of a Neumann one, each (n_c, k, 2)."""
     quad = system.quadrature
-    medium = system.medium
-    rhs = np.zeros((quad.n_nodes, 2), dtype=complex)
+    rhs = np.empty((2, quad.n_nodes, k), dtype=complex)
     for i, bc in enumerate(system.conditions):
         sel = quad.component == i
         if bc is BoundaryCondition.DIRICHLET:
-            rhs[sel] = -incident.field(quad.points[sel], medium)
+            f = field(quad.points[sel])
         else:
-            rhs[sel] = -incident.traction(quad.points[sel], quad.normals[sel], medium)
-    return np.concatenate([rhs[:, 0], rhs[:, 1]])
+            f = traction(quad.points[sel], quad.normals[sel])
+        rhs[:, sel] = -np.moveaxis(f, -1, 0)
+    return rhs.reshape(2 * quad.n_nodes, k)
+
+
+def _incident_rhs(system: SystemMatrix, incident: Incident) -> np.ndarray:
+    """Stacked right-hand side [-f_x; -f_y] with f = u^in or T_nu u^in per row block."""
+    medium = system.medium
+    return _stacked_rhs(system, 1, lambda x: incident.field(x, medium)[:, None],
+                        lambda x, nu: incident.traction(x, nu, medium)[:, None])[:, 0]
+
+
+def _plane_wave_rhs(system: SystemMatrix, directions: np.ndarray) -> np.ndarray:
+    """Right-hand sides of the P and S plane waves along every direction d_l, all in
+    one pass: (2N, 2L), column 2l the P wave and column 2l + 1 the S wave."""
+    medium = system.medium
+
+    def field(x):
+        return plane_wave_fields(x, directions, medium).reshape(len(x), -1, 2)
+
+    def traction(x, nu):
+        return plane_wave_tractions(x, nu, directions, medium).reshape(len(x), -1, 2)
+
+    return _stacked_rhs(system, 2 * len(directions), field, traction)
 
 
 def solve_density(system: SystemMatrix, incident: Incident) -> Density:
@@ -428,24 +511,32 @@ class MSRMatrix:
         return float(np.linalg.norm(self.full))
 
 
-def synthesize_msr(scene: Scene, medium: Medium, m: int, n_per_component: int) -> MSRMatrix:
-    """Solve the forward problem for all 2m P and S incidences and fill the MSR."""
+def _untimed(key: str):
+    return contextlib.nullcontext()
+
+
+def synthesize_msr(scene: Scene, medium: Medium, m: int, n_per_component: int,
+                   span=_untimed) -> MSRMatrix:
+    """Solve the forward problem for all 2m P and S incidences and fill the MSR.
+
+    span(key) gives a context manager around each stage, for key "assemble_s",
+    "factorize_s", "solve_s" (right-hand sides and solve) and "farfield_s";
+    RunManifest.span records their wall times.
+    """
     if m < 4:
         raise ValueError(f"need m >= 4, got {m}")
-    system = assemble_system(scene, medium, n_per_component)
+    with span("assemble_s"):
+        system = assemble_system(scene, medium, n_per_component)
+    with span("factorize_s"):
+        system.factorization()
     quad = system.quadrature
     dirs = direction_grid(m)
-    n2m = 2 * m
-
-    rhs = np.empty((2 * quad.n_nodes, 2 * n2m), dtype=complex)
-    for i in range(n2m):
-        for k, mode in enumerate((WaveMode.P, WaveMode.S)):
-            wave = PlaneWave(mode, (float(dirs[i, 0]), float(dirs[i, 1])))
-            rhs[:, 2 * i + k] = _incident_rhs(system, wave)
-    sol = system.solve(rhs)
-    n = quad.n_nodes
-    psi = np.stack([sol[:n], sol[n:]], axis=1)                 # (N, 2, 2*2m)
-    up, us = _farfield_batch(psi, quad, medium, dirs)          # (2m, 2*2m)
+    with span("solve_s"):
+        sol = system.solve(_plane_wave_rhs(system, dirs))
+    with span("farfield_s"):
+        n = quad.n_nodes
+        psi = np.stack([sol[:n], sol[n:]], axis=1)             # (N, 2, 2*2m)
+        up, us = _farfield_batch(psi, quad, medium, dirs)      # (2m, 2*2m)
 
     # columns alternate P, S incidence; rows of up / us are the p / s receivers
     full = np.block([[up[:, 0::2], up[:, 1::2]], [us[:, 0::2], us[:, 1::2]]])
@@ -532,30 +623,34 @@ def save_msr(msr: MSRMatrix, path) -> None:
 
 
 def load_msr(path) -> MSRMatrix:
-    """Read an MSR/1 file; raises MsrVersionError / MsrDimensionError / MsrFormatError."""
+    """Read an MSR/1 file (UTF-8 text); raises MsrVersionError / MsrDimensionError /
+    MsrFormatError, the last also for bytes that are not UTF-8."""
     header: dict[str, str] = {}
     rows: list[np.ndarray] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, sep, value = line[1:].partition("=")
-                if not sep:
-                    raise MsrFormatError(f"line {lineno}: malformed header {line!r}")
-                header[key] = value
-                continue
-            parts = line.split(" ")
-            if len(parts) % 2 != 0:
-                raise MsrFormatError(f"line {lineno}: odd number of fields")
-            try:
-                nums = np.array(parts, dtype=float)
-            except ValueError:
-                raise MsrFormatError(f"line {lineno}: non-numeric entry") from None
-            if not np.isfinite(nums).all():
-                raise MsrFormatError(f"line {lineno}: non-finite entry")
-            rows.append(nums.view(np.complex128))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    key, sep, value = line[1:].partition("=")
+                    if not sep:
+                        raise MsrFormatError(f"line {lineno}: malformed header {line!r}")
+                    header[key] = value
+                    continue
+                parts = line.split(" ")
+                if len(parts) % 2 != 0:
+                    raise MsrFormatError(f"line {lineno}: odd number of fields")
+                try:
+                    nums = np.array(parts, dtype=float)
+                except ValueError:
+                    raise MsrFormatError(f"line {lineno}: non-numeric entry") from None
+                if not np.isfinite(nums).all():
+                    raise MsrFormatError(f"line {lineno}: non-finite entry")
+                rows.append(nums.view(np.complex128))
+    except UnicodeDecodeError as exc:
+        raise MsrFormatError(f"not UTF-8 text: {exc.reason}") from None
 
     missing = [k for k in _HEADER_KEYS if k not in header]
     if missing:

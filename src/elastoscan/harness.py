@@ -584,7 +584,8 @@ def run_experiment(config: ExperimentConfig, label: str = "run", outdir: str | N
             emitter.copy(f"{label}.msr", source)
     else:
         with span(f"{label}.synth_s"):
-            msr = synthesize_msr(config.scene_object(), config.medium(), config.m, config.n)
+            msr = synthesize_msr(config.scene_object(), config.medium(), config.m, config.n,
+                                 lambda stage: span(f"{label}.{stage}"))
         if config.delta > 0:
             with span(f"{label}.noise_s"):
                 msr = add_noise(msr, config.delta, config.seed)

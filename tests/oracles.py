@@ -5,19 +5,24 @@ from explicit power series in high-precision arithmetic, derivatives from
 central differences, arc lengths from adaptive quadrature, and interiority
 from a polygonal winding number.
 
-The Bessel/Hankel/circular-harmonic wrappers at the end are thin,
+The Bessel/Hankel/circular-harmonic wrappers further down are thin,
 domain-checked scipy.special calls (J up to order 3, H^(1) up to order 1,
 Y_a^b = sqrt(1/2pi) e^{i b phi}) on scipy's complex-argument AMOS routines
 (jv, hankel1).  The package itself calls the real-argument Cephes j0/j1/y0/y1
 instead, so these stay an independent oracle for its kernels as well as the
 closed sides of the Funk-Hecke checks, and are themselves checked against the
 series above.
+
+The reference kernels last are the forward solver's formulas in their
+plainest form, one block and one plane wave at a time, against which the
+package's shared-work evaluation is checked bit for bit.
 """
 
 import mpmath as mp
 import numpy as np
 from scipy import special as _sp
 from scipy.integrate import quad
+from scipy.special import j0 as _j0, j1 as _j1, y0 as _y0, y1 as _y1
 
 EULER = mp.mpf(
     "0.57721566490153286060651209008240243104215933593992359880576723488486772677767"
@@ -164,3 +169,241 @@ def funk_hecke_rhs(alpha: int, beta: int, k: float, z: np.ndarray):
     rz = float(np.hypot(z[0], z[1]))
     phi_z = float(np.arctan2(z[1], z[0]))
     return (2.0 * np.pi / 1j**alpha) * bessel_j(alpha, k * rz) * circular_harmonic(alpha, beta, phi_z)
+
+
+# ---------------------------------------------------------------------------
+# Reference Nystrom kernels, assembly and plane-wave right-hand sides
+# ---------------------------------------------------------------------------
+# The package's kernel formulas in their plainest form: every block evaluates
+# all seven radial functions on its whole distance array, and each right-hand
+# side is built for one plane wave at a time.  The package evaluates each
+# unordered node pair once, only the functions a kernel reads, and every plane
+# wave in one pass; the tests hold it to these forms bit for bit.
+
+
+def ref_radial(r, h0s, h1s, h0p, h1p, medium) -> dict:
+    """All radial functions of the Green tensor and its traction (see elastic)."""
+    ks, kp, mu, om = medium.k_s, medium.k_p, medium.mu, medium.omega
+    gp = -ks * h1s + kp * h1p
+    gpp = -ks**2 * h0s + ks * h1s / r + kp**2 * h0p - kp * h1p / r
+    gppp = (ks**3 * h1s + ks**2 * h0s / r - 2.0 * ks * h1s / r**2
+            - kp**3 * h1p - kp**2 * h0p / r + 2.0 * kp * h1p / r**2)
+    phi1 = 0.25j / mu * h0s + 0.25j / om**2 * gp / r
+    phi2 = 0.25j / om**2 * (gpp - gp / r)
+    phi1_p = 0.25j / mu * (-ks * h1s) + 0.25j / om**2 * (gpp / r - gp / r**2)
+    phi2_p = 0.25j / om**2 * (gppp - gpp / r + gp / r**2)
+    b = phi2 / r**2
+    b_p = phi2_p / r**2 - 2.0 * phi2 / r**3
+    return {"phi1": phi1, "phi2": phi2, "phi1_p": phi1_p, "b": b, "b_p": b_p,
+            "D": phi1_p / r + b_p * r + 3.0 * b, "W": phi1_p - b * r}
+
+
+def ref_hankel(r, medium) -> dict:
+    zs, zp = medium.k_s * r, medium.k_p * r
+    return ref_radial(r, _j0(zs) + 1j * _y0(zs), _j1(zs) + 1j * _y1(zs),
+                      _j0(zp) + 1j * _y0(zp), _j1(zp) + 1j * _y1(zp), medium)
+
+
+def ref_logcoef(r, medium) -> dict:
+    zs, zp = medium.k_s * r, medium.k_p * r
+    c = 1j / np.pi
+    return ref_radial(r, c * _j0(zs), c * _j1(zs), c * _j0(zp), c * _j1(zp), medium)
+
+
+def ref_green(w, medium, pack_fn) -> np.ndarray:
+    """phi1 I + phi2 what what^T at w = x - y (..., 2), r > 0."""
+    r = np.linalg.norm(w, axis=-1)
+    pack = pack_fn(r, medium)
+    what = w / r[..., None]
+    eye = np.eye(2)
+    return (pack["phi1"][..., None, None] * eye
+            + pack["phi2"][..., None, None] * what[..., :, None] * what[..., None, :])
+
+
+def ref_traction(w, nu, medium, pack_fn=ref_hankel) -> np.ndarray:
+    """T_nu in the w-variable of the columns of the Green tensor at w."""
+    from elastoscan.elastic import perp
+
+    lam, mu = medium.lam, medium.mu
+    w = np.asarray(w, dtype=float)
+    nu = np.broadcast_to(np.asarray(nu, dtype=float), w.shape)
+    r = np.linalg.norm(w, axis=-1)
+    pack = pack_fn(r, medium)
+    what = w / r[..., None]
+    nu_dot_what = np.einsum("...i,...i->...", nu, what)
+    ww = w[..., :, None] * w[..., None, :]
+    nu_w = nu[..., :, None] * w[..., None, :]
+    w_nu = w[..., :, None] * nu[..., None, :]
+    nup_whatp = perp(nu)[..., :, None] * perp(what)[..., None, :]
+    eye = np.eye(2)
+    return (2.0 * mu * (pack["phi1_p"] * nu_dot_what)[..., None, None] * eye
+            + 2.0 * mu * (pack["b_p"] * nu_dot_what)[..., None, None] * ww
+            + 2.0 * mu * pack["b"][..., None, None] * (nu_w + w_nu)
+            + lam * pack["D"][..., None, None] * nu_w
+            - mu * pack["W"][..., None, None] * nup_whatp)
+
+
+def _ref_dirichlet_self_block(quad, medium) -> np.ndarray:
+    from elastoscan.elastic import perp
+    from elastoscan.forward import (_single_layer_log_diag_coef, _single_layer_smooth_diag,
+                                    _toeplitz_circ, log_quadrature_weights)
+
+    n, x, s, t = quad.n_nodes, quad.points, quad.speeds, quad.t
+    diag = np.eye(n, dtype=bool)
+    w = x[:, None, :] - x[None, :, :]
+    w[diag] = (1.0, 0.0)
+    kern = ref_green(w, medium, ref_hankel) * s[None, :, None, None]
+    kern_log = ref_green(w, medium, ref_logcoef) * s[None, :, None, None]
+    dt = t[:, None] - t[None, :]
+    logterm = np.log(np.where(diag, 1.0, 4.0 * np.sin(dt / 2.0) ** 2))
+    smooth = kern - kern_log * logterm[..., None, None]
+    a_diag, b_diag = _single_layer_smooth_diag(medium, s)
+    that = perp(quad.normals)
+    eye = np.eye(2)
+    smooth[diag] = s[:, None, None] * (a_diag[:, None, None] * eye
+                                       + b_diag * that[:, :, None] * that[:, None, :])
+    kern_log[diag] = _single_layer_log_diag_coef(medium) * s[:, None, None] * eye
+    rmat = _toeplitz_circ(log_quadrature_weights(n))
+    return rmat[..., None, None] * kern_log + (2.0 * np.pi / n) * smooth
+
+
+def _ref_neumann_smooth_diag(curve, quad, medium) -> np.ndarray:
+    from elastoscan.geometry import curve_point, curve_tangent
+
+    t, x, nu = quad.t, quad.points, quad.normals
+    eps0 = min(4e-3, 0.1 / medium.k_s)
+    vals = []
+    for eps in (eps0, eps0 / 2.0, eps0 / 4.0):
+        acc = 0.0
+        logterm = np.log(4.0 * np.sin(eps / 2.0) ** 2)
+        for sgn in (+1.0, -1.0):
+            xt = curve_point(curve, t + sgn * eps)
+            st = np.linalg.norm(curve_tangent(curve, t + sgn * eps), axis=-1)
+            w = x - xt
+            fv = ref_traction(w, nu, medium, ref_hankel) * st[:, None, None]
+            bv = ref_traction(w, nu, medium, ref_logcoef) * st[:, None, None]
+            acc = acc + fv - logterm * bv
+        vals.append(acc / 2.0)
+    v1, v2, v3 = vals
+    return (64.0 * v3 - 20.0 * v2 + v1) / 45.0
+
+
+def _ref_neumann_self_block(curve, quad, medium) -> np.ndarray:
+    from elastoscan.forward import (_toeplitz_circ, cauchy_strength, cot_quadrature_weights,
+                                    log_quadrature_weights)
+
+    n, x, s, nu, t = quad.n_nodes, quad.points, quad.speeds, quad.normals, quad.t
+    diag = np.eye(n, dtype=bool)
+    w = x[:, None, :] - x[None, :, :]
+    w[diag] = (1.0, 0.0)
+    nui = np.broadcast_to(nu[:, None, :], w.shape)
+    full = ref_traction(w, nui, medium, ref_hankel) * s[None, :, None, None]
+    blog = ref_traction(w, nui, medium, ref_logcoef) * s[None, :, None, None]
+    lam_mat = cauchy_strength(medium)
+    dt = t[:, None] - t[None, :]
+    cot = np.where(diag, 0.0, 1.0 / np.tan(np.where(diag, 1.0, -dt) / 2.0))
+    logterm = np.log(np.where(diag, 1.0, 4.0 * np.sin(dt / 2.0) ** 2))
+    smooth = full - 0.5 * cot[..., None, None] * lam_mat - logterm[..., None, None] * blog
+    blog[diag] = 0.0
+    smooth[np.arange(n), np.arange(n)] = _ref_neumann_smooth_diag(curve, quad, medium)
+    rmat = _toeplitz_circ(log_quadrature_weights(n))
+    hmat = _toeplitz_circ(cot_quadrature_weights(n))
+    block = (0.5 * hmat[..., None, None] * lam_mat + rmat[..., None, None] * blog
+             + (2.0 * np.pi / n) * smooth)
+    block[diag] += -0.5 * np.eye(2)
+    return block
+
+
+def reference_system(scene, medium, n_per_component):
+    """The Nystrom system of forward.assemble_system, every block evaluated in full."""
+    from elastoscan.forward import SystemMatrix
+    from elastoscan.geometry import BoundaryCondition, Quadrature, boundary_quadrature
+
+    conditions = tuple(bc for _, bc in scene.components)
+    quads = [boundary_quadrature(curve, n_per_component, component_id=i)
+             for i, (curve, _) in enumerate(scene.components)]
+    offsets = np.concatenate([[0], np.cumsum([q.n_nodes for q in quads])])
+    kernel = np.zeros((offsets[-1], offsets[-1], 2, 2), dtype=complex)
+    for i, (qi, bc) in enumerate(zip(quads, conditions)):
+        for j, qj in enumerate(quads):
+            si, sj = slice(offsets[i], offsets[i + 1]), slice(offsets[j], offsets[j + 1])
+            if i == j and bc is BoundaryCondition.DIRICHLET:
+                kernel[si, sj] = _ref_dirichlet_self_block(qi, medium)
+            elif i == j:
+                kernel[si, sj] = _ref_neumann_self_block(scene.components[i][0], qi, medium)
+            else:
+                w = qi.points[:, None, :] - qj.points[None, :, :]
+                if bc is BoundaryCondition.DIRICHLET:
+                    smooth = ref_green(w, medium, ref_hankel)
+                else:
+                    smooth = ref_traction(w, qi.normals[:, None, :], medium, ref_hankel)
+                kernel[si, sj] = smooth * qj.weights[None, :, None, None]
+    matrix = np.block([[kernel[..., 0, 0], kernel[..., 0, 1]],
+                       [kernel[..., 1, 0], kernel[..., 1, 1]]])
+    quad = Quadrature(*(np.concatenate([getattr(q, f) for q in quads])
+                        for f in ("t", "points", "normals", "speeds", "weights", "component")))
+    return SystemMatrix(matrix, quad, scene, medium, conditions)
+
+
+def ref_plane_wave_field(mode, direction, x, medium) -> np.ndarray:
+    """u^in(x) of one plane wave: d e^{i kp x.d} (P) or d_perp e^{i ks x.d} (S)."""
+    from elastoscan.elastic import WaveMode, perp
+
+    x = np.asarray(x, dtype=float)
+    d = np.asarray(direction, dtype=float)
+    k, pol = (medium.k_p, d) if mode is WaveMode.P else (medium.k_s, perp(d))
+    phase = np.exp(1j * k * (x @ d))
+    return phase[..., None] * pol
+
+
+def ref_plane_wave_traction(mode, direction, x, nu, medium) -> np.ndarray:
+    """T_nu u^in(x) of one plane wave."""
+    from elastoscan.elastic import WaveMode, perp
+
+    x = np.asarray(x, dtype=float)
+    nu = np.asarray(nu, dtype=float)
+    d = np.asarray(direction, dtype=float)
+    lam, mu = medium.lam, medium.mu
+    k, pol = (medium.k_p, d) if mode is WaveMode.P else (medium.k_s, perp(d))
+    phase = (1j * k) * np.exp(1j * k * (x @ d))
+    nu_dot_d = nu @ d
+    vec = (2.0 * mu * nu_dot_d[..., None] * pol
+           + lam * float(d @ pol) * nu
+           - mu * float(perp(d) @ pol) * perp(nu))
+    return phase[..., None] * vec
+
+
+def reference_rhs(system, mode, direction) -> np.ndarray:
+    """Stacked right-hand side [-f_x; -f_y] of one plane wave."""
+    from elastoscan.geometry import BoundaryCondition
+
+    quad, medium = system.quadrature, system.medium
+    rhs = np.zeros((quad.n_nodes, 2), dtype=complex)
+    for i, bc in enumerate(system.conditions):
+        sel = quad.component == i
+        if bc is BoundaryCondition.DIRICHLET:
+            rhs[sel] = -ref_plane_wave_field(mode, direction, quad.points[sel], medium)
+        else:
+            rhs[sel] = -ref_plane_wave_traction(mode, direction, quad.points[sel],
+                                                quad.normals[sel], medium)
+    return np.concatenate([rhs[:, 0], rhs[:, 1]])
+
+
+def reference_msr_full(scene, medium, m, n_per_component) -> np.ndarray:
+    """The 4m x 4m far-field operator of forward.synthesize_msr from the reference
+    system and one right-hand side per plane wave."""
+    from elastoscan.elastic import WaveMode
+    from elastoscan.forward import _farfield_batch, direction_grid
+
+    system = reference_system(scene, medium, n_per_component)
+    quad = system.quadrature
+    dirs = direction_grid(m)
+    rhs = np.empty((2 * quad.n_nodes, 4 * m), dtype=complex)
+    for i in range(2 * m):
+        for k, mode in enumerate((WaveMode.P, WaveMode.S)):
+            rhs[:, 2 * i + k] = reference_rhs(system, mode, (float(dirs[i, 0]),
+                                                             float(dirs[i, 1])))
+    sol = system.solve(rhs)
+    n = quad.n_nodes
+    up, us = _farfield_batch(np.stack([sol[:n], sol[n:]], axis=1), quad, medium, dirs)
+    return np.block([[up[:, 0::2], up[:, 1::2]], [us[:, 0::2], us[:, 1::2]]])

@@ -178,7 +178,7 @@ class TestSmoothDiagonalFormulas:
     """Closed-form singular-quadrature diagonals vs numerically extrapolated limits."""
 
     def test_single_layer_smooth_diagonal(self, medium):
-        from elastoscan.elastic import hankel_pack, logcoef_pack
+        from elastoscan.elastic import green_radial, hankel_pack, logcoef_pack
         from elastoscan.forward import _single_layer_smooth_diag
 
         quad = boundary_quadrature(BoundaryCurve(BoundaryKind.KITE), 16)
@@ -198,10 +198,10 @@ class TestSmoothDiagonalFormulas:
                 r = np.linalg.norm(w)
                 what = w / r
                 eye = np.eye(2)
-                hp = hankel_pack(np.array([r]), medium)
-                jp = logcoef_pack(np.array([r]), medium)
-                mat = lambda p: (p["phi1"][0] * eye
-                                 + p["phi2"][0] * np.outer(what, what)) * st
+                rs = np.array([r])
+                hp = green_radial(rs, hankel_pack(rs, medium), medium)
+                jp = green_radial(rs, logcoef_pack(rs, medium), medium)
+                mat = lambda p: (p[0][0] * eye + p[1][0] * np.outer(what, what)) * st
                 acc = acc + mat(hp) - np.log(4 * np.sin(eps / 2) ** 2) * mat(jp)
             return acc / 2.0
 

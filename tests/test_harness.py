@@ -1,10 +1,14 @@
 import hashlib
 import json
 import os
+import re
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elastoscan.cli import main as cli_main
 from elastoscan.geometry import BoundaryCondition, BoundaryKind
@@ -297,6 +301,15 @@ class TestRunExperiment:
                    for p in out.iterdir()}
         assert listed == on_disk
 
+    def test_synthesis_sub_spans_add_up_to_at_most_synth_s(self, tmp_path):
+        manifest = run_experiment(parse_config(TINY_CONFIG), label="tiny",
+                                  outdir=str(tmp_path / "s"))
+        stages = [manifest.timings[f"tiny.{k}_s"]
+                  for k in ("assemble", "factorize", "solve", "farfield")]
+        # each timing is rounded to 1 ms: five roundings of at most 0.5 ms each
+        assert min(stages) >= 0
+        assert sum(stages) <= manifest.timings["tiny.synth_s"] + 5 * 0.0005
+
     def test_mask_and_retrieval_outputs(self, tmp_path):
         text = TINY_CONFIG + "observed = arcs [0.0,1.5707963267948966)\nretrieve = R=5.0 nB=64 alpha=auto\n"
         cfg = parse_config(text)
@@ -308,7 +321,8 @@ class TestRunExperiment:
         assert "lim_retrieved.msr" in names
         assert set(manifest.skeletons) == {"lim_limit", "lim_retr"}
         assert set(manifest.timings) == {
-            "lim.synth_s", "lim.noise_s", "lim.msr_write_s",
+            "lim.synth_s", "lim.assemble_s", "lim.factorize_s", "lim.solve_s", "lim.farfield_s",
+            "lim.noise_s", "lim.msr_write_s",
             "lim_limit.eval_s", "lim_limit.write_s",
             "lim_retr.retrieve_s", "lim_retr.msr_write_s", "lim_retr.eval_s", "lim_retr.write_s"}
         assert all(t >= 0 for t in manifest.timings.values())
@@ -455,7 +469,8 @@ class TestCli:
 
     # row -> (argv, config text, MSR edit, exit code).  {cfg} is a file holding the
     # config text (default: the tiny kite's), {msr} the tiny kite's data.msr with the
-    # edit applied: (header prefix, replacement line, keep the data rows)
+    # edit applied: (header prefix, replacement line, keep the data rows), or a
+    # function of the file's bytes
     BAD_INPUTS = {
         "01-indicate-grid": (["indicate", "--msr", "{msr}", "--grid", "1 0 0 1 5 5"],
                              None, None, 2),
@@ -534,6 +549,10 @@ class TestCli:
         "36-indicate-seed-flag": (["indicate", "--msr", "{msr}", "--seed", "3"], None, None, 2),
         "37-retrieve-seed-flag": (["retrieve", "--msr", "{msr}", "--observed", "[0,1.57)",
                                    "--seed", "3"], None, None, 2),
+        # a byte that is not UTF-8 in the first data row
+        "38-msr-non-utf8-byte": (["noise", "--msr", "{msr}", "--delta", "0.1"], None,
+                                 lambda data: re.sub(rb"\n(?=[^#])", b"\n\xff", data, count=1),
+                                 4),
     }
 
     @pytest.mark.parametrize("row", sorted(BAD_INPUTS))
@@ -543,7 +562,10 @@ class TestCli:
         if cfg_text is not None:
             cfg_path = tmp_path / "row.cfg"
             cfg_path.write_text(cfg_text)
-        if msr_edit is not None:
+        if callable(msr_edit):
+            msr_path = tmp_path / "edited.msr"
+            msr_path.write_bytes(msr_edit(tiny_kite[1].read_bytes()))
+        elif msr_edit is not None:
             prefix, replacement, keep_rows = msr_edit
             lines = [replacement if ln.startswith(prefix) else ln
                      for ln in msr_path.read_text().splitlines()
@@ -554,6 +576,33 @@ class TestCli:
         argv = [a.format(cfg=cfg_path, msr=msr_path) for a in argv]
         assert cli_main(argv + ["--out", str(out), "--quiet"]) == expected
         assert not out.exists() or sorted(os.listdir(out)) == []
+
+    # (kind, position, bytes): overwrite one byte, insert bytes, or cut the file there
+    MSR_EDITS = st.lists(st.tuples(st.sampled_from(("set", "insert", "truncate")),
+                                   st.integers(min_value=0), st.binary(min_size=1, max_size=3)),
+                         min_size=1, max_size=3)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(edits=MSR_EDITS)
+    def test_edited_msr_bytes_exit_0_or_4_and_leave_no_partial_file(self, tiny_kite, edits):
+        data = tiny_kite[1].read_bytes()
+        for kind, pos, new in edits:
+            pos %= len(data) + 1
+            if kind == "set":
+                data = data[:pos] + new[:1] + data[pos + 1:]
+            elif kind == "insert":
+                data = data[:pos] + new + data[pos:]
+            else:
+                data = data[:pos]
+        with tempfile.TemporaryDirectory() as tmp:
+            msr_path, out = os.path.join(tmp, "edited.msr"), os.path.join(tmp, "out")
+            with open(msr_path, "wb") as fh:
+                fh.write(data)
+            rc = cli_main(["noise", "--msr", msr_path, "--delta", "0.1", "--out", out,
+                           "--quiet"])
+            assert rc in (0, 4)
+            written = sorted(os.listdir(out)) if os.path.exists(out) else []
+            assert written == (["noisy.msr"] if rc == 0 else [])
 
     def test_failed_msr_write_leaves_no_file(self, tmp_path, tiny_kite, monkeypatch):
         import elastoscan.harness as hz

@@ -37,8 +37,22 @@ def edge_values() -> list[float]:
              9999999999999998.0, 0.0, 2.2250738585072014e-308, 5e-324,
              1566033567985804.25, 1773123766202193.75, 183337709225101.625,  # ties: even digit
              0.1, 0.3, 0.30000000000000004, 1.5, 100.0, 123456.0, 1e22, 1e-7,
-             *interval_end_values()]
-    return [float(v) for v in vals] + [-float(v) for v in vals]
+             *interval_end_values(), *(0.125 * np.arange(1, 801)), *(1e6 * np.arange(1, 200))]
+    return [float(v) for v in vals] + [-float(v) for v in vals] + grid_axis_values()
+
+
+def grid_axis_values() -> list[float]:
+    """The x and y axes of every preset's sampling grid, --small and full: short
+    decimals, many of them exact in binary (frac = 0 in the scaled form)."""
+    from elastoscan.harness import build_preset, preset_names
+    from elastoscan.indicators import SamplingGrid
+
+    vals = []
+    for name in preset_names():
+        for small in (True, False):
+            grid = SamplingGrid(*build_preset(name, small=small).grid)
+            vals += [*grid.xs.tolist(), *grid.ys.tolist()]
+    return vals
 
 
 class TestReprCells:
