@@ -25,8 +25,11 @@ what its kernel reads: green_radial's (phi1, phi2) for green_of_w and
 traction_radial's (phi1', b, b', D, W) for traction_of_green.  The two tensor
 functions take them as input, so a caller that meets the same r twice
 evaluates them once; the forward assembly does so for each unordered node pair.
-Plane waves are evaluated for an array of directions at once
-(plane_wave_fields, plane_wave_tractions); PlaneWave is the one-direction case.
+Both tensor functions also give one (a, b) entry at a time (entry=(a, b)), with
+the same arithmetic as the full tensor, so the forward assembly never holds a
+(..., 2, 2) array.  Plane waves are evaluated for an array of directions at
+once, one mode and vector entry at a time (plane_wave_entries); PlaneWave is
+the one-direction case.
 
 The far-field normalization is the one the test functions and the
 single-layer far-field quadrature share: a point source at y with
@@ -55,8 +58,10 @@ class WaveMode(Enum):
 class Medium:
     """Homogeneous isotropic elastic medium: Lame constants and frequency.
 
-    Requires finite values with mu > 0, lam + 2 mu > 0, omega > 0; the derived
-    wave numbers are k_p = omega / sqrt(lam + 2 mu) and k_s = omega / sqrt(mu).
+    Requires finite values with mu > 0, lam + 2 mu > 0, omega > 0, and omega^2
+    neither 0 nor infinite in floating point (the kernels divide by it); the
+    derived wave numbers are k_p = omega / sqrt(lam + 2 mu) and
+    k_s = omega / sqrt(mu).
     """
 
     lam: float
@@ -73,6 +78,10 @@ class Medium:
             raise ValueError(f"need lam + 2 mu > 0, got {self.lam + 2 * self.mu}")
         if not self.omega > 0:
             raise ValueError(f"need omega > 0, got {self.omega}")
+        with np.errstate(over="ignore", under="ignore"):
+            omega2 = np.float64(self.omega) ** 2
+        if not 0.0 < omega2 < np.inf:
+            raise ValueError(f"need omega^2 in floating-point range, got omega = {self.omega}")
 
     @property
     def k_p(self) -> float:
@@ -92,6 +101,11 @@ def perp(v: np.ndarray) -> np.ndarray:
     """Anticlockwise quarter turn: (v1, v2) -> (-v2, v1). Shape (..., 2)."""
     v = np.asarray(v)
     return np.stack([-v[..., 1], v[..., 0]], axis=-1)
+
+
+def _perp_entry(v: np.ndarray, a: int) -> np.ndarray:
+    """perp(v)[..., a] without forming perp(v)."""
+    return -v[..., 1] if a == 0 else v[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -165,45 +179,55 @@ def traction_radial(r, pack, medium: Medium) -> tuple:
 # ---------------------------------------------------------------------------
 # Green tensor and tractions
 # ---------------------------------------------------------------------------
-def green_of_w(w, r, radial) -> np.ndarray:
-    """Phi~(w) = phi1(r) I + phi2(r) what what^T; returns (..., 2, 2).
+ENTRIES = ((0, 0), (0, 1), (1, 0), (1, 1))   # the (a, b) entries of a 2 x 2 tensor, row by row
+_EYE = np.eye(2)
+
+
+def _tensor(entries) -> np.ndarray:
+    """The (..., 2, 2) tensor of its four (...) entries, given in ENTRIES order."""
+    values = list(entries)
+    return np.stack(values, axis=-1).reshape(values[0].shape + (2, 2))
+
+
+def green_of_w(w, r, radial, entry=None) -> np.ndarray:
+    """Phi~(w) = phi1(r) I + phi2(r) what what^T; returns (..., 2, 2), or with
+    entry=(a, b) only the (...) array of Phi~[..., a, b].
 
     w = x - y (..., 2), r = |w| > 0 (unchecked), radial = green_radial's
     (phi1, phi2) at r: hankel_pack's for the kernel itself, logcoef_pack's for
-    its logarithmic coefficient.
+    its logarithmic coefficient.  Each entry is phi1 I_ab + (phi2 what_a) what_b,
+    zero terms included, so the full tensor and its entries agree bit for bit.
     """
+    if entry is None:
+        return _tensor(green_of_w(w, r, radial, e) for e in ENTRIES)
+    a, b = entry
     phi1, phi2 = radial
-    what = w / r[..., None]
-    eye = np.eye(2)
-    return (phi1[..., None, None] * eye
-            + phi2[..., None, None] * what[..., :, None] * what[..., None, :])
+    return phi1 * _EYE[a, b] + phi2 * (w[..., a] / r) * (w[..., b] / r)
 
 
-def traction_of_green(w, r, nu, radial, medium: Medium) -> np.ndarray:
+def traction_of_green(w, r, nu, radial, medium: Medium, entry=None) -> np.ndarray:
     """M(w, nu) = T_nu applied in the w-variable to the columns of Phi~(w).
 
     w, nu broadcastable (..., 2), r = |w| > 0 (unchecked), radial =
-    traction_radial's functions at r; returns (..., 2, 2).  The traction of
-    Phi(x, y) in x with normal nu is M(x - y, nu); in y it is -M(x - y, nu).
+    traction_radial's functions at r; returns (..., 2, 2), or with entry=(a, b)
+    only the (...) array of M[..., a, b].  The traction of Phi(x, y) in x with
+    normal nu is M(x - y, nu); in y it is -M(x - y, nu).
     """
+    if entry is None:
+        return _tensor(traction_of_green(w, r, nu, radial, medium, e) for e in ENTRIES)
+    a, b = entry
     lam, mu = medium.lam, medium.mu
     w = np.asarray(w, dtype=float)
     nu = np.broadcast_to(np.asarray(nu, dtype=float), w.shape)
-    phi1_p, b, b_p, div, divp = radial
+    phi1_p, b_r, b_p, div, divp = radial
     what = w / r[..., None]
     nu_dot_what = np.einsum("...i,...i->...", nu, what)
-    ww = w[..., :, None] * w[..., None, :]
-    nu_w = nu[..., :, None] * w[..., None, :]
-    w_nu = w[..., :, None] * nu[..., None, :]
-    nu_p = perp(nu)
-    what_p = perp(what)
-    nup_whatp = nu_p[..., :, None] * what_p[..., None, :]
-    eye = np.eye(2)
-    return (2.0 * mu * (phi1_p * nu_dot_what)[..., None, None] * eye
-            + 2.0 * mu * (b_p * nu_dot_what)[..., None, None] * ww
-            + 2.0 * mu * b[..., None, None] * (nu_w + w_nu)
-            + lam * div[..., None, None] * nu_w
-            - mu * divp[..., None, None] * nup_whatp)
+    nu_w = nu[..., a] * w[..., b]
+    return (2.0 * mu * (phi1_p * nu_dot_what) * _EYE[a, b]
+            + 2.0 * mu * (b_p * nu_dot_what) * (w[..., a] * w[..., b])
+            + 2.0 * mu * b_r * (nu_w + w[..., a] * nu[..., b])
+            + lam * div * nu_w
+            - mu * divp * (_perp_entry(nu, a) * _perp_entry(what, b)))
 
 
 def _distance(w, singular: str) -> np.ndarray:
@@ -238,7 +262,7 @@ def greens_traction_kernel(x, y, normal_at_y, medium: Medium) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Incident fields
 # ---------------------------------------------------------------------------
-_MODES = (WaveMode.P, WaveMode.S)     # the mode axis of plane_wave_fields / _tractions
+_MODES = (WaveMode.P, WaveMode.S)     # the mode index i of plane_wave_entries
 
 
 @dataclass(frozen=True)
@@ -267,51 +291,55 @@ def _along(v, directions: np.ndarray) -> np.ndarray:
     return np.stack([v @ d for d in directions], axis=-1)
 
 
-def plane_wave_fields(x, directions, medium: Medium) -> np.ndarray:
-    """u^in(x) of the P and S plane waves along every unit direction d_l.
+def plane_wave_entries(x, directions, medium: Medium, nu=None):
+    """Yield (i, a, values): entry a of u^in at x, or of T_nu u^in when normals nu
+    are given, for the P (i = 0) and S (i = 1) plane waves along every unit
+    direction d_l; values (..., L).
 
-    x (..., 2), directions (L, 2); returns (..., L, 2, 2) with [..., l, 0, :] =
-    d_l e^{i kp x.d_l} (P) and [..., l, 1, :] = d_l_perp e^{i ks x.d_l} (S).
+        u^in     = p e^{i k x.d},  p = d (P, k = kp) or d_perp (S, k = ks)
+        T_nu u^in = i k e^{i k x.d} [2 mu (nu.d) p + lam (d.p) nu - mu (dperp.p) nu_perp]
+
+    One (..., L) array is held at a time: the forward solver writes each
+    straight into its right-hand sides.
     """
     x = np.asarray(x, dtype=float)
     dirs = np.asarray(directions, dtype=float)
-    x_d = _along(x, dirs)
-    out = np.empty(x_d.shape + (2, 2), dtype=complex)
-    for i, (k, pol) in enumerate(((medium.k_p, dirs), (medium.k_s, perp(dirs)))):
-        out[..., i, :] = np.exp(1j * k * x_d)[..., None] * pol
-    return out
-
-
-def plane_wave_tractions(x, nu, directions, medium: Medium) -> np.ndarray:
-    """T_nu u^in at x for the P and S plane waves along every direction, laid out as
-    plane_wave_fields: i k e^{i k x.d} [2 mu (nu.d) p + lam (d.p) nu - mu (dperp.p) nu_perp]
-    with p the polarization."""
-    x = np.asarray(x, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    dirs = np.asarray(directions, dtype=float)
-    lam, mu = medium.lam, medium.mu
-    x_d, nu_d = _along(x, dirs), _along(nu, dirs)
     dirs_p = perp(dirs)
-    out = np.empty(np.broadcast_shapes(x_d.shape, nu_d.shape) + (2, 2), dtype=complex)
+    lam, mu = medium.lam, medium.mu
+    x_d = _along(x, dirs)
+    if nu is not None:
+        nu = np.asarray(nu, dtype=float)
+        nu_d, nu_p = _along(nu, dirs), perp(nu)
     for i, (k, pol) in enumerate(((medium.k_p, dirs), (medium.k_s, dirs_p))):
-        phase = (1j * k) * np.exp(1j * k * x_d)
+        phase = 1j * k * x_d
+        np.exp(phase, out=phase)
+        if nu is None:
+            for a in (0, 1):
+                yield i, a, phase * pol[:, a]
+            continue
+        phase = (1j * k) * phase
         dots = np.array([(float(d @ p), float(dp @ p)) for d, dp, p in zip(dirs, dirs_p, pol)])
-        vec = (2.0 * mu * nu_d[..., None] * pol
-               + (lam * dots[:, 0])[:, None] * nu[..., None, :]
-               - (mu * dots[:, 1])[:, None] * perp(nu)[..., None, :])
-        out[..., i, :] = phase[..., None] * vec
-    return out
+        for a in (0, 1):
+            vec = (2.0 * mu * nu_d * pol[:, a]
+                   + (lam * dots[:, 0]) * nu[..., None, a]
+                   - (mu * dots[:, 1]) * nu_p[..., None, a])
+            yield i, a, phase * vec
+
+
+def _one_wave(entries, mode: WaveMode) -> np.ndarray:
+    """The (..., 2) vector of one mode from plane_wave_entries of one direction."""
+    i = _MODES.index(mode)
+    return np.stack([values[..., 0] for j, _, values in entries if j == i], axis=-1)
 
 
 def plane_wave_field(wave: PlaneWave, x, medium: Medium) -> np.ndarray:
     """u^in(x) of one plane wave: d e^{i kp x.d} (P) or d_perp e^{i ks x.d} (S). x (..., 2)."""
-    return plane_wave_fields(x, [wave.direction], medium)[..., 0, _MODES.index(wave.mode), :]
+    return _one_wave(plane_wave_entries(x, [wave.direction], medium), wave.mode)
 
 
 def plane_wave_traction(wave: PlaneWave, x, nu, medium: Medium) -> np.ndarray:
-    """T_nu u^in at x of one plane wave (see plane_wave_tractions)."""
-    return plane_wave_tractions(x, nu, [wave.direction],
-                                medium)[..., 0, _MODES.index(wave.mode), :]
+    """T_nu u^in at x of one plane wave (see plane_wave_entries)."""
+    return _one_wave(plane_wave_entries(x, [wave.direction], medium, nu), wave.mode)
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,31 @@ each unordered node pair's Bessel values and radial functions are evaluated
 once, and only those the block's kernel reads (green_radial's for a Dirichlet
 row block, traction_radial's for a Neumann one): a self block on its upper
 triangle, mirrored, and block (j, i) from the transposes of block (i, j)'s.
-The tensors are still built per block.  The right-hand sides of all 4m plane
-waves are built in one pass over the direction array.
+
+Memory.  Synthesis holds at any stage only the 2N x 2N matrix A, its LU, one
+2N x 4m block of right-hand sides and temporaries of n x n size:
+
+  * assembly     -- every block is written one 2 x 2 entry (an n x n complex
+                    array) at a time into the four quadrant views
+                    [[xx, xy], [yx, yy]] of A; there is no (N, N, 2, 2) kernel
+                    array and no copy of it.  A self block's Hankel part waits
+                    in its destination while the log part's radial functions
+                    are evaluated, so the two sets are never held together.
+  * solve        -- the negated right-hand sides of all 4m plane waves (the 2m
+                    P waves, then the 2m S waves) are written straight into
+                    one Fortran-ordered 2N x 4m block, which the LU solve
+                    overwrites with the densities.
+  * far field    -- A and its LU are released as soon as the solve returns;
+                    the far field is read from views of the two halves of
+                    the solution, one receiver mode at a time, and the
+                    products are written straight into the rows of a
+                    preallocated 4m x 4m array, whose columns are ordered as
+                    the solution's.
+
+A is kept through the solve rather than factored in place, so that the solve
+residual ||A psi - b|| can still be sampled from a few columns between the
+solve and the release (b is overwritten, but a few of its columns are cheap to
+rebuild).
 
 Far fields of a density follow the trapezoid rule
 
@@ -64,6 +87,7 @@ from scipy.special import ndtri
 
 from ._numtext import CHUNK_VALUES, format_rows
 from .elastic import (
+    ENTRIES,
     EULER_GAMMA,
     Medium,
     PlaneWave,
@@ -73,8 +97,7 @@ from .elastic import (
     hankel_pack,
     logcoef_pack,
     perp,
-    plane_wave_fields,
-    plane_wave_tractions,
+    plane_wave_entries,
     traction_of_green,
     traction_radial,
 )
@@ -176,8 +199,9 @@ def _mirrored(r: np.ndarray, upper, radial_fn, pack_fn, medium: Medium) -> list[
     return out
 
 
-def _dirichlet_self_block(quad: Quadrature, medium: Medium) -> np.ndarray:
-    """Singular Nystrom block of the single-layer operator on one component."""
+def _dirichlet_self_block(quad: Quadrature, medium: Medium, out) -> None:
+    """Singular Nystrom block of the single-layer operator on one component, written
+    one entry at a time: out[a][b] (n x n) receives the (a, b) entries."""
     n = quad.n_nodes
     x, s = quad.points, quad.speeds
     t = quad.t
@@ -188,28 +212,34 @@ def _dirichlet_self_block(quad: Quadrature, medium: Medium) -> np.ndarray:
     w[diag] = (1.0, 0.0)
     r = np.linalg.norm(w, axis=-1)
     upper = np.triu_indices(n)
-    kern = green_of_w(w, r, _mirrored(r, upper, green_radial, hankel_pack, medium))
-    kern *= s[None, :, None, None]
-    kern_log = green_of_w(w, r, _mirrored(r, upper, green_radial, logcoef_pack, medium))
-    kern_log *= s[None, :, None, None]
+    # the Hankel kernel first, held in out until its log part is subtracted
+    radial = _mirrored(r, upper, green_radial, hankel_pack, medium)
+    for a, b in ENTRIES:
+        np.multiply(green_of_w(w, r, radial, (a, b)), s[None, :], out=out[a][b])
+    del radial
+    radial_log = _mirrored(r, upper, green_radial, logcoef_pack, medium)
+    del upper
 
     dt = t[:, None] - t[None, :]
     logterm = np.log(np.where(diag, 1.0, 4.0 * np.sin(dt / 2.0) ** 2))
-    smooth = kern - kern_log * logterm[..., None, None]
-
+    del dt
     a_diag, b_diag = _single_layer_smooth_diag(medium, s)
     that = perp(quad.normals)
-    eye = np.eye(2)
-    smooth[diag] = s[:, None, None] * (a_diag[:, None, None] * eye
-                                       + b_diag * that[:, :, None] * that[:, None, :])
-    kern_log[diag] = _single_layer_log_diag_coef(medium) * s[:, None, None] * eye
-
+    log_diag = _single_layer_log_diag_coef(medium) * s
     rmat = _toeplitz_circ(log_quadrature_weights(n))
-    return rmat[..., None, None] * kern_log + (2.0 * np.pi / n) * smooth
+    eye = np.eye(2)
+    for a, b in ENTRIES:
+        kern_log = green_of_w(w, r, radial_log, (a, b))
+        kern_log *= s[None, :]
+        smooth = out[a][b] - kern_log * logterm
+        smooth[diag] = s * (a_diag * eye[a, b] + b_diag * that[:, a] * that[:, b])
+        kern_log[diag] = log_diag * eye[a, b]
+        np.add(rmat * kern_log, (2.0 * np.pi / n) * smooth, out=out[a][b])
 
 
-def _neumann_self_block(curve: BoundaryCurve, quad: Quadrature, medium: Medium) -> np.ndarray:
-    """Singular Nystrom block of (-I/2 + K') on one component."""
+def _neumann_self_block(curve: BoundaryCurve, quad: Quadrature, medium: Medium, out) -> None:
+    """Singular Nystrom block of (-I/2 + K') on one component, written one entry at a
+    time: out[a][b] (n x n) receives the (a, b) entries."""
     n = quad.n_nodes
     x, s, nu, t = quad.points, quad.speeds, quad.normals, quad.t
     diag = np.eye(n, dtype=bool)
@@ -219,28 +249,34 @@ def _neumann_self_block(curve: BoundaryCurve, quad: Quadrature, medium: Medium) 
     r = np.linalg.norm(w, axis=-1)
     upper = np.triu_indices(n)
     nui = np.broadcast_to(nu[:, None, :], w.shape)
-    full = traction_of_green(w, r, nui, _mirrored(r, upper, traction_radial, hankel_pack,
-                                                  medium), medium)
-    full *= s[None, :, None, None]
-    blog = traction_of_green(w, r, nui, _mirrored(r, upper, traction_radial, logcoef_pack,
-                                                  medium), medium)
-    blog *= s[None, :, None, None]
+    # the Hankel kernel first, held in out until the Cauchy and log parts are subtracted
+    radial = _mirrored(r, upper, traction_radial, hankel_pack, medium)
+    for a, b in ENTRIES:
+        np.multiply(traction_of_green(w, r, nui, radial, medium, (a, b)), s[None, :],
+                    out=out[a][b])
+    del radial
+    radial_log = _mirrored(r, upper, traction_radial, logcoef_pack, medium)
+    del upper
 
     lam_mat = cauchy_strength(medium)
     dt = t[:, None] - t[None, :]
     cot = np.where(diag, 0.0, 1.0 / np.tan(np.where(diag, 1.0, -dt) / 2.0))
     logterm = np.log(np.where(diag, 1.0, 4.0 * np.sin(dt / 2.0) ** 2))
-    smooth = full - 0.5 * cot[..., None, None] * lam_mat - logterm[..., None, None] * blog
-    blog[diag] = 0.0
-    smooth[np.arange(n), np.arange(n)] = _neumann_smooth_diag(curve, quad, medium)
-
+    del dt
+    smooth_diag = _neumann_smooth_diag(curve, quad, medium)
     rmat = _toeplitz_circ(log_quadrature_weights(n))
     hmat = _toeplitz_circ(cot_quadrature_weights(n))
-    block = (0.5 * hmat[..., None, None] * lam_mat
-             + rmat[..., None, None] * blog
-             + (2.0 * np.pi / n) * smooth)
-    block[diag] += -0.5 * np.eye(2)
-    return block
+    minus_half = -0.5 * np.eye(2)
+    for a, b in ENTRIES:
+        block = out[a][b]
+        blog = traction_of_green(w, r, nui, radial_log, medium, (a, b))
+        blog *= s[None, :]
+        smooth = block - 0.5 * cot * lam_mat[a, b] - logterm * blog
+        blog[diag] = 0.0
+        smooth[diag] = smooth_diag[:, a, b]
+        np.add(0.5 * hmat * lam_mat[a, b] + rmat * blog, (2.0 * np.pi / n) * smooth,
+               out=block)
+        block[diag] += minus_half[a, b]
 
 
 def _neumann_smooth_diag(curve: BoundaryCurve, quad: Quadrature, medium: Medium) -> np.ndarray:
@@ -271,8 +307,9 @@ def _neumann_smooth_diag(curve: BoundaryCurve, quad: Quadrature, medium: Medium)
 
 
 def _cross_blocks(qi: Quadrature, qj: Quadrature, bci: BoundaryCondition,
-                  bcj: BoundaryCondition, medium: Medium) -> tuple[np.ndarray, np.ndarray]:
-    """Blocks (i, j) and (j, i) between two components (trapezoid weights, smooth kernels).
+                  bcj: BoundaryCondition, medium: Medium, out_ij, out_ji) -> None:
+    """Blocks (i, j) and (j, i) between two components (trapezoid weights, smooth
+    kernels), written one entry at a time into out_ij[a][b] and out_ji[a][b].
 
     The Hankel values and radial functions of each node pair are evaluated once,
     on block (i, j)'s distances; block (j, i) takes their transposes.
@@ -282,19 +319,22 @@ def _cross_blocks(qi: Quadrature, qj: Quadrature, bci: BoundaryCondition,
     pack = hankel_pack(r, medium)
     radial = {bc: (green_radial if bc is BoundaryCondition.DIRICHLET else traction_radial)(
         r, pack, medium) for bc in (bci, bcj)}
+    del pack
 
-    def smooth(w, r, bc, radial, normals, weights):
-        if bc is BoundaryCondition.DIRICHLET:
-            kern = green_of_w(w, r, radial)
-        else:
-            kern = traction_of_green(w, r, normals[:, None, :], radial, medium)
-        return kern * weights[None, :, None, None]
+    def smooth(w, r, bc, radial, normals, weights, out):
+        for a, b in ENTRIES:
+            if bc is BoundaryCondition.DIRICHLET:
+                kern = green_of_w(w, r, radial, (a, b))
+            else:
+                kern = traction_of_green(w, r, normals[:, None, :], radial, medium, (a, b))
+            np.multiply(kern, weights[None, :], out=out[a][b])
 
+    smooth(w, r, bci, radial[bci], qi.normals, qj.weights, out_ij)
     # contiguous, so every elementwise step runs on the layout block (j, i) would have
     wt = qj.points[:, None, :] - qi.points[None, :, :]
-    transposed = [np.ascontiguousarray(v.T) for v in radial[bcj]]
-    return (smooth(w, r, bci, radial[bci], qi.normals, qj.weights),
-            smooth(wt, np.ascontiguousarray(r.T), bcj, transposed, qj.normals, qi.weights))
+    transposed = [np.ascontiguousarray(v.T) for v in radial.pop(bcj)]
+    del radial
+    smooth(wt, np.ascontiguousarray(r.T), bcj, transposed, qj.normals, qi.weights, out_ji)
 
 
 # ---------------------------------------------------------------------------
@@ -332,15 +372,18 @@ class SystemMatrix:
         return self._lu
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        lu = self.factorization()
-        return sla.lu_solve(lu, rhs, check_finite=False)
+        """A^{-1} rhs, in place: a Fortran-ordered complex rhs (as _stacked_rhs builds
+        it) is overwritten with the solution, which is returned; any other layout is
+        copied first."""
+        return sla.lu_solve(self.factorization(), rhs, overwrite_b=True, check_finite=False)
 
 
 def assemble_system(scene: Scene, medium: Medium, n_per_component: int) -> SystemMatrix:
     """System honoring each component's own boundary-condition tag.
 
     A Dirichlet component contributes single-layer (S) rows, a Neumann one
-    (-I/2 + K') rows.
+    (-I/2 + K') rows.  Every block is written one 2 x 2 entry at a time into the
+    four quadrant views [[xx, xy], [yx, yy]] of the 2N x 2N matrix.
     """
     conditions = tuple(bc for _, bc in scene.components)
     quads = [boundary_quadrature(curve, n_per_component, component_id=i)
@@ -349,21 +392,25 @@ def assemble_system(scene: Scene, medium: Medium, n_per_component: int) -> Syste
     sizes = [q.n_nodes for q in quads]
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     ntot = offsets[-1]
-    kernel = np.zeros((ntot, ntot, 2, 2), dtype=complex)
+    matrix = np.empty((2 * ntot, 2 * ntot), dtype=complex)
     span = [slice(offsets[i], offsets[i + 1]) for i in range(ncomp)]
+
+    def views(si, sj):
+        """The (a, b) entry blocks of component pair (i, j): out[a][b]."""
+        return [[matrix[a * ntot:(a + 1) * ntot, b * ntot:(b + 1) * ntot][si, sj]
+                 for b in (0, 1)] for a in (0, 1)]
+
     for i in range(ncomp):
         si = span[i]
         if conditions[i] is BoundaryCondition.DIRICHLET:
-            kernel[si, si] = _dirichlet_self_block(quads[i], medium)
+            _dirichlet_self_block(quads[i], medium, views(si, si))
         else:
-            kernel[si, si] = _neumann_self_block(scene.components[i][0], quads[i], medium)
+            _neumann_self_block(scene.components[i][0], quads[i], medium, views(si, si))
         for j in range(i + 1, ncomp):
             sj = span[j]
-            kernel[si, sj], kernel[sj, si] = _cross_blocks(quads[i], quads[j], conditions[i],
-                                                           conditions[j], medium)
+            _cross_blocks(quads[i], quads[j], conditions[i], conditions[j], medium,
+                          views(si, sj), views(sj, si))
 
-    matrix = np.block([[kernel[..., 0, 0], kernel[..., 0, 1]],
-                       [kernel[..., 1, 0], kernel[..., 1, 1]]])
     quad = Quadrature(*(np.concatenate([getattr(q, f) for q in quads])
                         for f in ("t", "points", "normals", "speeds", "weights", "component")))
     return SystemMatrix(matrix, quad, scene, medium, conditions)
@@ -377,40 +424,48 @@ class Density:
     nodes: Quadrature
 
 
-def _stacked_rhs(system: SystemMatrix, k: int, field, traction) -> np.ndarray:
-    """k right-hand sides [-f_x; -f_y], (2N, k): f = field(x) on the nodes of a Dirichlet
-    component and traction(x, nu) on those of a Neumann one, each (n_c, k, 2)."""
+def _stacked_rhs(system: SystemMatrix, k: int, entries) -> np.ndarray:
+    """k right-hand sides [-f_x; -f_y] as one Fortran-ordered (2N, k) block, which
+    SystemMatrix.solve overwrites with the solution.
+
+    On each component's nodes x, entries(x, nu) yields (columns, a, f_a): entry a
+    of f = u^in (nu is None, a Dirichlet component) or of f = T_nu u^in (nu the
+    normals, a Neumann one), (n_c, ...) for those columns; -f_a is written
+    straight into the block.
+    """
     quad = system.quadrature
-    rhs = np.empty((2, quad.n_nodes, k), dtype=complex)
+    n = quad.n_nodes
+    rhs = np.empty((2 * n, k), dtype=complex, order="F")
     for i, bc in enumerate(system.conditions):
-        sel = quad.component == i
-        if bc is BoundaryCondition.DIRICHLET:
-            f = field(quad.points[sel])
-        else:
-            f = traction(quad.points[sel], quad.normals[sel])
-        rhs[:, sel] = -np.moveaxis(f, -1, 0)
-    return rhs.reshape(2 * quad.n_nodes, k)
+        lo, hi = np.searchsorted(quad.component, (i, i + 1))
+        nu = None if bc is BoundaryCondition.DIRICHLET else quad.normals[lo:hi]
+        for cols, a, f in entries(quad.points[lo:hi], nu):
+            np.negative(f, out=rhs[a * n + lo:a * n + hi, cols])
+    return rhs
 
 
 def _incident_rhs(system: SystemMatrix, incident: Incident) -> np.ndarray:
     """Stacked right-hand side [-f_x; -f_y] with f = u^in or T_nu u^in per row block."""
     medium = system.medium
-    return _stacked_rhs(system, 1, lambda x: incident.field(x, medium)[:, None],
-                        lambda x, nu: incident.traction(x, nu, medium)[:, None])[:, 0]
+
+    def entries(x, nu):
+        f = incident.field(x, medium) if nu is None else incident.traction(x, nu, medium)
+        return ((0, a, f[:, a]) for a in (0, 1))
+
+    return _stacked_rhs(system, 1, entries)[:, 0]
 
 
 def _plane_wave_rhs(system: SystemMatrix, directions: np.ndarray) -> np.ndarray:
     """Right-hand sides of the P and S plane waves along every direction d_l, all in
-    one pass: (2N, 2L), column 2l the P wave and column 2l + 1 the S wave."""
+    one pass: (2N, 2L), column l the P wave and column L + l the S wave."""
     medium = system.medium
+    count = len(directions)
 
-    def field(x):
-        return plane_wave_fields(x, directions, medium).reshape(len(x), -1, 2)
+    def entries(x, nu):
+        return ((slice(i * count, (i + 1) * count), a, f)
+                for i, a, f in plane_wave_entries(x, directions, medium, nu))
 
-    def traction(x, nu):
-        return plane_wave_tractions(x, nu, directions, medium).reshape(len(x), -1, 2)
-
-    return _stacked_rhs(system, 2 * len(directions), field, traction)
+    return _stacked_rhs(system, 2 * count, entries)
 
 
 def solve_density(system: SystemMatrix, incident: Incident) -> Density:
@@ -423,24 +478,29 @@ def solve_density(system: SystemMatrix, incident: Incident) -> Density:
 def farfield_from_density(density: Density, medium: Medium, directions: np.ndarray
                           ) -> tuple[np.ndarray, np.ndarray]:
     """Trapezoid far fields (u_p, u_s) of a density at unit directions (L, 2)."""
-    up, us = _farfield_batch(density.values[:, :, None], density.nodes, medium,
-                             np.asarray(directions, float))
-    return up[:, 0], us[:, 0]
+    psi = density.values
+    directions = np.asarray(directions, float)
+    out = np.empty((2 * len(directions), 1), dtype=complex)
+    _farfields(psi[:, 0, None], psi[:, 1, None], density.nodes, medium, directions, out)
+    return out[:len(directions), 0], out[len(directions):, 0]
 
 
-def _farfield_batch(psi: np.ndarray, quad: Quadrature, medium: Medium,
-                    directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """psi (N, 2, K) -> far fields (L, K) for both components."""
+def _farfields(px: np.ndarray, py: np.ndarray, quad: Quadrature, medium: Medium,
+               directions: np.ndarray, out: np.ndarray) -> None:
+    """Far fields of the density components px, py (N, K, any strides) at directions
+    (L, 2): u_p into out[:L] and u_s into out[L:] (out (2L, K))."""
     y, w = quad.points, quad.weights
-    phase_p = np.exp(-1j * medium.k_p * (directions @ y.T)) * w[None, :]   # (L, N)
-    phase_s = np.exp(-1j * medium.k_s * (directions @ y.T)) * w[None, :]
-    px, py = psi[:, 0, :], psi[:, 1, :]                                    # (N, K)
-    gx_p, gy_p = phase_p @ px, phase_p @ py                                # (L, K)
-    gx_s, gy_s = phase_s @ px, phase_s @ py
     d0, d1 = directions[:, 0:1], directions[:, 1:2]
-    up = d0 * gx_p + d1 * gy_p
-    us = -d1 * gx_s + d0 * gy_s                                            # xhat_perp = (-d1, d0)
-    return up, us
+    count = len(directions)
+    # u_p = xhat . g(k_p), u_s = xhat_perp . g(k_s), xhat_perp = (-d1, d0)
+    for u, k, c0, c1 in ((out[:count], medium.k_p, d0, d1),
+                         (out[count:], medium.k_s, -d1, d0)):
+        phase = np.exp(-1j * k * (directions @ y.T)) * w[None, :]            # (L, N)
+        np.matmul(phase, px, out=u)
+        u *= c0
+        gy = phase @ py
+        gy *= c1
+        u += gy
 
 
 # ---------------------------------------------------------------------------
@@ -530,17 +590,16 @@ def synthesize_msr(scene: Scene, medium: Medium, m: int, n_per_component: int,
     with span("factorize_s"):
         system.factorization()
     quad = system.quadrature
+    bc_names = ",".join(bc.value for bc in system.conditions)
     dirs = direction_grid(m)
     with span("solve_s"):
-        sol = system.solve(_plane_wave_rhs(system, dirs))
+        sol = system.solve(_plane_wave_rhs(system, dirs))      # (2N, 4m), in place
+    del system                                                 # A and its LU
     with span("farfield_s"):
+        # rows: p then s receivers; columns: P then S incidences, as the solution's
         n = quad.n_nodes
-        psi = np.stack([sol[:n], sol[n:]], axis=1)             # (N, 2, 2*2m)
-        up, us = _farfield_batch(psi, quad, medium, dirs)      # (2m, 2*2m)
-
-    # columns alternate P, S incidence; rows of up / us are the p / s receivers
-    full = np.block([[up[:, 0::2], up[:, 1::2]], [us[:, 0::2], us[:, 1::2]]])
-    bc_names = ",".join(bc.value for bc in system.conditions)
+        full = np.empty((4 * m, 4 * m), dtype=complex)
+        _farfields(sol[:n], sol[n:], quad, medium, dirs, full)
     return MSRMatrix(m, full, medium.lam, medium.mu, medium.omega,
                      scene=scene.describe(), bc=bc_names)
 

@@ -44,10 +44,13 @@ fewer than n + 1 values), keeps the rho points whose |R_ii| > SKELETON_TOL |R_00
 and B = [I, R11^-1 R12] (rho x n) maps forms on the skeleton to the axis,
 G -> B_y^T G B_x.  PP and SS are the interpolated pp and ss forms, FF the sum of
 all four.  The skeleton of an axis depends only on its coordinates and the band,
-so it is cached and shared between passes and between equal axes.  Where rho = n
-the skeleton is the whole axis, B is the identity and is not applied, and the
-block's values are those of the per-row evaluation bit for bit (the ss and mixed
-blocks on every omega = 8 pi grid of 161 points).
+so it is cached and shared between passes and between equal axes.  Where the
+half-bandwidth W = band h / 2 pi of an axis of spacing h is at least 1/2, the
+axis samples the band at or below its Nyquist rate and is its own skeleton with
+no QR (the ss blocks on every omega = 8 pi grid of 161 points, W = 0.6).  Where
+rho = n the skeleton is the whole axis, B is the identity and is not applied,
+and the block's values are those of the per-row evaluation bit for bit (the ss
+and mixed blocks on every omega = 8 pi grid of 161 points).
 """
 
 from __future__ import annotations
@@ -175,6 +178,12 @@ def _axis_skeleton(coords: np.ndarray, band: float) -> tuple[np.ndarray, np.ndar
 def _skeleton_of(coords: bytes, band: float) -> tuple[np.ndarray, np.ndarray | None]:
     x = np.frombuffer(coords)
     n = len(x)
+    skeleton = np.arange(n)
+    skeleton.setflags(write=False)
+    # half-bandwidth W = band h / 2 pi >= 1/2 (h the mean spacing): the axis samples the
+    # band at or below its Nyquist rate, so every point is a pivot and no QR is needed
+    if n > 1 and band * ((x[-1] - x[0]) / (n - 1)) / (2.0 * np.pi) >= 0.5:
+        return skeleton, None
     # at least n + 1 frequencies, so a short axis or a small band is never undersampled
     count = max(int(np.ceil(SKELETON_OVERSAMPLE * band * (x[-1] - x[0]) / np.pi)), n) + 1
     omega = np.linspace(-band, band, count)
@@ -183,16 +192,15 @@ def _skeleton_of(coords: bytes, band: float) -> tuple[np.ndarray, np.ndarray | N
     diag = np.abs(np.diag(r))
     rank = int(np.count_nonzero(diag > SKELETON_TOL * diag[0]))
     if rank == n:
-        skeleton, interp = np.arange(n), None
-    else:
-        interp = np.empty((rank, n), complex)
-        interp[:, piv[:rank]] = np.eye(rank)
-        interp[:, piv[rank:]] = solve_triangular(r[:rank, :rank], r[:rank, rank:])
-        order = np.argsort(piv[:rank])
-        skeleton, interp = piv[:rank][order], interp[order]
-        interp.setflags(write=False)
+        return skeleton, None
+    interp = np.empty((rank, n), complex)
+    interp[:, piv[:rank]] = np.eye(rank)
+    interp[:, piv[rank:]] = solve_triangular(r[:rank, :rank], r[:rank, rank:])
+    order = np.argsort(piv[:rank])
+    skeleton, interp = piv[:rank][order], interp[order]
     # cached: every caller gets the same arrays
     skeleton.setflags(write=False)
+    interp.setflags(write=False)
     return skeleton, interp
 
 

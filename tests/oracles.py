@@ -391,9 +391,10 @@ def reference_rhs(system, mode, direction) -> np.ndarray:
 
 def reference_msr_full(scene, medium, m, n_per_component) -> np.ndarray:
     """The 4m x 4m far-field operator of forward.synthesize_msr from the reference
-    system and one right-hand side per plane wave."""
+    system, one right-hand side per plane wave, and the far fields of the stacked
+    densities psi (N, 2, 4m)."""
     from elastoscan.elastic import WaveMode
-    from elastoscan.forward import _farfield_batch, direction_grid
+    from elastoscan.forward import direction_grid
 
     system = reference_system(scene, medium, n_per_component)
     quad = system.quadrature
@@ -405,5 +406,12 @@ def reference_msr_full(scene, medium, m, n_per_component) -> np.ndarray:
                                                              float(dirs[i, 1])))
     sol = system.solve(rhs)
     n = quad.n_nodes
-    up, us = _farfield_batch(np.stack([sol[:n], sol[n:]], axis=1), quad, medium, dirs)
+    psi = np.stack([sol[:n], sol[n:]], axis=1)
+    y, w = quad.points, quad.weights
+    phase_p = np.exp(-1j * medium.k_p * (dirs @ y.T)) * w[None, :]
+    phase_s = np.exp(-1j * medium.k_s * (dirs @ y.T)) * w[None, :]
+    px, py = psi[:, 0, :], psi[:, 1, :]
+    d0, d1 = dirs[:, 0:1], dirs[:, 1:2]
+    up = d0 * (phase_p @ px) + d1 * (phase_p @ py)
+    us = -d1 * (phase_s @ px) + d0 * (phase_s @ py)
     return np.block([[up[:, 0::2], up[:, 1::2]], [us[:, 0::2], us[:, 1::2]]])

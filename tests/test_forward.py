@@ -267,6 +267,34 @@ class TestSynthesizeMSR:
         assert np.abs(msr.f_ss - msr.f_ss[np.ix_(sig, sig)].T).max() < 1e-10 * nrm
         assert np.abs(msr.f_ps - msr.f_sp[np.ix_(sig, sig)].T).max() < 1e-10 * nrm
 
+    @pytest.mark.parametrize("conditions", [(D, N), (N, D)], ids=["dn", "nd"])
+    def test_peak_memory_is_a_lu_and_one_rhs_block(self, medium, conditions):
+        """Synthesis holds at most A, its LU, one 2N x 4m right-hand-side block and
+        temporaries of n x n size: the traced peak stays within 8 complex n x n
+        arrays of A + LU + that block.  Its own temporaries reach about 6; a
+        kernel array kept next to A (16 more) or a second copy of the
+        right-hand sides (8 more) breaks the bound."""
+        import tracemalloc
+
+        n, m = 64, 32
+        scene = Scene(((BoundaryCurve(BoundaryKind.KITE, (-3.0, 0.0)), conditions[0]),
+                       (BoundaryCurve(BoundaryKind.CIRCLE, (3.0, 0.5), 0.8), conditions[1])))
+        item = np.dtype(complex).itemsize
+        unknowns = 2 * (2 * n)                                    # 2N
+        bound = (2 * unknowns**2 + unknowns * 4 * m + 8 * n * n) * item
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            synthesize_msr(scene, medium, m, n)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= bound, f"traced peak {peak} B above {bound} B"
+
 
 class TestNoise:
     def test_zero_delta_identity(self, msr_disk_m16):

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -139,6 +141,12 @@ class TestParseConfig:
     def test_infinite_medium_or_grid_rejected(self, line):
         with pytest.raises(ConfigValueError, match="finite"):
             parse_config(line + "\n")
+
+    @pytest.mark.parametrize("value", ["1e160", "1e-300"])
+    def test_omega_squared_out_of_range_rejected(self, value):
+        # the kernels divide by omega^2: it may not overflow or vanish
+        with pytest.raises(ConfigValueError, match="omega"):
+            parse_config(f"omega = {value}\n")
 
     # each of these used to pass the parser and be caught after the forward solve, if at all
     @pytest.mark.parametrize("text, match", [
@@ -603,6 +611,105 @@ class TestCli:
             assert rc in (0, 4)
             written = sorted(os.listdir(out)) if os.path.exists(out) else []
             assert written == (["noisy.msr"] if rc == 0 else [])
+
+    # value tokens: mostly in range, then out of range, non-finite or malformed
+    BAD = ("1e308", "1e-300", "nan", "inf", "-inf", "x", "", "1,5")
+    NUMBERS = st.sampled_from(("0", "1", "-1", "0.5", "2.5", "3.141592653589793") * 2 + BAD)
+    POSITIVE = st.sampled_from(("0.5", "1", "2", "6.283185307179586") * 3 + ("0", "-1") + BAD)
+    SMALL_INTS = st.sampled_from(("0", "1", "3", "5", "8", "16") * 2 + ("-1", "x", "8.0", ""))
+    ANGLES = st.sampled_from(("0", "0.5", "1.57", "3.141592653589793", "4.7", "6.3", "-1",
+                              "7") * 6 + BAD)
+    ARC = st.tuples(ANGLES, ANGLES).map("[{0[0]},{0[1]})".format)
+    # "" alone is the empty arc list
+    ARCS = st.lists(st.one_of(ARC, ARC, ARC,
+                              st.sampled_from(("[0,1]", "(0,1)", "[0;1)", "[,)", "[0,1.57",
+                                               "0,1.57)", "[]", ""))),
+                    min_size=1, max_size=2).map(" ".join)
+    MASKS = st.one_of(st.just("full"), ARCS.map("arcs {}".format),
+                      st.lists(SMALL_INTS, max_size=3).map(" ".join).map("indices {}".format),
+                      st.sampled_from(("", "arcs", "indices", "everything")))
+    CONFIG_VALUES = {
+        "scene": st.lists(st.tuples(st.sampled_from(("kite", "circle", "peanut", "pear") * 2
+                                                    + ("disk", "")),
+                                    NUMBERS, NUMBERS, POSITIVE)
+                          .map("{0[0]}@({0[1]},{0[2]})*{0[3]}".format),
+                          min_size=1, max_size=2).map(" + ".join),
+        "bc": st.sampled_from(("dirichlet", "neumann", "mixed", "")),
+        "lambda": NUMBERS,
+        "mu": POSITIVE,
+        "omega": POSITIVE,
+        "m": st.sampled_from(("4", "8") * 3 + ("-1", "0", "3", "x", "8.0", "")),
+        "n": st.sampled_from(("64", "96") * 3 + ("63", "0", "x", "")),
+        "grid": st.one_of(st.tuples(NUMBERS, POSITIVE, NUMBERS, POSITIVE, SMALL_INTS,
+                                    SMALL_INTS).map(" ".join),
+                          st.lists(NUMBERS, max_size=7).map(" ".join)),
+        "delta": NUMBERS,
+        "seed": SMALL_INTS,
+        "kinds": st.lists(st.sampled_from(("ss", "pp", "ff") * 2 + ("sp", "SS")), max_size=3)
+                   .map(" ".join),
+        "q": st.sampled_from(("1 0", "0 1", "0.6 0.8", "-0.8 0.6") * 2
+                             + ("nan 0", "1", "a b", "0 0", "1 0 0", "inf 0")),
+        "observed": MASKS,
+        "incident": MASKS,
+        "retrieve": st.one_of(st.just("off"),
+                              st.lists(st.tuples(st.sampled_from(("R", "nB", "alpha") * 2
+                                                                 + ("beta", "")),
+                                                 st.one_of(POSITIVE, SMALL_INTS,
+                                                           st.just("auto")))
+                                       .map("{0[0]}={0[1]}".format), max_size=3)
+                              .map(" ".join)),
+    }
+    JUNK_LINES = st.sampled_from(("",) * 8 + ("m = 8\n", "colour = red\n", "no equals sign\n",
+                                              "= 3\n", "# comment = 1\n", "\x00\n",
+                                              "scène = kite\n"))
+
+    @st.composite
+    def config_texts(draw, values=CONFIG_VALUES, junk=JUNK_LINES):
+        """The tiny kite's config with one to three keys given drawn values, and a
+        drawn extra line."""
+        lines = dict(line.split(" = ", 1) for line in TINY_KITE.strip().splitlines())
+        for key in draw(st.lists(st.sampled_from(sorted(values)), min_size=1, max_size=3,
+                                 unique=True)):
+            lines[key] = draw(values[key])
+        return "".join(f"{k} = {v}\n" for k, v in lines.items()) + draw(junk)
+
+    @staticmethod
+    def run_quietly(argv) -> tuple[int, str]:
+        """cli_main's exit code and what it wrote to stderr."""
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = cli_main(argv)
+        return rc, err.getvalue()
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(text=config_texts())
+    def test_generated_config_exits_0_to_4_and_leaves_no_partial_file(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = os.path.join(tmp, "gen.cfg"), os.path.join(tmp, "out")
+            with open(cfg, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            rc, err = self.run_quietly(["synth", "--config", cfg, "--out", out, "--quiet"])
+            assert rc in (0, 2, 3, 4)
+            assert "Traceback" not in err
+            written = sorted(os.listdir(out)) if os.path.exists(out) else []
+            assert written == (["data.msr"] if rc == 0 else [])
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(observed=st.one_of(st.none(), ARCS), incident=st.one_of(st.none(), ARCS))
+    def test_generated_arc_specs_exit_0_to_4_and_leave_no_partial_file(self, tiny_kite,
+                                                                       observed, incident):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "out")
+            argv = ["indicate", "--msr", str(tiny_kite[1]), "--kind", "ss", "--grid",
+                    "-3 3 -3 3 9 9", "--out", out, "--quiet"]
+            for flag, spec in (("--observed", observed), ("--incident", incident)):
+                if spec is not None:
+                    argv += [flag, spec]
+            rc, err = self.run_quietly(argv)
+            assert rc in (0, 2, 3, 4)
+            assert "Traceback" not in err
+            written = sorted(os.listdir(out)) if os.path.exists(out) else []
+            assert written == (["indicator_ss.csv", "indicator_ss.pgm"] if rc == 0 else [])
 
     def test_failed_msr_write_leaves_no_file(self, tmp_path, tiny_kite, monkeypatch):
         import elastoscan.harness as hz

@@ -290,6 +290,23 @@ class TestSkeletonGrid:
             assert (delta / np.maximum(1.0, exact[kind])).max() <= 1e-13
             assert delta.max() <= 1e-12 * exact[kind].max()
 
+    @pytest.mark.parametrize("n, half_bandwidth", [(5, 3.0), (161, 0.6), (321, 0.51),
+                                                   (641, 1.0)])
+    def test_nyquist_axis_is_its_own_skeleton_without_qr(self, monkeypatch, n,
+                                                         half_bandwidth):
+        # W = band h / 2 pi >= 1/2: every point is a pivot, so no QR is run (W = 0.6 is
+        # the ss band 2 k_s of omega = 8 pi on the 161-point --small grid)
+        def no_qr(*args, **kwargs):
+            raise AssertionError("qr called on an axis sampled at or below Nyquist")
+
+        x = np.linspace(-6.0, 6.0, n)
+        band = 2.0 * np.pi * half_bandwidth / (x[1] - x[0])
+        indicators._skeleton_of.cache_clear()
+        monkeypatch.setattr(indicators, "qr", no_qr)
+        skeleton, interp = indicators._axis_skeleton(x, band)
+        assert interp is None and np.array_equal(skeleton, np.arange(n))
+        indicators._skeleton_of.cache_clear()
+
     def test_summary_reads_the_cached_skeleton(self, msr_kite_m64, medium):
         # unequal axes and all four blocks: three bands on each of two axes, each
         # factorized once by the pass and still cached for the summary

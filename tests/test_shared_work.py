@@ -4,8 +4,8 @@ The assembly evaluates each unordered node pair's radial functions once (a
 self block's upper triangle, mirrored; block (j, i) as the transpose of
 block (i, j)), only the functions a kernel reads, and builds every plane
 wave's right-hand side in one pass.  The references in oracles.py evaluate
-every block in full and one plane wave at a time; the float64 views of the
-results must be equal, not close.
+every block in full and one plane wave at a time; the bit patterns of the
+results must be equal, the sign of every zero included.
 """
 
 import numpy as np
@@ -45,8 +45,9 @@ def scene_of(conditions) -> Scene:
 
 
 def same_bits(a, b) -> bool:
+    """Equal bit patterns: int64 views, so that -0.0 and 0.0 differ."""
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    return a.shape == b.shape and np.array_equal(a.view(np.float64), b.view(np.float64))
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def label(conditions) -> str:
@@ -69,7 +70,7 @@ def test_batched_rhs_equals_one_wave_at_a_time(conditions):
     for i, d in enumerate(dirs):
         for k, mode in enumerate((WaveMode.P, WaveMode.S)):
             direction = (float(d[0]), float(d[1]))
-            column = rhs[:, 2 * i + k]
+            column = rhs[:, k * len(dirs) + i]
             assert same_bits(column, _incident_rhs(system, PlaneWave(mode, direction)))
             assert same_bits(column, reference_rhs(system, mode, direction))
 
