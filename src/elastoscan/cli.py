@@ -3,8 +3,12 @@
 Subcommands: synth, noise, indicate, retrieve, experiment, presets.  Each one
 turns its flags into the harness's value types (parse_grid, parse_q,
 parse_arcs), runs the harness's pipeline stages and writes through its
-emitter: every artifact lands atomically, and a failed command removes what
-it wrote.  Only experiment hashes its artifacts and writes manifest.json.
+emitter.  The emitter formats and writes on one writer thread, which the
+command joins before it returns: every artifact lands atomically and in the
+order it was submitted, and a failure on either thread removes every file of
+the command.  Only experiment hashes its artifacts and writes manifest.json;
+its <label>.msr_write_s and <tag>.write_s timings are measured by the writer,
+and emit_wait_s is how long the pipeline waited for the writer.
 synth and experiment take the experiment from --config or --preset (with
 --small); noise, indicate and retrieve take their data from --msr and
 everything else from their own flags.  --seed belongs to synth, noise and

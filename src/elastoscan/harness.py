@@ -28,15 +28,27 @@ normalized) and a JSON manifest listing every artifact with its sha256.  The
 stages (aperture_mask, restrict, fields_of, retrieve_msr), the flag parsers
 (parse_grid, parse_q, parse_arcs) and the one artifact writer (_Emitter) are
 shared with the CLI subcommands.
+
+Emission runs behind the pipeline on one writer thread, so an artifact is
+formatted and written while the next stage computes.  Artifacts land
+atomically (a temporary name, then os.replace) and in submission order, and
+the manifest lists them in that order.  A failure on either thread removes
+every file of the command.  The manifest timings <label>.msr_write_s and
+<tag>.write_s are the writer's own time (formatting, writing, hashing);
+emit_wait_s is the time the pipeline spent waiting for the writer to finish
+before the manifest was written.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import os
+import queue
 import shutil
+import threading
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -47,7 +59,8 @@ from .aperture import (ApertureMask, MaskedMSR, apply_mask, limited_indicator, r
                        tikhonov_retrieve)
 from .elastic import Medium
 from .forward import MSRMatrix, NumericError, add_noise, save_msr, synthesize_msr
-from .geometry import BoundaryCondition, BoundaryCurve, BoundaryKind, Scene, scene_from_string
+from .geometry import (BoundaryCondition, BoundaryCurve, BoundaryKind, Scene, boundary_quadrature,
+                       scene_from_string)
 from .indicators import (IndicatorField, IndicatorKind, SamplingGrid, indicator_fields,
                          skeleton_summary)
 
@@ -133,11 +146,22 @@ class ExperimentConfig:
         _check_polarization(self.q)
         try:
             scene = self.scene_object()
-            self.medium()
+            k_s = self.medium().k_s
             self.sampling_grid()
             mask = aperture_mask(self.m, self.observed, self.incident)
+            lengths = [boundary_quadrature(curve, self.n).weights.sum()
+                       for curve, _ in scene.components]
         except ValueError as exc:
             raise ConfigValueError(str(exc)) from None
+        for (curve, _), length in zip(scene.components, lengths):
+            # fewer than 2 nodes per shear wavelength 2 pi / k_s: the data would be
+            # finite but meaningless
+            if not self.n >= k_s * length / np.pi:
+                need = 2.0 * np.ceil(k_s * length / (2.0 * np.pi))
+                raise ConfigValueError(
+                    f"n = {self.n} gives fewer than 2 nodes per shear wavelength on "
+                    f"{curve.describe()} (boundary length {length:.4g}, k_s = {k_s:.4g}); "
+                    f"need n >= {need:.6g}")
         if self.retrieve is not None:
             spec = self.retrieve
             if mask is None:
@@ -464,11 +488,15 @@ class RunManifest:
     skeletons: dict = field(default_factory=dict)   # field label -> skeleton_summary
 
     def add_file(self, path: str) -> None:
+        # hashed a block at a time: a whole MSR/1 file would add its size to the
+        # peak memory of the indicator pass it overlaps
+        digest, size = hashlib.sha256(), 0
         with open(path, "rb") as fh:
-            data = fh.read()
-        self.files.append({"path": os.path.basename(path),
-                           "sha256": hashlib.sha256(data).hexdigest(),
-                           "bytes": len(data)})
+            while block := fh.read(1 << 20):
+                digest.update(block)
+                size += len(block)
+        self.files.append({"path": os.path.basename(path), "sha256": digest.hexdigest(),
+                           "bytes": size})
 
     @contextlib.contextmanager
     def span(self, key: str):
@@ -484,66 +512,131 @@ class RunManifest:
                           indent=2, sort_keys=True)
 
 class _Emitter:
-    """The only writer of artifacts.
+    """The only writer of artifacts, with one writer thread behind it.
 
-    Each file is written under a temporary name in the output directory and
-    moved into place with os.replace, so no artifact is ever seen half
-    written.  Used as a context manager, an exception removes every file the
-    emitter wrote, temporary ones included.  With a manifest, each artifact is
-    hashed into it as it lands.
+    Each write call queues a job and returns at once; the writer thread,
+    started by the first job, runs the jobs one at a time in submission order.
+    A job formats the artifact (save_msr, IndicatorField.to_csv,
+    render_heatmap), writes it under a temporary name in the output directory,
+    moves it into place with os.replace and, with a manifest, hashes it into
+    the manifest's file list.  So artifacts land atomically and in submission
+    order, manifest entries included, and a copy runs after the file it
+    copies.  A job given a timing key adds the writer's own seconds for it to
+    that manifest timing.  write_manifest and the end of the with-block wait
+    for the queue to empty and join the writer; the manifest's emit_wait_s is
+    the total time spent waiting there.
+
+    Used as a context manager, a failure on either thread cancels the jobs not
+    yet run, joins the writer, then removes every file the emitter wrote,
+    temporary ones included.  An exception of the with-block propagates as it
+    is; a writer exception is re-raised on the calling thread, at the next
+    write call or at the end of the block.
     """
 
     def __init__(self, outdir: str, manifest: RunManifest | None = None):
         self.outdir = outdir
         self.manifest = manifest
         self.written: list[str] = []
+        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
+        self._writer: threading.Thread | None = None
+        self._failure: BaseException | None = None
+        self._busy: dict[str, float] = {}     # timing key -> writer seconds
+        self._waited = 0.0
         os.makedirs(outdir, exist_ok=True)
 
     def __enter__(self) -> "_Emitter":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is not None:
+        if exc is not None and self._failure is None:
+            self._failure = exc               # the writer skips the jobs left
+        self._join()
+        if self._failure is not None:
             self.cleanup()
+            if exc is None:
+                raise self._failure
 
     def path(self, name: str) -> str:
         return os.path.join(self.outdir, name)
 
-    def _commit(self, name: str, write, hashed: bool = True) -> None:
-        """write(tmp_path) the artifact, then rename it to name."""
+    def _run(self) -> None:
+        while (job := self._jobs.get()) is not None:
+            if self._failure is None:
+                try:
+                    job()
+                except BaseException as exc:     # re-raised on the calling thread
+                    self._failure = exc
+
+    def _join(self) -> None:
+        """Let the writer run the queued jobs, then join it."""
+        if self._writer is None:
+            return
+        t0 = time.perf_counter()
+        self._jobs.put(None)
+        self._writer.join()
+        self._writer = None
+        self._waited += time.perf_counter() - t0
+        if self.manifest is not None:
+            self.manifest.timings["emit_wait_s"] = round(self._waited, 3)
+
+    def _commit(self, name: str, write, hashed: bool = True, timing: str | None = None) -> None:
+        """Queue the artifact name, written by write(tmp_path); return at once."""
+        if self._failure is not None:
+            raise self._failure
+        if self._writer is None:
+            writer = threading.Thread(target=self._run, name="elastoscan-writer")
+            writer.start()
+            self._writer = writer
+        self._jobs.put(functools.partial(self._land, name, write, hashed, timing))
+
+    def _land(self, name: str, write, hashed: bool, timing: str | None) -> None:
+        """write(tmp_path) the artifact, rename it to name and hash it."""
+        t0 = time.perf_counter()
         tmp, final = self.path(f".{name}.tmp"), self.path(name)
         self.written.append(tmp)
         write(tmp)
         os.replace(tmp, final)
         self.written[-1] = final
-        if hashed and self.manifest is not None:
-            self.manifest.add_file(final)
+        if self.manifest is not None:
+            if hashed:
+                self.manifest.add_file(final)
+            if timing is not None:
+                self._busy[timing] = self._busy.get(timing, 0.0) + time.perf_counter() - t0
+                self.manifest.timings[timing] = round(self._busy[timing], 3)
 
-    def write_bytes(self, name: str, data: bytes) -> None:
-        self._commit(name, lambda tmp: Path(tmp).write_bytes(data))
+    def write_bytes(self, path: str, data: bytes) -> None:
+        """The writer's raw write of data to the file path (PGM images, the manifest)."""
+        Path(path).write_bytes(data)
 
-    def write_msr(self, name: str, msr: MSRMatrix) -> None:
-        self._commit(name, lambda tmp: save_msr(msr, tmp))
+    def write_msr(self, name: str, msr: MSRMatrix, timing: str | None = None) -> None:
+        self._commit(name, lambda tmp: save_msr(msr, tmp), timing=timing)
 
-    def copy(self, name: str, source: str) -> None:
-        """Write the bytes of the artifact source, already written, under name."""
-        self._commit(name, lambda tmp: shutil.copyfile(self.path(source), tmp))
+    def copy(self, name: str, source: str, timing: str | None = None) -> None:
+        """Write the bytes of the artifact source, written or queued before, under name."""
+        self._commit(name, lambda tmp: shutil.copyfile(self.path(source), tmp), timing=timing)
 
-    def write_field(self, label: str, fld: IndicatorField) -> None:
-        try:
-            image = render_heatmap(fld)
-        except ValueError as exc:
-            raise NumericError(str(exc)) from None
-        self._commit(f"{label}.csv", fld.to_csv)
-        self.write_bytes(f"{label}.pgm", image)
+    def write_field(self, label: str, fld: IndicatorField, timing: str | None = None) -> None:
+        def heatmap(tmp: str) -> None:
+            try:
+                image = render_heatmap(fld)
+            except ValueError as exc:
+                raise NumericError(str(exc)) from None
+            self.write_bytes(tmp, image)
 
-    def write_fields(self, label: str, fields: dict) -> None:
+        self._commit(f"{label}.csv", fld.to_csv, timing=timing)
+        self._commit(f"{label}.pgm", heatmap, timing=timing)
+
+    def write_fields(self, label: str, fields: dict, timing: str | None = None) -> None:
         for kind, fld in fields.items():
-            self.write_field(f"{label}_{kind.value}", fld)
+            self.write_field(f"{label}_{kind.value}", fld, timing)
 
     def write_manifest(self) -> None:
+        """Wait for every artifact, then write manifest.json (not hashed) on this thread."""
+        self._join()
+        if self._failure is not None:
+            raise self._failure
         data = self.manifest.to_json().encode()
-        self._commit("manifest.json", lambda tmp: Path(tmp).write_bytes(data), hashed=False)
+        self._land("manifest.json", lambda tmp: self.write_bytes(tmp, data), False, None)
 
     def cleanup(self) -> None:
         for p in self.written:
@@ -565,7 +658,11 @@ def run_experiment(config: ExperimentConfig, label: str = "run", outdir: str | N
     Deterministic for a fixed config: the only randomness is the seeded noise.
     Writes through emitter, whose owner cleans up on failure; without one, a
     fresh emitter into outdir (default config.out) removes this run's files
-    on failure.  Writes no manifest.json.  solved maps _forward_key to a noisy
+    on failure.  Each artifact is queued to the emitter's writer thread as soon
+    as it is computed, so the noisy MSR is written during the first indicator
+    pass, and the limited fields and the retrieved MSR during retrieval and the
+    retrieved pass; <label>.msr_write_s and <tag>.write_s are the writer's time
+    for them.  Writes no manifest.json.  solved maps _forward_key to a noisy
     MSR this emitter has written and the name of its file; a config found there
     copies that file to <label>.msr instead of solving again, and a config solved
     here is added.
@@ -580,8 +677,7 @@ def run_experiment(config: ExperimentConfig, label: str = "run", outdir: str | N
     key = _forward_key(config)
     if key in solved:
         msr, source = solved[key]
-        with span(f"{label}.msr_write_s"):
-            emitter.copy(f"{label}.msr", source)
+        emitter.copy(f"{label}.msr", source, f"{label}.msr_write_s")
     else:
         with span(f"{label}.synth_s"):
             msr = synthesize_msr(config.scene_object(), config.medium(), config.m, config.n,
@@ -589,8 +685,7 @@ def run_experiment(config: ExperimentConfig, label: str = "run", outdir: str | N
         if config.delta > 0:
             with span(f"{label}.noise_s"):
                 msr = add_noise(msr, config.delta, config.seed)
-        with span(f"{label}.msr_write_s"):
-            emitter.write_msr(f"{label}.msr", msr)
+        emitter.write_msr(f"{label}.msr", msr, f"{label}.msr_write_s")
         solved[key] = (msr, f"{label}.msr")
 
     grid, medium = config.sampling_grid(), config.medium()
@@ -598,8 +693,7 @@ def run_experiment(config: ExperimentConfig, label: str = "run", outdir: str | N
     def emit_fields(tag: str, source) -> None:
         with span(f"{tag}.eval_s"):
             fields = fields_of(source, grid, config.kinds, config.q)
-        with span(f"{tag}.write_s"):
-            emitter.write_fields(tag, fields)
+        emitter.write_fields(tag, fields, f"{tag}.write_s")
         emitter.manifest.skeletons[tag] = skeleton_summary(grid, medium, config.kinds)
 
     data = restrict(msr, config.observed, config.incident)
@@ -608,8 +702,7 @@ def run_experiment(config: ExperimentConfig, label: str = "run", outdir: str | N
         if config.retrieve is not None:
             with span(f"{label}_retr.retrieve_s"):
                 retrieved = retrieve_msr(data, config.retrieve)
-            with span(f"{label}_retr.msr_write_s"):
-                emitter.write_msr(f"{label}_retrieved.msr", retrieved)
+            emitter.write_msr(f"{label}_retrieved.msr", retrieved, f"{label}_retr.msr_write_s")
             emit_fields(f"{label}_retr", retrieved)
     else:
         emit_fields(label, data)

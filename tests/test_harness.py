@@ -4,7 +4,9 @@ import io
 import json
 import os
 import re
+import sys
 import tempfile
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elastoscan.cli import main as cli_main
-from elastoscan.geometry import BoundaryCondition, BoundaryKind
+from elastoscan.geometry import (BoundaryCondition, BoundaryCurve, BoundaryKind,
+                                 boundary_quadrature)
 from elastoscan.harness import (
     ConfigError,
     ConfigKeyError,
@@ -35,6 +38,7 @@ from elastoscan.harness import (
     render_heatmap,
     run_experiment,
     run_preset,
+    run_recorded,
 )
 from elastoscan.indicators import IndicatorField, IndicatorKind, SamplingGrid
 
@@ -160,6 +164,23 @@ class TestParseConfig:
     def test_rejected_before_synthesis(self, text, match):
         with pytest.raises(ConfigValueError, match=match):
             parse_config(text)
+
+    def test_under_resolved_component_rejected_with_the_n_needed(self):
+        # the unit kite at n = 64: reject below 2 nodes per shear wavelength, i.e.
+        # n < k_s L / pi with L the sum of the component's quadrature weights
+        length = boundary_quadrature(BoundaryCurve(BoundaryKind.KITE, (0.0, 0.0), 1.0),
+                                     64).weights.sum()
+        limit = float(64 * np.pi / length)    # omega = k_s at mu = 1
+        parse_config(f"scene = kite\nn = 64\nomega = {limit * (1 - 1e-9)!r}\n")
+        with pytest.raises(ConfigValueError, match="2 nodes per shear wavelength"):
+            parse_config(f"scene = kite\nn = 64\nomega = {limit * (1 + 1e-9)!r}\n")
+        with pytest.raises(ConfigValueError, match=r"kite.*need n >= (\d+)$") as info:
+            parse_config("scene = kite + circle@(4.0,4.0)*0.5\nn = 64\nomega = 40\n")
+        need = int(re.search(r"need n >= (\d+)$", str(info.value)).group(1))
+        assert need % 2 == 0 and need >= 40 * length / np.pi
+        parse_config(f"scene = kite + circle@(4.0,4.0)*0.5\nn = {need}\nomega = 40\n")
+        with pytest.raises(ConfigValueError, match="need n >= 2.96793e"):
+            parse_config("scene = kite\nn = 64\nomega = 1e150\n")
 
 
 class TestSharedParsers:
@@ -332,7 +353,8 @@ class TestRunExperiment:
             "lim.synth_s", "lim.assemble_s", "lim.factorize_s", "lim.solve_s", "lim.farfield_s",
             "lim.noise_s", "lim.msr_write_s",
             "lim_limit.eval_s", "lim_limit.write_s",
-            "lim_retr.retrieve_s", "lim_retr.msr_write_s", "lim_retr.eval_s", "lim_retr.write_s"}
+            "lim_retr.retrieve_s", "lim_retr.msr_write_s", "lim_retr.eval_s", "lim_retr.write_s",
+            "emit_wait_s"}
         assert all(t >= 0 for t in manifest.timings.values())
         for summary in manifest.skeletons.values():
             assert (summary["nx"], summary["ny"]) == (11, 11)
@@ -561,6 +583,10 @@ class TestCli:
         "38-msr-non-utf8-byte": (["noise", "--msr", "{msr}", "--delta", "0.1"], None,
                                  lambda data: re.sub(rb"\n(?=[^#])", b"\n\xff", data, count=1),
                                  4),
+        # finite numbers, but n = 64 nodes resolve nothing at this frequency
+        "39-synth-under-resolved": (["synth", "--config", "{cfg}"],
+                                    TINY_KITE.replace("omega = 3.141592653589793",
+                                                      "omega = 1e150"), None, 2),
     }
 
     @pytest.mark.parametrize("row", sorted(BAD_INPUTS))
@@ -790,3 +816,109 @@ class TestCli:
         assert {f["path"] for f in data["files"]} == {p.name for p in target.iterdir()} - {
             "manifest.json"}
 
+
+
+# the tiny kite with a quarter aperture and retrieval: two MSR/1 files (noisy and
+# retrieved) and two field sets, each written while the next stage computes
+TINY_RETRIEVAL = (TINY_KITE + "observed = arcs [0,1.5707963267948966)\n"
+                  "retrieve = R=5.0 nB=64 alpha=auto\n")
+
+
+class TestWriterThread:
+    @staticmethod
+    def fail_on_second_call(fn):
+        """fn, except that its second call leaves a partial file at its path and raises."""
+        calls = []
+
+        def wrapped(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                with open(args[-1], "w") as fh:
+                    fh.write("partial")
+                raise OSError(28, "No space left on device")
+            return fn(*args)
+
+        return wrapped
+
+    @pytest.mark.parametrize("target", ["save_msr", "to_csv"])
+    def test_writer_failure_exits_4_and_leaves_no_file_or_thread(self, tmp_path, monkeypatch,
+                                                                  target):
+        import elastoscan.harness as hz
+
+        if target == "save_msr":
+            monkeypatch.setattr(hz, "save_msr", self.fail_on_second_call(hz.save_msr))
+        else:
+            monkeypatch.setattr(IndicatorField, "to_csv",
+                                self.fail_on_second_call(IndicatorField.to_csv))
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY_RETRIEVAL)
+        out = tmp_path / "out"
+        before = set(threading.enumerate())
+        assert cli_main(["experiment", "--config", str(cfg), "--out", str(out),
+                         "--quiet"]) == 4
+        assert set(threading.enumerate()) == before
+        assert not out.exists() or os.listdir(out) == []
+
+    def test_no_thread_outlives_a_cli_call(self, tmp_path):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY_RETRIEVAL)
+        out = str(tmp_path / "out")
+        msr = os.path.join(out, "data.msr")
+        calls = [["synth", "--config", str(cfg)],
+                 ["noise", "--msr", msr, "--delta", "0.1"],
+                 ["indicate", "--msr", msr, "--grid", "-3 3 -3 3 9 9"],
+                 ["retrieve", "--msr", msr, "--observed", "[0,1.57)", "--nb", "64"],
+                 ["experiment", "--config", str(cfg)]]
+        for argv in calls:
+            before = set(threading.enumerate())
+            assert cli_main(argv + ["--out", out, "--quiet"]) == 0, argv
+            assert set(threading.enumerate()) == before, argv
+
+    def test_writer_timings_and_wait_are_recorded(self, tmp_path):
+        # m = 64: every artifact group takes well over the 1 ms rounding of a timing
+        lim = parse_config(TINY_CONFIG.replace("m = 8", "m = 64").replace("kinds = ss", "")
+                           + "observed = arcs [0,1.5707963267948966)\n"
+                           "retrieve = R=5.0 nB=64 alpha=auto\n")
+        # b differs from a only in its aperture, so it copies a's MSR file
+        variants = [("a", lim), ("b", replace(lim, observed=MaskSpec(arcs=((1.0, 3.0),))))]
+        manifest = run_recorded(replace(lim, out=str(tmp_path / "w")), variants)
+        for label in ("a", "b"):
+            for key in (f"{label}.msr_write_s", f"{label}_limit.write_s",
+                        f"{label}_retr.msr_write_s", f"{label}_retr.write_s"):
+                assert manifest.timings[key] > 0, key
+        assert manifest.timings["emit_wait_s"] >= 0
+        written = json.loads((tmp_path / "w" / "manifest.json").read_text())
+        assert written["timings"] == manifest.timings
+        assert [f["path"] for f in written["files"]] == [
+            f"{label}{name}" for label in ("a", "b") for name in (
+                ".msr", "_limit_ss.csv", "_limit_ss.pgm", "_limit_pp.csv", "_limit_pp.pgm",
+                "_limit_ff.csv", "_limit_ff.pgm", "_retrieved.msr", "_retr_ss.csv",
+                "_retr_ss.pgm", "_retr_pp.csv", "_retr_pp.pgm", "_retr_ff.csv",
+                "_retr_ff.pgm")]
+
+    def test_artifacts_land_in_submission_order_under_fast_thread_switching(self, tmp_path):
+        from elastoscan.harness import RunManifest, _Emitter
+
+        grid = SamplingGrid(-1.0, 1.0, -1.0, 1.0, 3, 3)
+        rng = np.random.default_rng(0)
+        fields = [IndicatorField(grid, rng.random((3, 3)) + 0.1, IndicatorKind.SS, (1.0, 0.0))
+                  for _ in range(40)]
+        manifest = RunManifest(config_text="", seed=0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with _Emitter(str(tmp_path / "s"), manifest) as emitter:
+                for i, fld in enumerate(fields):
+                    emitter.write_field(f"f{i:02d}", fld, f"f{i:02d}.write_s")
+                    manifest.timings[f"main{i:02d}"] = float(i)
+                emitter.write_manifest()
+        finally:
+            sys.setswitchinterval(interval)
+        names = [f"f{i:02d}.{ext}" for i in range(len(fields)) for ext in ("csv", "pgm")]
+        assert [f["path"] for f in manifest.files] == names
+        for entry in manifest.files:
+            data = (tmp_path / "s" / entry["path"]).read_bytes()
+            assert entry["sha256"] == hashlib.sha256(data).hexdigest()
+        assert all(manifest.timings[f"main{i:02d}"] == i for i in range(len(fields)))
+        assert all(f"f{i:02d}.write_s" in manifest.timings for i in range(len(fields)))
+        assert json.loads((tmp_path / "s" / "manifest.json").read_text())["files"] == manifest.files
