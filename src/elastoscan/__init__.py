@@ -54,7 +54,6 @@ from .indicators import (
     indicator_fields,
     indicator_values_at,
     normalize_field,
-    test_vectors,
 )
 from .aperture import (
     ApertureMask,

@@ -34,23 +34,21 @@ as without the check.
 
 Along a grid axis each complex block form phi_a^H F_ab phi_b is a band-limited
 function: its frequencies k_a cos t_j - k_b cos t_i lie within the band k_a + k_b
-(2 k_p for pp, k_p + k_s for ps and sp, 2 k_s for ss), so an axis of length L
-carries about (k_a + k_b) L / pi degrees of freedom, whatever the number of points
-on it.  For a rectangular grid each block form is therefore evaluated exactly on
-a skeleton of each axis for its own band and interpolated to the full grid before
-the modulus is taken: a column-pivoted QR of E[w, x] = e^{i w (x - x_mid)}, with w
-sampled at SKELETON_OVERSAMPLE times the Nyquist density of the band (and at no
-fewer than n + 1 values), keeps the rho points whose |R_ii| > SKELETON_TOL |R_00|,
-and B = [I, R11^-1 R12] (rho x n) maps forms on the skeleton to the axis,
-G -> B_y^T G B_x.  PP and SS are the interpolated pp and ss forms, FF the sum of
-all four.  The skeleton of an axis depends only on its coordinates and the band,
-so it is cached and shared between passes and between equal axes.  Where the
-half-bandwidth W = band h / 2 pi of an axis of spacing h is at least 1/2, the
-axis samples the band at or below its Nyquist rate and is its own skeleton with
-no QR (the ss blocks on every omega = 8 pi grid of 161 points, W = 0.6).  Where
-rho = n the skeleton is the whole axis, B is the identity and is not applied,
-and the block's values are those of the per-row evaluation bit for bit (the ss
-and mixed blocks on every omega = 8 pi grid of 161 points).
+(2 k_p for pp, k_p + k_s for ps and sp, 2 k_s for ss).  On an axis of n equispaced
+points of spacing h, such samples lie to rounding in the span of the leading
+discrete prolate spheroidal sequences of half-bandwidth W = band h / 2 pi (Slepian
+1978), of which about 2nW carry the band, whatever n.  For a grid with equispaced
+axes each block form is therefore evaluated exactly on a skeleton of each axis for
+its own band and interpolated to the full grid before the modulus is taken.  The
+band alone fixes the rank, K = ceil(2nW) + SKELETON_MARGIN; the K leading sequences
+V are the top eigenvectors of Slepian's tridiagonal matrix, a column-pivoted QR of
+the real K x n matrix V^T picks K skeleton points, and B = [I, R11^-1 R12] (K x n)
+maps forms on the skeleton to the axis, G -> B_y^T G B_x.  PP and SS are the interpolated pp and ss forms, FF the sum of
+all four.  The skeleton depends only on n and W, so it is cached and shared
+between passes and between axes.  Where K >= n (a short axis, or W near 1/2 or
+above) the axis is its own skeleton: nothing is factorized, B is not applied, and
+the block's values are those of the per-row evaluation bit for bit (the ss and
+mixed blocks on every omega = 8 pi grid of 161 points).
 """
 
 from __future__ import annotations
@@ -60,15 +58,14 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular
+from scipy.linalg import eigh_tridiagonal, qr, solve_triangular
 
 from ._numtext import CHUNK_VALUES, repr_cells
 from .elastic import Medium
 from .forward import direction_grid
 
 
-SKELETON_TOL = 5e-15          # keep the skeleton pivots with |R_ii| > SKELETON_TOL |R_00|
-SKELETON_OVERSAMPLE = 6       # frequency samples per Nyquist interval of the band
+SKELETON_MARGIN = 40          # skeleton points per axis beyond the 2nW that carry the band
 _DIRECT_CHUNK = 1024          # scattered points per batched unfolded product
 
 
@@ -153,49 +150,42 @@ class IndicatorField:
                 fh.write(lines.tobytes().translate(None, b"\0"))
 
 
-def test_vectors(z, q, directions: np.ndarray, medium: Medium
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Samples of (phi_p, phi_s) at the given unit directions for one z."""
-    z = np.asarray(z, float)
-    q = np.asarray(q, float)
-    dq = directions @ q
-    dqp = -directions[:, 1] * q[0] + directions[:, 0] * q[1]
-    zdot = directions @ z
-    return (np.exp(-1j * medium.k_p * zdot) * dq,
-            np.exp(-1j * medium.k_s * zdot) * dqp)
+def _half_bandwidth(coords: np.ndarray, band: float) -> float:
+    """W = band h / 2 pi of an axis of mean spacing h."""
+    return float(band) * (coords[-1] - coords[0]) / (2.0 * np.pi * max(len(coords) - 1, 1))
+
+
+def _skeleton_rank(n: int, half_bandwidth: float) -> int:
+    """Skeleton rank of an axis of n points: ceil(2nW) + SKELETON_MARGIN, at most n."""
+    return min(n, int(np.ceil(2.0 * n * half_bandwidth)) + SKELETON_MARGIN)
 
 
 def _axis_skeleton(coords: np.ndarray, band: float) -> tuple[np.ndarray, np.ndarray | None]:
-    """Skeleton indices (ascending) and interpolation matrix B (rho x n) of one grid axis.
+    """Skeleton indices (ascending) and interpolation matrix B (K x n) of one equispaced
+    grid axis.
 
-    B is None when the skeleton is the whole axis (rho = n).
+    B is None when the skeleton is the whole axis (K = n).
     """
-    return _skeleton_of(coords.tobytes(), float(band))
+    return _skeleton_of(len(coords), _half_bandwidth(coords, band))
 
 
 # a pass uses at most three bands (2 k_p, k_p + k_s, 2 k_s) on each of its two axes
 @lru_cache(maxsize=8)
-def _skeleton_of(coords: bytes, band: float) -> tuple[np.ndarray, np.ndarray | None]:
-    x = np.frombuffer(coords)
-    n = len(x)
-    skeleton = np.arange(n)
-    skeleton.setflags(write=False)
-    # half-bandwidth W = band h / 2 pi >= 1/2 (h the mean spacing): the axis samples the
-    # band at or below its Nyquist rate, so every point is a pivot and no QR is needed
-    if n > 1 and band * ((x[-1] - x[0]) / (n - 1)) / (2.0 * np.pi) >= 0.5:
-        return skeleton, None
-    # at least n + 1 frequencies, so a short axis or a small band is never undersampled
-    count = max(int(np.ceil(SKELETON_OVERSAMPLE * band * (x[-1] - x[0]) / np.pi)), n) + 1
-    omega = np.linspace(-band, band, count)
-    r, piv = qr(np.exp(1j * np.outer(omega, x - 0.5 * (x[0] + x[-1]))), mode="r",
-                pivoting=True)
-    diag = np.abs(np.diag(r))
-    rank = int(np.count_nonzero(diag > SKELETON_TOL * diag[0]))
+def _skeleton_of(n: int, half_bandwidth: float) -> tuple[np.ndarray, np.ndarray | None]:
+    rank = _skeleton_rank(n, half_bandwidth)
     if rank == n:
+        skeleton = np.arange(n)
+        skeleton.setflags(write=False)
         return skeleton, None
-    interp = np.empty((rank, n), complex)
+    i = np.arange(n)
+    diagonal = ((n - 1 - 2 * i) / 2.0) ** 2 * np.cos(2 * np.pi * half_bandwidth)
+    # all n eigenvectors (MRRR) take less time than the top rank alone (bisection and
+    # inverse iteration); they come in ascending order, so the leading sequences are last
+    _, prolates = eigh_tridiagonal(diagonal, i[1:] * (n - i[1:]) / 2.0)
+    r, piv = qr(prolates[:, n - rank:].T, mode="r", pivoting=True)
+    interp = np.empty((rank, n))
     interp[:, piv[:rank]] = np.eye(rank)
-    interp[:, piv[rank:]] = solve_triangular(r[:rank, :rank], r[:rank, rank:])
+    interp[:, piv[rank:]] = solve_triangular(r[:, :rank], r[:, rank:])
     order = np.argsort(piv[:rank])
     skeleton, interp = piv[:rank][order], interp[order]
     # cached: every caller gets the same arrays
@@ -216,22 +206,23 @@ def _block_pairs(kinds) -> list[tuple[str, str]]:
 
 
 def skeleton_summary(grid: SamplingGrid, medium: Medium, kinds) -> dict:
-    """Axis ranks of each band that the indicator pass of kinds on grid used, with the
-    skeleton constants.
+    """Axis ranks of each band that the indicator pass of kinds on grid uses, with the
+    skeleton margin.
 
-    Block ab has the band k_a + k_b; "ps" names the band of both mixed blocks.  Reads
-    the cached skeletons of a pass that has run, so no factorization is repeated.
+    Block ab has the band k_a + k_b; "ps" names the band of both mixed blocks.  The
+    ranks come from the band alone, min(n, ceil(2nW) + SKELETON_MARGIN), so nothing
+    is factorized.
     """
     k = _wave_numbers(medium)
     bands = {}
     for a, b in _block_pairs(kinds):
         name = "".join(sorted(a + b))
         if name not in bands:
-            sx, _ = _axis_skeleton(grid.xs, k[a] + k[b])
-            sy, _ = _axis_skeleton(grid.ys, k[a] + k[b])
-            bands[name] = {"band": float(k[a] + k[b]), "x_rank": len(sx), "y_rank": len(sy)}
-    return {"bands": bands, "nx": grid.nx, "ny": grid.ny,
-            "tol": SKELETON_TOL, "oversample": SKELETON_OVERSAMPLE}
+            band = float(k[a] + k[b])
+            bands[name] = {"band": band,
+                           "x_rank": _skeleton_rank(grid.nx, _half_bandwidth(grid.xs, band)),
+                           "y_rank": _skeleton_rank(grid.ny, _half_bandwidth(grid.ys, band))}
+    return {"bands": bands, "nx": grid.nx, "ny": grid.ny, "margin": SKELETON_MARGIN}
 
 
 class _Fold:
@@ -348,12 +339,13 @@ def indicator_values_at(points: np.ndarray, fmat: np.ndarray, m: int, medium: Me
     (zero-filled) matrices as well.
 
     When the points are the full x-fastest tensor grid of their distinct
-    coordinates (SamplingGrid.points), each block form is evaluated on the skeleton
-    of each axis for its own band k_a + k_b, with the x tables of the skeleton
-    columns built once per block, and interpolated to the grid, G -> B_y^T G B_x,
-    before the modulus.  Any other point set is evaluated exactly: runs of two or
-    more points with equal y by the same row routine, single points by one batched
-    unfolded product.
+    coordinates and each axis is np.linspace of its ends bit for bit
+    (SamplingGrid.points), each block form is evaluated on the skeleton of each axis
+    for its own band k_a + k_b, with the x tables of the skeleton columns built once
+    per block, and interpolated to the grid, G -> B_y^T G B_x, before the modulus.
+    Any other point set, a tensor grid with unequal spacing included, is evaluated
+    exactly: runs of two or more points with equal y by the same row routine, single
+    points by one batched unfolded product.
     """
     q = np.asarray(q, float)
     points = np.atleast_2d(np.asarray(points, float))
@@ -369,7 +361,8 @@ def indicator_values_at(points: np.ndarray, fmat: np.ndarray, m: int, medium: Me
     nx, ny = len(xs), len(ys)
     fold = _Fold(blocks, m, k, weight, xs, ys)
     if (len(points) == nx * ny and np.array_equal(xi, np.tile(np.arange(nx), ny))
-            and np.array_equal(yi, np.repeat(np.arange(ny), nx))):
+            and np.array_equal(yi, np.repeat(np.arange(ny), nx))
+            and all(np.array_equal(c, np.linspace(c[0], c[-1], len(c))) for c in (xs, ys))):
         forms = {}
         for a, b in blocks:
             sx, bx = _axis_skeleton(xs, k[a] + k[b])

@@ -212,19 +212,6 @@ class TestPointSourceFarfield:
                                        np.array([0.0, 1.0]), med)
         assert fs == pytest.approx(1.0)
 
-    def test_equals_indicator_test_functions(self):
-        from elastoscan.forward import direction_grid
-        from elastoscan.indicators import test_vectors
-
-        med = Medium(1.0, 1.0, 8 * np.pi)
-        dirs = direction_grid(8)
-        z = np.array([0.7, -1.2])
-        q = np.array([0.6, 0.8])
-        fp, fs = point_source_farfield(dirs, z, q, med)
-        pp, ps = test_vectors(z, q, dirs, med)
-        assert np.allclose(fp, pp, atol=1e-14)
-        assert np.allclose(fs, ps, atol=1e-14)
-
     def test_magnitude_independent_of_source_point(self):
         med = Medium(1.0, 1.0, 2.0)
         xhat = np.array([np.cos(0.2), np.sin(0.2)])

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from elastoscan import indicators
 from elastoscan.aperture import ApertureMask, apply_mask
-from elastoscan.elastic import Medium
+from elastoscan.elastic import Medium, point_source_farfield
 from elastoscan.forward import MSRMatrix, add_noise, direction_grid, synthesize_msr
 from elastoscan.indicators import (
     IndicatorKind,
@@ -20,7 +20,6 @@ from elastoscan.indicators import (
     normalize_field,
     skeleton_summary,
 )
-from elastoscan.indicators import test_vectors as phi_samples
 
 Q_DEFAULT = (1.0, 0.0)
 FF = IndicatorKind.FF
@@ -37,7 +36,7 @@ def naive_indicator(msr, z, q, kind, medium):
     m = msr.m
     dirs = direction_grid(m)
     w = np.pi / m
-    pp, ps = phi_samples(z, q, dirs, medium)
+    pp, ps = point_source_farfield(dirs, z, q, medium)
     f_pp, f_ps, f_sp, f_ss = msr.f_pp, msr.f_ps, msr.f_sp, msr.f_ss
     total = 0.0 + 0.0j
     for j in range(2 * m):
@@ -55,7 +54,7 @@ def naive_indicator(msr, z, q, kind, medium):
 class TestTestVectors:
     def test_origin_is_real_projection(self, medium):
         dirs = direction_grid(8)
-        pp, ps = phi_samples((0.0, 0.0), Q_DEFAULT, dirs, medium)
+        pp, ps = point_source_farfield(dirs, (0.0, 0.0), Q_DEFAULT, medium)
         assert np.allclose(pp.imag, 0.0)
         assert np.allclose(pp.real, dirs @ np.array(Q_DEFAULT))
 
@@ -68,14 +67,14 @@ class TestTestVectors:
             z = rng.uniform(-8, 8, 2)
             ang = rng.uniform(0, 2 * np.pi)
             q = (np.cos(ang), np.sin(ang))
-            pp, ps = phi_samples(z, q, dirs, medium)
+            pp, ps = point_source_farfield(dirs, z, q, medium)
             norm = w * (np.abs(pp) ** 2 + np.abs(ps) ** 2).sum()
             assert abs(norm - 2 * np.pi) < 1e-12
 
     def test_magnitude_independent_of_z(self, medium):
         dirs = direction_grid(16)
-        pa, _ = phi_samples((0.0, 0.0), Q_DEFAULT, dirs, medium)
-        pb, _ = phi_samples((3.7, -1.9), Q_DEFAULT, dirs, medium)
+        pa, _ = point_source_farfield(dirs, (0.0, 0.0), Q_DEFAULT, medium)
+        pb, _ = point_source_farfield(dirs, (3.7, -1.9), Q_DEFAULT, medium)
         assert np.allclose(np.abs(pa), np.abs(pb), atol=1e-14)
 
 
@@ -91,7 +90,7 @@ class TestIndicatorAlgebra:
         m = 16
         z0 = np.array([0.4, -0.3])
         dirs = direction_grid(m)
-        pp, ps = phi_samples(z0, Q_DEFAULT, dirs, medium)
+        pp, ps = point_source_farfield(dirs, z0, Q_DEFAULT, medium)
         phi = np.concatenate([pp, ps])
         full = np.outer(phi, np.conj(phi))
         n = 2 * m
@@ -106,7 +105,7 @@ class TestIndicatorAlgebra:
         m = 16
         z0 = np.array([-0.2, 0.5])
         dirs = direction_grid(m)
-        pp, ps = phi_samples(z0, Q_DEFAULT, dirs, medium)
+        pp, ps = point_source_farfield(dirs, z0, Q_DEFAULT, medium)
         phi = pp if kind is IndicatorKind.PP else ps
         msr = zero_msr(m, medium)
         block = np.outer(phi, np.conj(phi))
@@ -152,17 +151,19 @@ class TestIndicatorAlgebra:
 
 
 def direct_values(points, fmat, m, medium, q):
-    """{kind: |w^2 phi^H F phi|} point by point, from the sampled test vectors."""
+    """{kind: |w^2 phi^H F phi|} at each point, from the test vectors sampled point by
+    point; the products with F take a chunk of points at a time."""
     n, w = 2 * m, np.pi / m
     dirs = direction_grid(m)
     out = {kind: [] for kind in IndicatorKind}
-    for z in points:
-        pp, ps = phi_samples(z, q, dirs, medium)
-        phi = np.concatenate([pp, ps])
-        out[FF].append(abs(w**2 * np.conj(phi) @ fmat @ phi))
-        out[IndicatorKind.PP].append(abs(w**2 * np.conj(pp) @ fmat[:n, :n] @ pp))
-        out[IndicatorKind.SS].append(abs(w**2 * np.conj(ps) @ fmat[n:, n:] @ ps))
-    return {kind: np.array(v) for kind, v in out.items()}
+    for lo in range(0, len(points), 1024):
+        phi = np.array([np.concatenate(point_source_farfield(dirs, z, q, medium))
+                        for z in points[lo:lo + 1024]])
+        for kind, half in ((FF, slice(None)), (IndicatorKind.PP, slice(None, n)),
+                           (IndicatorKind.SS, slice(n, None))):
+            v = phi[:, half]
+            out[kind].append(np.abs(w**2 * ((np.conj(v) @ fmat[half, half]) * v).sum(axis=1)))
+    return {kind: np.concatenate(v) for kind, v in out.items()}
 
 
 @st.composite
@@ -290,26 +291,66 @@ class TestSkeletonGrid:
             assert (delta / np.maximum(1.0, exact[kind])).max() <= 1e-13
             assert delta.max() <= 1e-12 * exact[kind].max()
 
+    @pytest.mark.parametrize("n", [161, 321, 641])
+    @pytest.mark.parametrize("omega", [4.0 * np.pi, 8.0 * np.pi], ids=["4pi", "8pi"])
+    def test_ranks_follow_the_band(self, n, omega):
+        # K = ceil(2nW) + margin, capped at n, with W = band h / 2 pi, for the skeleton
+        # the pass uses and for the summary alike
+        medium = Medium(1.0, 1.0, omega)
+        grid = SamplingGrid(-6.0, 6.0, -6.0, 6.0, n, n)
+        bands = skeleton_summary(grid, medium, [FF])["bands"]
+        for ranks in bands.values():
+            half_bandwidth = ranks["band"] * (12.0 / (n - 1)) / (2.0 * np.pi)
+            expect = min(n, int(np.ceil(2 * n * half_bandwidth)) + indicators.SKELETON_MARGIN)
+            assert ranks["x_rank"] == ranks["y_rank"] == expect
+            skeleton, interp = indicators._axis_skeleton(grid.xs, ranks["band"])
+            assert len(skeleton) == expect
+            assert (interp is None) == (expect == n)
+            if interp is not None:
+                assert interp.shape == (expect, n)
+                assert np.array_equal(interp[:, skeleton], np.eye(expect))
+
     @pytest.mark.parametrize("n, half_bandwidth", [(5, 3.0), (161, 0.6), (321, 0.51),
-                                                   (641, 1.0)])
+                                                   (641, 1.0), (161, 0.47)])
     def test_nyquist_axis_is_its_own_skeleton_without_qr(self, monkeypatch, n,
                                                          half_bandwidth):
-        # W = band h / 2 pi >= 1/2: every point is a pivot, so no QR is run (W = 0.6 is
-        # the ss band 2 k_s of omega = 8 pi on the 161-point --small grid)
-        def no_qr(*args, **kwargs):
-            raise AssertionError("qr called on an axis sampled at or below Nyquist")
+        # ceil(2nW) + margin >= n: every point is a pivot, so nothing is factorized
+        # (W = 0.6 is the ss band 2 k_s and W = 0.47 the mixed band k_p + k_s of
+        # omega = 8 pi on the 161-point --small grid)
+        def no_factorization(*args, **kwargs):
+            raise AssertionError("factorization run on an axis that is its own skeleton")
 
         x = np.linspace(-6.0, 6.0, n)
         band = 2.0 * np.pi * half_bandwidth / (x[1] - x[0])
         indicators._skeleton_of.cache_clear()
-        monkeypatch.setattr(indicators, "qr", no_qr)
+        monkeypatch.setattr(indicators, "qr", no_factorization)
+        monkeypatch.setattr(indicators, "eigh_tridiagonal", no_factorization)
         skeleton, interp = indicators._axis_skeleton(x, band)
         assert interp is None and np.array_equal(skeleton, np.arange(n))
         indicators._skeleton_of.cache_clear()
 
+    def test_unequal_spacing_is_evaluated_exactly(self, monkeypatch, msr_kite_m64, medium):
+        # prolate skeletons assume equal spacing, so a tensor grid whose axes are not
+        # np.linspace of their ends goes through the exact row path
+        def no_skeleton(*args, **kwargs):
+            raise AssertionError("skeleton used on an unequally spaced axis")
+
+        t = np.linspace(-1.0, 1.0, 161)
+        xs, ys = 6.0 * np.sin(0.5 * np.pi * t), 6.0 * t ** 3
+        gx, gy = np.meshgrid(xs, ys)
+        points = np.stack([gx.ravel(), gy.ravel()], axis=-1)
+        fmat, m = msr_kite_m64.assembled(), msr_kite_m64.m
+        monkeypatch.setattr(indicators, "_axis_skeleton", no_skeleton)
+        got = indicator_values_at(points, fmat, m, medium, Q_DEFAULT, IndicatorKind)
+        exact = direct_values(points, fmat, m, medium, Q_DEFAULT)
+        for kind in IndicatorKind:
+            delta = np.abs(got[kind] - exact[kind])
+            assert (delta / np.maximum(1.0, exact[kind])).max() <= 1e-13
+
     def test_summary_reads_the_cached_skeleton(self, msr_kite_m64, medium):
         # unequal axes and all four blocks: three bands on each of two axes, each
-        # factorized once by the pass and still cached for the summary
+        # skeleton built once by the pass; the summary takes the ranks from the band
+        # and builds none
         grid = SamplingGrid(-5.0, 4.0, -3.0, 6.0, 47, 39)
         indicators._skeleton_of.cache_clear()
         indicator_fields(msr_kite_m64.assembled(), msr_kite_m64.m, medium, grid, [FF])
@@ -320,8 +361,7 @@ class TestSkeletonGrid:
         assert summary == {
             "bands": {name: {"band": band, "x_rank": 47, "y_rank": 39}
                       for name, band in (("pp", 2 * kp), ("ps", kp + ks), ("ss", 2 * ks))},
-            "nx": 47, "ny": 39,
-            "tol": indicators.SKELETON_TOL, "oversample": indicators.SKELETON_OVERSAMPLE}
+            "nx": 47, "ny": 39, "margin": indicators.SKELETON_MARGIN}
         assert list(skeleton_summary(grid, medium, [PP])["bands"]) == ["pp"]
         assert indicators._skeleton_of.cache_info().misses == 6
 
@@ -406,7 +446,7 @@ class TestStabilityBound:
             z = rng.uniform(-6, 6, 2)
             ang = rng.uniform(0, 2 * np.pi)
             q = (np.cos(ang), np.sin(ang))
-            pp, ps = phi_samples(z, q, dirs, msr_kite_m64.medium)
+            pp, ps = point_source_farfield(dirs, z, q, msr_kite_m64.medium)
             phi_sq = (np.abs(pp) ** 2 + np.abs(ps) ** 2).sum()
             ia = indicator_values_at(np.array(z)[None, :], msr_kite_m64.assembled(), m,
                                      msr_kite_m64.medium, q, [FF])[FF][0]
