@@ -29,7 +29,6 @@ from .elastic import (
     plane_wave_field,
     plane_wave_traction,
     point_source_farfield,
-    wave_numbers,
 )
 from .forward import (
     Density,
@@ -62,7 +61,6 @@ from .aperture import (
     apply_mask,
     limited_indicator,
     reciprocity_fill,
-    tikhonov_retrieve,
 )
 from .harness import (
     ExperimentConfig,

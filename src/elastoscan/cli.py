@@ -36,7 +36,7 @@ import numpy as np
 
 from .forward import MsrFormatError, NumericError, add_noise, load_msr, synthesize_msr
 from .harness import (ENV_OUT, PRESET_BUILDERS, SMALL_GRID_PTS, SMALL_M, SMALL_N, ConfigError,
-                      ExperimentConfig, MaskSpec, RetrieveSpec, _Emitter, build_preset, fields_of,
+                      ExperimentConfig, MaskSpec, _Emitter, build_preset, fields_of,
                       parse_arcs, parse_config, parse_grid, parse_q, preset_names, restrict,
                       retrieve_msr, run_preset, run_recorded)
 from .indicators import IndicatorKind, SamplingGrid
@@ -139,8 +139,7 @@ def cmd_retrieve(args) -> int:
     if observed is None and incident is None:
         raise ConfigError("retrieve needs --observed and/or --incident arcs")
     masked = restrict(load_msr(args.msr), observed, incident)
-    return _write_msr(args, "retrieved.msr",
-                      retrieve_msr(masked, RetrieveSpec(args.radius, args.nb, args.alpha)))
+    return _write_msr(args, "retrieved.msr", retrieve_msr(masked))
 
 
 def cmd_experiment(args) -> int:
@@ -189,14 +188,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--incident", default=None, help="arcs like '[0,1.5708)'")
     p.set_defaults(fn=cmd_indicate)
 
-    p = sub.add_parser("retrieve", help="reciprocity-fill + Tikhonov-retrieve a masked MSR")
+    p = sub.add_parser("retrieve", help="complete a masked MSR by reciprocity fill "
+                                        "(entries it cannot reach are 0)")
     _add_common(p)
     p.add_argument("--msr", required=True)
     p.add_argument("--observed", default=None)
     p.add_argument("--incident", default=None)
-    p.add_argument("--radius", type=float, default=5.0)
-    p.add_argument("--nb", type=int, default=256)
-    p.add_argument("--alpha", type=float, default=None)
     p.set_defaults(fn=cmd_retrieve)
 
     p = sub.add_parser("experiment", help="run a preset or config end to end")

@@ -92,11 +92,6 @@ class Medium:
         return self.omega / np.sqrt(self.mu)
 
 
-def wave_numbers(medium: Medium) -> tuple[float, float]:
-    """(k_p, k_s) of the medium."""
-    return medium.k_p, medium.k_s
-
-
 def perp(v: np.ndarray) -> np.ndarray:
     """Anticlockwise quarter turn: (v1, v2) -> (-v2, v1). Shape (..., 2)."""
     v = np.asarray(v)

@@ -547,7 +547,7 @@ class MSRMatrix:
     delta: float = 0.0
     seed: int | None = None
     noise_norm: str = NOISE_NORM
-    retrieval: str | None = None  # "R=.. nB=.. alpha=.." when rows were extrapolated
+    retrieval: str | None = None  # "reciprocity" on completed limited data
 
     def __post_init__(self) -> None:
         shape = (4 * self.m, 4 * self.m)

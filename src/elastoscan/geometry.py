@@ -195,14 +195,6 @@ class Scene:
     def describe(self) -> str:
         return " + ".join(c.describe() for c, _ in self.components)
 
-    def circumradius(self) -> float:
-        """Max distance of any boundary sample from the origin."""
-        t = 2.0 * np.pi * np.arange(SCENE_SEPARATION_SAMPLES) / SCENE_SEPARATION_SAMPLES
-        return max(
-            float(np.linalg.norm(curve_point(c, t), axis=-1).max())
-            for c, _ in self.components
-        )
-
     def centroid(self) -> np.ndarray:
         """Mean of the component centers."""
         return np.mean([c.center for c, _ in self.components], axis=0)

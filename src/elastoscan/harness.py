@@ -18,16 +18,15 @@ canonical grammar (all keys optional except none; defaults in parentheses):
     q        = 1.0 0.0      # polarization (unit vector)
     observed = full | arcs [a,b) ... | indices i1 i2 ...      (full, 1-based indices)
     incident = full | arcs [a,b) ... | indices i1 i2 ...      (full)
-    retrieve = off | R=5.0 nB=256 alpha=auto                  (off; needs observed/incident,
-                                                               R > scene circumradius, nB >= 1)
+    retrieve = off | reciprocity                              (off; needs observed/incident)
     out      = out
 
-Pipeline per config: synthesize MSR -> add noise -> (mask -> reciprocity fill
--> Tikhonov retrieval) -> indicators -> emit CSV (raw values), PGM (squared,
-normalized) and a JSON manifest listing every artifact with its sha256.  The
-stages (aperture_mask, restrict, fields_of, retrieve_msr), the flag parsers
-(parse_grid, parse_q, parse_arcs) and the one artifact writer (_Emitter) are
-shared with the CLI subcommands.
+Pipeline per config: synthesize MSR -> add noise -> (mask -> reciprocity fill,
+zeros where reciprocity cannot reach) -> indicators -> emit CSV (raw values),
+PGM (squared, normalized) and a JSON manifest listing every artifact with its
+sha256.  The stages (aperture_mask, restrict, fields_of, retrieve_msr), the
+flag parsers (parse_grid, parse_q, parse_arcs) and the one artifact writer
+(_Emitter) are shared with the CLI subcommands.
 
 Emission runs behind the pipeline on one writer thread, so an artifact is
 formatted and written while the next stage computes.  Artifacts land
@@ -55,8 +54,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .aperture import (ApertureMask, MaskedMSR, apply_mask, limited_indicator, reciprocity_fill,
-                       tikhonov_retrieve)
+from .aperture import ApertureMask, MaskedMSR, apply_mask, limited_indicator, reciprocity_fill
 from .elastic import Medium
 from .forward import MSRMatrix, NumericError, add_noise, save_msr, synthesize_msr
 from .geometry import (BoundaryCondition, BoundaryCurve, BoundaryKind, Scene, boundary_quadrature,
@@ -97,12 +95,6 @@ class MaskSpec:
         return ApertureMask.from_arcs(m, self.arcs, None).observed
 
 @dataclass(frozen=True)
-class RetrieveSpec:
-    radius: float = 5.0
-    n_boundary: int = 256
-    alpha: float | None = None    # None = auto default
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     scene: tuple[tuple[BoundaryKind, tuple[float, float], float], ...] = (
         (BoundaryKind.KITE, (0.0, 0.0), 1.0),)
@@ -119,7 +111,7 @@ class ExperimentConfig:
     q: tuple[float, float] = (1.0, 0.0)
     observed: MaskSpec | None = None
     incident: MaskSpec | None = None
-    retrieve: RetrieveSpec | None = None
+    retrieve: bool = False
     out: str = "out"
 
     def scene_object(self) -> Scene:
@@ -162,19 +154,8 @@ class ExperimentConfig:
                     f"n = {self.n} gives fewer than 2 nodes per shear wavelength on "
                     f"{curve.describe()} (boundary length {length:.4g}, k_s = {k_s:.4g}); "
                     f"need n >= {need:.6g}")
-        if self.retrieve is not None:
-            spec = self.retrieve
-            if mask is None:
-                raise ConfigValueError("retrieve needs limited data: set observed and/or incident")
-            if spec.alpha is not None and not (np.isfinite(spec.alpha) and spec.alpha > 0):
-                raise ConfigValueError(f"retrieval alpha must be finite and positive, "
-                                       f"got {spec.alpha}")
-            if not spec.n_boundary >= 1:
-                raise ConfigValueError(f"retrieval needs nB >= 1, got {spec.n_boundary}")
-            circ = scene.circumradius()
-            if not (np.isfinite(spec.radius) and spec.radius > circ):
-                raise ConfigValueError(f"retrieval ball radius R={spec.radius!r} must be finite "
-                                       f"and exceed the scene circumradius {circ:.3f}")
+        if self.retrieve and mask is None:
+            raise ConfigValueError("retrieve needs limited data: set observed and/or incident")
 
 def _parse_scene(value: str):
     scene = scene_from_string(value)
@@ -240,23 +221,10 @@ def _parse_mask(value: str) -> MaskSpec | None:
         return MaskSpec(arcs=parse_arcs(value[len("arcs"):]))
     raise ConfigSyntaxError(f"expected full | arcs ... | indices ..., got {value!r}")
 
-def _parse_retrieve(value: str) -> RetrieveSpec | None:
-    if value == "off":
-        return None
-    spec = RetrieveSpec()
-    for tok in value.split():
-        key, sep, val = tok.partition("=")
-        if not sep:
-            raise ConfigSyntaxError(f"retrieve token {tok!r}")
-        if key == "R":
-            spec = replace(spec, radius=float(val))
-        elif key == "nB":
-            spec = replace(spec, n_boundary=int(val))
-        elif key == "alpha":
-            spec = replace(spec, alpha=None if val == "auto" else float(val))
-        else:
-            raise ConfigKeyError(f"unknown retrieve key {key!r}")
-    return spec
+def _parse_retrieve(value: str) -> bool:
+    if value not in ("off", "reciprocity"):
+        raise ConfigValueError(f"retrieve must be off | reciprocity, got {value!r}")
+    return value == "reciprocity"
 
 # config key -> (ExperimentConfig field, value parser)
 _CONFIG_FIELDS = {
@@ -316,11 +284,6 @@ def emit_config(cfg: ExperimentConfig) -> str:
     """Canonical text form; parse(emit(cfg)) == cfg."""
     scene_s = " + ".join(f"{kind.value}@({c[0]!r},{c[1]!r})*{rho!r}"
                          for kind, c, rho in cfg.scene)
-    if cfg.retrieve is None:
-        retrieve_s = "off"
-    else:
-        alpha_s = "auto" if cfg.retrieve.alpha is None else repr(cfg.retrieve.alpha)
-        retrieve_s = f"R={cfg.retrieve.radius!r} nB={cfg.retrieve.n_boundary} alpha={alpha_s}"
     lines = [
         f"scene = {scene_s}",
         f"bc = {cfg.bc.value}",
@@ -336,7 +299,7 @@ def emit_config(cfg: ExperimentConfig) -> str:
         f"q = {cfg.q[0]!r} {cfg.q[1]!r}",
         f"observed = {_emit_mask(cfg.observed)}",
         f"incident = {_emit_mask(cfg.incident)}",
-        f"retrieve = {retrieve_s}",
+        f"retrieve = {'reciprocity' if cfg.retrieve else 'off'}",
         f"out = {cfg.out}",
     ]
     return "\n".join(lines) + "\n"
@@ -412,12 +375,12 @@ def _p_resolution():
 def _p_quarters():
     return ExperimentConfig(scene=_scene1(BoundaryKind.KITE), delta=0.0)
 
-@_preset("limited-retrieval", "kite, omega=4pi, 10% noise, observed [0,pi/2), retrieval R=5")
+@_preset("limited-retrieval",
+         "kite, omega=4pi, 10% noise, observed [0,pi/2), reciprocity fill")
 def _p_retrieval():
     return ExperimentConfig(
         scene=_scene1(BoundaryKind.KITE), omega=4.0 * np.pi, delta=0.1,
-        observed=MaskSpec(arcs=((0.0, np.pi / 2.0),)),
-        retrieve=RetrieveSpec(radius=5.0, n_boundary=256, alpha=None))
+        observed=MaskSpec(arcs=((0.0, np.pi / 2.0),)), retrieve=True)
 
 @_preset("few-incident", "kite, 10% noise, 1/2/4/8/16 incident shear directions, SS indicator")
 def _p_few():
@@ -471,9 +434,14 @@ def fields_of(data: MSRMatrix | MaskedMSR, grid: SamplingGrid, kinds, q
         return limited_indicator(data, grid, kinds, q)
     return indicator_fields(data.assembled(), data.m, data.medium, grid, kinds, q)
 
-def retrieve_msr(masked: MaskedMSR, spec: RetrieveSpec) -> MSRMatrix:
-    """Reciprocity fill, then Tikhonov extrapolation of what fill cannot reach."""
-    return tikhonov_retrieve(reciprocity_fill(masked), spec.radius, spec.n_boundary, spec.alpha)
+def retrieve_msr(masked: MaskedMSR) -> MSRMatrix:
+    """The data completed by reciprocity fill; entries it cannot reach are 0.
+
+    Measured entries are kept verbatim, and the zeros are the restricted-sum
+    convention of MaskedMSR.assembled_known().
+    """
+    return replace(masked.base, full=reciprocity_fill(masked).assembled_known(),
+                   retrieval="reciprocity")
 
 # ---------------------------------------------------------------------------
 # Artifact emission
@@ -699,9 +667,9 @@ def run_experiment(config: ExperimentConfig, label: str = "run", outdir: str | N
     data = restrict(msr, config.observed, config.incident)
     if isinstance(data, MaskedMSR):
         emit_fields(f"{label}_limit", data)
-        if config.retrieve is not None:
+        if config.retrieve:
             with span(f"{label}_retr.retrieve_s"):
-                retrieved = retrieve_msr(data, config.retrieve)
+                retrieved = retrieve_msr(data)
             emitter.write_msr(f"{label}_retrieved.msr", retrieved, f"{label}_retr.msr_write_s")
             emit_fields(f"{label}_retr", retrieved)
     else:

@@ -17,7 +17,6 @@ from elastoscan.aperture import (
     apply_mask,
     limited_indicator,
     reciprocity_fill,
-    tikhonov_retrieve,
 )
 from elastoscan.elastic import Medium, PointSource, point_source_farfield
 from elastoscan.forward import (
@@ -36,6 +35,7 @@ from elastoscan.geometry import (
     contains_points,
     distance_to_boundary,
 )
+from elastoscan.harness import retrieve_msr
 from elastoscan.indicators import (
     IndicatorKind,
     SamplingGrid,
@@ -97,7 +97,7 @@ def retrieval_setup(kite_scene):
     m = 128
     msr = add_noise(synthesize_msr(kite_scene, medium, m, 512), 0.1, seed=3)
     masked = apply_mask(msr, ApertureMask.from_arcs(m, [(0.0, np.pi / 2)], None))
-    retrieved = tikhonov_retrieve(reciprocity_fill(masked), 5.0, 256, None)
+    retrieved = retrieve_msr(masked)
     return msr, masked, retrieved
 
 

@@ -9,10 +9,9 @@ from elastoscan.aperture import (
     apply_mask,
     limited_indicator,
     reciprocity_fill,
-    tikhonov_retrieve,
 )
 from elastoscan.elastic import Medium
-from elastoscan.forward import MSRMatrix, add_noise, synthesize_msr
+from elastoscan.forward import MSRMatrix, add_noise, load_msr, save_msr, synthesize_msr
 from elastoscan.geometry import (
     BoundaryCondition,
     BoundaryCurve,
@@ -20,6 +19,7 @@ from elastoscan.geometry import (
     Scene,
     distance_to_boundary,
 )
+from elastoscan.harness import retrieve_msr
 from elastoscan.indicators import IndicatorKind, SamplingGrid, indicator_fields
 
 QUARTER = (0.0, np.pi / 2)
@@ -185,101 +185,41 @@ class TestApertureProperties:
         assert np.array_equal(twice.mask, filled.mask)
         assert np.array_equal(twice.data, filled.data, equal_nan=True)
 
-        out = tikhonov_retrieve(filled, 5.0, 16)
+        out = retrieve_msr(masked)
         assert np.array_equal(out.full[filled.mask], filled.data[filled.mask])
-        assert np.isfinite(out.full).all()
+        assert (out.full[~filled.mask] == 0).all()
 
 
-class TestTikhonovRetrieve:
-    def test_heavy_alpha_kills_prediction(self, msr_kite_m64):
-        m = msr_kite_m64.m
-        masked = apply_mask(msr_kite_m64, ApertureMask.from_arcs(m, [QUARTER], None))
-        out = tikhonov_retrieve(masked, 5.0, 128, alpha=1e12)
-        unknown = ~masked.known["f_ss"]
-        pred_norm = np.linalg.norm(out.f_ss[unknown])
-        data_norm = np.linalg.norm(msr_kite_m64.f_ss[~unknown])
-        assert pred_norm <= 1e-6 * data_norm
+class TestRetrieveMsr:
+    def test_reciprocity_fill_then_zeros(self, kite_scene, tmp_path):
+        """Observed arcs of a quarter, a half and three quarters, full incidence:
+        measured entries stay, (row, col) with sigma(col) observed takes the
+        value at (Sigma(col), Sigma(row)), every other entry is 0."""
+        m = 32
+        clean = synthesize_msr(kite_scene, Medium(1.0, 1.0, 4 * np.pi), m, 128)
+        sig = antipode(np.arange(2 * m), m)
+        image = np.ix_(np.concatenate([sig, sig + 2 * m]), np.concatenate([sig, sig + 2 * m]))
+        for delta in (0.0, 0.1):
+            data = add_noise(clean, delta, seed=2)
+            for frac in (0.25, 0.5, 0.75):
+                mask = ApertureMask.from_arcs(m, [(0.0, 2 * np.pi * frac)], None)
+                obs = np.isin(np.arange(2 * m), sorted(mask.observed))
+                measured = np.tile(obs[:, None], (2, 4 * m))
+                filled = np.tile(~obs[:, None] & obs[sig][None, :], (2, 2))
+                out = retrieve_msr(apply_mask(data, mask))
+                assert np.array_equal(out.full[measured], data.full[measured])
+                assert np.array_equal(out.full[filled], data.full[image].T[filled])
+                assert (out.full[~measured & ~filled] == 0).all()
+                assert filled.any() and (~measured & ~filled).any()
 
-    def test_full_aperture_is_identity(self, msr_kite_m64):
-        masked = apply_mask(msr_kite_m64, ApertureMask.full(msr_kite_m64.m))
-        out = tikhonov_retrieve(masked, 5.0, 128, alpha=1e-10)
-        assert np.allclose(out.assembled(), msr_kite_m64.assembled(), rtol=0.01, atol=0.0)
+                save_msr(out, tmp_path / "r.msr")
+                back = load_msr(tmp_path / "r.msr")
+                assert back.retrieval == "reciprocity"
+                assert np.array_equal(back.full, out.full)
 
-    def test_known_rows_fit_residual(self, kite_scene):
-        # noise-free kite at omega = 4 pi, quarter aperture, R = 5
-        medium = Medium(1.0, 1.0, 4 * np.pi)
-        msr = synthesize_msr(kite_scene, medium, 32, 256)
-        masked = apply_mask(msr, ApertureMask.from_arcs(msr.m, [QUARTER], None))
-        rows = sorted(ApertureMask.from_arcs(msr.m, [QUARTER], None).observed)
-        out = tikhonov_retrieve(masked, 5.0, 256, alpha=None)
-        # measured entries are kept verbatim
-        known = masked.known["f_ss"]
-        assert np.array_equal(out.f_ss[known], msr.f_ss[known])
-
-        # re-fit residual on measured rows must be small for clean data
-        from elastoscan.forward import direction_grid
-
-        dirs = direction_grid(msr.m)
-        tb = 2 * np.pi * np.arange(256) / 256
-        yb = 5.0 * np.stack([np.cos(tb), np.sin(tb)], axis=-1)
-        a_full = (2 * np.pi * 5.0 / 256) * np.exp(-1j * medium.k_s * (dirs @ yb.T))
-        a_obs = a_full[rows]
-        u = msr.f_ss[rows]
-        alpha = max(1e-8, 0.0) * float(np.sum(np.abs(a_obs) ** 2)) / 256
-        coef = np.linalg.solve(a_obs.conj().T @ a_obs + alpha * np.eye(256),
-                               a_obs.conj().T @ u)
-        resid = np.linalg.norm(a_obs @ coef - u) / np.linalg.norm(u)
-        assert resid <= 1e-3
-
-    def test_ball_must_contain_scene(self, msr_kite_m64):
-        masked = apply_mask(msr_kite_m64, ApertureMask.from_arcs(msr_kite_m64.m,
-                                                                 [QUARTER], None))
-        with pytest.raises(ValueError, match="circumradius"):
-            tikhonov_retrieve(masked, 1.5, 64)
-
-    def test_bad_alpha_rejected(self, msr_kite_m64):
-        masked = apply_mask(msr_kite_m64, ApertureMask.from_arcs(msr_kite_m64.m,
-                                                                 [QUARTER], None))
-        with pytest.raises(ValueError):
-            tikhonov_retrieve(masked, 5.0, 64, alpha=0.0)
-
-    def test_no_boundary_nodes_rejected(self, msr_kite_m64):
-        masked = apply_mask(msr_kite_m64, ApertureMask.from_arcs(msr_kite_m64.m,
-                                                                 [QUARTER], None))
-        with pytest.raises(ValueError, match="n_boundary"):
-            tikhonov_retrieve(masked, 5.0, 0)
-
-    def test_records_retrieval_metadata(self, msr_kite_m64):
-        masked = apply_mask(msr_kite_m64, ApertureMask.from_arcs(msr_kite_m64.m,
-                                                                 [QUARTER], None))
-        out = tikhonov_retrieve(masked, 5.0, 64, alpha=1e-3)
-        assert out.retrieval == "R=5.0 nB=64 alpha=0.001"
-        auto = tikhonov_retrieve(masked, 5.0, 64, alpha=None)
-        assert "auto" in auto.retrieval
-
-    def test_objective_monotone_in_data(self, msr_kite_m64):
-        """Nested masks: the optimal regularized objective never decreases as
-        measured rows are added (the provable form of residual monotonicity)."""
-        m = msr_kite_m64.m
-        medium = msr_kite_m64.medium
-        from elastoscan.forward import direction_grid
-
-        dirs = direction_grid(m)
-        nb = 128
-        tb = 2 * np.pi * np.arange(nb) / nb
-        yb = 5.0 * np.stack([np.cos(tb), np.sin(tb)], axis=-1)
-        a_full = (2 * np.pi * 5.0 / nb) * np.exp(-1j * medium.k_s * (dirs @ yb.T))
-        alpha = 1e-6 * float(np.sum(np.abs(a_full) ** 2)) / nb
-        col = msr_kite_m64.f_ss[:, 5]
-        objectives = []
-        for frac in (0.25, 0.5, 0.75):
-            rows = np.arange(int(2 * m * frac))
-            a = a_full[rows]
-            u = col[rows]
-            c = np.linalg.solve(a.conj().T @ a + alpha * np.eye(nb), a.conj().T @ u)
-            objectives.append(np.linalg.norm(a @ c - u) ** 2 + alpha * np.linalg.norm(c) ** 2)
-        assert objectives[0] <= objectives[1] + 1e-12
-        assert objectives[1] <= objectives[2] + 1e-12
+                zero_fill = np.where(measured, data.full, 0.0)
+                assert (np.linalg.norm(out.full - clean.full)
+                        < np.linalg.norm(zero_fill - clean.full)), (delta, frac)
 
 
 class TestLimitedIndicator:

@@ -404,6 +404,13 @@ class TestMsrPersistence:
         save_msr(msr, path)
         assert path.read_bytes() == percent_msr(msr)
 
+    def test_retrieval_header_loads_verbatim(self, msr_disk_m16, tmp_path):
+        # the tag of reciprocity fill, and one of a ball extrapolation (R=, nB=, alpha=)
+        path = tmp_path / "r.msr"
+        for tag in ("reciprocity", "R=5.0 nB=256 alpha=auto(delta=0.1)"):
+            path.write_bytes(percent_msr(replace(msr_disk_m16, retrieval=tag)))
+            assert load_msr(path).retrieval == tag
+
     def test_round_trip_is_byte_stable_with_signed_zeros(self, msr_disk_m16, tmp_path):
         full = np.zeros((8, 8), complex)
         full.real[0, 0], full.imag[0, 0] = -0.0, 1.0

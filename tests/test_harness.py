@@ -25,7 +25,6 @@ from elastoscan.harness import (
     ConfigValueError,
     ExperimentConfig,
     MaskSpec,
-    RetrieveSpec,
     SMALL_GRID_PTS,
     SMALL_M,
     SMALL_N,
@@ -114,8 +113,7 @@ class TestParseConfig:
             kinds=(IndicatorKind.SS,), q=(0.0, 1.0),
             observed=MaskSpec(arcs=((0.0, np.pi / 2),)),
             incident=MaskSpec(indices=(1, 5, 9)),
-            # R must exceed the scene circumradius, 4 sqrt(2) + 0.1 for the circle at (4, 4)
-            retrieve=RetrieveSpec(radius=6.0, n_boundary=128, alpha=None),
+            retrieve=True,
             out="elsewhere")
         assert parse_config(emit_config(cfg)) == cfg
 
@@ -140,7 +138,7 @@ class TestParseConfig:
     @pytest.mark.parametrize("aperture", ["", "observed = full\nincident = full\n"])
     def test_retrieve_on_full_data_rejected(self, aperture):
         with pytest.raises(ConfigValueError, match="retrieve needs limited data"):
-            parse_config(aperture + "retrieve = R=5.0 nB=64 alpha=auto\n")
+            parse_config(aperture + "retrieve = reciprocity\n")
 
     @pytest.mark.parametrize("line", ["omega = inf", "mu = inf", "lambda = inf",
                                       "grid = -6 inf -6 6 9 9"])
@@ -158,10 +156,9 @@ class TestParseConfig:
     @pytest.mark.parametrize("text, match", [
         ("kinds =\n", "kinds"),
         ("seed = -1\n", "seed"),
-        ("observed = arcs [0,1.57)\nretrieve = R=0.5 nB=64 alpha=auto\n", "circumradius"),
-        ("observed = arcs [0,1.57)\nretrieve = R=5.0 nB=0 alpha=auto\n", "nB"),
-        ("observed = arcs [0,1.57)\nretrieve = R=inf nB=64 alpha=auto\n", "finite"),
-        ("observed = arcs [0,1.57)\nretrieve = R=5.0 nB=64 alpha=inf\n", "finite"),
+        # R=/nB=/alpha= tokens: the grammar has no ball extrapolation
+        ("observed = arcs [0,1.57)\nretrieve = R=5.0 nB=64 alpha=auto\n",
+         "off \\| reciprocity"),
     ])
     def test_rejected_before_synthesis(self, text, match):
         with pytest.raises(ConfigValueError, match=match):
@@ -241,7 +238,7 @@ class TestPresetTable:
                                     grid=(-6.0, 6.0, -6.0, 6.0, 641, 641), delta=0.3),
             "limited-quarters": dict(delta=0.0),
             "limited-retrieval": dict(omega=4 * np.pi, delta=0.1,
-                                      retrieve=RetrieveSpec(5.0, 256, None)),
+                                      retrieve=True),
             "few-incident": dict(delta=0.1, kinds=(IndicatorKind.SS,), q=(0.0, 1.0)),
         }
         for name, fields in expect.items():
@@ -342,7 +339,7 @@ class TestRunExperiment:
         assert sum(stages) <= manifest.timings["tiny.synth_s"] + 5 * 0.0005
 
     def test_mask_and_retrieval_outputs(self, tmp_path):
-        text = TINY_CONFIG + "observed = arcs [0.0,1.5707963267948966)\nretrieve = R=5.0 nB=64 alpha=auto\n"
+        text = TINY_CONFIG + "observed = arcs [0.0,1.5707963267948966)\nretrieve = reciprocity\n"
         cfg = parse_config(text)
         out = tmp_path / "r"
         manifest = run_experiment(cfg, label="lim", outdir=str(out))
@@ -466,8 +463,7 @@ class TestCli:
         out = str(tmp_path / "o")
         cli_main(["synth", "--config", cfg, "--out", out, "--quiet"])
         code = cli_main(["retrieve", "--msr", os.path.join(out, "data.msr"),
-                         "--observed", "[0.0,1.5707963267948966)", "--radius", "5",
-                         "--nb", "64", "--out", out, "--quiet"])
+                         "--observed", "[0.0,1.5707963267948966)", "--out", out, "--quiet"])
         assert code == 0
         assert os.path.exists(os.path.join(out, "retrieved.msr"))
 
@@ -520,19 +516,16 @@ class TestCli:
         "02-indicate-q-text": (["indicate", "--msr", "{msr}", "--q", "a b"], None, None, 2),
         "03-indicate-q-nan": (["indicate", "--msr", "{msr}", "--q", "nan 0"], None, None, 2),
         "04-indicate-arc": (["indicate", "--msr", "{msr}", "--observed", "[0,x)"], None, None, 2),
+        # retrieve has no ball extrapolation, so no --radius, --nb or --alpha
         "05-retrieve-radius": (["retrieve", "--msr", "{msr}", "--observed", "[0,1.57)",
-                                "--radius", "0.5"], None, None, 2),
-        "06-retrieve-nb": (["retrieve", "--msr", "{msr}", "--observed", "[0,1.57)",
-                            "--nb", "0"], None, None, 2),
-        "07-retrieve-alpha": (["retrieve", "--msr", "{msr}", "--observed", "[0,1.57)",
-                               "--alpha", "-1"], None, None, 2),
+                                "--radius", "5"], None, None, 2),
         "08-noise-delta-negative": (["noise", "--msr", "{msr}", "--delta", "-1"], None, None, 2),
         "09-noise-delta-nan": (["noise", "--msr", "{msr}", "--delta", "nan"], None, None, 2),
         "10-experiment-index": (["experiment", "--config", "{cfg}"],
                                 TINY_KITE + "observed = indices 99\n", None, 2),
         "11-experiment-radius": (["experiment", "--config", "{cfg}"],
                                  TINY_KITE + "observed = arcs [0,1.57)\n"
-                                 "retrieve = R=0.5 nB=64 alpha=auto\n", None, 2),
+                                 "retrieve = R=5.0\n", None, 2),
         # q = (1,0) is orthogonal to the shear polarization of the one incident
         # direction d = (1,0), so the SS field is exactly zero and has no heatmap
         "12-experiment-zero-field": (["experiment", "--config", "{cfg}"],
@@ -560,7 +553,7 @@ class TestCli:
         "22-msr-omega-inf": (["indicate", "--msr", "{msr}"], None,
                              ("#omega=", "#omega=inf", True), 4),
         "23-experiment-retrieve-full-data": (["experiment", "--config", "{cfg}"],
-                                             TINY_KITE + "retrieve = R=5.0 nB=64 alpha=auto\n",
+                                             TINY_KITE + "retrieve = reciprocity\n",
                                              None, 2),
         "24-experiment-kinds-empty": (["experiment", "--config", "{cfg}"],
                                       TINY_KITE + "kinds =\n", None, 2),
@@ -568,16 +561,12 @@ class TestCli:
                                         TINY_KITE + "seed = -1\n", None, 2),
         "26-experiment-nb-zero": (["experiment", "--config", "{cfg}"],
                                   TINY_KITE + "observed = arcs [0,1.57)\n"
-                                  "retrieve = R=5.0 nB=0 alpha=auto\n", None, 2),
+                                  "retrieve = nB=0\n", None, 2),
         "27-experiment-seed-flag-negative": (["experiment", "--config", "{cfg}", "--seed", "-1"],
                                              TINY_KITE, None, 2),
-        "28-retrieve-radius-inf": (["retrieve", "--msr", "{msr}", "--observed", "[0,1.57)",
-                                    "--radius", "inf"], None, None, 2),
-        "29-retrieve-alpha-inf": (["retrieve", "--msr", "{msr}", "--observed", "[0,1.57)",
-                                   "--alpha", "inf"], None, None, 2),
         "30-experiment-radius-inf": (["experiment", "--config", "{cfg}"],
                                      TINY_KITE + "observed = arcs [0,1.57)\n"
-                                     "retrieve = R=inf nB=64 alpha=auto\n", None, 2),
+                                     "retrieve = reciprocity R=inf\n", None, 2),
         "31-noise-seed-negative": (["noise", "--msr", "{msr}", "--delta", "0.1", "--seed", "-1"],
                                    None, None, 2),
         # --config, --preset and --small belong to synth and experiment only
@@ -667,6 +656,11 @@ class TestCli:
     MASKS = st.one_of(st.just("full"), ARCS.map("arcs {}".format),
                       st.lists(SMALL_INTS, max_size=3).map(" ".join).map("indices {}".format),
                       st.sampled_from(("", "arcs", "indices", "everything")))
+    # retrieve tokens of a ball extrapolation (R=, nB=, alpha=), which the grammar rejects
+    OLD_RETRIEVE = (st.lists(st.tuples(st.sampled_from(("R", "nB", "alpha") * 2 + ("beta", "")),
+                                       st.one_of(POSITIVE, SMALL_INTS, st.just("auto")))
+                             .map("{0[0]}={0[1]}".format), min_size=1, max_size=3)
+                    .map(" ".join))
     CONFIG_VALUES = {
         "scene": st.lists(st.tuples(st.sampled_from(("kite", "circle", "peanut", "pear") * 2
                                                     + ("disk", "")),
@@ -690,13 +684,7 @@ class TestCli:
                              + ("nan 0", "1", "a b", "0 0", "1 0 0", "inf 0")),
         "observed": MASKS,
         "incident": MASKS,
-        "retrieve": st.one_of(st.just("off"),
-                              st.lists(st.tuples(st.sampled_from(("R", "nB", "alpha") * 2
-                                                                 + ("beta", "")),
-                                                 st.one_of(POSITIVE, SMALL_INTS,
-                                                           st.just("auto")))
-                                       .map("{0[0]}={0[1]}".format), max_size=3)
-                              .map(" ".join)),
+        "retrieve": st.one_of(st.sampled_from(("off", "reciprocity")), OLD_RETRIEVE),
     }
     JUNK_LINES = st.sampled_from(("",) * 8 + ("m = 8\n", "colour = red\n", "no equals sign\n",
                                               "= 3\n", "# comment = 1\n", "\x00\n",
@@ -732,6 +720,17 @@ class TestCli:
             assert "Traceback" not in err
             written = sorted(os.listdir(out)) if os.path.exists(out) else []
             assert written == (["data.msr"] if rc == 0 else [])
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(value=OLD_RETRIEVE)
+    def test_ball_retrieve_tokens_exit_2_and_leave_no_file(self, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = os.path.join(tmp, "gen.cfg"), os.path.join(tmp, "out")
+            with open(cfg, "w", encoding="utf-8") as fh:
+                fh.write(TINY_KITE + f"observed = arcs [0,1.57)\nretrieve = {value}\n")
+            rc, err = self.run_quietly(["experiment", "--config", cfg, "--out", out, "--quiet"])
+            assert rc == 2 and "retrieve" in err
+            assert not os.path.exists(out) or os.listdir(out) == []
 
     @settings(max_examples=80, derandomize=True, deadline=None)
     @given(observed=st.one_of(st.none(), ARCS), incident=st.one_of(st.none(), ARCS))
@@ -834,7 +833,7 @@ class TestCli:
 # the tiny kite with a quarter aperture and retrieval: two MSR/1 files (noisy and
 # retrieved) and two field sets, each written while the next stage computes
 TINY_RETRIEVAL = (TINY_KITE + "observed = arcs [0,1.5707963267948966)\n"
-                  "retrieve = R=5.0 nB=64 alpha=auto\n")
+                  "retrieve = reciprocity\n")
 
 
 class TestWriterThread:
@@ -880,7 +879,7 @@ class TestWriterThread:
         calls = [["synth", "--config", str(cfg)],
                  ["noise", "--msr", msr, "--delta", "0.1"],
                  ["indicate", "--msr", msr, "--grid", "-3 3 -3 3 9 9"],
-                 ["retrieve", "--msr", msr, "--observed", "[0,1.57)", "--nb", "64"],
+                 ["retrieve", "--msr", msr, "--observed", "[0,1.57)"],
                  ["experiment", "--config", str(cfg)]]
         for argv in calls:
             before = set(threading.enumerate())
@@ -891,7 +890,7 @@ class TestWriterThread:
         # m = 64: every artifact group takes well over the 1 ms rounding of a timing
         lim = parse_config(TINY_CONFIG.replace("m = 8", "m = 64").replace("kinds = ss", "")
                            + "observed = arcs [0,1.5707963267948966)\n"
-                           "retrieve = R=5.0 nB=64 alpha=auto\n")
+                           "retrieve = reciprocity\n")
         # b differs from a only in its aperture, so it copies a's MSR file
         variants = [("a", lim), ("b", replace(lim, observed=MaskSpec(arcs=((1.0, 3.0),))))]
         manifest = run_recorded(replace(lim, out=str(tmp_path / "w")), variants)
