@@ -519,6 +519,10 @@ class TestCli:
         # retrieve has no ball extrapolation, so no --radius, --nb or --alpha
         "05-retrieve-radius": (["retrieve", "--msr", "{msr}", "--observed", "[0,1.57)",
                                 "--radius", "5"], None, None, 2),
+        "06-retrieve-nb": (["retrieve", "--msr", "{msr}", "--observed", "[0,1.57)",
+                            "--nb", "0"], None, None, 2),
+        "07-retrieve-alpha": (["retrieve", "--msr", "{msr}", "--observed", "[0,1.57)",
+                               "--alpha", "-1"], None, None, 2),
         "08-noise-delta-negative": (["noise", "--msr", "{msr}", "--delta", "-1"], None, None, 2),
         "09-noise-delta-nan": (["noise", "--msr", "{msr}", "--delta", "nan"], None, None, 2),
         "10-experiment-index": (["experiment", "--config", "{cfg}"],
@@ -564,6 +568,10 @@ class TestCli:
                                   "retrieve = nB=0\n", None, 2),
         "27-experiment-seed-flag-negative": (["experiment", "--config", "{cfg}", "--seed", "-1"],
                                              TINY_KITE, None, 2),
+        "28-retrieve-radius-inf": (["retrieve", "--msr", "{msr}", "--observed", "[0,1.57)",
+                                    "--radius", "inf"], None, None, 2),
+        "29-retrieve-alpha-inf": (["retrieve", "--msr", "{msr}", "--observed", "[0,1.57)",
+                                   "--alpha", "inf"], None, None, 2),
         "30-experiment-radius-inf": (["experiment", "--config", "{cfg}"],
                                      TINY_KITE + "observed = arcs [0,1.57)\n"
                                      "retrieve = reciprocity R=inf\n", None, 2),
