@@ -15,7 +15,6 @@ from .geometry import (
     boundary_quadrature,
     curve_point,
     curve_tangent,
-    outward_normal,
     scene_from_string,
 )
 from .elastic import (
@@ -24,7 +23,6 @@ from .elastic import (
     PointSource,
     WaveMode,
     greens_tensor,
-    greens_traction_kernel,
     perp,
     plane_wave_field,
     plane_wave_traction,
@@ -52,10 +50,8 @@ from .indicators import (
     SamplingGrid,
     indicator_fields,
     indicator_values_at,
-    normalize_field,
 )
 from .aperture import (
-    ApertureMask,
     MaskedMSR,
     antipode,
     apply_mask,

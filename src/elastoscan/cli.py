@@ -145,7 +145,7 @@ def cmd_retrieve(args) -> int:
 def cmd_experiment(args) -> int:
     cfg = replace(_load_config(args), out=_resolve_out(args))
     if args.preset:
-        manifest = run_preset(args.preset, cfg.out, small=args.small, seed=args.seed)
+        manifest = run_preset(args.preset, cfg)
     else:
         manifest = run_recorded(cfg)
     if not args.quiet:

@@ -248,12 +248,6 @@ def traction_tensor(w, nu, medium: Medium) -> np.ndarray:
                              medium)
 
 
-def greens_traction_kernel(x, y, normal_at_y, medium: Medium) -> np.ndarray:
-    """[T_{nu(y)} Phi(x, y)]^T, the double-layer kernel. Shapes as greens_tensor."""
-    w = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    return -np.swapaxes(traction_tensor(w, normal_at_y, medium), -1, -2)
-
-
 # ---------------------------------------------------------------------------
 # Incident fields
 # ---------------------------------------------------------------------------

@@ -93,16 +93,6 @@ def curve_tangent(curve: BoundaryCurve, t) -> np.ndarray:
     )
 
 
-def outward_normal(curve: BoundaryCurve, t) -> np.ndarray:
-    """Unit outward normal: clockwise rotation of the unit tangent."""
-    dx = curve_tangent(curve, t)
-    speed = np.linalg.norm(dx, axis=-1, keepdims=True)
-    if np.any(speed <= 0) or not np.all(np.isfinite(speed)):
-        raise ValueError("degenerate tangent |x'(t)| = 0")
-    that = dx / speed
-    return np.stack([that[..., 1], -that[..., 0]], axis=-1)
-
-
 @dataclass(frozen=True)
 class Quadrature:
     """Trapezoidal boundary quadrature nodes for one curve or a whole scene.
@@ -184,20 +174,8 @@ class Scene:
                             f"(boundary of {a} enters {b})"
                         )
 
-    def quadrature(self, n_per_component: int) -> Quadrature:
-        parts = [
-            boundary_quadrature(curve, n_per_component, component_id=i)
-            for i, (curve, _) in enumerate(self.components)
-        ]
-        return Quadrature(*(np.concatenate([getattr(p, f) for p in parts])
-                            for f in ("t", "points", "normals", "speeds", "weights", "component")))
-
     def describe(self) -> str:
         return " + ".join(c.describe() for c, _ in self.components)
-
-    def centroid(self) -> np.ndarray:
-        """Mean of the component centers."""
-        return np.mean([c.center for c, _ in self.components], axis=0)
 
 
 def scene_from_string(text: str) -> Scene:

@@ -24,7 +24,9 @@ canonical grammar (all keys optional except none; defaults in parentheses):
 Pipeline per config: synthesize MSR -> add noise -> (mask -> reciprocity fill,
 zeros where reciprocity cannot reach) -> indicators -> emit CSV (raw values),
 PGM (squared, normalized) and a JSON manifest listing every artifact with its
-sha256.  The stages (aperture_mask, restrict, fields_of, retrieve_msr), the
+sha256.  An observed or incident spec becomes a boolean vector over the 2m
+directions (MaskSpec.directions), and limited data are the masked operator
+with unknown entries 0.  The stages (restrict, fields_of, retrieve_msr), the
 flag parsers (parse_grid, parse_q, parse_arcs) and the one artifact writer
 (_Emitter) are shared with the CLI subcommands.
 
@@ -54,7 +56,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .aperture import ApertureMask, MaskedMSR, apply_mask, limited_indicator, reciprocity_fill
+from .aperture import MaskedMSR, apply_mask, limited_indicator, reciprocity_fill
 from .elastic import Medium
 from .forward import MSRMatrix, NumericError, add_noise, save_msr, synthesize_msr
 from .geometry import (BoundaryCondition, BoundaryCurve, BoundaryKind, Scene, boundary_quadrature,
@@ -89,10 +91,31 @@ class MaskSpec:
     arcs: tuple[tuple[float, float], ...] | None = None
     indices: tuple[int, ...] | None = None
 
-    def to_indices(self, m: int) -> frozenset[int]:
+    def directions(self, m: int) -> np.ndarray:
+        """The selected directions of the 2m-direction grid, a boolean vector.
+
+        Arcs are (start, end) in radians, end exclusive and wrap-aware.
+        """
+        sel = np.zeros(2 * m, dtype=bool)
         if self.indices is not None:
-            return frozenset(i - 1 for i in self.indices)
-        return ApertureMask.from_arcs(m, self.arcs, None).observed
+            if not 1 <= min(self.indices) <= max(self.indices) <= 2 * m:
+                raise ValueError(f"mask indices must be in 1..{2 * m}")
+            sel[np.subtract(self.indices, 1)] = True
+            return sel
+        theta = np.pi * np.arange(2 * m) / m
+        for a, b in self.arcs:
+            span = (b - a) % (2 * np.pi)
+            if span == 0.0:
+                span = 2 * np.pi
+            sel |= ((theta - a) % (2 * np.pi)) < span - 1e-12
+            sel |= np.isclose((theta - a) % (2 * np.pi), 0.0)
+        if not sel.any():
+            raise ValueError(f"arcs {self.arcs} select none of the {2 * m} directions")
+        return sel
+
+    def to_indices(self, m: int) -> np.ndarray:
+        """0-based indices of the selected directions (bench/checks.py reads them)."""
+        return np.flatnonzero(self.directions(m))
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -140,7 +163,9 @@ class ExperimentConfig:
             scene = self.scene_object()
             k_s = self.medium().k_s
             self.sampling_grid()
-            mask = aperture_mask(self.m, self.observed, self.incident)
+            for spec in (self.observed, self.incident):
+                if spec is not None:
+                    spec.directions(self.m)
             lengths = [boundary_quadrature(curve, self.n).weights.sum()
                        for curve, _ in scene.components]
         except ValueError as exc:
@@ -154,7 +179,7 @@ class ExperimentConfig:
                     f"n = {self.n} gives fewer than 2 nodes per shear wavelength on "
                     f"{curve.describe()} (boundary length {length:.4g}, k_s = {k_s:.4g}); "
                     f"need n >= {need:.6g}")
-        if self.retrieve and mask is None:
+        if self.retrieve and self.observed is None and self.incident is None:
             raise ConfigValueError("retrieve needs limited data: set observed and/or incident")
 
 def _parse_scene(value: str):
@@ -410,22 +435,17 @@ def build_preset(name: str, small: bool = False) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # Pipeline stages (shared by run_experiment and the CLI subcommands)
 # ---------------------------------------------------------------------------
-def aperture_mask(m: int, observed: MaskSpec | None, incident: MaskSpec | None
-                  ) -> ApertureMask | None:
-    """The aperture on 2m directions of an observed/incident spec pair; None = full data."""
-    if observed is None and incident is None:
-        return None
-    every = frozenset(range(2 * m))
-    mask = ApertureMask(observed=observed.to_indices(m) if observed else every,
-                        incident=incident.to_indices(m) if incident else every)
-    mask.validate_for(m)
-    return mask
-
 def restrict(msr: MSRMatrix, observed: MaskSpec | None, incident: MaskSpec | None
              ) -> MSRMatrix | MaskedMSR:
-    """The data seen through an aperture: msr itself for full data, else its masked form."""
-    mask = aperture_mask(msr.m, observed, incident)
-    return msr if mask is None else apply_mask(msr, mask)
+    """The data seen through an aperture: msr itself for full data, else its masked form.
+
+    A spec of None selects every direction.
+    """
+    if observed is None and incident is None:
+        return msr
+    every = np.ones(2 * msr.m, dtype=bool)
+    return apply_mask(msr, observed.directions(msr.m) if observed else every,
+                      incident.directions(msr.m) if incident else every)
 
 def fields_of(data: MSRMatrix | MaskedMSR, grid: SamplingGrid, kinds, q
               ) -> dict[IndicatorKind, IndicatorField]:
@@ -435,13 +455,11 @@ def fields_of(data: MSRMatrix | MaskedMSR, grid: SamplingGrid, kinds, q
     return indicator_fields(data.assembled(), data.m, data.medium, grid, kinds, q)
 
 def retrieve_msr(masked: MaskedMSR) -> MSRMatrix:
-    """The data completed by reciprocity fill; entries it cannot reach are 0.
+    """The data completed by reciprocity fill; entries it cannot reach stay 0.
 
-    Measured entries are kept verbatim, and the zeros are the restricted-sum
-    convention of MaskedMSR.assembled_known().
+    Measured entries are kept verbatim.
     """
-    return replace(masked.base, full=reciprocity_fill(masked).assembled_known(),
-                   retrieval="reciprocity")
+    return replace(masked.base, full=reciprocity_fill(masked).data, retrieval="reciprocity")
 
 # ---------------------------------------------------------------------------
 # Artifact emission
@@ -704,11 +722,7 @@ def _preset_variants(name: str, cfg: ExperimentConfig) -> list[tuple[str, Experi
                 for count in FEW_INCIDENT_COUNTS]
     return [(name, cfg)]
 
-def run_preset(name: str, outdir: str, small: bool = False,
-               seed: int | None = None) -> RunManifest:
-    """Run a named preset (its variants included) and write manifest.json."""
-    cfg = build_preset(name, small=small)
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
-    cfg = replace(cfg, out=outdir)
+def run_preset(name: str, cfg: ExperimentConfig) -> RunManifest:
+    """Run cfg, the built config of the named preset, with the preset's variants,
+    into cfg.out and write manifest.json."""
     return run_recorded(cfg, _preset_variants(name, cfg))

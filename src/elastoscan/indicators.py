@@ -53,7 +53,7 @@ mixed blocks on every omega = 8 pi grid of 161 points).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -116,7 +116,6 @@ class IndicatorField:
     values: np.ndarray            # (ny, nx) float
     kind: IndicatorKind
     q: tuple[float, float]
-    normalized: bool = False
 
     def argmax_point(self) -> np.ndarray:
         iy, ix = np.unravel_index(int(np.argmax(self.values)), self.values.shape)
@@ -397,18 +396,10 @@ def indicator_fields(fmat: np.ndarray, m: int, medium: Medium, grid: SamplingGri
     """Indicator fields on a grid, in the order of kinds, from one evaluation pass.
 
     fmat is any assembled 4m x 4m matrix: full data (MSRMatrix.assembled), limited
-    data with unknown entries zeroed (MaskedMSR.assembled_known), or retrieved data.
+    data with its unknown entries 0 (MaskedMSR.data), or retrieved data.
     """
     q = (float(q[0]), float(q[1]))
     vals = indicator_values_at(grid.points(), fmat, m, medium, q, kinds)
     return {kind: IndicatorField(grid, v.reshape(grid.ny, grid.nx), kind, q)
             for kind, v in vals.items()}
 
-
-def normalize_field(field: IndicatorField, square: bool = False) -> IndicatorField:
-    """Optionally square, then scale so the maximum is 1."""
-    vmax = float(field.values.max())
-    if not vmax > 0:
-        raise ValueError("cannot normalize an all-zero field")
-    vals = field.values**2 / vmax**2 if square else field.values / vmax
-    return replace(field, values=vals, normalized=True)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elastoscan.aperture import (
-    ApertureMask,
+    MaskedMSR,
     antipode,
     apply_mask,
     limited_indicator,
@@ -19,10 +19,21 @@ from elastoscan.geometry import (
     Scene,
     distance_to_boundary,
 )
-from elastoscan.harness import retrieve_msr
+from elastoscan.harness import MaskSpec, retrieve_msr
 from elastoscan.indicators import IndicatorKind, SamplingGrid, indicator_fields
 
 QUARTER = (0.0, np.pi / 2)
+
+
+def chosen(m, idx=None):
+    """Boolean vector over the 2m directions selecting the 0-based idx (default: all)."""
+    sel = np.zeros(2 * m, dtype=bool)
+    sel[slice(None) if idx is None else list(idx)] = True
+    return sel
+
+
+def arc(m, *arcs):
+    return MaskSpec(arcs=arcs).directions(m)
 
 
 def random_msr(m, medium, seed=0, scene="kite@(0.0,0.0)*1.0"):
@@ -34,34 +45,33 @@ def random_msr(m, medium, seed=0, scene="kite@(0.0,0.0)*1.0"):
 
 class TestApertureMask:
     def test_empty_sets_rejected(self):
-        with pytest.raises(ValueError):
-            ApertureMask(frozenset(), frozenset({1}))
+        # [0.1, 0.2) lies between the grid directions 0 and pi/8 at m = 8
+        with pytest.raises(ValueError, match="select none"):
+            MaskSpec(arcs=((0.1, 0.2),)).directions(8)
 
     def test_quarter_arc_membership(self):
         m = 8
-        mask = ApertureMask.from_arcs(m, [QUARTER], None)
         theta = np.pi * np.arange(2 * m) / m
-        expect = {i for i, th in enumerate(theta) if 0 <= th < np.pi / 2}
-        assert mask.observed == frozenset(expect)
-        assert mask.incident == frozenset(range(2 * m))
+        assert np.array_equal(arc(m, QUARTER), (0 <= theta) & (theta < np.pi / 2))
+        assert np.array_equal(MaskSpec(indices=(1, 2, 3, 4)).to_indices(m), np.arange(4))
 
     def test_full_mask_keeps_everything(self, msr_disk_m16):
-        masked = apply_mask(msr_disk_m16, ApertureMask.full(msr_disk_m16.m))
-        for name in ("f_pp", "f_ps", "f_sp", "f_ss"):
-            assert masked.known[name].all()
-            assert np.array_equal(masked.values[name], getattr(msr_disk_m16, name))
+        m = msr_disk_m16.m
+        masked = apply_mask(msr_disk_m16, chosen(m), chosen(m))
+        assert masked.mask.all()
+        assert np.array_equal(masked.data, msr_disk_m16.full)
 
     def test_incident_singleton_single_column(self, msr_disk_m16):
         m = msr_disk_m16.m
-        mask = ApertureMask(frozenset(range(2 * m)), frozenset({3}))
-        masked = apply_mask(msr_disk_m16, mask)
+        masked = apply_mask(msr_disk_m16, chosen(m), chosen(m, {3}))
         known = masked.known["f_pp"]
         assert known[:, 3].all() and known.sum() == 2 * m
 
     def test_out_of_range_rejected(self, msr_disk_m16):
-        mask = ApertureMask(frozenset({0, 99}), frozenset({0}))
-        with pytest.raises(ValueError):
-            apply_mask(msr_disk_m16, mask)
+        m = msr_disk_m16.m
+        for indices in ((1, 2 * m + 1), (0, 1)):
+            with pytest.raises(ValueError, match="1..32"):
+                MaskSpec(indices=indices).directions(m)
 
 
 class TestAntipode:
@@ -82,42 +92,37 @@ class TestReciprocityFill:
     def test_fill_uses_antipode_source(self, medium):
         m = 4
         msr = random_msr(m, medium)
-        mask = ApertureMask(frozenset({5}), frozenset(range(2 * m)))
-        filled = reciprocity_fill(apply_mask(msr, mask))
+        filled = reciprocity_fill(apply_mask(msr, chosen(m, {5}), chosen(m)))
         # unknown (4, 1) has source (sigma(1), sigma(4)) = (5, 0), which is known
         assert filled.known["f_pp"][4, 1]
-        assert filled.values["f_pp"][4, 1] == msr.f_pp[5, 0]
+        assert filled.data[4, 1] == msr.f_pp[5, 0]
 
     def test_round_trip_on_synthesized_data(self, msr_kite_m64):
         m = msr_kite_m64.m
-        masked = apply_mask(msr_kite_m64, ApertureMask.from_arcs(m, [QUARTER], None))
+        masked = apply_mask(msr_kite_m64, arc(m, QUARTER), chosen(m))
         filled = reciprocity_fill(masked)
         nrm = msr_kite_m64.frobenius()
+        gained = filled.mask & ~masked.mask
+        err = np.abs(filled.data - msr_kite_m64.full)[gained]
         for name in ("f_pp", "f_ss", "f_ps", "f_sp"):
-            gained = filled.known[name] & ~masked.known[name]
-            err = np.abs(filled.values[name] - getattr(msr_kite_m64, name))[gained]
-            assert gained.any()
-            assert err.max() <= 1e-8 * nrm
+            assert (filled.known[name] & ~masked.known[name]).any()
+        assert err.max() <= 1e-8 * nrm
 
     def test_never_touches_known_entries(self, medium):
         m = 8
         msr = random_msr(m, medium, seed=3)
-        masked = apply_mask(msr, ApertureMask.from_arcs(m, [QUARTER], None))
+        masked = apply_mask(msr, arc(m, QUARTER), chosen(m))
         filled = reciprocity_fill(masked)
-        for name in ("f_pp", "f_ss", "f_ps", "f_sp"):
-            k = masked.known[name]
-            assert np.array_equal(filled.values[name][k], masked.values[name][k])
+        assert np.array_equal(filled.data[masked.mask], masked.data[masked.mask])
 
     def test_idempotent(self, medium):
         m = 8
         msr = random_msr(m, medium, seed=4)
-        masked = apply_mask(msr, ApertureMask.from_arcs(m, [(0.3, 1.1)], None))
+        masked = apply_mask(msr, arc(m, (0.3, 1.1)), chosen(m))
         once = reciprocity_fill(masked)
         twice = reciprocity_fill(once)
-        for name in ("f_pp", "f_ss", "f_ps", "f_sp"):
-            assert np.array_equal(once.known[name], twice.known[name])
-            a, b = once.values[name], twice.values[name]
-            assert np.array_equal(np.nan_to_num(a), np.nan_to_num(b))
+        assert np.array_equal(once.mask, twice.mask)
+        assert np.array_equal(once.data, twice.data)
 
     def test_known_set_predicate_exhaustive(self, medium):
         """After fill with observed set O and full incidence:
@@ -125,7 +130,7 @@ class TestReciprocityFill:
         m = 8
         msr = random_msr(m, medium, seed=5)
         obs = frozenset({0, 1, 2, 3})
-        masked = apply_mask(msr, ApertureMask(obs, frozenset(range(2 * m))))
+        masked = apply_mask(msr, chosen(m, obs), chosen(m))
         filled = reciprocity_fill(masked)
         for name in ("f_pp", "f_ss", "f_ps", "f_sp"):
             for j in range(2 * m):
@@ -136,15 +141,22 @@ class TestReciprocityFill:
 
 @st.composite
 def random_aperture(draw):
-    """(random 4m x 4m data, arbitrary observed x incident aperture) for m in 1..6."""
+    """(random 4m x 4m data, observed and incident direction vectors, each selecting
+    at least one direction) for m in 1..6."""
     m = draw(st.integers(1, 6))
-    index = st.integers(0, 2 * m - 1)
-    mask = ApertureMask(frozenset(draw(st.sets(index, min_size=1))),
-                        frozenset(draw(st.sets(index, min_size=1))))
+    directions = st.lists(st.booleans(), min_size=2 * m, max_size=2 * m).filter(any)
+    observed = np.array(draw(directions))
+    incident = np.array(draw(directions))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     full = rng.standard_normal((4 * m, 4 * m)) + 1j * rng.standard_normal((4 * m, 4 * m))
     msr = MSRMatrix(m, full, 1.0, 1.0, 4 * np.pi, scene="kite@(0.0,0.0)*1.0", bc="dirichlet")
-    return msr, mask
+    return msr, observed, incident
+
+
+def exact_zeros(values) -> bool:
+    """Every value is +0 + 0j: zero, with neither sign bit set."""
+    return bool((values == 0).all() and not np.signbit(values.real).any()
+                and not np.signbit(values.imag).any())
 
 
 def reciprocal_source(row, col, m):
@@ -158,17 +170,16 @@ class TestApertureProperties:
     @settings(max_examples=60, deadline=None)
     @given(case=random_aperture())
     def test_mask_fill_retrieve(self, case):
-        msr, mask = case
+        msr, observed, incident = case
         m, size = msr.m, 4 * msr.m
         measured = np.zeros((size, size), dtype=bool)
         for row in range(size):
             for col in range(size):
-                measured[row, col] = (row % (2 * m) in mask.observed
-                                      and col % (2 * m) in mask.incident)
-        masked = apply_mask(msr, mask)
+                measured[row, col] = observed[row % (2 * m)] and incident[col % (2 * m)]
+        masked = apply_mask(msr, observed, incident)
         assert np.array_equal(masked.mask, measured)
         assert np.array_equal(masked.data[measured], msr.full[measured])
-        assert np.isnan(masked.data[~measured]).all()
+        assert exact_zeros(masked.data[~measured])
 
         filled = reciprocity_fill(masked)
         assert np.array_equal(filled.data[measured], msr.full[measured])
@@ -178,16 +189,14 @@ class TestApertureProperties:
                 assert filled.mask[row, col] == (measured[row, col] or measured[src])
                 if filled.mask[row, col] and not measured[row, col]:
                     assert filled.data[row, col] == msr.full[src]
-                if not filled.mask[row, col]:
-                    assert np.isnan(filled.data[row, col])
+        assert exact_zeros(filled.data[~filled.mask])
 
         twice = reciprocity_fill(filled)
         assert np.array_equal(twice.mask, filled.mask)
-        assert np.array_equal(twice.data, filled.data, equal_nan=True)
+        assert np.array_equal(twice.data, filled.data)
 
         out = retrieve_msr(masked)
-        assert np.array_equal(out.full[filled.mask], filled.data[filled.mask])
-        assert (out.full[~filled.mask] == 0).all()
+        assert np.array_equal(out.full, filled.data)
 
 
 class TestRetrieveMsr:
@@ -202,11 +211,10 @@ class TestRetrieveMsr:
         for delta in (0.0, 0.1):
             data = add_noise(clean, delta, seed=2)
             for frac in (0.25, 0.5, 0.75):
-                mask = ApertureMask.from_arcs(m, [(0.0, 2 * np.pi * frac)], None)
-                obs = np.isin(np.arange(2 * m), sorted(mask.observed))
+                obs = arc(m, (0.0, 2 * np.pi * frac))
                 measured = np.tile(obs[:, None], (2, 4 * m))
                 filled = np.tile(~obs[:, None] & obs[sig][None, :], (2, 2))
-                out = retrieve_msr(apply_mask(data, mask))
+                out = retrieve_msr(apply_mask(data, obs, chosen(m)))
                 assert np.array_equal(out.full[measured], data.full[measured])
                 assert np.array_equal(out.full[filled], data.full[image].T[filled])
                 assert (out.full[~measured & ~filled] == 0).all()
@@ -226,7 +234,7 @@ class TestLimitedIndicator:
     def test_full_mask_matches_unrestricted(self, msr_kite_m64):
         grid = SamplingGrid(-3, 3, -3, 3, 9, 9)
         m, medium = msr_kite_m64.m, msr_kite_m64.medium
-        masked = apply_mask(msr_kite_m64, ApertureMask.full(m))
+        masked = apply_mask(msr_kite_m64, chosen(m), chosen(m))
         limited = limited_indicator(masked, grid, IndicatorKind)
         full = indicator_fields(msr_kite_m64.assembled(), m, medium, grid, IndicatorKind)
         for kind in IndicatorKind:
@@ -236,10 +244,10 @@ class TestLimitedIndicator:
     def test_single_shear_incidence_localizes(self, kite_scene, medium):
         # q = (0,1): q.d_perp = 0 degenerates the d = (1,0) column for q = (1,0)
         msr = synthesize_msr(kite_scene, medium, 128, 256)
-        mask = ApertureMask(frozenset(range(2 * msr.m)), frozenset({0}))
+        m = msr.m
         ss = IndicatorKind.SS
-        fld = limited_indicator(apply_mask(msr, mask), SamplingGrid(-6, 6, -6, 6, 121, 121),
-                                [ss], (0.0, 1.0))[ss]
+        fld = limited_indicator(apply_mask(msr, chosen(m), chosen(m, {0})),
+                                SamplingGrid(-6, 6, -6, 6, 121, 121), [ss], (0.0, 1.0))[ss]
         assert np.all(np.isfinite(fld.values))
         assert fld.values.max() > 0
         d = distance_to_boundary(kite_scene, fld.argmax_point()[None, :])[0]
@@ -247,11 +255,12 @@ class TestLimitedIndicator:
 
     def test_empty_known_block_gives_zero_field(self, msr_disk_m16):
         m = msr_disk_m16.m
-        # PP-kind indicator with no pp entries known: mask rows/cols so that
-        # the pp block is fully unknown is impossible via product masks, so
-        # zero out the known flags directly
-        masked = apply_mask(msr_disk_m16, ApertureMask.full(m))
-        masked.known["f_pp"][:] = False
+        # PP-kind indicator with no pp entries known: a product mask cannot make
+        # the pp block alone unknown, so build that MaskedMSR directly, its
+        # unknown entries 0
+        known = np.ones((4 * m, 4 * m), dtype=bool)
+        known[:2 * m, :2 * m] = False
+        masked = MaskedMSR(msr_disk_m16, known, np.where(known, msr_disk_m16.full, 0.0))
         pp = IndicatorKind.PP
         fld = limited_indicator(masked, SamplingGrid(-2, 2, -2, 2, 5, 5), [pp], (1.0, 0.0))[pp]
         assert np.all(fld.values == 0.0)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from elastoscan.elastic import Medium
+from elastoscan.forward import assemble_system
 from elastoscan.geometry import (
     BoundaryCondition,
     BoundaryCurve,
@@ -10,7 +12,6 @@ from elastoscan.geometry import (
     contains_points,
     curve_point,
     curve_tangent,
-    outward_normal,
     scene_from_string,
 )
 from oracles import arc_length_adaptive, winding_number
@@ -57,7 +58,8 @@ class TestCurvePoint:
             moved = curve(kind, center=(v[0], v[1]))
             t = np.linspace(0, 2 * np.pi, 9)
             assert np.array_equal(curve_point(moved, t), curve_point(base, t) + v)
-            assert np.array_equal(outward_normal(moved, t), outward_normal(base, t))
+            assert np.array_equal(boundary_quadrature(moved, 64).normals,
+                                  boundary_quadrature(base, 64).normals)
 
     def test_circle_scaling_exact(self):
         t = np.linspace(0, 2 * np.pi, 17)
@@ -86,28 +88,26 @@ class TestCurveTangent:
 
 
 class TestOutwardNormal:
+    """The normals of boundary_quadrature, the ones the solver uses."""
+
     def test_circle_normal_is_radial(self):
-        t = np.linspace(0, 2 * np.pi, 7)
-        assert np.allclose(outward_normal(curve(BoundaryKind.CIRCLE), t),
-                           np.stack([np.cos(t), np.sin(t)], axis=-1))
+        quad = boundary_quadrature(curve(BoundaryKind.CIRCLE), 64)
+        assert np.allclose(quad.normals, np.stack([np.cos(quad.t), np.sin(quad.t)], axis=-1))
 
     def test_unit_norm(self):
-        rng = np.random.RandomState(1)
         for kind in ALL_KINDS:
-            t = rng.uniform(0, 2 * np.pi, 32)
-            nu = outward_normal(curve(kind), t)
+            nu = boundary_quadrature(curve(kind), 64).normals
             assert np.allclose(np.linalg.norm(nu, axis=-1), 1.0, atol=1e-14)
 
     def test_kite_orthogonal_and_outward(self):
         c = curve(BoundaryKind.KITE)
-        t = 1.0
-        nu = outward_normal(c, t)
-        assert abs(nu @ curve_tangent(c, t)) < 1e-12
-        # winding-number outwardness: stepping along nu leaves the domain
+        quad = boundary_quadrature(c, 64)
         poly = curve_point(c, 2 * np.pi * np.arange(2048) / 2048)
-        x = curve_point(c, t)
-        assert abs(winding_number(poly, x + 1e-3 * nu)) < 0.5
-        assert abs(winding_number(poly, x - 1e-3 * nu)) > 0.5
+        for t, x, nu in zip(quad.t, quad.points, quad.normals):
+            assert abs(nu @ curve_tangent(c, t)) < 1e-12
+            # winding-number outwardness: stepping along nu leaves the domain
+            assert abs(winding_number(poly, x + 1e-3 * nu)) < 0.5
+            assert abs(winding_number(poly, x - 1e-3 * nu)) > 0.5
 
 
 class TestBoundaryQuadrature:
@@ -153,8 +153,9 @@ class TestScene:
     def test_disjoint_scene_ok(self):
         a = (curve(BoundaryKind.KITE, center=(-3.0, 3.0)), BoundaryCondition.DIRICHLET)
         b = (curve(BoundaryKind.PEANUT, center=(3.0, -3.0)), BoundaryCondition.DIRICHLET)
-        scene = Scene((a, b))
-        assert scene.quadrature(64).n_nodes == 128
+        quad = assemble_system(Scene((a, b)), Medium(1.0, 1.0, 2.0), 64).quadrature
+        assert quad.n_nodes == 128
+        assert np.array_equal(quad.component, np.repeat([0, 1], 64))
 
     def test_describe_round_trip(self):
         a = (curve(BoundaryKind.KITE, center=(-3.0, 3.0)), BoundaryCondition.DIRICHLET)

@@ -132,8 +132,11 @@ class TestParseConfig:
             parse_config(f"q = {value}\n")
 
     def test_mask_index_beyond_grid_rejected(self):
-        with pytest.raises(ConfigValueError, match="< 16"):
-            parse_config("m = 8\nobserved = indices 99\n")
+        # indices are 1-based: 16 is the last of the 2m = 16 directions
+        parse_config("m = 8\nobserved = indices 16\n")
+        for index in (17, 99):
+            with pytest.raises(ConfigValueError, match=r"in 1\.\.16"):
+                parse_config(f"m = 8\nobserved = indices {index}\n")
 
     @pytest.mark.parametrize("aperture", ["", "observed = full\nincident = full\n"])
     def test_retrieve_on_full_data_rejected(self, aperture):
@@ -368,7 +371,8 @@ class TestRunExperiment:
 class TestRunPresetSmall:
     def test_multiscalar_small_emits_three_fields(self, tmp_path):
         out = tmp_path / "ms"
-        manifest = run_preset("multiscalar", str(out), small=True)
+        cfg = replace(build_preset("multiscalar", small=True), out=str(out))
+        manifest = run_preset("multiscalar", cfg)
         names = {p.name for p in out.iterdir()}
         for kind in ("ss", "pp", "ff"):
             assert f"multiscalar_{kind}.csv" in names
@@ -597,6 +601,9 @@ class TestCli:
         "39-synth-under-resolved": (["synth", "--config", "{cfg}"],
                                     TINY_KITE.replace("omega = 3.141592653589793",
                                                       "omega = 1e150"), None, 2),
+        # [0.1, 0.2) lies between the grid directions 0 and pi/8 at m = 8
+        "40-indicate-arc-selects-nothing": (["indicate", "--msr", "{msr}", "--observed",
+                                             "[0.1,0.2)"], None, None, 2),
     }
 
     @pytest.mark.parametrize("row", sorted(BAD_INPUTS))

@@ -9,15 +9,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from elastoscan import indicators
-from elastoscan.aperture import ApertureMask, apply_mask
+from elastoscan.aperture import apply_mask
 from elastoscan.elastic import Medium, point_source_farfield
 from elastoscan.forward import MSRMatrix, add_noise, direction_grid, synthesize_msr
+from elastoscan.harness import MaskSpec
 from elastoscan.indicators import (
     IndicatorKind,
     SamplingGrid,
     indicator_fields,
     indicator_values_at,
-    normalize_field,
     skeleton_summary,
 )
 
@@ -242,9 +242,10 @@ def kite_4pi_fields(kite_scene):
     grid of [-6, 6]^2: the band x length of limited-retrieval --small."""
     medium = Medium(1.0, 1.0, 4.0 * np.pi)
     msr = add_noise(synthesize_msr(kite_scene, medium, 64, 256), 0.1, seed=3)
-    masked = apply_mask(msr, ApertureMask.from_arcs(64, [(0.0, np.pi / 2)], None))
+    masked = apply_mask(msr, MaskSpec(arcs=((0.0, np.pi / 2),)).directions(64),
+                        np.ones(128, dtype=bool))
     grid = SamplingGrid(-6.0, 6.0, -6.0, 6.0, 161, 161)
-    return medium, grid, [msr.assembled(), masked.assembled_known()]
+    return medium, grid, [msr.assembled(), masked.data]
 
 
 PP, SS = IndicatorKind.PP, IndicatorKind.SS
@@ -367,13 +368,16 @@ class TestSkeletonGrid:
 
 
 def void_masks(m):
-    """Apertures that leave whole direction classes (r and 2m - r) without data."""
-    arcs = ApertureMask.from_arcs
-    every = frozenset(range(2 * m))
-    return {"observed-arc": arcs(m, [(0.0, np.pi / 2)], None),
-            "incident-arc": arcs(m, None, [(np.pi / 4, np.pi)]),
-            "few-incident": ApertureMask(every, frozenset({0, 5, 10})),
-            "both-arcs": arcs(m, [(np.pi / 2, 3 * np.pi / 2)], [(3 * np.pi / 2, 2 * np.pi)])}
+    """Apertures (observed, incident direction vectors) that leave whole direction
+    classes (r and 2m - r) without data."""
+    def arc(a, b):
+        return MaskSpec(arcs=((a, b),)).directions(m)
+
+    every = np.ones(2 * m, dtype=bool)
+    return {"observed-arc": (arc(0.0, np.pi / 2), every),
+            "incident-arc": (every, arc(np.pi / 4, np.pi)),
+            "few-incident": (every, MaskSpec(indices=(1, 6, 11)).directions(m)),
+            "both-arcs": (arc(np.pi / 2, 3 * np.pi / 2), arc(3 * np.pi / 2, 2 * np.pi))}
 
 
 class TestVoidClasses:
@@ -386,7 +390,7 @@ class TestVoidClasses:
         full = rng.normal(size=(4 * m, 4 * m)) + 1j * rng.normal(size=(4 * m, 4 * m))
         msr = MSRMatrix(m, full, 1.0, 1.0, 3 * np.pi, scene="circle@(0.0,0.0)*1.0",
                         bc="dirichlet")
-        return {name: apply_mask(msr, mask) for name, mask in void_masks(m).items()}
+        return {name: apply_mask(msr, *mask) for name, mask in void_masks(m).items()}
 
     @pytest.mark.parametrize("name", ["observed-arc", "incident-arc", "few-incident",
                                       "both-arcs"])
@@ -397,7 +401,7 @@ class TestVoidClasses:
         points = SamplingGrid(-2.0, 2.5, -1.5, 2.0, 9, 7).points()
         if layout == "runs":          # two lone points: the rows run through the fold
             points = np.vstack([points, [[0.3, 10.0], [-4.0, 11.0]]])
-        fmat = masked.assembled_known()
+        fmat = masked.data
         got = indicator_values_at(points, fmat, m, medium, Q_DEFAULT, IndicatorKind)
         # the double sum over every entry: the unknown ones are exact zeros
         known = MSRMatrix(m, fmat, medium.lam, medium.mu, medium.omega,
@@ -417,12 +421,12 @@ class TestVoidClasses:
 
         m = self.M
         # observed [0, pi/2): directions 0..3, the first members of classes 0..3
-        fold = fold_of(limited["observed-arc"].assembled_known(), m)
+        fold = fold_of(limited["observed-arc"].data, m)
         rows, cols = fold.classes["p", "s"]
         assert rows.tolist() == [0, 1, 2, 3] and cols == slice(None)
         assert fold.members["p", "s"] == [(0, (0, 1))]
         # incident indices 0, 5, 10: classes 0, 5 (first members) and 6 (second member)
-        fold = fold_of(limited["few-incident"].assembled_known(), m)
+        fold = fold_of(limited["few-incident"].data, m)
         rows, cols = fold.classes["s", "p"]
         assert rows == slice(None) and cols.tolist() == [0, 5, 6]
         assert fold.members["s", "p"] == [(0, (0, 1)), (1, (0, 1))]
@@ -509,36 +513,6 @@ class TestCsv:
             f"{x!r},{y!r},{v!r}\n"
             for (x, y), v in zip(grid.points().tolist(), vals.ravel().tolist()))
         assert written == expected.encode()
-
-
-class TestNormalizeField:
-    def _field(self, values):
-        from elastoscan.indicators import IndicatorField
-
-        grid = SamplingGrid(0, 1, 0, 1, *values.shape[::-1])
-        return IndicatorField(grid, values, IndicatorKind.FF, Q_DEFAULT)
-
-    def test_constant_field_becomes_ones(self):
-        out = normalize_field(self._field(np.full((3, 4), 2.5)))
-        assert np.array_equal(out.values, np.ones((3, 4)))
-        assert out.normalized
-
-    def test_squaring_preserves_argmax(self):
-        rng = np.random.RandomState(0)
-        vals = rng.rand(6, 5)
-        plain = normalize_field(self._field(vals))
-        squared = normalize_field(self._field(vals), square=True)
-        assert np.argmax(plain.values) == np.argmax(squared.values)
-
-    def test_idempotent(self):
-        vals = np.random.RandomState(1).rand(4, 4)
-        once = normalize_field(self._field(vals))
-        twice = normalize_field(once)
-        assert np.allclose(once.values, twice.values)
-
-    def test_all_zero_rejected(self):
-        with pytest.raises(ValueError):
-            normalize_field(self._field(np.zeros((3, 3))))
 
 
 class TestDecay:
