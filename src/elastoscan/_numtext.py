@@ -10,9 +10,10 @@ Both rest on one exact scaling.  For 1e-6 < |x| < 1e17 the decimal exponent X
 lies in -6..16, so 10**(16 - X) is exact in binary64 and Dekker's two-product
 gives |x| * 10**(16 - X) = p + e exactly; p >= 2**53 is an integer, so the
 scaled value is D + frac with the 17-digit integer D = p + floor(e) and
-0 <= frac = e - floor(e) < 1, both exact.  Every other value (0, -0,
-subnormals, the far ends of the range, non-finite) is formatted one at a time
-by Python itself.
+0 <= frac = e - floor(e) < 1, both exact.  format_rows lays out 0 and -0 as
+arrays too.  Every other value (subnormals, 0 < |x| <= 1e-6, |x| >= 1e17,
+non-finite, and in repr_cells also 0 and -0) is formatted one at a time by
+Python itself.
 """
 
 from __future__ import annotations
@@ -99,7 +100,9 @@ def format_rows(values: np.ndarray) -> bytes:
     """The bytes of "%.17g" % v for every value: ' ' between values, a newline after each row.
 
     Each value gets a fixed-width cell of characters padded with void (zero)
-    bytes; the voids are dropped once for the whole block.
+    bytes; the voids are dropped once for the whole block.  Values in
+    (1e-6, 1e17) and exact zeros ("0", "-0" where the sign bit is set) are laid
+    out as arrays, the rest by "%.17g" itself.
     """
     vals = values.ravel()
     mag = np.abs(vals)
@@ -139,7 +142,10 @@ def format_rows(values: np.ndarray) -> bytes:
             cell[:, 3:19] = dig[:, 1:]
             cell[:, 19:23] = np.frombuffer(b"e-0%d" % -c, np.uint8)
     cells[idx[order]] = block
-    slow = np.flatnonzero(~fast)
+    zero = np.flatnonzero(mag == 0)
+    cells[zero, 0] = np.where(np.signbit(vals[zero]), 45, 0)
+    cells[zero, 1] = 48
+    slow = np.flatnonzero(~fast & (mag != 0))
     if slow.size:
         text = "".join(("%.17g" % v).ljust(_CELL - 1, "\0") for v in vals[slow].tolist())
         cells[slow, :-1] = np.frombuffer(text.encode(), np.uint8).reshape(-1, _CELL - 1)

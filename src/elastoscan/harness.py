@@ -91,6 +91,10 @@ class MaskSpec:
     arcs: tuple[tuple[float, float], ...] | None = None
     indices: tuple[int, ...] | None = None
 
+    def __post_init__(self):
+        if (self.arcs is None) == (self.indices is None):
+            raise ValueError("a mask takes exactly one of arcs and indices")
+
     def directions(self, m: int) -> np.ndarray:
         """The selected directions of the 2m-direction grid, a boolean vector.
 

@@ -67,6 +67,12 @@ class TestApertureMask:
         known = masked.known["f_pp"]
         assert known[:, 3].all() and known.sum() == 2 * m
 
+    def test_spec_needs_exactly_one_form(self):
+        with pytest.raises(ValueError, match="exactly one of arcs and indices"):
+            MaskSpec()
+        with pytest.raises(ValueError, match="exactly one of arcs and indices"):
+            MaskSpec(arcs=(QUARTER,), indices=(1, 2))
+
     def test_out_of_range_rejected(self, msr_disk_m16):
         m = msr_disk_m16.m
         for indices in ((1, 2 * m + 1), (0, 1)):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elastoscan._numtext import format_rows
+from elastoscan._numtext import CHUNK_VALUES, format_rows
+from elastoscan.aperture import apply_mask, reciprocity_fill
 from elastoscan.elastic import Medium, PlaneWave, PointSource, WaveMode
 from elastoscan.forward import (
     MSRMatrix,
@@ -31,6 +32,7 @@ from elastoscan.geometry import (
     Scene,
     boundary_quadrature,
 )
+from elastoscan.harness import MaskSpec
 
 D = BoundaryCondition.DIRICHLET
 N = BoundaryCondition.NEUMANN
@@ -349,6 +351,12 @@ def percent_msr(msr) -> bytes:
     return header.encode() + percent_rows(np.ascontiguousarray(msr.full).view(float))
 
 
+def chunked_rows(rows) -> bytes:
+    """format_rows a chunk of rows at a time, as save_msr calls it."""
+    step = max(1, CHUNK_VALUES // rows.shape[1])
+    return b"".join(format_rows(rows[i:i + step]) for i in range(0, rows.shape[0], step))
+
+
 def edge_values() -> list[float]:
     vals = []
     for j in range(-8, 19):                       # 10**j and its neighbours
@@ -363,7 +371,7 @@ def edge_values() -> list[float]:
         1234567890123456.75, 0.30000000000000004,         # ... and ...56.8
         1.5, 0.5, 100.0, 1e16, 12345.0, 0.0001220703125,  # trailing zeros stripped
         9.9999999999999995e-07, 1e-7, 3.14e-100, 5e-324, 2.2250738585072014e-308,
-        1.7976931348623157e308, 0.0, -0.0,               # per-value path
+        1.7976931348623157e308, 0.0, -0.0,
     ]
     return vals + [-v for v in vals]
 
@@ -386,9 +394,39 @@ class TestMsrNumberFormat:
         rows = np.concatenate([bits.view(np.float64), spread]).reshape(-1, 1024)
         assert format_rows(rows) == percent_rows(rows)
 
+    def test_reciprocity_fill_zero_pattern(self, msr_disk_m16):
+        # the retrieved operator of a quarter aperture: 56.25% exact zeros
+        m = 32
+        rng = np.random.default_rng(18)
+        full = (rng.standard_normal((4 * m, 8 * m)) * 10.0 ** rng.uniform(-5, 16, (4 * m, 8 * m))
+                ).view(complex)
+        quarter = MaskSpec(arcs=((0.0, np.pi / 2),)).directions(m)
+        filled = reciprocity_fill(apply_mask(replace(msr_disk_m16, m=m, full=full),
+                                             quarter, np.ones(2 * m, bool)))
+        rows = filled.data.view(float)
+        assert rows.size >= 2 * CHUNK_VALUES and np.mean(rows == 0) == 0.5625
+        assert chunked_rows(rows) == percent_rows(rows)
+
+    def test_whole_chunks_of_signed_zeros(self):
+        rng = np.random.default_rng(7)
+        width = 256
+        rows = rng.standard_normal((5 * CHUNK_VALUES // width, width))
+        zeros = slice(CHUNK_VALUES // width, 3 * CHUNK_VALUES // width)   # chunks 2 and 3
+        rows[zeros] = np.where(rng.integers(0, 2, rows[zeros].shape) == 1, -0.0, 0.0)
+        assert np.signbit(rows[zeros]).any() and not np.signbit(rows[zeros]).all()
+        assert chunked_rows(rows) == percent_rows(rows)
+
+    def test_signed_zeros_beside_per_value_values(self):
+        slow = [5e-324, -5e-324, 1e-300, -1e-300, 1e17, -1e17, np.nan, np.inf, -np.inf]
+        vals = np.array([v for s in slow for v in (0.0, s, -0.0)] + [1.5, -0.0, 0.0])
+        no_fast = vals[:-3].reshape(-1, 3)              # no value in (1e-6, 1e17)
+        for rows in (vals[None, :], vals[:, None], no_fast):
+            assert format_rows(rows) == percent_rows(rows)
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
-                              st.floats(1e-7, 1e18), st.floats(-1e18, -1e-7)),
+                              st.floats(1e-7, 1e18), st.floats(-1e18, -1e-7),
+                              st.sampled_from([0.0, -0.0])),
                     min_size=1, max_size=48))
     def test_matches_percent_format(self, values):
         vals = np.array(values)
