@@ -434,7 +434,110 @@ class TestMsrNumberFormat:
             assert format_rows(rows) == percent_rows(rows)
 
 
+# A small MSR/1 file (m=1: four data rows of eight numbers, lines 11-14) and the
+# table of what load_msr gives for edits of it: the bits of the number edited in
+# (first number of line 13) or the exception and its message.
+CONTRACT_HEADER = ("#version=MSR/1\n#m=1\n#lambda=1.0\n#mu=1.0\n#omega=3.0\n"
+                   "#scene=circle@(0.0,0.0)*1.0\n#bc=dirichlet\n#delta=0.0\n#seed=none\n"
+                   "#norm=frobenius\n")
+CONTRACT_ROWS = ["0.5 -1.25 2 3 4 5 6 7", "-0 0 1e-7 1.5e17 8 9 10 11",
+                 "12 13 14 15 16 17 18 19", "0.25 0.125 20 21 22 23 24 25"]
+
+
+def contract_file(token=None, row=None, line=None, text=None) -> bytes:
+    """The contract file with its line 13 starting with token, or with line 13 (and
+    line 14 where row/line are pairs) replaced, or text as edited."""
+    rows = list(CONTRACT_ROWS)
+    if token is not None:
+        rows[2] = token + rows[2][rows[2].index(" "):]
+    if row is not None:
+        rows[2] = row
+    body = CONTRACT_HEADER + "".join(r + "\n" for r in rows)
+    if line is not None:
+        body = body.replace(rows[3] + "\n", rows[3] + "\n" + line + "\n")
+    return text(body).encode("utf-8", "surrogateescape") if text else body.encode("utf-8")
+
+
+def _bad(kind, line=13):
+    return MsrFormatError, f"line {line}: {kind}"
+
+
+CONTRACT = {
+    # any spelling float() reads gives float()'s bits
+    "exponent": (contract_file("1e5"), 1e5),
+    "exponent-upper": (contract_file("1E5"), 1e5),
+    "plus-sign": (contract_file("+1.5"), 1.5),
+    "no-integer-digits": (contract_file(".5"), 0.5),
+    "no-fraction-digits": (contract_file("5."), 5.0),
+    "underscore": (contract_file("1_0"), 10.0),
+    "fullwidth-digit": (contract_file("\uff11"), 1.0),
+    "negative-zero": (contract_file("-0"), -0.0),
+    "underflow": (contract_file("0.1e-400"), 0.0),
+    "beyond-17-digits": (contract_file("1.00000000000000000000001"), 1.0),
+    "canonical-17-digits": (contract_file("0.30000000000000004"), 0.30000000000000004),
+    "blank-line-skipped": (contract_file(text=lambda t: t.replace("\n12 ", "\n\n12 ")), 12.0),
+    "comment-line-between-rows": (
+        contract_file(text=lambda t: t.replace("\n12 ", "\n#note=between rows\n12 ")), 12.0),
+    "no-final-newline": (contract_file(text=lambda t: t.rstrip("\n")), 12.0),
+    # faults of one line
+    "nan": (contract_file("nan"), _bad("non-finite entry")),
+    "inf": (contract_file("inf"), _bad("non-finite entry")),
+    "overflow": (contract_file("1e400"), _bad("non-finite entry")),
+    "hexadecimal": (contract_file("0x10"), _bad("non-numeric entry")),
+    "empty-token": (contract_file(row="12  14 15 16 17 18 19"), _bad("non-numeric entry")),
+    "double-space": (contract_file(row="12  13 14 15 16 17 18 19"),
+                     _bad("odd number of fields")),
+    "trailing-space": (contract_file(row="12 13 14 15 16 17 18 19 "),
+                       _bad("odd number of fields")),
+    "tab": (contract_file(row="12\t13 14 15 16 17 18 19"), _bad("odd number of fields")),
+    "header-without-equals": (contract_file(line="#note"),
+                              (MsrFormatError, "line 15: malformed header '#note'")),
+    "non-utf8-byte": (contract_file(text=lambda t: t.replace("\n12 ", "\n\udcff12 ")),
+                      (MsrFormatError, "not UTF-8 text: invalid start byte")),
+    # the earliest faulty line is named, whatever its fault
+    "two-faulty-lines": (contract_file(row="12 13 14 15 16 17 18 nan",
+                                       text=lambda t: t.replace("0.125 20", "0.125  20")),
+                         _bad("non-finite entry")),
+    "two-faulty-lines-header-last": (contract_file("x", line="#bad"),
+                                     _bad("non-numeric entry")),
+    "two-faulty-lines-header-first": (
+        contract_file("x", text=lambda t: t.replace("\nx ", "\n#bad\nx ")),
+        (MsrFormatError, "line 13: malformed header '#bad'")),
+    "dimension": (contract_file(text=lambda t: t.replace("#m=1", "#m=2")),
+                  (MsrDimensionError, "expected 8 rows of 8 entries for m=2, got 4 rows "
+                                      "of lengths [4]")),
+    "version": (contract_file(text=lambda t: t.replace("MSR/1", "MSR/2")),
+                (MsrVersionError, "unsupported version 'MSR/2'")),
+}
+
+
 class TestMsrPersistence:
+    @pytest.mark.parametrize("row", sorted(CONTRACT))
+    def test_contract_table(self, tmp_path, row):
+        data, expected = CONTRACT[row]
+        path = tmp_path / "c.msr"
+        path.write_bytes(data)
+        if isinstance(expected, tuple):
+            kind, message = expected
+            with pytest.raises(kind) as info:
+                load_msr(path)
+            assert type(info.value) is kind and str(info.value) == message
+        else:
+            got = load_msr(path).full.view(float)[2, 0]
+            assert np.float64(got).view(np.int64) == np.float64(expected).view(np.int64)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_contract_line_ends(self, tmp_path, newline):
+        path = tmp_path / "c.msr"
+        path.write_bytes(contract_file())
+        plain = load_msr(path)
+        path.write_bytes(contract_file().replace(b"\n", newline.encode()))
+        other = load_msr(path)
+        assert replace(other, full=plain.full) == replace(plain, full=plain.full)
+        assert (other.scene, other.bc, other.noise_norm) == (
+            "circle@(0.0,0.0)*1.0", "dirichlet", "frobenius")
+        assert np.array_equal(other.full.view(np.int64), plain.full.view(np.int64))
+
     @pytest.mark.parametrize("name", ["msr_disk_m16", "msr_kite_m64_noisy"])
     def test_bytes_equal_row_by_row_writer(self, request, tmp_path, name):
         msr = request.getfixturevalue(name)
