@@ -24,7 +24,7 @@ CHUNK_VALUES = 8192                 # numbers per block: the temporaries stay in
 REPR_CELL = 24                      # longest repr of a float: '-2.2250738585072014e-308'
 _CELL = 25                          # longest "%.17g" text (24 bytes) plus its separator
 _POW10 = 10.0 ** np.arange(23)      # 10**k is exact in binary64 for k <= 22
-_POW10_INT = 10 ** np.arange(18, dtype=np.int64)
+_POW10_INT = 10 ** np.arange(19, dtype=np.int64)
 _QUADS = (48 + np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
           ).astype(np.uint8).view(np.uint32).ravel()      # "0000" .. "9999"
 
@@ -39,17 +39,21 @@ def _veltkamp(a):
 _POW10_HI, _POW10_LO = _veltkamp(_POW10)
 
 
+def _times_pow10(a, k):
+    """(p, e) with a * 10**k = p + e exactly and p the rounded product (Dekker)."""
+    p = a * _POW10[k]
+    a_hi, a_lo = _veltkamp(a)
+    b_hi, b_lo = _POW10_HI[k], _POW10_LO[k]
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
 def _scaled_floor(a, X):
     """(e, floor(e), floor(a * 10**(16 - X))) where a * 10**(16 - X) = p + e exactly.
 
     The floor (int64) is exact when it lies in [10**16, 10**17), where p is an
     integer; outside that range it still lies outside, so it detects a wrong X.
     """
-    k = 16 - X
-    p = a * _POW10[k]
-    a_hi, a_lo = _veltkamp(a)
-    b_hi, b_lo = _POW10_HI[k], _POW10_LO[k]
-    e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    p, e = _times_pow10(a, 16 - X)
     f = np.floor(e)
     return e, f, p.astype(np.int64) + f.astype(np.int64)
 
@@ -152,6 +156,155 @@ def format_rows(values: np.ndarray) -> bytes:
     cells[:, -1] = 32
     cells.reshape(values.shape[0], -1)[:, -1] = 10
     return cells.tobytes().translate(None, b"\0")
+
+
+# The reader's 24-byte windows hold a token right-aligned, as three little-endian
+# words (byte j of the window is byte j % 8 of word j // 8).
+_WINDOW = 24
+_KEEP = (255 * (np.arange(_WINDOW) >= _WINDOW - np.arange(_WINDOW + 1)[:, None])
+         ).astype(np.uint8).view(np.uint64)             # row L: the last L bytes
+_AFTER = (np.arange(_WINDOW)[::-1].reshape(3, 8)[:, ::-1].astype(np.uint8).copy()
+          .view(np.uint64).ravel())                     # byte j: 23 - j, the bytes after it
+_ONES = np.uint64(0x0101010101010101)
+_FIFTH = np.uint64(0xCCCCCCCCCCCCCCCD)                  # 5 * _FIFTH = 1 mod 2**64
+_MANTISSA = 2**52 - 1
+
+
+def _digits(words, L):
+    """(N, count, k, lead) of windows holding the last L bytes of each token (n x 3
+    words, changed in place).
+
+    Each byte that is not a digit is counted; where count is 1 it is taken as the
+    point (the caller checks that it is '.'), read as a 0 digit, and k is the
+    number of bytes after it.  The eight-digit words give N', the value with the
+    point; lead is the first word's, and N' < 10**18 where lead < 100.  N is the
+    value without the point: with f = N' mod 10**k, N = (N' - f) / 10 + f.
+    Exact for the tokens the caller keeps: one point at most and lead < 100.
+    """
+    words ^= np.uint64(0x3030303030303030)              # digits -> 0..9
+    words &= np.take(_KEEP, L, axis=0)
+    # 0x80 in each byte >= 10: a byte < 0x8a has no carry out, a byte >= 0x80
+    # marks itself, and a carry only ever marks a byte, never unmarks one
+    odd = ((words + np.uint64(0x7676767676767676)) | words) & np.uint64(0x8080808080808080)
+    odd >>= np.uint64(7)
+    words -= odd * np.uint64(0x1E)                      # '.' ^ '0' -> 0
+    places = odd * _AFTER                               # top byte: bytes after the odd one
+    count = ((odd[:, 0] + odd[:, 1] + odd[:, 2]) * _ONES) >> np.uint64(56)
+    k = (places[:, 0] + places[:, 1] + places[:, 2]) >> np.uint64(56)
+    # eight digits per word (first digit in the low byte), then the three words
+    words = words * np.uint64(10) + (words >> np.uint64(8))
+    low = np.uint64(0x000000FF000000FF)
+    words = ((words & low) * np.uint64(100 + (1000000 << 32))
+             + ((words >> np.uint64(16)) & low) * np.uint64(1 + (10000 << 32))) >> np.uint64(32)
+    N = words[:, 0] * np.uint64(10**16) + words[:, 1] * np.uint64(10**8) + words[:, 2]
+    count, k = count.view(np.int64), k.view(np.int64)
+    # without a point, f = N' (modulus 10**18) and N = N'
+    f = N % np.take(_POW10_INT, k + 18 * (count == 0), mode="clip").view(np.uint64)
+    N = ((N - f) >> np.uint64(1)) * _FIFTH + f        # (N' - f) / 10, exact
+    return N.view(np.int64), count, k, words[:, 0]
+
+
+def _nearest_quotients(q, N, k, live):
+    """Round q[live] ~ N / 10**k to the binary64 nearest the exact quotient, ties to
+    even, in place; N in [2**53, 10**17), k <= 22.
+
+    With q * 10**k = p + e exactly, p is an integer and the residual N - q * 10**k
+    is the integer N - p less e: s + t as a two-sum.  q is nearest when that
+    residual lies within half the gap to each neighbour times 10**k (both exact:
+    gaps are powers of two).  s - half gap is exact where the two are within a
+    factor of 2 (Sterbenz), and elsewhere outweighs t, so the tests below have
+    the sign of the exact differences and are 0 only where those are.  q moves
+    one neighbour at a time until it stays.
+    """
+    while live.size:
+        qi, ki = q[live], k[live]
+        p, e = _times_pow10(qi, ki)
+        d = (N[live] - p.astype(np.int64)).astype(np.float64)
+        s = d - e
+        z = s - d
+        t = (d - (s - z)) - (e + z)
+        bits = qi.view(np.int64)
+        half = 0.5 * _POW10[ki]
+        up = (s - ((bits + 1).view(np.float64) - qi) * half) + t
+        down = (s + (qi - (bits - 1).view(np.float64)) * half) + t
+        odd = (bits & 1).astype(bool)
+        step = ((up > 0) | ((up == 0) & odd)).astype(np.int64) \
+            - ((down < 0) | ((down == 0) & odd))
+        q[live] = (bits + step).view(np.float64)
+        live = live[step != 0]
+
+
+def _read_block(text, windows, ends, lengths):
+    """(values, fits) of a block of tokens: values[fits] are the strict tokens' floats."""
+    L = np.where((lengths <= _WINDOW) & (ends >= _WINDOW), lengths, 0)
+    neg = text.take(ends - L, mode="clip") == 45
+    words = windows[np.maximum(ends - _WINDOW, 0)].view(np.uint64).reshape(-1, 3)
+    N, count, k, lead = _digits(words, L - neg)
+    fits = ((L - count - neg > 0) & (count <= 1) & (k <= 22) & (lead < 100) & (N < 10**17)
+            & ((count == 0) | (text.take(ends - k - 1, mode="clip") == 46)))
+    k = np.minimum(k, 22)
+    P = _POW10[k]
+    values = N.astype(np.float64) / P                   # nearest where N < 2**53
+    close = np.flatnonzero(fits & (N >= 2**53))
+    if close.size:
+        # x: the residual N - q * 10**k in ulps of q times 10**k, good to 1e-15; q moves
+        # by the nearest whole number of ulps unless x is near a half (or q near a
+        # power of two, where the ulp changes)
+        q = values[close]
+        p, e = _times_pow10(q, k[close])
+        bits = q.view(np.int64)
+        x = ((N[close] - p.astype(np.int64)).astype(np.float64) - e) \
+            / (((bits + 1).view(np.float64) - q) * P[close])
+        j = np.rint(x)
+        values[close] = (bits + j.astype(np.int64)).view(np.float64)
+        unsure = (np.abs(x - j) > 0.49) | ((bits + 4) & _MANTISSA < 8)
+        _nearest_quotients(values, N, k, close[unsure])
+    values.view(np.int64)[:] |= neg.astype(np.int64) << 63         # the sign, -0 included
+    return values, fits
+
+
+def read_tokens(data: bytes, ends: np.ndarray, lengths: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """float() of every token data[end - length:end].
+
+    Returns (values, failed): failed holds the indices of the tokens float()
+    rejects, whose values are nan.  A single digit is its own value.  A longer
+    token of the strict form -?digits[.digits], with at most 17 significant
+    digits and at most 22 after the point, is read as an array, a CHUNK_VALUES
+    block at a time: gathered right-aligned into a 24-byte window, its digits
+    become the integer N and its value is N / 10**k, Clinger's one correctly
+    rounded division where N < 2**53, and otherwise that quotient moved to the
+    nearest double by a residual test, which _nearest_quotients settles exactly
+    where the test's 1% margin does not.  Every other token is read by float().
+    """
+    text = np.frombuffer(data.ljust(_WINDOW), np.uint8)  # room for one window at least
+    windows = np.ndarray((text.size - _WINDOW + 1,), f"V{_WINDOW}", text, strides=(1,))
+    digit = text.take(ends - 1, mode="clip") ^ 48
+    single = (lengths == 1) & (digit <= 9)              # the exact zeros of filled data
+    values = digit.astype(np.float64)
+    fits = single.copy()
+    rest = np.flatnonzero(~single) if single.any() else None
+    for c in range(0, ends.size if rest is None else rest.size, CHUNK_VALUES):
+        block = slice(c, c + CHUNK_VALUES) if rest is None else rest[c:c + CHUNK_VALUES]
+        values[block], fits[block] = _read_block(text, windows, ends[block], lengths[block])
+    slow = np.flatnonzero(~fits)
+    tokens = [data[end - length:end]
+              for end, length in zip(ends[slow].tolist(), lengths[slow].tolist())]
+    try:
+        values[slow] = list(map(float, tokens))         # as ASCII bytes
+        return values, np.zeros(0, np.intp)
+    except ValueError:
+        read = [_float(token) for token in tokens]
+    values[slow] = [np.nan if value is None else value for value in read]
+    return values, slow[[value is None for value in read]]
+
+
+def _float(token: bytes):
+    """float() of a token's UTF-8 text, or None where float() rejects it."""
+    try:
+        return float(token.decode())
+    except ValueError:
+        return None
 
 
 def _trailing_zeros(D):

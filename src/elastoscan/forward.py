@@ -85,7 +85,7 @@ import scipy.linalg as sla
 from scipy.linalg import lapack as _lapack
 from scipy.special import ndtri
 
-from ._numtext import CHUNK_VALUES, format_rows
+from ._numtext import CHUNK_VALUES, format_rows, read_tokens
 from .elastic import (
     ENTRIES,
     EULER_GAMMA,
@@ -681,35 +681,80 @@ def save_msr(msr: MSRMatrix, path) -> None:
             fh.write(format_rows(rows.view(np.float64)))
 
 
+def _msr_text(data: bytes) -> tuple[dict[str, str], list[int], np.ndarray | None]:
+    """(header, entries per data row, numbers) of MSR/1 text with '\\n' line ends, the
+    last line ended; numbers is (rows x 2 entries) when every row has one length.
+
+    One scan for bytes <= 32 finds the lines ('\\n') and tokens (' '); any other
+    such byte belongs to its token, which read_tokens then reads by float().
+    Of several faulty lines, the first is named.
+    """
+    text = np.frombuffer(data, np.uint8)
+    seps = np.flatnonzero(text <= 32)
+    kind = text[seps]
+    split = (kind == 32) | (kind == 10)
+    if not split.all():
+        seps, kind = seps[split], kind[split]
+    line_seps = np.flatnonzero(kind == 10)                  # the last separator of each line
+    line_end = seps[line_seps]
+    line_start = np.concatenate([[0], line_end[:-1] + 1])
+    fields = np.diff(line_seps, prepend=-1)
+    comment = text[line_start] == 35
+    data_line = ~comment & (line_start != line_end)
+
+    faults = []                                             # (line number, rank, message)
+    header: dict[str, str] = {}
+    for i in np.flatnonzero(comment).tolist():
+        line = data[line_start[i]:line_end[i]].decode()
+        key, sep, value = line[1:].partition("=")
+        if not sep or key in header:
+            what = f"malformed header {line!r}" if not sep else f"repeated header key {key!r}"
+            faults.append((i + 1, 0, f"line {i + 1}: {what}"))
+            break
+        header[key] = value
+    odd = np.flatnonzero(data_line & (fields % 2 == 1))
+    if odd.size:
+        faults.append((int(odd[0]) + 1, 0, f"line {odd[0] + 1}: odd number of fields"))
+
+    tokens = np.repeat(data_line, fields)                   # per separator: ends a number
+    lengths = np.diff(seps, prepend=-1) - 1
+    first = int(tokens.argmax())
+    if tokens[first:].all():                                # one block of data lines
+        token_end, lengths = seps[first:], lengths[first:]
+    else:
+        token_end, lengths = seps[tokens], lengths[tokens]
+    numbers, failed = read_tokens(data, token_end, lengths)
+    for rank, what, where in ((1, "non-numeric", failed),
+                              (2, "non-finite", np.flatnonzero(~np.isfinite(numbers)))):
+        if where.size:
+            line = int(np.searchsorted(line_end, token_end[where[0]])) + 1
+            faults.append((line, rank, f"line {line}: {what} entry"))
+    if faults:
+        raise MsrFormatError(min(faults)[2])
+    widths = fields[data_line]
+    if widths.size and (widths == widths[0]).all():
+        return header, (widths // 2).tolist(), numbers.reshape(-1, widths[0])
+    return header, (widths // 2).tolist(), None
+
+
 def load_msr(path) -> MSRMatrix:
     """Read an MSR/1 file (UTF-8 text); raises MsrVersionError / MsrDimensionError /
-    MsrFormatError, the last also for bytes that are not UTF-8."""
-    header: dict[str, str] = {}
-    rows: list[np.ndarray] = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    key, sep, value = line[1:].partition("=")
-                    if not sep:
-                        raise MsrFormatError(f"line {lineno}: malformed header {line!r}")
-                    header[key] = value
-                    continue
-                parts = line.split(" ")
-                if len(parts) % 2 != 0:
-                    raise MsrFormatError(f"line {lineno}: odd number of fields")
-                try:
-                    nums = np.array(parts, dtype=float)
-                except ValueError:
-                    raise MsrFormatError(f"line {lineno}: non-numeric entry") from None
-                if not np.isfinite(nums).all():
-                    raise MsrFormatError(f"line {lineno}: non-finite entry")
-                rows.append(nums.view(np.complex128))
-    except UnicodeDecodeError as exc:
-        raise MsrFormatError(f"not UTF-8 text: {exc.reason}") from None
+    MsrFormatError, the last also for bytes that are not UTF-8.
+
+    The file is read once as bytes; see _msr_text for the lines and numbers.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MsrFormatError(f"not UTF-8 text: {exc.reason}") from None
+    if b"\r" in data:                                   # universal newlines
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    header, lengths, numbers = _msr_text(data)
 
     missing = [k for k in _HEADER_KEYS if k not in header]
     if missing:
@@ -720,10 +765,10 @@ def load_msr(path) -> MSRMatrix:
     if not m >= 1:
         raise MsrFormatError(f"need m >= 1, got m={m}")
     n = 4 * m
-    if len(rows) != n or any(len(r) != n for r in rows):
+    if len(lengths) != n or any(length != n for length in lengths):
         raise MsrDimensionError(
-            f"expected {n} rows of {n} entries for m={m}, got {len(rows)} rows "
-            f"of lengths {sorted({len(r) for r in rows})}"
+            f"expected {n} rows of {n} entries for m={m}, got {len(lengths)} rows "
+            f"of lengths {sorted(set(lengths))}"
         )
     lam, mu, omega, delta = (_header_value(header, key, float)
                              for key in ("lambda", "mu", "omega", "delta"))
@@ -732,6 +777,6 @@ def load_msr(path) -> MSRMatrix:
     except ValueError as exc:
         raise MsrFormatError(f"bad lambda/mu/omega headers: {exc}") from None
     seed = None if header["seed"] == "none" else _header_value(header, "seed", int)
-    return MSRMatrix(m, np.vstack(rows), lam, mu, omega, scene=header["scene"], bc=header["bc"],
-                     delta=delta, seed=seed, noise_norm=header["norm"],
+    return MSRMatrix(m, numbers.view(np.complex128), lam, mu, omega, scene=header["scene"],
+                     bc=header["bc"], delta=delta, seed=seed, noise_norm=header["norm"],
                      retrieval=header.get("retrieval"))

@@ -13,9 +13,13 @@ instead, so these stay an independent oracle for its kernels as well as the
 closed sides of the Funk-Hecke checks, and are themselves checked against the
 series above.
 
-The reference kernels last are the forward solver's formulas in their
-plainest form, one block and one plane wave at a time, against which the
-package's shared-work evaluation is checked bit for bit.
+The reference kernels are the forward solver's formulas in their plainest
+form, one block and one plane wave at a time, against which the package's
+shared-work evaluation is checked bit for bit.
+
+The reference MSR/1 reader last reads a file as text, one line at a time, each
+number by numpy's string conversion (float() itself); the package's array
+reader is checked against it bit for bit and message for message.
 """
 
 import mpmath as mp
@@ -415,3 +419,65 @@ def reference_msr_full(scene, medium, m, n_per_component) -> np.ndarray:
     up = d0 * (phase_p @ px) + d1 * (phase_p @ py)
     us = -d1 * (phase_s @ px) + d0 * (phase_s @ py)
     return np.block([[up[:, 0::2], up[:, 1::2]], [us[:, 0::2], us[:, 1::2]]])
+
+
+def reference_load_msr(path):
+    """The MSR/1 reader one line at a time: the contract of forward.load_msr."""
+    from elastoscan.elastic import Medium
+    from elastoscan.forward import (_HEADER_KEYS, MSR_FORMAT_VERSION, MSRMatrix,
+                                    MsrDimensionError, MsrFormatError, MsrVersionError,
+                                    _header_value)
+
+    header: dict[str, str] = {}
+    rows: list[np.ndarray] = []
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    key, sep, value = line[1:].partition("=")
+                    if not sep:
+                        raise MsrFormatError(f"line {lineno}: malformed header {line!r}")
+                    if key in header:
+                        raise MsrFormatError(f"line {lineno}: repeated header key {key!r}")
+                    header[key] = value
+                    continue
+                parts = line.split(" ")
+                if len(parts) % 2 != 0:
+                    raise MsrFormatError(f"line {lineno}: odd number of fields")
+                try:
+                    nums = np.array(parts, dtype=float)
+                except ValueError:
+                    raise MsrFormatError(f"line {lineno}: non-numeric entry") from None
+                if not np.isfinite(nums).all():
+                    raise MsrFormatError(f"line {lineno}: non-finite entry")
+                rows.append(nums.view(np.complex128))
+    except UnicodeDecodeError as exc:
+        raise MsrFormatError(f"not UTF-8 text: {exc.reason}") from None
+
+    missing = [k for k in _HEADER_KEYS if k not in header]
+    if missing:
+        raise MsrFormatError(f"missing header keys: {missing}")
+    if header["version"] != MSR_FORMAT_VERSION:
+        raise MsrVersionError(f"unsupported version {header['version']!r}")
+    m = _header_value(header, "m", int)
+    if not m >= 1:
+        raise MsrFormatError(f"need m >= 1, got m={m}")
+    n = 4 * m
+    if len(rows) != n or any(len(r) != n for r in rows):
+        raise MsrDimensionError(
+            f"expected {n} rows of {n} entries for m={m}, got {len(rows)} rows "
+            f"of lengths {sorted({len(r) for r in rows})}"
+        )
+    lam, mu, omega, delta = (_header_value(header, key, float)
+                             for key in ("lambda", "mu", "omega", "delta"))
+    try:
+        Medium(lam, mu, omega)
+    except ValueError as exc:
+        raise MsrFormatError(f"bad lambda/mu/omega headers: {exc}") from None
+    seed = None if header["seed"] == "none" else _header_value(header, "seed", int)
+    return MSRMatrix(m, np.vstack(rows), lam, mu, omega, scene=header["scene"], bc=header["bc"],
+                     delta=delta, seed=seed, noise_norm=header["norm"],
+                     retrieval=header.get("retrieval"))

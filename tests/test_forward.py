@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -33,6 +33,7 @@ from elastoscan.geometry import (
     boundary_quadrature,
 )
 from elastoscan.harness import MaskSpec
+from oracles import reference_load_msr
 
 D = BoundaryCondition.DIRICHLET
 N = BoundaryCondition.NEUMANN
@@ -357,6 +358,18 @@ def chunked_rows(rows) -> bytes:
     return b"".join(format_rows(rows[i:i + step]) for i in range(0, rows.shape[0], step))
 
 
+def every_binade_rows() -> np.ndarray:
+    """2**19 doubles of random bits, every binade and subnormals included, then 2**19
+    spread over the array range (1e-6, 1e17): 1024 rows of 1024."""
+    rng = np.random.default_rng(20261018)
+    n = 2**19
+    exponent = rng.integers(0, 2047, n, dtype=np.uint64)       # 0: subnormals
+    bits = (rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63)) \
+        | (exponent << np.uint64(52)) | rng.integers(0, 2**52, n, dtype=np.uint64)
+    spread = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-6, 17, n)
+    return np.concatenate([bits.view(np.float64), spread]).reshape(-1, 1024)
+
+
 def edge_values() -> list[float]:
     vals = []
     for j in range(-8, 19):                       # 10**j and its neighbours
@@ -385,13 +398,7 @@ class TestMsrNumberFormat:
         assert format_rows(vals[:, None]) == percent_rows(vals[:, None])
 
     def test_every_binade_and_the_fast_range(self):
-        rng = np.random.default_rng(20261018)
-        n = 2**19
-        exponent = rng.integers(0, 2047, n, dtype=np.uint64)       # 0: subnormals
-        bits = (rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63)) \
-            | (exponent << np.uint64(52)) | rng.integers(0, 2**52, n, dtype=np.uint64)
-        spread = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-6, 17, n)
-        rows = np.concatenate([bits.view(np.float64), spread]).reshape(-1, 1024)
+        rows = every_binade_rows()
         assert format_rows(rows) == percent_rows(rows)
 
     def test_reciprocity_fill_zero_pattern(self, msr_disk_m16):
@@ -490,6 +497,9 @@ CONTRACT = {
     "trailing-space": (contract_file(row="12 13 14 15 16 17 18 19 "),
                        _bad("odd number of fields")),
     "tab": (contract_file(row="12\t13 14 15 16 17 18 19"), _bad("odd number of fields")),
+    # a key given twice, even after the data rows, is an error, not the last one winning
+    "repeated-key": (contract_file(line="#m=2"),
+                     (MsrFormatError, "line 15: repeated header key 'm'")),
     "header-without-equals": (contract_file(line="#note"),
                               (MsrFormatError, "line 15: malformed header '#note'")),
     "non-utf8-byte": (contract_file(text=lambda t: t.replace("\n12 ", "\n\udcff12 ")),
@@ -659,3 +669,123 @@ class TestMsrPersistence:
         path.write_text("\n".join(h.replace("#m=16", "#m=0") for h in header) + "\n")
         with pytest.raises(MsrFormatError, match="m >= 1"):
             load_msr(path)
+
+
+def read_both(path):
+    """(load_msr, reference reader) outcomes: the header fields and the bits of every
+    number, or the exception type and message."""
+    results = []
+    for reader in (load_msr, reference_load_msr):
+        try:
+            msr = reader(path)
+        except MsrFormatError as exc:
+            results.append((type(exc), str(exc)))
+        else:
+            results.append(({f.name: getattr(msr, f.name) for f in fields(msr) if f.name != "full"},
+                            msr.full.view(np.int64).tobytes()))
+    return results
+
+
+def spelled(value: float, form: int) -> str:
+    """value in one of the spellings float() reads: canonical, shorter, fixed,
+    scientific, with a plus sign, leading zeros or a bare point."""
+    sign = "-" if np.signbit(value) else ""
+    mag = abs(value)
+    if form == 0:
+        return "%.17g" % value
+    if form == 1:
+        return repr(value)
+    if form == 2:
+        return "%.12g" % value
+    if form == 3 and mag < 1e8:
+        return "%.22f" % value                  # up to 22 digits after the point
+    if form == 4:
+        return "%.16E" % value
+    if form == 5:
+        return sign + "00" + "%.17g" % mag
+    if form == 6:
+        return ("-" if sign else "+") + "%.17g" % mag
+    if form == 7 and mag < 1:
+        return sign + ("%.17f" % mag)[1:]        # no digit before the point
+    if form == 8 and mag < 1e15:
+        return sign + "%d." % mag                # no digit after the point
+    return "%.17g" % value
+
+
+class TestMsrReader:
+    """load_msr reads each file to the bits and messages of the reference reader."""
+
+    @staticmethod
+    def file_of(msr_disk_m16, values, tmp_path, name="v.msr"):
+        m = 1
+        while 32 * m * m < len(values):
+            m += 1
+        vals = np.zeros(32 * m * m)
+        vals[:len(values)] = values
+        path = tmp_path / name
+        save_msr(replace(msr_disk_m16, m=m, full=vals.view(complex).reshape(4 * m, 4 * m)), path)
+        return path
+
+    @staticmethod
+    def assert_round_trip(path, values):
+        """load_msr gives the values written and the reference bits; saving what it
+        loaded writes the same bytes."""
+        ours, reference = read_both(path)
+        assert ours == reference
+        back = load_msr(path)
+        flat = back.full.view(np.float64).ravel()
+        assert np.array_equal(flat[:len(values)].view(np.int64),
+                              np.asarray(values, np.float64).view(np.int64))
+        again = path.with_suffix(".again")
+        save_msr(back, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_every_binade_and_the_fast_range(self, msr_disk_m16, tmp_path):
+        rows = every_binade_rows()[::8, :256].copy()     # half random bits, half spread
+        path = tmp_path / "binades.msr"
+        save_msr(replace(msr_disk_m16, m=32, full=rows.view(complex)), path)
+        self.assert_round_trip(path, rows.ravel())
+
+    def test_edge_values(self, msr_disk_m16, tmp_path):
+        vals = edge_values()
+        self.assert_round_trip(self.file_of(msr_disk_m16, vals, tmp_path), vals)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                        st.floats(1e-7, 1e18), st.floats(-1e4, 1e4),
+                                        st.integers(2**53, 10**17 - 1).map(float),
+                                        st.sampled_from([0.0, -0.0, 0.5, 1e16, 2.0**53 + 2])),
+                              st.integers(0, 8)),
+                    min_size=32, max_size=32))
+    def test_spellings(self, tmp_path_factory, pairs):
+        tokens = [spelled(v, form) for v, form in pairs]
+        path = tmp_path_factory.getbasetemp() / "spellings.msr"
+        rows = [" ".join(tokens[i:i + 8]) for i in range(0, 32, 8)]
+        path.write_text(CONTRACT_HEADER + "".join(r + "\n" for r in rows))
+        ours, reference = read_both(path)
+        assert ours == reference
+        assert np.array_equal(load_msr(path).full.view(np.float64).ravel(),
+                              [float(t) for t in tokens])
+
+    # (kind, position, text): overwrite one byte, insert text, or cut the file there
+    EDITS = st.lists(st.tuples(st.sampled_from(("set", "insert", "truncate")),
+                               st.integers(min_value=0),
+                               st.text(" \n\r\t#=.-+e0123456789x", min_size=1, max_size=3)),
+                     min_size=1, max_size=3)
+
+    @settings(max_examples=80, deadline=None)
+    @given(edits=EDITS)
+    def test_edited_files(self, tmp_path_factory, edits):
+        data = contract_file().decode()
+        for kind, pos, new in edits:
+            pos %= len(data) + 1
+            if kind == "set":
+                data = data[:pos] + new[:1] + data[pos + 1:]
+            elif kind == "insert":
+                data = data[:pos] + new + data[pos:]
+            else:
+                data = data[:pos]
+        path = tmp_path_factory.getbasetemp() / "edited.msr"
+        path.write_bytes(data.encode())
+        ours, reference = read_both(path)
+        assert ours == reference

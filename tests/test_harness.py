@@ -604,6 +604,9 @@ class TestCli:
         # [0.1, 0.2) lies between the grid directions 0 and pi/8 at m = 8
         "40-indicate-arc-selects-nothing": (["indicate", "--msr", "{msr}", "--observed",
                                              "[0.1,0.2)"], None, None, 2),
+        # a header key given twice: the later #m does not override the first
+        "41-msr-repeated-key": (["noise", "--msr", "{msr}", "--delta", "0.1"], None,
+                                lambda data: data + b"#m=4\n", 4),
     }
 
     @pytest.mark.parametrize("row", sorted(BAD_INPUTS))
