@@ -14,6 +14,16 @@ scaled value is D + frac with the 17-digit integer D = p + floor(e) and
 arrays too.  Every other value (subnormals, 0 < |x| <= 1e-6, |x| >= 1e17,
 non-finite, and in repr_cells also 0 and -0) is formatted one at a time by
 Python itself.
+
+read_tokens is the mirror of format_rows: the value float() gives for each
+token of a text, for a block of tokens at a time.  A token -?digits[.digits]
+with at most 17 significant digits (every number format_rows writes for
+1e-4 <= |x| < 1e17, and 0 and -0) is read as an array: its digits make an
+integer N by SWAR arithmetic on 64-bit words, and its value is N / 10**k,
+correctly rounded by Clinger's one division where N < 2**53 and otherwise
+decided by the same two-product, which gives the exact residual
+N - q * 10**k of a quotient q to compare with half the gap to q's neighbours.
+Any other spelling is read by float() itself.
 """
 
 from __future__ import annotations
@@ -159,19 +169,21 @@ def format_rows(values: np.ndarray) -> bytes:
 
 
 # The reader's 24-byte windows hold a token right-aligned, as three little-endian
-# words (byte j of the window is byte j % 8 of word j // 8).
+# words (byte j of the window is byte j % 8 of word j // 8); a block of windows
+# is laid out word by word, 3 x n.
 _WINDOW = 24
-_KEEP = (255 * (np.arange(_WINDOW) >= _WINDOW - np.arange(_WINDOW + 1)[:, None])
-         ).astype(np.uint8).view(np.uint64)             # row L: the last L bytes
+_KEEP = np.ascontiguousarray(
+    (255 * (np.arange(_WINDOW) >= _WINDOW - np.arange(_WINDOW + 1)[:, None])
+     ).astype(np.uint8).view(np.uint64).T)              # column L: the last L bytes
 _AFTER = (np.arange(_WINDOW)[::-1].reshape(3, 8)[:, ::-1].astype(np.uint8).copy()
-          .view(np.uint64).ravel())                     # byte j: 23 - j, the bytes after it
+          .view(np.uint64))                             # byte j: 23 - j, the bytes after it
 _ONES = np.uint64(0x0101010101010101)
 _FIFTH = np.uint64(0xCCCCCCCCCCCCCCCD)                  # 5 * _FIFTH = 1 mod 2**64
 _MANTISSA = 2**52 - 1
 
 
 def _digits(words, L):
-    """(N, count, k, lead) of windows holding the last L bytes of each token (n x 3
+    """(N, count, k, lead) of windows holding the last L bytes of each token (3 x n
     words, changed in place).
 
     Each byte that is not a digit is counted; where count is 1 it is taken as the
@@ -182,26 +194,25 @@ def _digits(words, L):
     Exact for the tokens the caller keeps: one point at most and lead < 100.
     """
     words ^= np.uint64(0x3030303030303030)              # digits -> 0..9
-    words &= np.take(_KEEP, L, axis=0)
+    words &= _KEEP.take(L, axis=1)
     # 0x80 in each byte >= 10: a byte < 0x8a has no carry out, a byte >= 0x80
     # marks itself, and a carry only ever marks a byte, never unmarks one
     odd = ((words + np.uint64(0x7676767676767676)) | words) & np.uint64(0x8080808080808080)
     odd >>= np.uint64(7)
     words -= odd * np.uint64(0x1E)                      # '.' ^ '0' -> 0
     places = odd * _AFTER                               # top byte: bytes after the odd one
-    count = ((odd[:, 0] + odd[:, 1] + odd[:, 2]) * _ONES) >> np.uint64(56)
-    k = (places[:, 0] + places[:, 1] + places[:, 2]) >> np.uint64(56)
-    # eight digits per word (first digit in the low byte), then the three words
-    words = words * np.uint64(10) + (words >> np.uint64(8))
-    low = np.uint64(0x000000FF000000FF)
-    words = ((words & low) * np.uint64(100 + (1000000 << 32))
-             + ((words >> np.uint64(16)) & low) * np.uint64(1 + (10000 << 32))) >> np.uint64(32)
-    N = words[:, 0] * np.uint64(10**16) + words[:, 1] * np.uint64(10**8) + words[:, 2]
+    count = ((odd[0] + odd[1] + odd[2]) * _ONES) >> np.uint64(56)
+    k = (places[0] + places[1] + places[2]) >> np.uint64(56)
+    # eight digits per word (first digit in the low byte): pairs, fours, eight
+    words = (words * np.uint64(1 + (10 << 8))) >> np.uint64(8)
+    words = ((words & np.uint64(0x00FF00FF00FF00FF)) * np.uint64(1 + (100 << 16))) >> np.uint64(16)
+    words = ((words & np.uint64(0x0000FFFF0000FFFF)) * np.uint64(1 + (10000 << 32))) >> np.uint64(32)
+    N = words[0] * np.uint64(10**16) + words[1] * np.uint64(10**8) + words[2]
     count, k = count.view(np.int64), k.view(np.int64)
     # without a point, f = N' (modulus 10**18) and N = N'
     f = N % np.take(_POW10_INT, k + 18 * (count == 0), mode="clip").view(np.uint64)
     N = ((N - f) >> np.uint64(1)) * _FIFTH + f        # (N' - f) / 10, exact
-    return N.view(np.int64), count, k, words[:, 0]
+    return N.view(np.int64), count, k, words[0]
 
 
 def _nearest_quotients(q, N, k, live):
@@ -238,7 +249,7 @@ def _read_block(text, windows, ends, lengths):
     """(values, fits) of a block of tokens: values[fits] are the strict tokens' floats."""
     L = np.where((lengths <= _WINDOW) & (ends >= _WINDOW), lengths, 0)
     neg = text.take(ends - L, mode="clip") == 45
-    words = windows[np.maximum(ends - _WINDOW, 0)].view(np.uint64).reshape(-1, 3)
+    words = windows[np.maximum(ends - _WINDOW, 0)].view(np.uint64).reshape(-1, 3).T.copy()
     N, count, k, lead = _digits(words, L - neg)
     fits = ((L - count - neg > 0) & (count <= 1) & (k <= 22) & (lead < 100) & (N < 10**17)
             & ((count == 0) | (text.take(ends - k - 1, mode="clip") == 46)))

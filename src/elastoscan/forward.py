@@ -68,8 +68,13 @@ place that slices it.
 
 MSR/1 files hold that operator as text.  save_msr writes each number as the
 bytes of "%.17g" % x, computed for a chunk of rows at a time with exact array
-arithmetic (_numtext.format_rows); load_msr reads them back to the same binary64
-values, the sign of zero included, so a load and a save reproduce a file.
+arithmetic (_numtext.format_rows).  load_msr reads the file once as bytes and
+each number to the binary64 value float() gives, a chunk of numbers at a time
+with exact array arithmetic (_numtext.read_tokens), so a load and a save
+reproduce a file, the sign of zero included.  It takes any spelling float()
+reads, one space between numbers, '\n', '\r\n' or '\r' line ends, blank lines
+and '#key=value' lines anywhere (a key given twice is an error); a fault names
+the first line that has one.
 """
 
 from __future__ import annotations
@@ -739,7 +744,8 @@ def _msr_text(data: bytes) -> tuple[dict[str, str], list[int], np.ndarray | None
 
 def load_msr(path) -> MSRMatrix:
     """Read an MSR/1 file (UTF-8 text); raises MsrVersionError / MsrDimensionError /
-    MsrFormatError, the last also for bytes that are not UTF-8.
+    MsrFormatError, the last also for bytes that are not UTF-8 (checked before the
+    lines, and only where the file is not ASCII).
 
     The file is read once as bytes; see _msr_text for the lines and numbers.
     """
