@@ -172,11 +172,12 @@ def format_rows(values: np.ndarray) -> bytes:
 # words (byte j of the window is byte j % 8 of word j // 8); a block of windows
 # is laid out word by word, 3 x n.
 _WINDOW = 24
-_KEEP = np.ascontiguousarray(
-    (255 * (np.arange(_WINDOW) >= _WINDOW - np.arange(_WINDOW + 1)[:, None])
-     ).astype(np.uint8).view(np.uint64).T)              # column L: the last L bytes
+_LE64 = np.dtype("<u8")
+_KEEP = (255 * (np.arange(_WINDOW) >= _WINDOW - np.arange(_WINDOW + 1)[:, None])
+         ).astype(np.uint8).view(_LE64).T.astype(np.uint64, order="C")  # column L: last L bytes
+# word w times 0x01 in its byte i: the top byte is 23 - (8 w + i), the bytes after i
 _AFTER = (np.arange(_WINDOW)[::-1].reshape(3, 8)[:, ::-1].astype(np.uint8).copy()
-          .view(np.uint64))                             # byte j: 23 - j, the bytes after it
+          .view(_LE64).astype(np.uint64))
 _ONES = np.uint64(0x0101010101010101)
 _FIFTH = np.uint64(0xCCCCCCCCCCCCCCCD)                  # 5 * _FIFTH = 1 mod 2**64
 _MANTISSA = 2**52 - 1
@@ -249,7 +250,8 @@ def _read_block(text, windows, ends, lengths):
     """(values, fits) of a block of tokens: values[fits] are the strict tokens' floats."""
     L = np.where((lengths <= _WINDOW) & (ends >= _WINDOW), lengths, 0)
     neg = text.take(ends - L, mode="clip") == 45
-    words = windows[np.maximum(ends - _WINDOW, 0)].view(np.uint64).reshape(-1, 3).T.copy()
+    words = windows[np.maximum(ends - _WINDOW, 0)].view(_LE64).reshape(-1, 3).T.astype(
+        np.uint64, order="C")
     N, count, k, lead = _digits(words, L - neg)
     fits = ((L - count - neg > 0) & (count <= 1) & (k <= 22) & (lead < 100) & (N < 10**17)
             & ((count == 0) | (text.take(ends - k - 1, mode="clip") == 46)))

@@ -698,7 +698,7 @@ def spelled(value: float, form: int) -> str:
     if form == 2:
         return "%.12g" % value
     if form == 3 and mag < 1e8:
-        return "%.22f" % value                  # up to 22 digits after the point
+        return "%.*f" % (22 - len("%d" % mag), value)   # 22 or 23 digits in all
     if form == 4:
         return "%.16E" % value
     if form == 5:
@@ -716,14 +716,12 @@ class TestMsrReader:
     """load_msr reads each file to the bits and messages of the reference reader."""
 
     @staticmethod
-    def file_of(msr_disk_m16, values, tmp_path, name="v.msr"):
-        m = 1
-        while 32 * m * m < len(values):
-            m += 1
+    def file_of(msr, values, path):
+        """An MSR/1 file of the values, then zeros, at the least m that holds them."""
+        m = max(1, int(np.ceil(np.sqrt(len(values) / 32))))
         vals = np.zeros(32 * m * m)
         vals[:len(values)] = values
-        path = tmp_path / name
-        save_msr(replace(msr_disk_m16, m=m, full=vals.view(complex).reshape(4 * m, 4 * m)), path)
+        save_msr(replace(msr, m=m, full=vals.view(complex).reshape(4 * m, 4 * m)), path)
         return path
 
     @staticmethod
@@ -748,7 +746,7 @@ class TestMsrReader:
 
     def test_edge_values(self, msr_disk_m16, tmp_path):
         vals = edge_values()
-        self.assert_round_trip(self.file_of(msr_disk_m16, vals, tmp_path), vals)
+        self.assert_round_trip(self.file_of(msr_disk_m16, vals, tmp_path / "edge.msr"), vals)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.tuples(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
@@ -757,15 +755,17 @@ class TestMsrReader:
                                         st.sampled_from([0.0, -0.0, 0.5, 1e16, 2.0**53 + 2])),
                               st.integers(0, 8)),
                     min_size=32, max_size=32))
-    def test_spellings(self, tmp_path_factory, pairs):
+    def test_spellings(self, tmp_path_factory, msr_disk_m16, pairs):
         tokens = [spelled(v, form) for v, form in pairs]
         path = tmp_path_factory.getbasetemp() / "spellings.msr"
         rows = [" ".join(tokens[i:i + 8]) for i in range(0, 32, 8)]
         path.write_text(CONTRACT_HEADER + "".join(r + "\n" for r in rows))
         ours, reference = read_both(path)
         assert ours == reference
-        assert np.array_equal(load_msr(path).full.view(np.float64).ravel(),
-                              [float(t) for t in tokens])
+        values = [float(t) for t in tokens]
+        assert load_msr(path).full.view(np.float64).ravel().tolist() == values
+        self.assert_round_trip(self.file_of(msr_disk_m16, values, path.with_suffix(".17g")),
+                               values)
 
     # (kind, position, text): overwrite one byte, insert text, or cut the file there
     EDITS = st.lists(st.tuples(st.sampled_from(("set", "insert", "truncate")),
