@@ -281,33 +281,25 @@ def read_tokens(data: bytes, ends: np.ndarray, lengths: np.ndarray
     """float() of every token data[end - length:end].
 
     Returns (values, failed): failed holds the indices of the tokens float()
-    rejects, whose values are nan.  A single digit is its own value.  A longer
-    token of the strict form -?digits[.digits], with at most 17 significant
-    digits and at most 22 after the point, is read as an array, a CHUNK_VALUES
-    block at a time: gathered right-aligned into a 24-byte window, its digits
-    become the integer N and its value is N / 10**k, Clinger's one correctly
-    rounded division where N < 2**53, and otherwise that quotient moved to the
-    nearest double by a residual test, which _nearest_quotients settles exactly
-    where the test's 1% margin does not.  Every other token is read by float().
+    rejects, whose values are nan.  A token of the strict form -?digits[.digits],
+    with at most 17 significant digits and at most 22 after the point, is read
+    as an array, a CHUNK_VALUES block at a time: gathered right-aligned into a
+    24-byte window, its digits become the integer N and its value is N / 10**k,
+    Clinger's one correctly rounded division where N < 2**53, and otherwise
+    that quotient moved to the nearest double by a residual test, which
+    _nearest_quotients settles exactly where the test's 1% margin does not.
+    Every other token is read by float().
     """
     text = np.frombuffer(data.ljust(_WINDOW), np.uint8)  # room for one window at least
     windows = np.ndarray((text.size - _WINDOW + 1,), f"V{_WINDOW}", text, strides=(1,))
-    digit = text.take(ends - 1, mode="clip") ^ 48
-    single = (lengths == 1) & (digit <= 9)              # the exact zeros of filled data
-    values = digit.astype(np.float64)
-    fits = single.copy()
-    rest = np.flatnonzero(~single) if single.any() else None
-    for c in range(0, ends.size if rest is None else rest.size, CHUNK_VALUES):
-        block = slice(c, c + CHUNK_VALUES) if rest is None else rest[c:c + CHUNK_VALUES]
+    values = np.empty(ends.size)
+    fits = np.empty(ends.size, bool)
+    for c in range(0, ends.size, CHUNK_VALUES):
+        block = slice(c, c + CHUNK_VALUES)
         values[block], fits[block] = _read_block(text, windows, ends[block], lengths[block])
     slow = np.flatnonzero(~fits)
-    tokens = [data[end - length:end]
-              for end, length in zip(ends[slow].tolist(), lengths[slow].tolist())]
-    try:
-        values[slow] = list(map(float, tokens))         # as ASCII bytes
-        return values, np.zeros(0, np.intp)
-    except ValueError:
-        read = [_float(token) for token in tokens]
+    read = [_float(data[end - length:end])
+            for end, length in zip(ends[slow].tolist(), lengths[slow].tolist())]
     values[slow] = [np.nan if value is None else value for value in read]
     return values, slow[[value is None for value in read]]
 

@@ -698,8 +698,7 @@ def _msr_text(data: bytes) -> tuple[dict[str, str], list[int], np.ndarray | None
     seps = np.flatnonzero(text <= 32)
     kind = text[seps]
     split = (kind == 32) | (kind == 10)
-    if not split.all():
-        seps, kind = seps[split], kind[split]
+    seps, kind = seps[split], kind[split]
     line_seps = np.flatnonzero(kind == 10)                  # the last separator of each line
     line_end = seps[line_seps]
     line_start = np.concatenate([[0], line_end[:-1] + 1])
@@ -723,11 +722,7 @@ def _msr_text(data: bytes) -> tuple[dict[str, str], list[int], np.ndarray | None
 
     tokens = np.repeat(data_line, fields)                   # per separator: ends a number
     lengths = np.diff(seps, prepend=-1) - 1
-    first = int(tokens.argmax())
-    if tokens[first:].all():                                # one block of data lines
-        token_end, lengths = seps[first:], lengths[first:]
-    else:
-        token_end, lengths = seps[tokens], lengths[tokens]
+    token_end, lengths = seps[tokens], lengths[tokens]
     numbers, failed = read_tokens(data, token_end, lengths)
     for rank, what, where in ((1, "non-numeric", failed),
                               (2, "non-finite", np.flatnonzero(~np.isfinite(numbers)))):
@@ -744,20 +739,23 @@ def _msr_text(data: bytes) -> tuple[dict[str, str], list[int], np.ndarray | None
 
 def load_msr(path) -> MSRMatrix:
     """Read an MSR/1 file (UTF-8 text); raises MsrVersionError / MsrDimensionError /
-    MsrFormatError, the last also for bytes that are not UTF-8 (checked before the
-    lines, and only where the file is not ASCII).
+    MsrFormatError, the last also for bytes that are not UTF-8 (checked only where
+    the file is not ASCII, and named unless a line before them has a fault).
 
     The file is read once as bytes; see _msr_text for the lines and numbers.
     """
     with open(path, "rb") as fh:
         data = fh.read()
+    if b"\r" in data:                                   # universal newlines
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     if not data.isascii():
         try:
             data.decode("utf-8")
         except UnicodeDecodeError as exc:
+            before = data[:data.rfind(b"\n", 0, exc.start) + 1]    # the lines before
+            if before:
+                _msr_text(before)                       # raises on a fault there
             raise MsrFormatError(f"not UTF-8 text: {exc.reason}") from None
-    if b"\r" in data:                                   # universal newlines
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     if not data.endswith(b"\n"):
         data += b"\n"
     header, lengths, numbers = _msr_text(data)

@@ -430,32 +430,33 @@ def reference_load_msr(path):
 
     header: dict[str, str] = {}
     rows: list[np.ndarray] = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    key, sep, value = line[1:].partition("=")
-                    if not sep:
-                        raise MsrFormatError(f"line {lineno}: malformed header {line!r}")
-                    if key in header:
-                        raise MsrFormatError(f"line {lineno}: repeated header key {key!r}")
-                    header[key] = value
-                    continue
-                parts = line.split(" ")
-                if len(parts) % 2 != 0:
-                    raise MsrFormatError(f"line {lineno}: odd number of fields")
-                try:
-                    nums = np.array(parts, dtype=float)
-                except ValueError:
-                    raise MsrFormatError(f"line {lineno}: non-numeric entry") from None
-                if not np.isfinite(nums).all():
-                    raise MsrFormatError(f"line {lineno}: non-finite entry")
-                rows.append(nums.view(np.complex128))
-    except UnicodeDecodeError as exc:
-        raise MsrFormatError(f"not UTF-8 text: {exc.reason}") from None
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)         # at '\n', '\r\n' and '\r'
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8").rstrip("\r\n")
+        except UnicodeDecodeError as exc:
+            raise MsrFormatError(f"not UTF-8 text: {exc.reason}") from None
+        if not line:
+            continue
+        if line.startswith("#"):
+            key, sep, value = line[1:].partition("=")
+            if not sep:
+                raise MsrFormatError(f"line {lineno}: malformed header {line!r}")
+            if key in header:
+                raise MsrFormatError(f"line {lineno}: repeated header key {key!r}")
+            header[key] = value
+            continue
+        parts = line.split(" ")
+        if len(parts) % 2 != 0:
+            raise MsrFormatError(f"line {lineno}: odd number of fields")
+        try:
+            nums = np.array(parts, dtype=float)
+        except ValueError:
+            raise MsrFormatError(f"line {lineno}: non-numeric entry") from None
+        if not np.isfinite(nums).all():
+            raise MsrFormatError(f"line {lineno}: non-finite entry")
+        rows.append(nums.view(np.complex128))
 
     missing = [k for k in _HEADER_KEYS if k not in header]
     if missing:

@@ -767,10 +767,29 @@ class TestMsrReader:
         self.assert_round_trip(self.file_of(msr_disk_m16, values, path.with_suffix(".17g")),
                                values)
 
-    # (kind, position, text): overwrite one byte, insert text, or cut the file there
+    @pytest.mark.parametrize("pad", [0, 9000])
+    @pytest.mark.parametrize("bad_line, message", [
+        (12, "line 12: non-numeric entry"),
+        (15, "not UTF-8 text: invalid start byte"),
+    ])
+    def test_fault_before_a_non_utf8_byte(self, tmp_path, bad_line, message, pad):
+        """Of a faulty line and a byte that is not UTF-8 (line 14), the earlier is
+        named, whether the two lie within one text decoder's chunk (8 KiB) or not."""
+        lines = contract_file().decode().splitlines()
+        lines[12:12] = ["#pad=" + "p" * pad]            # line 13; data on 11, 12, 14, 15
+        lines[13] = "\udcff" + lines[13]
+        lines[bad_line - 1] = "x" + lines[bad_line - 1]
+        path = tmp_path / "both.msr"
+        path.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape"))
+        ours, reference = read_both(path)
+        assert ours == reference == (MsrFormatError, message)
+
+    # (kind, position, text): overwrite one character, insert text, or cut the file
+    # there; "\udcff" is written as the byte 0xff, which is not UTF-8
     EDITS = st.lists(st.tuples(st.sampled_from(("set", "insert", "truncate")),
                                st.integers(min_value=0),
-                               st.text(" \n\r\t#=.-+e0123456789x", min_size=1, max_size=3)),
+                               st.text(" \n\r\t#=.-+e0123456789x\uff11\xa0\udcff",
+                                       min_size=1, max_size=3)),
                      min_size=1, max_size=3)
 
     @settings(max_examples=80, deadline=None)
@@ -786,6 +805,6 @@ class TestMsrReader:
             else:
                 data = data[:pos]
         path = tmp_path_factory.getbasetemp() / "edited.msr"
-        path.write_bytes(data.encode())
+        path.write_bytes(data.encode("utf-8", "surrogateescape"))
         ours, reference = read_both(path)
         assert ours == reference
