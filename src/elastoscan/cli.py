@@ -36,9 +36,9 @@ import numpy as np
 
 from .forward import MsrFormatError, NumericError, add_noise, load_msr, synthesize_msr
 from .harness import (ENV_OUT, PRESET_BUILDERS, SMALL_GRID_PTS, SMALL_M, SMALL_N, ConfigError,
-                      ExperimentConfig, MaskSpec, _Emitter, build_preset, fields_of,
-                      parse_arcs, parse_config, parse_grid, parse_q, preset_names, restrict,
-                      retrieve_msr, run_preset, run_recorded)
+                      ExperimentConfig, MaskSpec, _Emitter, build_preset, check_limited,
+                      fields_of, parse_arcs, parse_config, parse_grid, parse_q, preset_names,
+                      restrict, retrieve_msr, run_preset, run_recorded)
 from .indicators import IndicatorKind, SamplingGrid
 
 EXIT_OK = 0
@@ -136,10 +136,9 @@ def cmd_indicate(args) -> int:
 
 def cmd_retrieve(args) -> int:
     observed, incident = _arc_masks(args)
-    if observed is None and incident is None:
-        raise ConfigError("retrieve needs --observed and/or --incident arcs")
-    masked = restrict(load_msr(args.msr), observed, incident)
-    return _write_msr(args, "retrieved.msr", retrieve_msr(masked))
+    msr = load_msr(args.msr)
+    check_limited(observed, incident, msr.m)
+    return _write_msr(args, "retrieved.msr", retrieve_msr(restrict(msr, observed, incident)))
 
 
 def cmd_experiment(args) -> int:

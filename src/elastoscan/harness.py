@@ -21,6 +21,13 @@ canonical grammar (all keys optional except none; defaults in parentheses):
     retrieve = off | reciprocity                              (off; needs observed/incident)
     out      = out
 
+An arc [a,b) is in radians and runs counterclockwise from a to b taken mod 2 pi,
+end exclusive; an arc whose ends coincide mod 2 pi, such as [0,0) or
+[0,6.283185307179586), is the full circle.  retrieve = reciprocity needs
+observed x incident to leave out some direction pair: a config whose specs
+select every direction is rejected (exit 2), since retrieval would change
+nothing.
+
 Pipeline per config: synthesize MSR -> add noise -> (mask -> reciprocity fill,
 zeros where reciprocity cannot reach) -> indicators -> emit CSV (raw values),
 PGM (squared, normalized) and a JSON manifest listing every artifact with its
@@ -56,13 +63,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .aperture import MaskedMSR, apply_mask, limited_indicator, reciprocity_fill
+from .aperture import MaskedMSR, apply_mask, reciprocity_fill, retrieved_forms
 from .elastic import Medium
 from .forward import MSRMatrix, NumericError, add_noise, save_msr, synthesize_msr
 from .geometry import (BoundaryCondition, BoundaryCurve, BoundaryKind, Scene, boundary_quadrature,
                        scene_from_string)
-from .indicators import (IndicatorField, IndicatorKind, SamplingGrid, indicator_fields,
-                         skeleton_summary)
+from .indicators import (IndicatorField, IndicatorKind, SamplingGrid, fields_from_forms,
+                         indicator_forms_at, skeleton_summary)
 
 ENV_OUT = "ELASTOSCAN_OUT"
 
@@ -98,7 +105,8 @@ class MaskSpec:
     def directions(self, m: int) -> np.ndarray:
         """The selected directions of the 2m-direction grid, a boolean vector.
 
-        Arcs are (start, end) in radians, end exclusive and wrap-aware.
+        Arcs are (start, end) in radians, end exclusive and wrap-aware; an arc
+        whose ends coincide mod 2 pi is the full circle.
         """
         sel = np.zeros(2 * m, dtype=bool)
         if self.indices is not None:
@@ -183,8 +191,20 @@ class ExperimentConfig:
                     f"n = {self.n} gives fewer than 2 nodes per shear wavelength on "
                     f"{curve.describe()} (boundary length {length:.4g}, k_s = {k_s:.4g}); "
                     f"need n >= {need:.6g}")
-        if self.retrieve and self.observed is None and self.incident is None:
-            raise ConfigValueError("retrieve needs limited data: set observed and/or incident")
+        if self.retrieve:
+            check_limited(self.observed, self.incident, self.m)
+
+def check_limited(observed: MaskSpec | None, incident: MaskSpec | None, m: int) -> None:
+    """Raise ConfigValueError unless observed x incident leaves out some direction pair.
+
+    Retrieval completes limited data; on data measured for every pair it would
+    change nothing.
+    """
+    if all(spec is None or spec.directions(m).all() for spec in (observed, incident)):
+        raise ConfigValueError(
+            "retrieve needs limited data: observed x incident selects every direction pair "
+            "(set observed and/or incident; an arc whose ends coincide mod 2 pi is the full "
+            "circle)")
 
 def _parse_scene(value: str):
     scene = scene_from_string(value)
@@ -451,12 +471,17 @@ def restrict(msr: MSRMatrix, observed: MaskSpec | None, incident: MaskSpec | Non
     return apply_mask(msr, observed.directions(msr.m) if observed else every,
                       incident.directions(msr.m) if incident else every)
 
+def forms_of(data: MSRMatrix | MaskedMSR, grid: SamplingGrid, kinds, q) -> dict[str, np.ndarray]:
+    """Complex indicator forms at the grid points (indicators.indicator_forms_at) of full
+    data, or of the known entries of limited data."""
+    if isinstance(data, MaskedMSR):
+        return indicator_forms_at(grid.points(), data.data, data.m, data.base.medium, q, kinds)
+    return indicator_forms_at(grid.points(), data.assembled(), data.m, data.medium, q, kinds)
+
 def fields_of(data: MSRMatrix | MaskedMSR, grid: SamplingGrid, kinds, q
               ) -> dict[IndicatorKind, IndicatorField]:
     """Indicator fields of full data, or of the known entries of limited data."""
-    if isinstance(data, MaskedMSR):
-        return limited_indicator(data, grid, kinds, q)
-    return indicator_fields(data.assembled(), data.m, data.medium, grid, kinds, q)
+    return fields_from_forms(forms_of(data, grid, kinds, q), data.m, grid, kinds, q)
 
 def retrieve_msr(masked: MaskedMSR) -> MSRMatrix:
     """The data completed by reciprocity fill; entries it cannot reach stay 0.
@@ -652,7 +677,11 @@ def run_experiment(config: ExperimentConfig, label: str = "run", outdir: str | N
     as it is computed, so the noisy MSR is written during the first indicator
     pass, and the limited fields and the retrieved MSR during retrieval and the
     retrieved pass; <label>.msr_write_s and <tag>.write_s are the writer's time
-    for them.  Writes no manifest.json.  solved maps _forward_key to a noisy
+    for them.  The retrieved fields come from the limited pass's complex forms
+    and one pass over the doubly known entries (aperture.retrieved_forms), not
+    from a pass over the retrieved MSR; that shorter pass is what overlaps the
+    writing of the limited fields and the retrieved MSR.  Writes no
+    manifest.json.  solved maps _forward_key to a noisy
     MSR this emitter has written and the name of its file; a config found there
     copies that file to <label>.msr instead of solving again, and a config solved
     here is added.
@@ -680,22 +709,25 @@ def run_experiment(config: ExperimentConfig, label: str = "run", outdir: str | N
 
     grid, medium = config.sampling_grid(), config.medium()
 
-    def emit_fields(tag: str, source) -> None:
+    def emit_fields(tag: str, evaluate, *data) -> dict[str, np.ndarray]:
+        """The forms evaluate(*data, grid, kinds, q), whose fields are emitted under tag."""
         with span(f"{tag}.eval_s"):
-            fields = fields_of(source, grid, config.kinds, config.q)
+            forms = evaluate(*data, grid, config.kinds, config.q)
+            fields = fields_from_forms(forms, config.m, grid, config.kinds, config.q)
         emitter.write_fields(tag, fields, f"{tag}.write_s")
         emitter.manifest.skeletons[tag] = skeleton_summary(grid, medium, config.kinds)
+        return forms
 
     data = restrict(msr, config.observed, config.incident)
     if isinstance(data, MaskedMSR):
-        emit_fields(f"{label}_limit", data)
+        limited = emit_fields(f"{label}_limit", forms_of, data)
         if config.retrieve:
             with span(f"{label}_retr.retrieve_s"):
                 retrieved = retrieve_msr(data)
             emitter.write_msr(f"{label}_retrieved.msr", retrieved, f"{label}_retr.msr_write_s")
-            emit_fields(f"{label}_retr", retrieved)
+            emit_fields(f"{label}_retr", retrieved_forms, data, limited)
     else:
-        emit_fields(label, data)
+        emit_fields(label, forms_of, data)
     return emitter.manifest
 
 def run_recorded(config: ExperimentConfig, variants=None) -> RunManifest:

@@ -14,6 +14,12 @@ and with the direction-grid weight w = pi/m the indicators are
 where F is the assembled 4m x 4m operator layout [[pp, sp], [ps, ss]].
 I_FF is the sum of the four block forms, of which the pp and ss forms are
 I_PP and I_SS, so every kind comes from one pass over the sampling points.
+The complex forms are linear in F: indicator_forms_at gives them and
+fields_from_forms takes the modulus on a grid, so the forms of related matrices
+can be combined first.  The experiment keeps the forms of a limited pass and gets the
+retrieved fields from them and one pass over the doubly known entries
+(aperture.retrieved_forms); that pass is what overlaps the writer's work on the
+limited fields and the retrieved MSR.
 
 The phases separate, e^{-ik z.theta} = e^{-ik x cos t} e^{-ik y sin t}, and the
 directions d and 2m - d have the same cos t.  So each 2m x 2m block, with the
@@ -324,7 +330,21 @@ def _direct_forms(blocks, m, k, weight, points) -> dict[str, np.ndarray]:
 
 def indicator_values_at(points: np.ndarray, fmat: np.ndarray, m: int, medium: Medium,
                         q, kinds) -> dict[IndicatorKind, np.ndarray]:
-    """Indicators of every requested kind at points (M, 2) from an assembled 4m x 4m matrix.
+    """Indicators of every requested kind at points (M, 2) from an assembled 4m x 4m matrix:
+    the modulus |w^2 G| of each kind's complex form G (see indicator_forms_at)."""
+    return _moduli(indicator_forms_at(points, fmat, m, medium, q, kinds), m, kinds)
+
+
+def _moduli(forms: dict[str, np.ndarray], m: int, kinds) -> dict[IndicatorKind, np.ndarray]:
+    """|w^2 G| of the complex form G of each kind, w = pi/m."""
+    w = np.pi / m
+    return {kind: np.abs(w**2 * forms[kind.value]) for kind in kinds}
+
+
+def indicator_forms_at(points: np.ndarray, fmat: np.ndarray, m: int, medium: Medium, q,
+                       kinds) -> dict[str, np.ndarray]:
+    """Complex forms phi_a^H F_ab phi_b (without w^2) at points (M, 2), by block name
+    ('pp', 'ps', 'sp', 'ss': the blocks the kinds need), and 'ff', their sum, with FF.
 
     The phases separate, e^{-ik d.z} = e^{-ik cos(t) x} e^{-ik sin(t) y}, and are
     built once per distinct x and per distinct y.  Direction d and 2m - d share
@@ -349,9 +369,7 @@ def indicator_values_at(points: np.ndarray, fmat: np.ndarray, m: int, medium: Me
     q = np.asarray(q, float)
     points = np.atleast_2d(np.asarray(points, float))
     dirs = direction_grid(m)
-    w = np.pi / m
-    out = {kind: np.empty(len(points)) for kind in kinds}
-    blocks = _needed_blocks(fmat, m, out)
+    blocks = _needed_blocks(fmat, m, kinds)
     k = _wave_numbers(medium)
     weight = {"p": dirs @ q, "s": -dirs[:, 1] * q[0] + dirs[:, 0] * q[1]}
 
@@ -384,11 +402,22 @@ def indicator_values_at(points: np.ndarray, fmat: np.ndarray, m: int, medium: Me
             forms[a + b][lone] = direct
             for lo, hi in zip(starts[folded], ends[folded]):
                 forms[a + b][lo:hi] = fold.row(a, b, yi[lo], *fold.tables(a, b, xi[lo:hi]))
-    if IndicatorKind.FF in out:
+    if IndicatorKind.FF in kinds:
         forms["ff"] = sum(forms.values())
-    for kind, vals in out.items():
-        vals[:] = np.abs(w**2 * forms[kind.value])
-    return out
+    return forms
+
+
+def fields_from_forms(forms: dict[str, np.ndarray], m: int, grid: SamplingGrid, kinds, q
+                      ) -> dict[IndicatorKind, IndicatorField]:
+    """Indicator fields on a grid, in the order of kinds, from the complex forms at its
+    points (indicator_forms_at of grid.points()).
+
+    The forms are linear in the data, so the forms of related matrices can be
+    combined before the modulus is taken (aperture.retrieved_forms).
+    """
+    q = (float(q[0]), float(q[1]))
+    return {kind: IndicatorField(grid, v.reshape(grid.ny, grid.nx), kind, q)
+            for kind, v in _moduli(forms, m, kinds).items()}
 
 
 def indicator_fields(fmat: np.ndarray, m: int, medium: Medium, grid: SamplingGrid, kinds,
@@ -398,8 +427,5 @@ def indicator_fields(fmat: np.ndarray, m: int, medium: Medium, grid: SamplingGri
     fmat is any assembled 4m x 4m matrix: full data (MSRMatrix.assembled), limited
     data with its unknown entries 0 (MaskedMSR.data), or retrieved data.
     """
-    q = (float(q[0]), float(q[1]))
-    vals = indicator_values_at(grid.points(), fmat, m, medium, q, kinds)
-    return {kind: IndicatorField(grid, v.reshape(grid.ny, grid.nx), kind, q)
-            for kind, v in vals.items()}
-
+    forms = indicator_forms_at(grid.points(), fmat, m, medium, q, kinds)
+    return fields_from_forms(forms, m, grid, kinds, q)

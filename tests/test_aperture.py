@@ -9,6 +9,7 @@ from elastoscan.aperture import (
     apply_mask,
     limited_indicator,
     reciprocity_fill,
+    retrieved_forms,
 )
 from elastoscan.elastic import Medium
 from elastoscan.forward import MSRMatrix, add_noise, load_msr, save_msr, synthesize_msr
@@ -20,7 +21,14 @@ from elastoscan.geometry import (
     distance_to_boundary,
 )
 from elastoscan.harness import MaskSpec, retrieve_msr
-from elastoscan.indicators import IndicatorKind, SamplingGrid, indicator_fields
+from elastoscan.indicators import (
+    IndicatorKind,
+    SamplingGrid,
+    _axis_skeleton,
+    fields_from_forms,
+    indicator_fields,
+    indicator_forms_at,
+)
 
 QUARTER = (0.0, np.pi / 2)
 
@@ -203,6 +211,53 @@ class TestApertureProperties:
 
         out = retrieve_msr(masked)
         assert np.array_equal(out.full, filled.data)
+
+
+# small grids at omega = 4 pi; the 64-point axis of the last one has a skeleton of
+# fewer points than the axis for every band, so its forms are interpolated
+IDENTITY_GRIDS = (SamplingGrid(-2.0, 2.0, -1.5, 1.5, 5, 4), SamplingGrid(-3.0, 1.0, 0.5, 2.5, 2, 7),
+                  SamplingGrid(-1.0, 1.0, -0.5, 0.5, 64, 3))
+
+
+@st.composite
+def retrieval_case(draw):
+    """(random data, any observed and incident vectors, a nonempty ordered subset of
+    the kinds, a unit q, a grid) for m in 1..6."""
+    m = draw(st.integers(1, 6))
+    directions = st.lists(st.booleans(), min_size=2 * m, max_size=2 * m).map(np.array)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    full = rng.standard_normal((4 * m, 4 * m)) + 1j * rng.standard_normal((4 * m, 4 * m))
+    msr = MSRMatrix(m, full, 1.0, 1.0, 4 * np.pi, scene="kite@(0.0,0.0)*1.0", bc="dirichlet")
+    kinds = draw(st.lists(st.sampled_from(list(IndicatorKind)), min_size=1, max_size=3,
+                          unique=True))
+    t = draw(st.floats(0.0, 2 * np.pi))
+    return (msr, draw(directions), draw(directions), kinds, (np.cos(t), np.sin(t)),
+            draw(st.sampled_from(IDENTITY_GRIDS)))
+
+
+class TestRetrievedForms:
+    def test_one_grid_has_a_skeleton_smaller_than_its_axis(self):
+        medium = Medium(1.0, 1.0, 4 * np.pi)
+        xs = IDENTITY_GRIDS[-1].xs
+        for band in (2 * medium.k_p, medium.k_p + medium.k_s, 2 * medium.k_s):
+            skeleton, interp = _axis_skeleton(xs, band)
+            assert interp is not None and len(skeleton) < len(xs)
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=retrieval_case())
+    def test_equal_the_fields_of_the_retrieved_msr(self, case):
+        """2 G(F|K) - G(F|K & sigma K) gives the fields of a pass over the
+        reciprocity-filled data."""
+        msr, observed, incident, kinds, q, grid = case
+        masked = apply_mask(msr, observed, incident)
+        limited = indicator_forms_at(grid.points(), masked.data, msr.m, msr.medium, q, kinds)
+        got = fields_from_forms(retrieved_forms(masked, limited, grid, kinds, q), msr.m, grid,
+                                kinds, q)
+        want = indicator_fields(retrieve_msr(masked).full, msr.m, msr.medium, grid, kinds, q)
+        assert list(got) == list(want) == kinds
+        for kind in kinds:
+            top = max(1.0, want[kind].values.max())
+            assert np.abs(got[kind].values - want[kind].values).max() <= 1e-12 * top, kind
 
 
 class TestRetrieveMsr:

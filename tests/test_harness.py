@@ -138,7 +138,10 @@ class TestParseConfig:
             with pytest.raises(ConfigValueError, match=r"in 1\.\.16"):
                 parse_config(f"m = 8\nobserved = indices {index}\n")
 
-    @pytest.mark.parametrize("aperture", ["", "observed = full\nincident = full\n"])
+    @pytest.mark.parametrize("aperture", ["", "observed = full\nincident = full\n",
+                                          "observed = arcs [0,0)\n",
+                                          "observed = arcs [1,1) [2,3)\n"
+                                          "incident = arcs [0,6.283185307179586)\n"])
     def test_retrieve_on_full_data_rejected(self, aperture):
         with pytest.raises(ConfigValueError, match="retrieve needs limited data"):
             parse_config(aperture + "retrieve = reciprocity\n")
@@ -471,6 +474,33 @@ class TestCli:
         assert code == 0
         assert os.path.exists(os.path.join(out, "retrieved.msr"))
 
+    def test_experiment_fields_match_indicate_on_its_msr_files(self, tmp_path):
+        """The retrieved fields, which experiment takes from the limited pass, agree
+        with indicate on <label>_retrieved.msr; the limited fields are the bytes of
+        indicate --observed on <label>.msr."""
+        # the 64-point x axis has a skeleton of fewer points, so forms are interpolated
+        grid, q, arc = "-3 3 -3 3 64 9", "0.6 0.8", "[0,1.5707963267948966)"
+        cfg = tmp_path / "lim.cfg"
+        cfg.write_text(TINY_RETRIEVAL.replace("grid = -3 3 -3 3 9 9", f"grid = {grid}")
+                       + f"q = {q}\n")
+        out = tmp_path / "exp"
+        assert cli_main(["experiment", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        for tag, source, aperture in (("retr", "run_retrieved.msr", []),
+                                      ("limit", "run.msr", ["--observed", arc])):
+            plain = tmp_path / tag
+            assert cli_main(["indicate", "--msr", str(out / source), "--grid", grid, "--q", q,
+                             *aperture, "--out", str(plain), "--quiet"]) == 0
+            for kind in ("ss", "pp", "ff"):
+                got = (out / f"run_{tag}_{kind}.csv").read_bytes()
+                want = (plain / f"indicator_{kind}.csv").read_bytes()
+                if tag == "limit":
+                    assert got == want, kind
+                    continue
+                a, b = (np.loadtxt(io.BytesIO(data), delimiter=",", skiprows=1)
+                        for data in (got, want))
+                assert np.array_equal(a[:, :2], b[:, :2])
+                assert np.abs(a[:, 2] - b[:, 2]).max() <= 1e-12 * b[:, 2].max(), kind
+
     def test_unknown_preset_exit_2_lists_presets(self, tmp_path, capsys):
         code = cli_main(["experiment", "--preset", "nope",
                          "--out", str(tmp_path), "--quiet"])
@@ -607,6 +637,12 @@ class TestCli:
         # a header key given twice: the later #m does not override the first
         "41-msr-repeated-key": (["noise", "--msr", "{msr}", "--delta", "0.1"], None,
                                 lambda data: data + b"#m=4\n", 4),
+        # an arc whose ends coincide mod 2 pi is the full circle: retrieval would be a no-op
+        "42-retrieve-arc-full-circle": (["retrieve", "--msr", "{msr}", "--observed", "[0,0)"],
+                                        None, None, 2),
+        "43-experiment-retrieve-full-circle": (["experiment", "--config", "{cfg}"],
+                                               TINY_KITE + "observed = arcs [0,0)\n"
+                                               "retrieve = reciprocity\n", None, 2),
     }
 
     @pytest.mark.parametrize("row", sorted(BAD_INPUTS))
@@ -787,17 +823,17 @@ class TestCli:
 
         monkeypatch.setitem(hz.PRESET_BUILDERS, "limited-quarters",
                             lambda: parse_config(TINY_KITE.replace("delta = 0.1", "delta = 0")))
-        # the variants share one forward solve; each evaluates its own fields
-        fields_of = hz.fields_of
+        # the variants share one forward solve; each evaluates its own forms
+        forms_of = hz.forms_of
         calls = []
 
         def third_fails(*args):
             calls.append(args)
             if len(calls) == 3:
                 raise NumericError("forced failure in the third variant")
-            return fields_of(*args)
+            return forms_of(*args)
 
-        monkeypatch.setattr(hz, "fields_of", third_fails)
+        monkeypatch.setattr(hz, "forms_of", third_fails)
         out = tmp_path / "out"
         assert cli_main(["experiment", "--preset", "limited-quarters", "--out", str(out),
                          "--quiet"]) == 3
