@@ -241,7 +241,7 @@ def parse_q(value: str) -> tuple[float, float]:
     return q
 
 def parse_arcs(value: str) -> tuple[tuple[float, float], ...]:
-    """'[a,b) [c,d) ...' (radians, end exclusive) -> a nonempty tuple of (a, b)."""
+    """'[a,b) [c,d) ...' (radians, end exclusive) -> a nonempty tuple of finite (a, b)."""
     arcs = []
     for tok in value.split():
         if not (tok.startswith("[") and tok.endswith(")")):
@@ -251,6 +251,8 @@ def parse_arcs(value: str) -> tuple[tuple[float, float], ...]:
             arcs.append((float(a_s), float(b_s)))
         except ValueError:
             raise ConfigSyntaxError(f"bad arc bounds {tok!r}") from None
+        if not np.isfinite(arcs[-1]).all():
+            raise ConfigValueError(f"arc bounds must be finite, got {tok!r}")
     if not arcs:
         raise ConfigValueError("empty arc list")
     return tuple(arcs)

@@ -24,9 +24,16 @@ limited fields and the retrieved MSR.
 The phases separate, e^{-ik z.theta} = e^{-ik x cos t} e^{-ik y sin t}, and the
 directions d and 2m - d have the same cos t.  So each 2m x 2m block, with the
 y phases of one row folded in, becomes an (m+1) x (m+1) kernel that acts on
-the (m+1) distinct x phases: per run of points with equal y, one kernel per
-block and one product with the x-phase table of the run.  This is exact up to
-rounding, and a quarter of the flops of the unfolded product.
+the (m+1) distinct x phases.  This is exact up to rounding, and a quarter of
+the flops of the unfolded product.  The rows of a block go in batches: the
+kernels of a batch are built as one stack, one product applies the x-phase
+table to all of them, and each row's forms are summed from its own terms, so
+that at one BLAS thread a row's forms have the same bits in any batch.  A batch
+holds as many rows as BATCH_BYTES of buffers allow (one row of a full-size
+257 x 257 block fills it).  Batches are for the interpreter lock: every numpy
+call of the pass gives the lock up and must win it back from the writer thread
+that formats artifacts meanwhile, so a dozen calls per batch wait far less
+than a dozen per row.
 
 Limited data, zero-filled outside the aperture, leave whole direction classes
 without data: an observed arc voids row classes, an incident arc or a few
@@ -73,6 +80,7 @@ from .forward import direction_grid
 
 SKELETON_MARGIN = 40          # skeleton points per axis beyond the 2nW that carry the band
 _DIRECT_CHUNK = 1024          # scattered points per batched unfolded product
+BATCH_BYTES = 1 << 21         # buffer bytes of a batch of rows of the fold (one row at least)
 
 
 class IndicatorKind(Enum):
@@ -99,6 +107,11 @@ class SamplingGrid:
             raise ValueError("need x1 > x0 and y1 > y0")
         if self.nx < 2 or self.ny < 2:
             raise ValueError("need nx, ny >= 2")
+        # the ends can be finite while the steps overflow, or so close that points repeat
+        with np.errstate(all="ignore"):
+            for name, axis in (("x", self.xs), ("y", self.ys)):
+                if not (np.isfinite(axis).all() and (np.diff(axis) > 0).all()):
+                    raise ValueError(f"the {name} axis is not finite and strictly increasing")
 
     @property
     def xs(self) -> np.ndarray:
@@ -230,8 +243,21 @@ def skeleton_summary(grid: SamplingGrid, medium: Medium, kinds) -> dict:
     return {"bands": bands, "nx": grid.nx, "ny": grid.ny, "margin": SKELETON_MARGIN}
 
 
+def _rows_per_batch(nr: int, nc: int, nx: int) -> int:
+    """Rows per batch of _Fold.rows for R = nr row classes, C = nc column classes and
+    K_x = nx columns: as many as BATCH_BYTES of buffers hold, three (R, C) kernel
+    buffers and two (R, K_x) product buffers a row, and at least one.
+
+    A single row class runs one row at a time: its product is a vector-matrix one,
+    which BLAS rounds differently from a matrix product.
+    """
+    if nr == 1:
+        return 1
+    return max(1, BATCH_BYTES // (16 * nr * (3 * nc + 2 * nx)))
+
+
 class _Fold:
-    """The direction fold of one pass: its tables, and the one row routine.
+    """The direction fold of one pass: its tables, and the one routine for batches of rows.
 
     Class r = 0..m has the members r and 2m - r (the second member of 0 and m is
     void).  xphase[c] holds the x phases of the classes (m+1, nx) and yphase[c][iy]
@@ -268,40 +294,57 @@ class _Fold:
         for c in k:
             yph = np.exp(-1j * k[c] * np.outer(dirs[:, 1], ys)) * weight[c][:, None]
             self.yphase[c] = np.moveaxis(yph[member], -1, 0).copy()
-        self._buffer = np.empty(3 * (m + 1) ** 2, complex)
 
     def tables(self, a, b, ix) -> tuple[np.ndarray, np.ndarray]:
         """The x tables conj(X_a), X_b of block ab at the x columns ix, on its live classes."""
         rows, cols = self.classes[a, b]
         return np.conj(self.xphase[a][rows][:, ix]), self.xphase[b][cols][:, ix]
 
-    def row(self, a, b, iy, xa_conj, xb) -> np.ndarray:
-        """Forms of block ab on row iy at the columns of its x tables conj(X_a), X_b.
+    def rows(self, a, b, iys, xa_conj, xb) -> np.ndarray:
+        """Forms of block ab on the rows iys at the columns of its x tables conj(X_a), X_b,
+        shape (len(iys), K_x).
 
-        The y phases of the row are folded into the member parts that are not all
-        zero, in reused buffers, giving the kernel K on the live classes; the forms
-        are conj(X_a)^T (K X_b) column by column.  With every class live and every
-        part nonzero this is one fixed sequence of operations.
+        The rows go in batches whose buffers, allocated once per call, hold at most
+        BATCH_BYTES.  In each batch the y phases of every row are folded into the member
+        parts that are not all zero, giving a (batch, R, C) stack of kernels K on the
+        live classes; one product gives K X_b for the whole batch, and the forms are
+        conj(X_a)^T (K X_b) column by column, each summed over its contiguous R terms.
+        Every row sees the same operations on the same strides whatever the batch, so
+        at one BLAS thread its forms do not depend on the batch.  With every class live
+        and every part nonzero this is one fixed sequence of operations.
         """
         members = self.members[a, b]
+        forms = np.zeros((len(iys), xb.shape[1]), complex)
         if not members:
-            return np.zeros(xb.shape[1], complex)
+            return forms
         part, (rows, cols) = self.parts[a, b], self.classes[a, b]
-        kern, tmp, tmp2 = self._buffer[: 3 * part[0, 0].size].reshape((3,) + part.shape[2:])
-        ya, yb = np.conj(self.yphase[a][iy][:, rows]), self.yphase[b][iy][:, cols]
-        first = True
-        for i, (j0, *rest) in members:
-            acc, spare = (kern, tmp) if first else (tmp, tmp2)
-            np.multiply(part[i, j0], yb[j0], out=acc)
-            for j in rest:
-                np.multiply(part[i, j], yb[j], out=spare)
-                acc += spare
-            np.multiply(ya[i][:, None], acc, out=acc)
-            if not first:
-                kern += acc
-            first = False
-        # column-major, so that each column is summed pairwise
-        return np.multiply(xa_conj, kern @ xb, order="F").sum(axis=0)
+        nr, nc = part.shape[2:]
+        nx = xb.shape[1]
+        batch = min(_rows_per_batch(nr, nc, nx), len(iys))
+        stack = np.empty((3, batch, nr, nc), complex)
+        prods = np.empty((batch * nr, nx), complex)
+        terms = np.empty((batch, nx, nr), complex)
+        for lo in range(0, len(iys), batch):
+            iy = iys[lo:lo + batch]
+            t = len(iy)
+            kern, tmp, tmp2 = stack[:, :t]
+            ya, yb = np.conj(self.yphase[a][iy][:, :, rows]), self.yphase[b][iy][:, :, cols]
+            first = True
+            for i, (j0, *rest) in members:
+                acc, spare = (kern, tmp) if first else (tmp, tmp2)
+                np.multiply(part[i, j0], yb[:, j0, None], out=acc)
+                for j in rest:
+                    np.multiply(part[i, j], yb[:, j, None], out=spare)
+                    acc += spare
+                np.multiply(ya[:, i, :, None], acc, out=acc)
+                if not first:
+                    kern += acc
+                first = False
+            prod = np.matmul(kern.reshape(t * nr, nc), xb, out=prods[:t * nr])
+            # the R terms of each row and column contiguous, so that they are summed pairwise
+            np.multiply(xa_conj.T, prod.reshape(t, nr, nx).transpose(0, 2, 1), out=terms[:t])
+            terms[:t].sum(axis=-1, out=forms[lo:lo + t])
+        return forms
 
 
 def _needed_blocks(fmat: np.ndarray, m: int, kinds) -> dict[tuple[str, str], np.ndarray]:
@@ -352,10 +395,10 @@ def indicator_forms_at(points: np.ndarray, fmat: np.ndarray, m: int, medium: Med
     r = 0 and r = m have one member and the others two).  Each needed 2m x 2m block
     is split once into its four (m+1) x (m+1) member parts; for each row of points
     with equal y the y phases are folded into them, giving an (m+1) x (m+1) kernel
-    K, and the forms are conj(X_a)^T (K X_b) column by column.  Only the blocks the
-    kinds need are used (pp for PP, ss for SS, all four for FF); the FF form is the
-    sum of the four block forms, so PP and SS come free with it.  Works on masked
-    (zero-filled) matrices as well.
+    K, and the forms are conj(X_a)^T (K X_b) column by column, a batch of rows at a
+    time (_Fold.rows).  Only the blocks the kinds need are used (pp for PP, ss for
+    SS, all four for FF); the FF form is the sum of the four block forms, so PP and
+    SS come free with it.  Works on masked (zero-filled) matrices as well.
 
     When the points are the full x-fastest tensor grid of their distinct
     coordinates and each axis is np.linspace of its ends bit for bit
@@ -363,8 +406,8 @@ def indicator_forms_at(points: np.ndarray, fmat: np.ndarray, m: int, medium: Med
     for its own band k_a + k_b, with the x tables of the skeleton columns built once
     per block, and interpolated to the grid, G -> B_y^T G B_x, before the modulus.
     Any other point set, a tensor grid with unequal spacing included, is evaluated
-    exactly: runs of two or more points with equal y by the same row routine, single
-    points by one batched unfolded product.
+    exactly: runs of two or more points with equal y by the same routine, one row
+    each, single points by one batched unfolded product.
     """
     q = np.asarray(q, float)
     points = np.atleast_2d(np.asarray(points, float))
@@ -385,7 +428,7 @@ def indicator_forms_at(points: np.ndarray, fmat: np.ndarray, m: int, medium: Med
             sx, bx = _axis_skeleton(xs, k[a] + k[b])
             sy, by = _axis_skeleton(ys, k[a] + k[b])
             xa_conj, xb = fold.tables(a, b, sx)
-            g = np.array([fold.row(a, b, iy, xa_conj, xb) for iy in sy])
+            g = fold.rows(a, b, sy, xa_conj, xb)
             if by is not None:
                 g = by.T @ g
             if bx is not None:
@@ -401,7 +444,8 @@ def indicator_forms_at(points: np.ndarray, fmat: np.ndarray, m: int, medium: Med
             direct, forms[a + b] = forms[a + b], np.empty(len(points), complex)
             forms[a + b][lone] = direct
             for lo, hi in zip(starts[folded], ends[folded]):
-                forms[a + b][lo:hi] = fold.row(a, b, yi[lo], *fold.tables(a, b, xi[lo:hi]))
+                forms[a + b][lo:hi] = fold.rows(a, b, yi[lo:lo + 1],
+                                                *fold.tables(a, b, xi[lo:hi]))[0]
     if IndicatorKind.FF in kinds:
         forms["ff"] = sum(forms.values())
     return forms

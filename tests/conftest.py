@@ -1,3 +1,4 @@
+import ctypes
 import sys
 from pathlib import Path
 
@@ -55,3 +56,26 @@ def msr_disk_m16(medium):
     """Origin-centered unit disk at m=16, n=128 (discrete rotational symmetry)."""
     scene = Scene(((BoundaryCurve(BoundaryKind.CIRCLE), BoundaryCondition.DIRICHLET),))
     return synthesize_msr(scene, medium, 16, 128)
+
+
+@pytest.fixture(scope="class")
+def one_blas_thread():
+    """numpy's OpenBLAS at one thread for a test class, where its thread symbols exist.
+
+    With more threads OpenBLAS may split a product differently by its row count, and
+    so round a row differently; at one thread a row's bits do not depend on the rows
+    around it.
+    """
+    libs = Path(np.__file__).parent.parent.joinpath("numpy.libs").glob("*openblas*")
+    for lib in map(ctypes.CDLL, map(str, libs)):
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        set_threads = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and set_threads is not None:
+            before = get()
+            set_threads(1)
+            try:
+                yield
+            finally:
+                set_threads(before)
+            return
+    yield

@@ -20,6 +20,9 @@ shared-work evaluation is checked bit for bit.
 The reference MSR/1 reader last reads a file as text, one line at a time, each
 number by numpy's string conversion (float() itself); the package's array
 reader is checked against it bit for bit and message for message.
+
+The reference fold row evaluates the indicator fold one skeleton row at a time;
+the package's batches of rows are checked against it bit for bit.
 """
 
 import mpmath as mp
@@ -482,3 +485,33 @@ def reference_load_msr(path):
     return MSRMatrix(m, np.vstack(rows), lam, mu, omega, scene=header["scene"], bc=header["bc"],
                      delta=delta, seed=seed, noise_norm=header["norm"],
                      retrieval=header.get("retrieval"))
+
+
+def reference_fold_row(fold, a, b, iy, xa_conj, xb):
+    """Forms of block ab of an indicators._Fold on the one row iy, at the columns of its
+    x tables conj(X_a), X_b: the per-row routine against which the batched
+    _Fold.rows is checked bit for bit.
+
+    The y phases of the row are folded into the member parts that are not all zero,
+    giving the kernel K on the live classes; the forms are conj(X_a)^T (K X_b)
+    column by column.
+    """
+    members = fold.members[a, b]
+    if not members:
+        return np.zeros(xb.shape[1], complex)
+    part, (rows, cols) = fold.parts[a, b], fold.classes[a, b]
+    kern, tmp, tmp2 = np.empty((3,) + part.shape[2:], complex)
+    ya, yb = np.conj(fold.yphase[a][iy][:, rows]), fold.yphase[b][iy][:, cols]
+    first = True
+    for i, (j0, *rest) in members:
+        acc, spare = (kern, tmp) if first else (tmp, tmp2)
+        np.multiply(part[i, j0], yb[j0], out=acc)
+        for j in rest:
+            np.multiply(part[i, j], yb[j], out=spare)
+            acc += spare
+        np.multiply(ya[i][:, None], acc, out=acc)
+        if not first:
+            kern += acc
+        first = False
+    # column-major, so that each column is summed pairwise
+    return np.multiply(xa_conj, kern @ xb, order="F").sum(axis=0)

@@ -197,6 +197,13 @@ class TestSharedParsers:
             parse_grid("1 0 0 1 5 5")
         with pytest.raises(ConfigValueError):
             parse_grid("-3 3 -2 2 9 5.5")
+        # finite ends whose steps overflow to inf and NaN, or whose points repeat
+        with pytest.raises(ConfigValueError, match="x axis is not finite and strictly"):
+            parse_grid("-1e308 1e308 -1 1 5 5")
+        with pytest.raises(ConfigValueError, match="x axis is not finite and strictly"):
+            parse_grid("0 5e-324 0 1 5 5")
+        with pytest.raises(ConfigValueError, match="y axis is not finite and strictly"):
+            parse_grid("0 1 0 5e-324 5 5")
 
     def test_q(self):
         assert parse_q("0 1") == (0.0, 1.0)
@@ -215,6 +222,10 @@ class TestSharedParsers:
             parse_arcs("(0,1)")
         with pytest.raises(ConfigValueError, match="empty"):
             parse_arcs("  ")
+        for spec, arc in (("[0,inf)", "[0,inf)"), ("[nan,1)", "[nan,1)"),
+                          ("[0,1) [-inf,2)", "[-inf,2)")):
+            with pytest.raises(ConfigValueError, match=re.escape(f"finite, got '{arc}'")):
+                parse_arcs(spec)
 
 
 class TestPresetTable:
@@ -643,6 +654,25 @@ class TestCli:
         "43-experiment-retrieve-full-circle": (["experiment", "--config", "{cfg}"],
                                                TINY_KITE + "observed = arcs [0,0)\n"
                                                "retrieve = reciprocity\n", None, 2),
+        # non-finite arc bounds: [0,inf) would select direction 0 alone
+        "44-indicate-arc-inf": (["indicate", "--msr", "{msr}", "--observed", "[0,inf)"],
+                                None, None, 2),
+        "45-indicate-arc-nan": (["indicate", "--msr", "{msr}", "--incident", "[nan,1)"],
+                                None, None, 2),
+        "46-experiment-arc-inf": (["experiment", "--config", "{cfg}"],
+                                  TINY_KITE + "observed = arcs [0,1.57) [-inf,0)\n", None, 2),
+        # finite grid ends whose linspace overflows, or whose points repeat
+        "47-indicate-grid-overflow": (["indicate", "--msr", "{msr}", "--grid",
+                                       "-1e308 1e308 -1 1 5 5"], None, None, 2),
+        "48-indicate-grid-repeats": (["indicate", "--msr", "{msr}", "--grid",
+                                      "0 5e-324 0 1 5 5"], None, None, 2),
+        "49-experiment-grid-overflow": (["experiment", "--config", "{cfg}"],
+                                        TINY_KITE.replace("grid = -3 3 -3 3 9 9",
+                                                          "grid = -1 1 -1e308 1e308 5 5"),
+                                        None, 2),
+        "50-experiment-grid-repeats": (["experiment", "--config", "{cfg}"],
+                                       TINY_KITE.replace("grid = -3 3 -3 3 9 9",
+                                                         "grid = 0 5e-324 0 1 5 5"), None, 2),
     }
 
     @pytest.mark.parametrize("row", sorted(BAD_INPUTS))
@@ -705,7 +735,10 @@ class TestCli:
     # "" alone is the empty arc list
     ARCS = st.lists(st.one_of(ARC, ARC, ARC,
                               st.sampled_from(("[0,1]", "(0,1)", "[0;1)", "[,)", "[0,1.57",
-                                               "0,1.57)", "[]", ""))),
+                                               "0,1.57)", "[]", "")),
+                              # non-finite bounds that once selected grid directions
+                              st.sampled_from(("[0,inf)", "[3.141592653589793,-inf)",
+                                               "[nan,1)"))),
                     min_size=1, max_size=2).map(" ".join)
     MASKS = st.one_of(st.just("full"), ARCS.map("arcs {}".format),
                       st.lists(SMALL_INTS, max_size=3).map(" ".join).map("indices {}".format),
@@ -799,9 +832,23 @@ class TestCli:
                     argv += [flag, spec]
             rc, err = self.run_quietly(argv)
             assert rc in (0, 2, 3, 4)
+            if any(not np.isfinite(bounds).all()
+                   for bounds in map(self.arc_bounds, f"{observed or ''} {incident or ''}".split())
+                   if bounds is not None):
+                assert rc == 2
             assert "Traceback" not in err
             written = sorted(os.listdir(out)) if os.path.exists(out) else []
             assert written == (["indicator_ss.csv", "indicator_ss.pgm"] if rc == 0 else [])
+
+    @staticmethod
+    def arc_bounds(tok):
+        """(a, b) of a well-formed arc token '[a,b)', or None."""
+        if not (tok.startswith("[") and tok.endswith(")")):
+            return None
+        try:
+            return tuple(float(v) for v in tok[1:-1].split(","))
+        except ValueError:
+            return None
 
     def test_failed_msr_write_leaves_no_file(self, tmp_path, tiny_kite, monkeypatch):
         import elastoscan.harness as hz

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from elastoscan import indicators
-from elastoscan.aperture import apply_mask
+from elastoscan.aperture import apply_mask, retrieved_forms
 from elastoscan.elastic import Medium, point_source_farfield
 from elastoscan.forward import MSRMatrix, add_noise, direction_grid, synthesize_msr
 from elastoscan.harness import MaskSpec
@@ -17,9 +17,11 @@ from elastoscan.indicators import (
     IndicatorKind,
     SamplingGrid,
     indicator_fields,
+    indicator_forms_at,
     indicator_values_at,
     skeleton_summary,
 )
+from oracles import reference_fold_row
 
 Q_DEFAULT = (1.0, 0.0)
 FF = IndicatorKind.FF
@@ -435,6 +437,125 @@ class TestVoidClasses:
         for ab in fold.parts:
             assert fold.classes[ab] == (slice(None), slice(None))
             assert fold.members[ab] == [(0, (0, 1)), (1, (0, 1))]
+
+
+def reference_rows(fold, a, b, iys, xa_conj, xb):
+    """_Fold.rows one row at a time, by the reference per-row routine."""
+    return np.array([reference_fold_row(fold, a, b, iy, xa_conj, xb) for iy in iys]
+                    ).reshape(len(iys), xb.shape[1])
+
+
+def batched_and_per_row(evaluate):
+    """The forms of evaluate() as the package computes them, the same forms with every
+    _Fold.rows call run one row at a time by the reference routine, and (rows, rows per
+    batch) of each batched call on a block that holds data."""
+    batches, rows = [], indicators._Fold.rows
+
+    def spy(fold, a, b, iys, xa_conj, xb):
+        if fold.members[a, b]:
+            nr, nc = fold.parts[a, b].shape[2:]
+            batches.append((len(iys), indicators._rows_per_batch(nr, nc, xb.shape[1])))
+        return rows(fold, a, b, iys, xa_conj, xb)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(indicators._Fold, "rows", spy)
+        batched = evaluate()
+        mp.setattr(indicators._Fold, "rows", reference_rows)
+        per_row = evaluate()
+    return batched, per_row, batches
+
+
+def assert_same_bits(got, ref):
+    assert list(got) == list(ref)
+    for key in ref:
+        assert got[key].tobytes() == ref[key].tobytes(), key
+
+
+@pytest.mark.usefixtures("one_blas_thread")
+class TestBatchedRows:
+    """_Fold.rows against the per-row routine of tests/oracles.py, bit for bit."""
+
+    M = 64
+
+    @pytest.fixture(scope="class")
+    def cases(self, msr_kite_m64_noisy):
+        """name -> (4m x 4m data, points) at m = 64 on a 161 x 157 grid of [-6, 6]^2: 157
+        rows, a prime number, leave a shorter last batch whatever the batch."""
+        m, msr = self.M, msr_kite_m64_noisy
+        every = np.ones(2 * m, dtype=bool)
+        quarter = MaskSpec(arcs=((0.0, np.pi / 2),)).directions(m)
+        points = SamplingGrid(-6.0, 6.0, -6.0, 6.0, 161, 157).points()
+        zero_sp = msr.assembled()
+        zero_sp[2 * m:, :2 * m] = 0.0
+        # every grid row a run of the fold, and two lone points
+        scattered = np.vstack([points[:40 * 161], [[0.3, 10.0], [-4.0, 11.0]]])
+        return {
+            "full": (msr.assembled(), points),
+            "observed-arc": (apply_mask(msr, quarter, every).data, points),
+            "few-incident": (apply_mask(msr, every, MaskSpec(indices=(1, 40, 77))
+                                        .directions(m)).data, points),
+            # one live row class: one row per batch
+            "one-observed": (apply_mask(msr, MaskSpec(indices=(6,)).directions(m), every)
+                             .data, points),
+            "zero-block": (zero_sp, points),
+            "scattered-runs": (msr.assembled(), scattered),
+        }
+
+    @pytest.mark.parametrize("name", ["full", "observed-arc", "few-incident", "one-observed",
+                                      "zero-block", "scattered-runs"])
+    def test_forms_equal_per_row_routine(self, cases, medium, name):
+        fmat, points = cases[name]
+        got, ref, batches = batched_and_per_row(
+            lambda: indicator_forms_at(points, fmat, self.M, medium, Q_DEFAULT, IndicatorKind))
+        assert_same_bits(got, ref)
+        if name == "one-observed":
+            assert {batch for _, batch in batches} == {1}
+        elif name == "scattered-runs":
+            assert {rows for rows, _ in batches} == {1}
+        else:
+            # batches of several rows, and a last batch that is shorter
+            assert any(batch > 1 and rows % batch for rows, batch in batches)
+        if name == "zero-block":
+            assert not got["sp"].any()
+
+    def test_doubly_known_pass_equals_per_row_routine(self, msr_kite_m64_noisy, medium):
+        m = self.M
+        masked = apply_mask(msr_kite_m64_noisy, MaskSpec(arcs=((0.0, np.pi / 2),)).directions(m),
+                            np.ones(2 * m, dtype=bool))
+        grid = SamplingGrid(-6.0, 6.0, -6.0, 6.0, 161, 157)
+        limited = indicator_forms_at(grid.points(), masked.data, m, medium, Q_DEFAULT,
+                                     IndicatorKind)
+        got, ref, batches = batched_and_per_row(
+            lambda: retrieved_forms(masked, limited, grid, IndicatorKind, Q_DEFAULT))
+        assert_same_bits(got, ref)
+        assert any(batch > 1 and rows % batch for rows, batch in batches)
+
+    @settings(max_examples=50, deadline=None)
+    @given(m=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           omega=st.floats(0.5, 30.0), nx=st.integers(2, 40), ny=st.integers(2, 40),
+           layout=st.sampled_from(["grid", "runs", "scattered"]),
+           cap=st.one_of(st.integers(1, 100_000), st.just(indicators.BATCH_BYTES)),
+           data=st.data())
+    def test_any_masks_grids_and_batches(self, m, seed, omega, nx, ny, layout, cap, data):
+        observed, incident = (data.draw(arrays(bool, 2 * m)) for _ in range(2))
+        kinds = data.draw(st.lists(st.sampled_from(list(IndicatorKind)), min_size=1,
+                                   max_size=3, unique=True))
+        rng = np.random.default_rng(seed)
+        full = rng.normal(size=(4 * m, 4 * m)) + 1j * rng.normal(size=(4 * m, 4 * m))
+        msr = MSRMatrix(m, full, 1.0, 1.0, omega, scene="circle@(0.0,0.0)*1.0",
+                        bc="dirichlet")
+        fmat = apply_mask(msr, observed, incident).data
+        points = SamplingGrid(-6.0, 6.0, -4.0, 5.0, nx, ny).points()
+        if layout == "runs":
+            points = np.vstack([points, [[50.0, 50.0]]])
+        elif layout == "scattered":
+            points = data.draw(point_sets())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(indicators, "BATCH_BYTES", cap)
+            got, ref, _ = batched_and_per_row(
+                lambda: indicator_forms_at(points, fmat, m, Medium(1.0, 1.0, omega), Q_DEFAULT,
+                                           kinds))
+        assert_same_bits(got, ref)
 
 
 class TestStabilityBound:
