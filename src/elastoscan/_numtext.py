@@ -10,15 +10,22 @@ Both rest on one exact scaling.  For 1e-6 < |x| < 1e17 the decimal exponent X
 lies in -6..16, so 10**(16 - X) is exact in binary64 and Dekker's two-product
 gives |x| * 10**(16 - X) = p + e exactly; p >= 2**53 is an integer, so the
 scaled value is D + frac with the 17-digit integer D = p + floor(e) and
-0 <= frac = e - floor(e) < 1, both exact.  format_rows lays out 0 and -0 as
-arrays too.  Every other value (subnormals, 0 < |x| <= 1e-6, |x| >= 1e17,
-non-finite, and in repr_cells also 0 and -0) is formatted one at a time by
-Python itself.
+0 <= frac = e - floor(e) < 1, both exact.  format_rows takes the array path for
+1e-4 <= |x| < 1e17, where "%.17g" writes d.ddd or 0.000ddd, and for 0 and -0;
+repr_cells for 1e-6 < |x| < 1e17.  Every other value (subnormals, tiny
+values, |x| >= 1e17, non-finite, and in repr_cells also 0 and -0) is
+formatted one at a time by Python itself.
+
+format_rows lays out each number in a 24-byte cell held as three little-endian
+words, by one sequence of word operations for the whole block: the digit
+characters of D, the trailing zeros after the point masked off, the digits
+after the point shifted up one byte to make room for it, and the sign, point,
+leading '0.000' and separator taken from tables indexed by the number's class.
 
 read_tokens is the mirror of format_rows: the value float() gives for each
 token of a text, for a block of tokens at a time.  A token -?digits[.digits]
-with at most 17 significant digits (every number format_rows writes for
-1e-4 <= |x| < 1e17, and 0 and -0) is read as an array: its digits make an
+with at most 17 significant digits (every number format_rows writes as an
+array) is read as an array: its digits make an
 integer N by SWAR arithmetic on 64-bit words, and its value is N / 10**k,
 correctly rounded by Clinger's one division where N < 2**53 and otherwise
 decided by the same two-product, which gives the exact residual
@@ -32,11 +39,15 @@ import numpy as np
 
 CHUNK_VALUES = 8192                 # numbers per block: the temporaries stay in cache
 REPR_CELL = 24                      # longest repr of a float: '-2.2250738585072014e-308'
-_CELL = 25                          # longest "%.17g" text (24 bytes) plus its separator
 _POW10 = 10.0 ** np.arange(23)      # 10**k is exact in binary64 for k <= 22
 _POW10_INT = 10 ** np.arange(19, dtype=np.int64)
-_QUADS = (48 + np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
-          ).astype(np.uint8).view(np.uint32).ravel()      # "0000" .. "9999"
+# A cell of 24 bytes is three little-endian words: byte j is byte j % 8 of word j // 8.
+_LE64 = np.dtype("<u8")
+_QUAD_WORDS = ((48 + np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10)
+               << np.arange(0, 32, 8)).sum(axis=1).astype(np.uint64)   # "0000" .. "9999"
+_FIFTH = np.uint64(0xCCCCCCCCCCCCCCCD)                  # 5 * _FIFTH = 1 mod 2**64
+_TENTH = np.uint64((2**64 - 1) // 10)
+_1, _32, _63, _64 = (np.uint64(b) for b in (1, 32, 63, 64))
 
 
 def _veltkamp(a):
@@ -81,105 +92,149 @@ def _scaled(a):
     return X, e, f, D
 
 
-def _chars17(D):
-    """The 17 digit characters of each D in [0, 10**17), in columns 3..19 of 24-byte rows
-    (n x 24 uint8)."""
+def _words17(D):
+    """The 17 digit characters of each D in [0, 10**17) in bytes 3..19 of a cell, as
+    its three words (3 x n); bytes 0..2 hold '000' and bytes 20..23 are void."""
     hi = D // 10**8
     lo = (D - hi * 10**8).astype(np.uint32)
     hi = hi.astype(np.uint32)
-    q = hi // 10000
-    quads = np.empty((D.size, 6), np.uint32)
-    quads[:, 0], quads[:, 1] = _QUADS[q // 10000], _QUADS[q % 10000]
-    quads[:, 2] = _QUADS[hi - q * 10000]
-    q = lo // 10000
-    quads[:, 3], quads[:, 4] = _QUADS[q], _QUADS[lo - q * 10000]
-    return quads.view(np.uint8)
+    q, r = hi // 10000, lo // 10000
+    t = q // 10000
+    words = np.empty((3, D.size), np.uint64)
+    np.bitwise_or(_QUAD_WORDS.take(t), _QUAD_WORDS.take(q - t * 10000) << _32, out=words[0])
+    np.bitwise_or(_QUAD_WORDS.take(hi - q * 10000), _QUAD_WORDS.take(r) << _32, out=words[1])
+    _QUAD_WORDS.take(lo - r * 10000, out=words[2])
+    return words
 
 
-def _digits17(a):
-    """17 significant digits of each a in (1e-6, 1e17), rounded half-even.
+def _chars17(D):
+    """The cells of _words17 as bytes (n x 24 uint8)."""
+    return np.ascontiguousarray(_words17(D).T, _LE64).view(np.uint8)
 
-    Returns the digit characters (n x 17 uint8, a writable view) and the
-    decimal exponent X: a rounds to d.dddd * 10**X.
+
+def _tenths(x):
+    """(x / 10, whether 10 divides x) for uint64 x; the quotient is exact where it does.
+
+    x * _FIFTH is x / 5 where 5 divides x; rotated right by one bit it is x / 10
+    where 10 divides x, and otherwise exceeds (2**64 - 1) / 10.
     """
+    r = x * _FIFTH
+    r = (r >> _1) | (r << _63)
+    return r, r <= _TENTH
+
+
+def _layouts():
+    """(in place, shifted, fill, shift) of every class of value, the tables format_rows
+    lays out a cell with: cell = (digits & in place) | ((digits << shift) & shifted) | fill.
+
+    The digits are those of _words17, in bytes 3..19.  A value in [1e-4, 1e17) of
+    exponent X (-4..16), sign bit neg and k digits kept (1..17) is class
+    34 (X + 4) + 17 neg + k - 1; then come the classes of 0, of -0 and of a value
+    written by "%.17g" itself.  The fill is the prefix ('-', and '0.000' for
+    X < 0) from byte 0, the point, and the separator ' ' in byte 23.  A prefix of
+    more than three bytes moves the digits up by the excess, and a point after
+    digit X + 1 moves the digits after it up by one byte.
+    """
+    X, neg, k = (a.reshape(-1, 1) for a in np.meshgrid(
+        np.arange(-4, 17), (0, 1), np.arange(1, 18), indexing="ij"))
+    j = np.arange(24)
+    lead = np.maximum(X + 1, 0)                 # digits before the point
+    dotted = (X >= 0) & (k > lead)
+    prefix = neg + np.where(X < 0, 1 - X, 0)    # bytes of "-0.000"
+    shift = np.maximum(prefix - 3, 0) + dotted
+    fill = np.where(j < prefix, np.frombuffer(b"-0.000", np.uint8)[
+        np.minimum(j + 1 - neg, 5)], np.where(dotted & (j == 3 + lead), 46, 0))
+    masks = [(j >= 3) & (j < 3 + np.minimum(k, lead)),
+             (j >= 3 + shift + lead) & (j < 3 + shift + k)]
+    other = np.frombuffer(b"0".ljust(24, b"\0") + b"-0".ljust(24, b"\0") + bytes(24), np.uint8)
+    fill = np.vstack([fill, other.reshape(3, 24)])
+    fill[:, 23] = 32
+    words = [np.vstack([255 * m, np.zeros((3, 24), int)]) for m in masks] + [fill]
+    return [np.ascontiguousarray(w.astype(np.uint8).view(_LE64).T, np.uint64) for w in words] \
+        + [np.append(8 * shift.ravel(), [0, 0, 0]).astype(np.uint64)]
+
+
+_IN_PLACE, _SHIFTED, _FILL, _SHIFT = _layouts()
+_ZERO = 21 * 34                             # the class of 0; -0 and "%.17g" follow
+_LINE = np.uint64((32 ^ 10) << 56)          # turns the separator of a cell into '\n'
+
+
+def _cells(a, neg):
+    """The cell words (3 x n) of each value of magnitude a in [1e-4, 1e17) and sign bit neg."""
     X, e, f, D = _scaled(a)
     half = f + 0.5
     D += (e > half) | ((e == half) & (D & 1).astype(bool))
     # No carry reaches 10**17: that would need a double within 5e-18 (relative)
     # below a power of ten, and in (1e-6, 1e17) the nearest lies 4.5e-17 away.
-    return _chars17(D)[:, 3:20], X
+    k = np.full(D.size, 17)                     # digits kept: all but trailing zeros ...
+    tenth, whole = _tenths(D.view(np.uint64))
+    live = np.flatnonzero(whole)
+    tenth = tenth[live]
+    while live.size:
+        k[live] -= 1
+        tenth, whole = _tenths(tenth)
+        live, tenth = live[whole], tenth[whole]
+    np.maximum(k, X + 1, out=k)                 # ... after the point
+    c = X * 34 + neg * 17 + k + (4 * 34 - 1)
+    words = _words17(D)
+    shift = _SHIFT.take(c)
+    moved = words << shift                      # the cell as a 192-bit number, shifted
+    moved[1:] |= words[:2] >> (_64 - shift)
+    for word, up, in_place, shifted, fill in zip(words, moved, _IN_PLACE, _SHIFTED, _FILL):
+        word &= in_place.take(c)
+        up &= shifted.take(c)
+        word |= up
+        word |= fill.take(c)
+    return words
 
 
 def format_rows(values: np.ndarray) -> bytes:
     """The bytes of "%.17g" % v for every value: ' ' between values, a newline after each row.
 
-    Each value gets a fixed-width cell of characters padded with void (zero)
-    bytes; the voids are dropped once for the whole block.  Values in
-    (1e-6, 1e17) and exact zeros ("0", "-0" where the sign bit is set) are laid
-    out as arrays, the rest by "%.17g" itself.
+    Each value gets a 24-byte cell of characters padded with void (zero) bytes;
+    the voids are dropped once for the whole block.  Values with 1e-4 <= |v| < 1e17
+    (written d.ddd or 0.000ddd) are laid out as arrays by one sequence of word
+    operations: their 17 digits rounded half-even, the trailing zeros after the
+    point masked off, and the prefix, point and separator placed by the tables of
+    _layouts.  Exact zeros ("0", "-0" where the sign bit is set) take a fixed cell;
+    the other values an empty one, and their text from "%.17g" itself.
     """
     vals = values.ravel()
     mag = np.abs(vals)
-    fast = (mag > 1e-6) & (mag < 1e17)          # 1e-6 rounds below 10**-6, so X >= -6
-    cells = np.zeros((vals.size, _CELL), np.uint8)
-    idx = np.flatnonzero(fast)
-    digits, X = _digits17(mag[idx])
-    lead = np.where(X < -4, 0, X)               # digits before the point are kept (0..lead)
-    dot = np.where(lead < 16, 46, 0).astype(np.uint8)
-    ends0 = np.flatnonzero(digits[:, 16] == 48)  # strip trailing zeros after the point
-    if ends0.size:
-        sub = digits[ends0]
-        last = 16 - np.argmax(sub[:, ::-1] != 48, axis=1)
-        sub[np.arange(17) > np.maximum(last, lead[ends0])[:, None]] = 0
-        digits[ends0] = sub
-        dot[ends0[last <= lead[ends0]]] = 0
-    # one block per exponent: sort by X, lay out each run with fixed columns
-    order = np.argsort(X.astype(np.int8), kind="stable")   # int8: a radix sort
-    counts = np.bincount(X + 6, minlength=23)
-    digits, dot = digits[order], dot[order]
-    block = np.zeros((idx.size, _CELL), np.uint8)
-    block[:, 0] = np.where(vals[idx[order]] < 0, 45, 0)
-    end = 0
-    for c in np.flatnonzero(counts) - 6:
-        start, end = end, end + counts[c + 6]
-        dig, cell = digits[start:end], block[start:end]
-        if c >= 0:                              # ddd.ddd
-            cell[:, 1:c + 2] = dig[:, :c + 1]
-            cell[:, c + 2] = dot[start:end]
-            cell[:, c + 3:19] = dig[:, c + 1:]
-        elif c >= -4:                           # 0.000ddd
-            cell[:, 1:2 - c] = np.frombuffer(b"0.000"[:1 - c], np.uint8)
-            cell[:, 2 - c:19 - c] = dig
-        else:                                   # d.ddde-0X
-            cell[:, 1] = dig[:, 0]
-            cell[:, 2] = dot[start:end]
-            cell[:, 3:19] = dig[:, 1:]
-            cell[:, 19:23] = np.frombuffer(b"e-0%d" % -c, np.uint8)
-    cells[idx[order]] = block
-    zero = np.flatnonzero(mag == 0)
-    cells[zero, 0] = np.where(np.signbit(vals[zero]), 45, 0)
-    cells[zero, 1] = 48
-    slow = np.flatnonzero(~fast & (mag != 0))
-    if slow.size:
-        text = "".join(("%.17g" % v).ljust(_CELL - 1, "\0") for v in vals[slow].tolist())
-        cells[slow, :-1] = np.frombuffer(text.encode(), np.uint8).reshape(-1, _CELL - 1)
-    cells[:, -1] = 32
-    cells.reshape(values.shape[0], -1)[:, -1] = 10
-    return cells.tobytes().translate(None, b"\0")
+    neg = np.signbit(vals)
+    fast = (mag >= 1e-4) & (mag < 1e17)
+    if fast.all():
+        words, slow = _cells(mag, neg), []
+    else:                                       # the array values computed apart
+        words = np.empty((3, vals.size), np.uint64)
+        other = np.where(mag == 0, _ZERO + neg, _ZERO + 2)
+        for word, fill in zip(words, _FILL):
+            fill.take(other, out=word)
+        idx = np.flatnonzero(fast)
+        words[:, idx] = _cells(mag[idx], neg[idx])
+        slow = np.flatnonzero(~fast & (mag != 0))
+    words[2].reshape(values.shape[0], -1)[:, -1] ^= _LINE
+    text = words.T.astype(_LE64, copy=False).tobytes()
+    if len(slow):
+        parts, start = [], 0
+        for cut, v in zip((24 * slow).tolist(), vals[slow].tolist()):
+            parts += [text[start:cut], b"%.17g" % v]
+            start = cut
+        parts.append(text[start:])
+        text = b"".join(parts)
+    return text.translate(None, b"\0")
 
 
 # The reader's 24-byte windows hold a token right-aligned, as three little-endian
 # words (byte j of the window is byte j % 8 of word j // 8); a block of windows
 # is laid out word by word, 3 x n.
 _WINDOW = 24
-_LE64 = np.dtype("<u8")
 _KEEP = (255 * (np.arange(_WINDOW) >= _WINDOW - np.arange(_WINDOW + 1)[:, None])
          ).astype(np.uint8).view(_LE64).T.astype(np.uint64, order="C")  # column L: last L bytes
 # word w times 0x01 in its byte i: the top byte is 23 - (8 w + i), the bytes after i
 _AFTER = (np.arange(_WINDOW)[::-1].reshape(3, 8)[:, ::-1].astype(np.uint8).copy()
           .view(_LE64).astype(np.uint64))
 _ONES = np.uint64(0x0101010101010101)
-_FIFTH = np.uint64(0xCCCCCCCCCCCCCCCD)                  # 5 * _FIFTH = 1 mod 2**64
 _MANTISSA = 2**52 - 1
 
 

@@ -19,7 +19,9 @@ Exit codes, mapped from exceptions in main() alone:
 
     0  success
     2  usage error (an unknown flag or subcommand, a flag the subcommand does not
-       take), ConfigError, or any other ValueError (bad config, flag or argument)
+       take), ConfigError, or any other ValueError (bad config, flag or argument),
+       or MemoryError (the input needs more memory than is available, such as a
+       huge grid or m)
     3  NumericError or numpy.linalg.LinAlgError (singular system, degenerate field)
     4  OSError or MsrFormatError (unreadable or unwritable path, malformed MSR file)
 """
@@ -226,6 +228,9 @@ def main(argv=None) -> int:
         return EXIT_IO
     except ValueError as exc:          # after LinAlgError and MsrFormatError, its subclasses
         print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError:
+        print("invalid input: the input needs more memory than is available", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -20,7 +20,10 @@ the complex-argument AMOS routines are kept only as the test oracle.
 Radial functions
 ----------------
 The Bessel values at r (hankel_pack for the kernel, logcoef_pack for its
-logarithmic coefficient) feed two sets of radial functions, each holding only
+logarithmic coefficient) share their J values: a caller that needs both packs
+at one r, as the singular self blocks do, evaluates bessel_j once and passes
+it to each, so j0/j1 run once per argument and y0/y1 only for the kernel.
+The packs feed two sets of radial functions, each holding only
 what its kernel reads: green_radial's (phi1, phi2) for green_of_w and
 traction_radial's (phi1', b, b', D, W) for traction_of_green.  The two tensor
 functions take them as input, so a caller that meets the same r twice
@@ -106,28 +109,37 @@ def _perp_entry(v: np.ndarray, a: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Radial kernel coefficients
 # ---------------------------------------------------------------------------
-def hankel_pack(r, medium: Medium) -> tuple:
+def bessel_j(r, medium: Medium) -> tuple:
+    """(J0(ks r), J1(ks r), J0(kp r), J1(kp r)): the J values both packs are built from."""
+    zs, zp = medium.k_s * r, medium.k_p * r
+    return j0(zs), j1(zs), j0(zp), j1(zp)
+
+
+def hankel_pack(r, medium: Medium, j=None) -> tuple:
     """Bessel values of the dynamic kernel: (H0(ks r), H1(ks r), H0(kp r), H1(kp r)). r > 0.
 
     H_a(z) = J_a(z) + i Y_a(z) from the real-argument Cephes routines j0/j1/y0/y1,
     z = k r formed once per wave number.  Their relative error stays below
-    z * eps, the rounding z itself already carries.
+    z * eps, the rounding z itself already carries.  j is bessel_j(r, medium)
+    where the caller has it.
     """
     zs, zp = medium.k_s * r, medium.k_p * r
-    return (j0(zs) + 1j * y0(zs), j1(zs) + 1j * y1(zs),
-            j0(zp) + 1j * y0(zp), j1(zp) + 1j * y1(zp))
+    args = ((j0, y0, zs), (j1, y1, zs), (j0, y0, zp), (j1, y1, zp))
+    if j is None:                   # each J only until its H is formed
+        return tuple(jf(z) + 1j * yf(z) for jf, yf, z in args)
+    return tuple(ja + 1j * yf(z) for ja, (_, yf, z) in zip(j, args))
 
 
-def logcoef_pack(r, medium: Medium) -> tuple:
+def logcoef_pack(r, medium: Medium, j=None) -> tuple:
     """Bessel values of the coefficient of ln(4 sin^2((t-tau)/2)) in the same kernels.
 
     Obtained by the substitution H_a(k r) -> (i/pi) J_a(k r), which extracts
     the logarithmic part of every Hankel function while preserving the
-    pole-cancelling combinations.
+    pole-cancelling combinations.  j is bessel_j(r, medium) where the caller
+    has it.
     """
-    zs, zp = medium.k_s * r, medium.k_p * r
     c = 1j / np.pi
-    return c * j0(zs), c * j1(zs), c * j0(zp), c * j1(zp)
+    return tuple(c * v for v in (bessel_j(r, medium) if j is None else j))
 
 
 def _g_derivatives(r, h0s, h1s, h0p, h1p, medium: Medium):

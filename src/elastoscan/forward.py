@@ -97,6 +97,7 @@ from .elastic import (
     Medium,
     PlaneWave,
     PointSource,
+    bessel_j,
     green_of_w,
     green_radial,
     hankel_pack,
@@ -186,17 +187,16 @@ def cauchy_strength(medium: Medium) -> np.ndarray:
     return c * np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
-def _mirrored(r: np.ndarray, upper, radial_fn, pack_fn, medium: Medium) -> list[np.ndarray]:
-    """radial_fn's functions on a symmetric n x n distance array, each unordered pair once.
+def _mirrored(n: int, upper, values) -> list[np.ndarray]:
+    """n x n symmetric arrays of values given on the upper triangle (indices upper,
+    diagonal included).
 
-    They are evaluated on the upper triangle (indices upper, diagonal included)
-    and mirrored: r[i, j] = r[j, i] holds exactly, since x_i - x_j = -(x_j - x_i)
+    The functions of a symmetric distance array are evaluated once per unordered
+    pair and mirrored: r[i, j] = r[j, i] holds exactly, since x_i - x_j = -(x_j - x_i)
     in floating point.
     """
-    n = r.shape[0]
-    rv = r[upper]
     out = []
-    for v in radial_fn(rv, pack_fn(rv, medium), medium):
+    for v in values:
         full = np.empty((n, n), dtype=v.dtype)
         full[upper] = v
         full[upper[1], upper[0]] = v
@@ -217,13 +217,19 @@ def _dirichlet_self_block(quad: Quadrature, medium: Medium, out) -> None:
     w[diag] = (1.0, 0.0)
     r = np.linalg.norm(w, axis=-1)
     upper = np.triu_indices(n)
+    rv = r[upper]
+    jv = bessel_j(rv, medium)                   # shared by the kernel and its log part
     # the Hankel kernel first, held in out until its log part is subtracted
-    radial = _mirrored(r, upper, green_radial, hankel_pack, medium)
+    radial = _mirrored(n, upper, green_radial(rv, hankel_pack(rv, medium, jv), medium))
+    del rv
     for a, b in ENTRIES:
         np.multiply(green_of_w(w, r, radial, (a, b)), s[None, :], out=out[a][b])
     del radial
-    radial_log = _mirrored(r, upper, green_radial, logcoef_pack, medium)
-    del upper
+    rv = r[upper]
+    values = green_radial(rv, logcoef_pack(rv, medium, jv), medium)
+    del rv, jv                                  # freed before the n x n arrays exist
+    radial_log = _mirrored(n, upper, values)
+    del upper, values
 
     dt = t[:, None] - t[None, :]
     logterm = np.log(np.where(diag, 1.0, 4.0 * np.sin(dt / 2.0) ** 2))
@@ -253,15 +259,21 @@ def _neumann_self_block(curve: BoundaryCurve, quad: Quadrature, medium: Medium, 
     w[diag] = (1.0, 0.0)
     r = np.linalg.norm(w, axis=-1)
     upper = np.triu_indices(n)
+    rv = r[upper]
+    jv = bessel_j(rv, medium)                   # shared by the kernel and its log part
     nui = np.broadcast_to(nu[:, None, :], w.shape)
     # the Hankel kernel first, held in out until the Cauchy and log parts are subtracted
-    radial = _mirrored(r, upper, traction_radial, hankel_pack, medium)
+    radial = _mirrored(n, upper, traction_radial(rv, hankel_pack(rv, medium, jv), medium))
+    del rv
     for a, b in ENTRIES:
         np.multiply(traction_of_green(w, r, nui, radial, medium, (a, b)), s[None, :],
                     out=out[a][b])
     del radial
-    radial_log = _mirrored(r, upper, traction_radial, logcoef_pack, medium)
-    del upper
+    rv = r[upper]
+    values = traction_radial(rv, logcoef_pack(rv, medium, jv), medium)
+    del rv, jv                                  # freed before the n x n arrays exist
+    radial_log = _mirrored(n, upper, values)
+    del upper, values
 
     lam_mat = cauchy_strength(medium)
     dt = t[:, None] - t[None, :]
@@ -302,9 +314,10 @@ def _neumann_smooth_diag(curve: BoundaryCurve, quad: Quadrature, medium: Medium)
             st = np.linalg.norm(curve_tangent(curve, t + sgn * eps), axis=-1)
             w = x - xt
             r = np.linalg.norm(w, axis=-1)
-            fv, bv = (traction_of_green(w, r, nu, traction_radial(r, pack_fn(r, medium), medium),
-                                        medium) * st[:, None, None]
-                      for pack_fn in (hankel_pack, logcoef_pack))
+            jv = bessel_j(r, medium)
+            fv, bv = (traction_of_green(w, r, nu, traction_radial(r, pack, medium), medium)
+                      * st[:, None, None]
+                      for pack in (hankel_pack(r, medium, jv), logcoef_pack(r, medium, jv)))
             acc = acc + fv - logterm * bv
         vals.append(acc / 2.0)
     v1, v2, v3 = vals
@@ -616,7 +629,8 @@ def add_noise(msr: MSRMatrix, delta: float, seed: int) -> MSRMatrix:
     come from the inverse CDF of Philox uniforms so the stream is reproducible
     across platforms and library versions.  The relative Frobenius perturbation
     equals delta exactly by construction.  Needs a finite delta >= 0 and an
-    integer seed >= 0 (ValueError otherwise).
+    integer seed >= 0 (ValueError otherwise); raises NumericError where
+    delta ||F||_F or the perturbed operator overflows.
     """
     if not (np.isfinite(delta) and delta >= 0):
         raise ValueError(f"delta must be finite and >= 0, got {delta}")
@@ -634,8 +648,12 @@ def add_noise(msr: MSRMatrix, delta: float, seed: int) -> MSRMatrix:
     r2 = normals[n * n:].reshape(n, n)
     noise = r1 + 1j * r2
     full = msr.full
-    return replace(msr, full=full + delta * np.linalg.norm(full) * noise / np.linalg.norm(noise),
-                   delta=delta, seed=seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        level = delta * np.linalg.norm(full)
+        noisy = full + level * noise / np.linalg.norm(noise)
+    if not (np.isfinite(level) and np.isfinite(noisy).all()):
+        raise NumericError(f"noise of delta={delta!r} overflows: delta ||F|| = {level!r}")
+    return replace(msr, full=noisy, delta=delta, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -269,6 +269,24 @@ class TestKernelBesselSource:
             for got, ref in (green, traction):
                 assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    def test_packs_from_shared_j_values_are_bit_identical(self):
+        # each pack as it was written before the J values were shared
+        from scipy.special import j0, j1, y0, y1
+
+        from elastoscan.elastic import bessel_j, hankel_pack, logcoef_pack
+
+        med = Medium(1.0, 1.0, 8 * np.pi)
+        r = np.random.default_rng(3).uniform(1e-6, 12.0, 5000)
+        zs, zp = med.k_s * r, med.k_p * r
+        c = 1j / np.pi
+        hankel = (j0(zs) + 1j * y0(zs), j1(zs) + 1j * y1(zs),
+                  j0(zp) + 1j * y0(zp), j1(zp) + 1j * y1(zp))
+        logcoef = (c * j0(zs), c * j1(zs), c * j0(zp), c * j1(zp))
+        jv = bessel_j(r, med)
+        for ours, ref in ((hankel_pack(r, med, jv), hankel), (hankel_pack(r, med), hankel),
+                          (logcoef_pack(r, med, jv), logcoef), (logcoef_pack(r, med), logcoef)):
+            assert [v.tobytes() for v in ours] == [v.tobytes() for v in ref]
+
     def test_package_imports_no_complex_argument_bessel(self):
         import ast
         import pathlib

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -326,6 +327,16 @@ class TestNoise:
     def test_non_finite_delta_rejected(self, msr_disk_m16, delta):
         with pytest.raises(ValueError, match="finite"):
             add_noise(msr_disk_m16, delta, seed=1)
+
+    @pytest.mark.parametrize("level", [1e308, np.inf])
+    def test_overflowing_noise_raises_numeric_error_without_warning(self, msr_disk_m16,
+                                                                     level):
+        # level 1e308: delta ||F|| is finite, the perturbed entries are not
+        delta = min(level / np.linalg.norm(msr_disk_m16.full), 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="overflows"):
+                add_noise(msr_disk_m16, delta, seed=1)
 
     @pytest.mark.parametrize("delta", [0.0, 0.1])
     @pytest.mark.parametrize("seed,message", [(-1, "need seed >= 0, got -1"),

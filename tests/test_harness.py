@@ -673,6 +673,12 @@ class TestCli:
         "50-experiment-grid-repeats": (["experiment", "--config", "{cfg}"],
                                        TINY_KITE.replace("grid = -3 3 -3 3 9 9",
                                                          "grid = 0 5e-324 0 1 5 5"), None, 2),
+        # a finite delta whose noise overflows: delta ||F|| is inf
+        "51-noise-delta-overflow": (["noise", "--msr", "{msr}", "--delta", "1e308"],
+                                    None, None, 3),
+        "52-experiment-delta-overflow": (["experiment", "--config", "{cfg}"],
+                                         TINY_KITE.replace("delta = 0.1", "delta = 1e308"),
+                                         None, 3),
     }
 
     @pytest.mark.parametrize("row", sorted(BAD_INPUTS))
@@ -969,6 +975,48 @@ class TestWriterThread:
         before = set(threading.enumerate())
         assert cli_main(["experiment", "--config", str(cfg), "--out", str(out),
                          "--quiet"]) == 4
+        assert set(threading.enumerate()) == before
+        assert not out.exists() or os.listdir(out) == []
+
+    # A stage that raises MemoryError stands in for an input too large to hold (a huge
+    # grid or m): allocating one for real could exhaust the memory of the host.
+    def test_memory_error_exits_2(self, tmp_path, monkeypatch, capsys):
+        import elastoscan.cli as cli
+
+        def out_of_memory(*args):
+            raise MemoryError
+
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY_KITE)
+        assert cli_main(["synth", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+        monkeypatch.setattr(cli, "fields_of", out_of_memory)
+        out = tmp_path / "out"
+        assert cli_main(["indicate", "--msr", str(tmp_path / "data.msr"), "--out", str(out),
+                         "--quiet"]) == 2
+        assert "needs more memory than is available" in capsys.readouterr().err
+        assert not out.exists() or os.listdir(out) == []
+
+    def test_memory_error_mid_experiment_exits_2_and_leaves_no_file(self, tmp_path,
+                                                                     monkeypatch):
+        import elastoscan.harness as hz
+
+        calls = []
+        fields_from_forms = hz.fields_from_forms
+
+        def second_call_out_of_memory(*args):
+            calls.append(args)
+            if len(calls) == 2:                 # the data file and the first fields are out
+                raise MemoryError
+            return fields_from_forms(*args)
+
+        monkeypatch.setattr(hz, "fields_from_forms", second_call_out_of_memory)
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY_RETRIEVAL)
+        out = tmp_path / "out"
+        before = set(threading.enumerate())
+        assert cli_main(["experiment", "--config", str(cfg), "--out", str(out),
+                         "--quiet"]) == 2
+        assert len(calls) == 2
         assert set(threading.enumerate()) == before
         assert not out.exists() or os.listdir(out) == []
 

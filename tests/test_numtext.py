@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elastoscan._numtext import REPR_CELL, repr_cells
+from elastoscan._numtext import CHUNK_VALUES, REPR_CELL, format_rows, repr_cells
 
 
 def texts(values) -> list[str]:
@@ -81,3 +81,73 @@ class TestReprCells:
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64))
     def test_matches_repr(self, values):
         assert texts(values) == [repr(v) for v in values]
+
+
+def percent_text(rows) -> bytes:
+    template = " ".join(["%.17g"] * rows.shape[1]) + "\n"
+    return "".join(template % tuple(row) for row in rows.tolist()).encode()
+
+
+def layout_class(v: float) -> tuple[int, int, bool]:
+    """(X, k, sign) of a value as "%.17g" writes it, 1e-4 <= |v| < 1e17: exponent X,
+    k significant digits shown, and the sign."""
+    text = "%.17g" % v
+    whole, _, frac = text.lstrip("-").partition(".")
+    digits = (whole + frac).lstrip("0")
+    X = len(whole) - 1 if whole != "0" else len(frac.lstrip("0")) - len(frac) - 1
+    return X, len(digits), text.startswith("-")
+
+
+def class_values() -> dict[tuple[int, int, bool], float]:
+    """One value for every (X, k, sign) format_rows lays out with its tables: X in
+    -4..16, k in 1..17 (at least X + 1: the digits before the point are all shown)."""
+    rng = np.random.default_rng(22)
+    found = {}
+    for X in range(-4, 17):
+        for k in range(max(X + 1, 1), 18):
+            for _ in range(1000):                 # a k-digit decimal, last digit not 0
+                d = int(rng.integers(10 ** (k - 1), 10**k)) // 10 * 10 + int(rng.integers(1, 10))
+                v = float(f"{d}e{X - k + 1}")
+                if layout_class(v) == (X, k, False):
+                    found[X, k, False], found[X, k, True] = v, -v
+                    break
+    return found
+
+
+class TestFormatRowsLayout:
+    """Every entry of format_rows' layout tables, against "%.17g"."""
+
+    CLASSES = class_values()
+
+    def test_every_class_is_reached(self):
+        classes = {(X, k, sign) for X in range(-4, 17) for k in range(max(X + 1, 1), 18)
+                   for sign in (False, True)}
+        assert set(self.CLASSES) == classes
+        assert all(layout_class(v) == c for c, v in self.CLASSES.items())
+
+    @staticmethod
+    def edges() -> list[float]:
+        """The ends of the array range and their neighbours, values below it, zeros."""
+        vals = []
+        for p in (1e-4, 1e17):
+            vals += [p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)]
+        vals += [1.5e-5, 9.999999999999999e-05, 2e-6, 1.0000000000000002e-06, 0.0]
+        return vals + [-v for v in vals]
+
+    def test_classes_and_edges_alone(self):
+        vals = np.array(list(self.CLASSES.values()) + self.edges())
+        for rows in (vals[None, :], vals[:, None], vals.reshape(-1, 8)):
+            assert format_rows(rows) == percent_text(rows)
+
+    def test_all_array_mixed_and_no_array_chunks(self):
+        classes = np.array(list(self.CLASSES.values()))
+        others = np.array([v for v in self.edges() if not 1e-4 <= abs(v) < 1e17]
+                          + [5e-324, -1e300, np.inf, -np.inf, np.nan, -2.2250738585072014e-308])
+        rng = np.random.default_rng(5)
+        # each holds every one of its values at least once
+        all_array, mixed, no_array = (rng.permutation(np.resize(vals, CHUNK_VALUES)) for vals in
+                                      (classes, np.concatenate([classes, others]), others))
+        for chunk in (all_array, mixed, no_array):
+            for width in (CHUNK_VALUES, 64, 1):
+                rows = chunk.reshape(-1, width)
+                assert format_rows(rows) == percent_text(rows)
