@@ -31,8 +31,9 @@ once, and only those the block's kernel reads (green_radial's for a Dirichlet
 row block, traction_radial's for a Neumann one): a self block on its upper
 triangle, mirrored, and block (j, i) from the transposes of block (i, j)'s.
 
-Memory.  Synthesis holds at any stage only the 2N x 2N matrix A, its LU, one
-2N x 4m block of right-hand sides and temporaries of n x n size:
+Memory.  Synthesis holds at any stage only one 2N x 2N array, first the matrix A
+and then its LU, one 2N x 4m block of right-hand sides and temporaries of n x n
+size:
 
   * assembly     -- every block is written one 2 x 2 entry (an n x n complex
                     array) at a time into the four quadrant views
@@ -40,21 +41,19 @@ Memory.  Synthesis holds at any stage only the 2N x 2N matrix A, its LU, one
                     array and no copy of it.  A self block's Hankel part waits
                     in its destination while the log part's radial functions
                     are evaluated, so the two sets are never held together.
+  * factorize    -- A's 1-norm is taken for the condition estimate, then A's
+                    C-ordered buffer is transposed in place (tile by tile) into
+                    the Fortran-ordered array LAPACK reads, and getrf overwrites
+                    it with the LU; SystemMatrix.matrix is None from then on.
   * solve        -- the negated right-hand sides of all 4m plane waves (the 2m
                     P waves, then the 2m S waves) are written straight into
                     one Fortran-ordered 2N x 4m block, which the LU solve
                     overwrites with the densities.
-  * far field    -- A and its LU are released as soon as the solve returns;
-                    the far field is read from views of the two halves of
-                    the solution, one receiver mode at a time, and the
-                    products are written straight into the rows of a
-                    preallocated 4m x 4m array, whose columns are ordered as
-                    the solution's.
-
-A is kept through the solve rather than factored in place, so that the solve
-residual ||A psi - b|| can still be sampled from a few columns between the
-solve and the release (b is overwritten, but a few of its columns are cheap to
-rebuild).
+  * far field    -- the LU is released as soon as the solve returns; the far
+                    field is read from views of the two halves of the
+                    solution, one receiver mode at a time, and the products
+                    are written straight into the rows of a preallocated
+                    4m x 4m array, whose columns are ordered as the solution's.
 
 Far fields of a density follow the trapezoid rule
 
@@ -358,11 +357,34 @@ def _cross_blocks(qi: Quadrature, qj: Quadrature, bci: BoundaryCondition,
 # ---------------------------------------------------------------------------
 # System assembly and solve
 # ---------------------------------------------------------------------------
+def _fortran_in_place(a: np.ndarray) -> np.ndarray:
+    """The square C-ordered array a as a Fortran-ordered array of the same values,
+    in a's own buffer: a is transposed in place, 64 x 64 tiles at a time through
+    one tile-sized temporary, and its transpose (a view) is returned."""
+    n = len(a)
+    tile = np.empty((64, 64), dtype=a.dtype)
+    for i in range(0, n, 64):
+        rows = slice(i, i + 64)
+        for j in range(i, n, 64):
+            cols = slice(j, j + 64)
+            upper, lower = a[rows, cols], a[cols, rows]
+            tmp = tile[:upper.shape[0], :upper.shape[1]]
+            np.copyto(tmp, upper)
+            if j != i:
+                upper[...] = lower.T
+            lower[...] = tmp.T
+    return a.T
+
+
 @dataclass
 class SystemMatrix:
-    """Assembled Nystrom system with its quadrature and factorization cache."""
+    """Assembled Nystrom system with its quadrature and, once factored, its LU.
 
-    matrix: np.ndarray            # (2N, 2N) complex, layout [[xx, xy],[yx, yy]]
+    factorization() overwrites matrix with its LU factors and sets matrix to
+    None, so the system holds one 2N x 2N array at any time.
+    """
+
+    matrix: np.ndarray | None     # (2N, 2N) complex, layout [[xx, xy],[yx, yy]]
     quadrature: Quadrature
     scene: Scene
     medium: Medium
@@ -374,10 +396,16 @@ class SystemMatrix:
         return self.quadrature.n_nodes
 
     def factorization(self):
-        """LU with a one-norm condition estimate; raises NumericError near resonance."""
+        """LU with a one-norm condition estimate; raises NumericError near resonance.
+
+        The LU is computed in matrix's own buffer, which LAPACK overwrites with
+        the factors; matrix is None afterwards.
+        """
         if self._lu is None:
             anorm = np.linalg.norm(self.matrix, 1)
-            lu, piv = sla.lu_factor(self.matrix, check_finite=False)
+            lu, piv = sla.lu_factor(_fortran_in_place(self.matrix), overwrite_a=True,
+                                    check_finite=False)
+            self.matrix = None
             gecon = _lapack.zgecon
             rcond, info = gecon(lu, anorm)
             if info != 0 or not np.isfinite(rcond) or rcond < RCOND_LIMIT:
@@ -652,7 +680,8 @@ def add_noise(msr: MSRMatrix, delta: float, seed: int) -> MSRMatrix:
         level = delta * np.linalg.norm(full)
         noisy = full + level * noise / np.linalg.norm(noise)
     if not (np.isfinite(level) and np.isfinite(noisy).all()):
-        raise NumericError(f"noise of delta={delta!r} overflows: delta ||F|| = {level!r}")
+        raise NumericError(f"noise of delta={float(delta)!r} overflows: "
+                           f"delta ||F|| = {float(level)!r}")
     return replace(msr, full=noisy, delta=delta, seed=seed)
 
 
@@ -691,9 +720,9 @@ def save_msr(msr: MSRMatrix, path) -> None:
     """
     n = 4 * msr.m
     chunk = max(1, CHUNK_VALUES // (2 * n))
-    header = [f"#version={MSR_FORMAT_VERSION}", f"#m={msr.m}", f"#lambda={msr.lam!r}",
-              f"#mu={msr.mu!r}", f"#omega={msr.omega!r}", f"#scene={msr.scene}",
-              f"#bc={msr.bc}", f"#delta={msr.delta!r}",
+    header = [f"#version={MSR_FORMAT_VERSION}", f"#m={msr.m}", f"#lambda={float(msr.lam)!r}",
+              f"#mu={float(msr.mu)!r}", f"#omega={float(msr.omega)!r}", f"#scene={msr.scene}",
+              f"#bc={msr.bc}", f"#delta={float(msr.delta)!r}",
               f"#seed={'none' if msr.seed is None else msr.seed}", f"#norm={msr.noise_norm}"]
     if msr.retrieval is not None:
         header.append(f"#retrieval={msr.retrieval}")

@@ -43,7 +43,8 @@ class BoundaryCurve:
             raise ValueError(f"rho must be positive, got {self.rho}")
 
     def describe(self) -> str:
-        return f"{self.kind.value}@({self.center[0]!r},{self.center[1]!r})*{self.rho!r}"
+        x, y = self.center
+        return f"{self.kind.value}@({float(x)!r},{float(y)!r})*{float(self.rho)!r}"
 
 
 def _reduce_angle(t):

@@ -329,25 +329,25 @@ def _emit_mask(spec: MaskSpec | None) -> str:
         return "full"
     if spec.indices is not None:
         return "indices " + " ".join(str(i) for i in spec.indices)
-    return "arcs " + " ".join(f"[{a!r},{b!r})" for a, b in spec.arcs)
+    return "arcs " + " ".join(f"[{float(a)!r},{float(b)!r})" for a, b in spec.arcs)
 
 def emit_config(cfg: ExperimentConfig) -> str:
     """Canonical text form; parse(emit(cfg)) == cfg."""
-    scene_s = " + ".join(f"{kind.value}@({c[0]!r},{c[1]!r})*{rho!r}"
+    scene_s = " + ".join(f"{kind.value}@({float(c[0])!r},{float(c[1])!r})*{float(rho)!r}"
                          for kind, c, rho in cfg.scene)
     lines = [
         f"scene = {scene_s}",
         f"bc = {cfg.bc.value}",
-        f"lambda = {cfg.lam!r}",
-        f"mu = {cfg.mu!r}",
-        f"omega = {cfg.omega!r}",
+        f"lambda = {float(cfg.lam)!r}",
+        f"mu = {float(cfg.mu)!r}",
+        f"omega = {float(cfg.omega)!r}",
         f"m = {cfg.m}",
         f"n = {cfg.n}",
-        "grid = " + " ".join(repr(v) if i < 4 else str(v) for i, v in enumerate(cfg.grid)),
-        f"delta = {cfg.delta!r}",
+        "grid = " + " ".join(repr(float(v)) if i < 4 else str(v) for i, v in enumerate(cfg.grid)),
+        f"delta = {float(cfg.delta)!r}",
         f"seed = {cfg.seed}",
         "kinds = " + " ".join(k.value for k in cfg.kinds),
-        f"q = {cfg.q[0]!r} {cfg.q[1]!r}",
+        f"q = {float(cfg.q[0])!r} {float(cfg.q[1])!r}",
         f"observed = {_emit_mask(cfg.observed)}",
         f"incident = {_emit_mask(cfg.incident)}",
         f"retrieve = {'reciprocity' if cfg.retrieve else 'off'}",

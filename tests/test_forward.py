@@ -1,11 +1,15 @@
+import contextlib
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elastoscan import forward
 from elastoscan._numtext import CHUNK_VALUES, format_rows
 from elastoscan.aperture import apply_mask, reciprocity_fill
 from elastoscan.elastic import Medium, PlaneWave, PointSource, WaveMode
@@ -178,6 +182,44 @@ class TestMixedSceneSystem:
             assert err < 1e-3
 
 
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestInPlaceFactorization:
+    """factorization() overwrites A with the LU that lu_factor gives of a copy of A."""
+
+    @pytest.mark.parametrize("components,n", [
+        (((BoundaryKind.KITE, (0.0, 0.0), D),), 64),                     # 2N = 128
+        (((BoundaryKind.CIRCLE, (0.0, 0.0), N),), 96),                   # 2N = 192
+        (((BoundaryKind.CIRCLE, (-2.5, 0.0), D), (BoundaryKind.KITE, (2.5, 0.0), N)), 50),
+    ], ids=["dirichlet", "neumann", "mixed-2N-200"])
+    def test_lu_pivots_and_rcond_equal_lu_factor_of_a_copy(self, medium, monkeypatch,
+                                                           components, n):
+        scene = Scene(tuple((BoundaryCurve(kind, center), bc)
+                            for kind, center, bc in components))
+        system = assemble_system(scene, medium, n)
+        buffer = system.matrix
+        a = buffer.copy()
+        ref_lu, ref_piv = sla.lu_factor(a)
+        ref_anorm = np.linalg.norm(a, 1)
+        ref_rcond = forward._lapack.zgecon(ref_lu, ref_anorm)[0]
+        zgecon, seen = forward._lapack.zgecon, []
+
+        def recording(lu, anorm):
+            out = zgecon(lu, anorm)
+            seen.append((anorm, out[0]))
+            return out
+
+        monkeypatch.setattr(forward._lapack, "zgecon", recording)
+        lu, piv = system.factorization()
+        assert system.matrix is None
+        assert np.shares_memory(lu, buffer)
+        assert np.array_equal(bits(lu), bits(ref_lu))
+        assert np.array_equal(piv, ref_piv)
+        assert seen == [(ref_anorm, ref_rcond)]
+
+
 class TestSmoothDiagonalFormulas:
     """Closed-form singular-quadrature diagonals vs numerically extrapolated limits."""
 
@@ -271,33 +313,64 @@ class TestSynthesizeMSR:
         assert np.abs(msr.f_ss - msr.f_ss[np.ix_(sig, sig)].T).max() < 1e-10 * nrm
         assert np.abs(msr.f_ps - msr.f_sp[np.ix_(sig, sig)].T).max() < 1e-10 * nrm
 
-    @pytest.mark.parametrize("conditions", [(D, N), (N, D)], ids=["dn", "nd"])
-    def test_peak_memory_is_a_lu_and_one_rhs_block(self, medium, conditions):
-        """Synthesis holds at most A, its LU, one 2N x 4m right-hand-side block and
-        temporaries of n x n size: the traced peak stays within 8 complex n x n
-        arrays of A + LU + that block.  Its own temporaries reach about 6; a
-        kernel array kept next to A (16 more) or a second copy of the
-        right-hand sides (8 more) breaks the bound."""
-        import tracemalloc
+    PEAK_N, PEAK_M = 64, 32          # A is 16 complex n x n arrays, the right-hand sides 8
 
-        n, m = 64, 32
+    @classmethod
+    def traced_synthesis(cls, medium, conditions, stages=None):
+        """Traced peak of synthesize_msr on a two-component scene (n = 64, m = 32),
+        in bytes above the traced memory before it.  Given a dict, stages receives
+        the peak of each stage (span key) instead, the peak being reset at each."""
+        n, m = cls.PEAK_N, cls.PEAK_M
         scene = Scene(((BoundaryCurve(BoundaryKind.KITE, (-3.0, 0.0)), conditions[0]),
                        (BoundaryCurve(BoundaryKind.CIRCLE, (3.0, 0.5), 0.8), conditions[1])))
-        item = np.dtype(complex).itemsize
-        unknowns = 2 * (2 * n)                                    # 2N
-        bound = (2 * unknowns**2 + unknowns * 4 * m + 8 * n * n) * item
+
+        @contextlib.contextmanager
+        def span(key):
+            tracemalloc.reset_peak()
+            yield
+            stages[key] = tracemalloc.get_traced_memory()[1] - base
+
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            synthesize_msr(scene, medium, m, n)
-            peak = tracemalloc.get_traced_memory()[1] - base
+            synthesize_msr(scene, medium, m, n, **({} if stages is None else {"span": span}))
+            return tracemalloc.get_traced_memory()[1] - base
         finally:
             if not tracing:
                 tracemalloc.stop()
+
+    @pytest.mark.parametrize("conditions", [(D, N), (N, D)], ids=["dn", "nd"])
+    def test_peak_memory_is_a_lu_and_one_rhs_block(self, medium, conditions):
+        """Synthesis holds at most A (which its LU overwrites), one 2N x 4m
+        right-hand-side block and temporaries of n x n size: the traced peak stays
+        within 8 complex n x n arrays of 2 A + that block.  A kernel array kept
+        next to A (16 more) or a second copy of the right-hand sides (8 more)
+        breaks the bound."""
+        n, m = self.PEAK_N, self.PEAK_M
+        item = np.dtype(complex).itemsize
+        unknowns = 2 * (2 * n)                                    # 2N
+        bound = (2 * unknowns**2 + unknowns * 4 * m + 8 * n * n) * item
+        peak = self.traced_synthesis(medium, conditions)
         assert peak <= bound, f"traced peak {peak} B above {bound} B"
+
+    @pytest.mark.parametrize("conditions", [(D, N), (N, D)], ids=["dn", "nd"])
+    def test_factorize_and_solve_peaks_hold_one_system_array(self, medium, conditions):
+        """Traced peak of each stage, through synthesize_msr's span hook: the
+        factorization stays within 10 complex n x n arrays of A (the float |A| of
+        its 1-norm is 8 of them) and the solve within 8 of A + the
+        right-hand-side block (it reaches about 6).  An LU copy beside A (16
+        more) breaks both bounds."""
+        n, m = self.PEAK_N, self.PEAK_M
+        item = np.dtype(complex).itemsize
+        unknowns = 2 * (2 * n)
+        a, rhs, unit = unknowns**2 * item, unknowns * 4 * m * item, n * n * item
+        peaks = {}
+        self.traced_synthesis(medium, conditions, peaks)
+        assert peaks["factorize_s"] <= a + 10 * unit, peaks
+        assert peaks["solve_s"] <= a + rhs + 8 * unit, peaks
 
 
 class TestNoise:
@@ -337,6 +410,12 @@ class TestNoise:
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match="overflows"):
                 add_noise(msr_disk_m16, delta, seed=1)
+
+    @pytest.mark.parametrize("delta", [1e308, np.float64(1e308)], ids=["float", "numpy"])
+    def test_overflow_message_names_plain_numbers(self, msr_disk_m16, delta):
+        with pytest.raises(NumericError) as info:
+            add_noise(msr_disk_m16, delta, seed=1)
+        assert str(info.value) == "noise of delta=1e+308 overflows: delta ||F|| = inf"
 
     @pytest.mark.parametrize("delta", [0.0, 0.1])
     @pytest.mark.parametrize("seed,message", [(-1, "need seed >= 0, got -1"),
@@ -565,6 +644,23 @@ class TestMsrPersistence:
         path = tmp_path / "x.msr"
         save_msr(msr, path)
         assert path.read_bytes() == percent_msr(msr)
+
+    def test_numpy_scalars_write_the_bytes_of_python_floats(self, tmp_path):
+        """Lame constants, frequency, scene and delta given as numpy scalars give
+        the headers of the same Python floats, which load_msr reads."""
+        def noisy(num):
+            scene = Scene(((BoundaryCurve(BoundaryKind.KITE, (num(0.5), num(-0.25)), num(1.0)),
+                            D),))
+            clean = synthesize_msr(scene, Medium(num(1.0), num(1.0), num(np.pi)), 8, 64)
+            return add_noise(clean, num(0.1), 3)
+
+        plain, numpy_ = tmp_path / "plain.msr", tmp_path / "numpy.msr"
+        save_msr(noisy(float), plain)
+        save_msr(noisy(np.float64), numpy_)
+        assert numpy_.read_bytes() == plain.read_bytes()
+        back = load_msr(numpy_)
+        assert (back.lam, back.mu, back.omega, back.delta, back.scene) == (
+            1.0, 1.0, np.pi, 0.1, "kite@(0.5,-0.25)*1.0")
 
     def test_retrieval_header_loads_verbatim(self, msr_disk_m16, tmp_path):
         # the tag of reciprocity fill, and one of a ball extrapolation (R=, nB=, alpha=)

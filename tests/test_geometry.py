@@ -166,6 +166,12 @@ class TestScene:
         assert [c.kind for c, _ in back.components] == [BoundaryKind.KITE, BoundaryKind.PEANUT]
         assert back.components[1][0].rho == 2.0
 
+    def test_describe_numpy_scalars_as_python_floats(self):
+        numpy_ = curve(BoundaryKind.PEANUT, center=(np.float64(3.0), np.float64(-3.5)),
+                       rho=np.float64(2.0))
+        assert numpy_.describe() == "peanut@(3.0,-3.5)*2.0"
+        assert numpy_.describe() == curve(BoundaryKind.PEANUT, (3.0, -3.5), 2.0).describe()
+
     def test_contains_points(self):
         scene = Scene(((curve(BoundaryKind.CIRCLE, rho=1.0), BoundaryCondition.DIRICHLET),))
         pts = np.array([[0.0, 0.0], [0.5, 0.5], [2.0, 0.0], [0.0, -1.5]])

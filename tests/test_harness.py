@@ -117,6 +117,24 @@ class TestParseConfig:
             out="elsewhere")
         assert parse_config(emit_config(cfg)) == cfg
 
+    def test_round_trip_numpy_scalars(self):
+        """Every float field given as a numpy scalar emits the text of the Python
+        float, and parses back to an equal config."""
+        f = np.float64
+        plain = ExperimentConfig(
+            scene=((BoundaryKind.PEAR, (0.5, -1.25), 2.0),),
+            lam=2.0, mu=1.5, omega=4 * np.pi, grid=(-3.0, 3.0, -2.5, 2.5, 11, 9),
+            delta=0.1, q=(0.6, 0.8), observed=MaskSpec(arcs=((0.0, np.pi / 2),)))
+        numpy_ = replace(
+            plain, scene=((BoundaryKind.PEAR, (f(0.5), f(-1.25)), f(2.0)),),
+            lam=f(2.0), mu=f(1.5), omega=f(4 * np.pi),
+            grid=(f(-3.0), f(3.0), f(-2.5), f(2.5), np.int64(11), np.int64(9)),
+            delta=f(0.1), q=(f(0.6), f(0.8)), observed=MaskSpec(arcs=((f(0.0), f(np.pi / 2)),)))
+        text = emit_config(numpy_)
+        assert text == emit_config(plain)
+        assert "np." not in text
+        assert parse_config(text) == numpy_
+
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config("# hello\n\nscene = kite  # trailing\n")
         assert cfg.scene[0][0] is BoundaryKind.KITE
@@ -414,6 +432,17 @@ class TestCli:
                               env=env, check=True)
         assert done.stdout.strip() == "[]"
 
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        run = [sys.executable, "-m", "elastoscan"]
+        done = subprocess.run(run + ["presets"], capture_output=True, text=True, env=env,
+                              cwd=tmp_path)
+        assert done.returncode == 0 and "dirichlet-kite" in done.stdout
+        done = subprocess.run(run + ["presets", "--no-such-flag"], capture_output=True,
+                              text=True, env=env, cwd=tmp_path)
+        assert done.returncode == 2 and "--no-such-flag" in done.stderr
+
     def test_synth_writes_msr(self, tmp_path):
         cfg = self._write_cfg(tmp_path)
         out = str(tmp_path / "o")
@@ -702,6 +731,12 @@ class TestCli:
         argv = [a.format(cfg=cfg_path, msr=msr_path) for a in argv]
         assert cli_main(argv + ["--out", str(out), "--quiet"]) == expected
         assert not out.exists() or sorted(os.listdir(out)) == []
+
+    def test_overflowing_noise_message_names_plain_numbers(self, tmp_path, tiny_kite, capsys):
+        argv = ["noise", "--msr", str(tiny_kite[1]), "--delta", "1e308", "--out", str(tmp_path)]
+        assert cli_main(argv + ["--quiet"]) == 3
+        assert capsys.readouterr().err == (
+            "numeric failure: noise of delta=1e+308 overflows: delta ||F|| = inf\n")
 
     # (kind, position, bytes): overwrite one byte, insert bytes, or cut the file there
     MSR_EDITS = st.lists(st.tuples(st.sampled_from(("set", "insert", "truncate")),
