@@ -3,24 +3,24 @@
 Two formats, each computed for a block of values with exact array arithmetic:
 
 * format_rows: the bytes of "%.17g" % x (the numbers of MSR/1 files);
-* repr_cells: the bytes of repr(x), the shortest decimal string that reads back
-  to x, nearest to x among the shortest (the numbers of CSV fields).
+* repr_words: the bytes of repr(x), the shortest decimal string that reads
+  back to x, nearest to x among the shortest (the numbers of CSV fields).
 
 Both rest on one exact scaling.  For 1e-6 < |x| < 1e17 the decimal exponent X
 lies in -6..16, so 10**(16 - X) is exact in binary64 and Dekker's two-product
 gives |x| * 10**(16 - X) = p + e exactly; p >= 2**53 is an integer, so the
 scaled value is D + frac with the 17-digit integer D = p + floor(e) and
 0 <= frac = e - floor(e) < 1, both exact.  format_rows takes the array path for
-1e-4 <= |x| < 1e17, where "%.17g" writes d.ddd or 0.000ddd, and for 0 and -0;
-repr_cells for 1e-6 < |x| < 1e17.  Every other value (subnormals, tiny
-values, |x| >= 1e17, non-finite, and in repr_cells also 0 and -0) is
-formatted one at a time by Python itself.
+1e-4 <= |x| < 1e17, where "%.17g" writes d.ddd or 0.000ddd, repr for
+1e-6 < |x| < 1e17, and both for 0 and -0.  Every other value (subnormals, tiny
+values, |x| >= 1e17, non-finite) is formatted one at a time by Python itself.
 
-format_rows lays out each number in a 24-byte cell held as three little-endian
-words, by one sequence of word operations for the whole block: the digit
-characters of D, the trailing zeros after the point masked off, the digits
-after the point shifted up one byte to make room for it, and the sign, point,
-leading '0.000' and separator taken from tables indexed by the number's class.
+Both lay out each number in a 24-byte cell held as three little-endian words,
+by one sequence of word operations for the whole block: the 17 digit
+characters of the integer to show, the digits past the last one shown masked
+off, the digits after the point shifted up one byte to make room for it, and
+the sign, point, leading '0.000', repr's exponent suffix and the separator
+taken from tables indexed by the number's class (_layouts).
 
 read_tokens is the mirror of format_rows: the value float() gives for each
 token of a text, for a block of tokens at a time.  A token -?digits[.digits]
@@ -38,13 +38,15 @@ from __future__ import annotations
 import numpy as np
 
 CHUNK_VALUES = 8192                 # numbers per block: the temporaries stay in cache
-REPR_CELL = 24                      # longest repr of a float: '-2.2250738585072014e-308'
 _POW10 = 10.0 ** np.arange(23)      # 10**k is exact in binary64 for k <= 22
 _POW10_INT = 10 ** np.arange(19, dtype=np.int64)
+_POW5_INT = 5 ** np.arange(23, dtype=np.int64)
+_MANTISSA = 2**52 - 1
 # A cell of 24 bytes is three little-endian words: byte j is byte j % 8 of word j // 8.
 _LE64 = np.dtype("<u8")
 _QUAD_WORDS = ((48 + np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10)
                << np.arange(0, 32, 8)).sum(axis=1).astype(np.uint64)   # "0000" .. "9999"
+_PAIR_WORDS = _QUAD_WORDS[:100] >> np.uint64(16)                       # "00" .. "99"
 _FIFTH = np.uint64(0xCCCCCCCCCCCCCCCD)                  # 5 * _FIFTH = 1 mod 2**64
 _TENTH = np.uint64((2**64 - 1) // 10)
 _1, _32, _63, _64 = (np.uint64(b) for b in (1, 32, 63, 64))
@@ -62,9 +64,9 @@ _POW10_HI, _POW10_LO = _veltkamp(_POW10)
 
 def _times_pow10(a, k):
     """(p, e) with a * 10**k = p + e exactly and p the rounded product (Dekker)."""
-    p = a * _POW10[k]
+    p = a * _POW10.take(k)
     a_hi, a_lo = _veltkamp(a)
-    b_hi, b_lo = _POW10_HI[k], _POW10_LO[k]
+    b_hi, b_lo = _POW10_HI.take(k), _POW10_LO.take(k)
     return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
@@ -92,24 +94,19 @@ def _scaled(a):
     return X, e, f, D
 
 
-def _words17(D):
-    """The 17 digit characters of each D in [0, 10**17) in bytes 3..19 of a cell, as
-    its three words (3 x n); bytes 0..2 hold '000' and bytes 20..23 are void."""
-    hi = D // 10**8
-    lo = (D - hi * 10**8).astype(np.uint32)
+def _digit_words(D):
+    """The 17 digit characters of each D in [0, 10**17) in bytes 1..17 of a cell, as
+    its three words (3 x n); byte 0 holds '0' and bytes 18..23 are void."""
+    h = D // 100
+    hi = h // 10**8                             # the first seven digits
+    mid = (h - hi * 10**8).astype(np.uint32)    # the next eight
     hi = hi.astype(np.uint32)
-    q, r = hi // 10000, lo // 10000
-    t = q // 10000
+    q, r = hi // 10000, mid // 10000
     words = np.empty((3, D.size), np.uint64)
-    np.bitwise_or(_QUAD_WORDS.take(t), _QUAD_WORDS.take(q - t * 10000) << _32, out=words[0])
-    np.bitwise_or(_QUAD_WORDS.take(hi - q * 10000), _QUAD_WORDS.take(r) << _32, out=words[1])
-    _QUAD_WORDS.take(lo - r * 10000, out=words[2])
+    np.bitwise_or(_QUAD_WORDS.take(q), _QUAD_WORDS.take(hi - q * 10000) << _32, out=words[0])
+    np.bitwise_or(_QUAD_WORDS.take(r), _QUAD_WORDS.take(mid - r * 10000) << _32, out=words[1])
+    words[2] = _PAIR_WORDS.take(D - h * 100)
     return words
-
-
-def _chars17(D):
-    """The cells of _words17 as bytes (n x 24 uint8)."""
-    return np.ascontiguousarray(_words17(D).T, _LE64).view(np.uint8)
 
 
 def _tenths(x):
@@ -123,69 +120,145 @@ def _tenths(x):
     return r, r <= _TENTH
 
 
-def _layouts():
-    """(in place, shifted, fill, shift) of every class of value, the tables format_rows
-    lays out a cell with: cell = (digits & in place) | ((digits << shift) & shifted) | fill.
+def _trailing_zeros(x):
+    """The number of trailing decimal zeros of each x in (0, 2**64)."""
+    zeros = np.zeros(x.size, np.int64)
+    tenth, whole = _tenths(x.view(np.uint64))
+    live = np.flatnonzero(whole)
+    tenth = tenth[live]
+    while live.size:
+        zeros[live] += 1
+        tenth, whole = _tenths(tenth)
+        live, tenth = live[whole], tenth[whole]
+    return zeros
 
-    The digits are those of _words17, in bytes 3..19.  A value in [1e-4, 1e17) of
-    exponent X (-4..16), sign bit neg and k digits kept (1..17) is class
-    34 (X + 4) + 17 neg + k - 1; then come the classes of 0, of -0 and of a value
-    written by "%.17g" itself.  The fill is the prefix ('-', and '0.000' for
-    X < 0) from byte 0, the point, and the separator ' ' in byte 23.  A prefix of
-    more than three bytes moves the digits up by the excess, and a point after
-    digit X + 1 moves the digits after it up by one byte.
+
+def _layouts(shortest: bool):
+    """(in place, shifted, fill, shift, end) of every class of value: the tables a cell
+    is laid out with, cell = (digits & in place) | ((digits << shift) & shifted) | fill,
+    and the byte after the last one of the cell's text.
+
+    The digits are those of _digit_words, in bytes 1..17, of the integer whose
+    leading n digits (1..17) are the value's significant ones.  For "%.17g"
+    (shortest false) a value in [1e-4, 1e17) of exponent X (-4..16) and sign bit
+    neg is class 34 (X + 4) + 17 neg + n - 1, and the digits before the point are
+    all shown.  For repr (shortest true) X runs from -6 and the class is
+    34 (X + 6) + 17 neg + n - 1; repr writes d.ddd positionally for
+    -4 <= X < 16, with ".0" after an integer, and d.ddde-05 / de+16 otherwise.
+    Then come the classes of 0, of -0 and of a value written one at a time.
+
+    The fill is the prefix ('-', and '0.000' for a positional X < 0) from byte 0,
+    the point, repr's exponent suffix after the last digit, and the separator:
+    ' ' in byte 23 for "%.17g", and for repr '\\n' right after the text (the end
+    of a CSV line; alone in the cell of a value written one at a time, whose text
+    goes before it).  A prefix of more than one byte moves the digits up by the
+    excess, and a point after the digits before it moves the digits after it up
+    by one byte.
     """
-    X, neg, k = (a.reshape(-1, 1) for a in np.meshgrid(
-        np.arange(-4, 17), (0, 1), np.arange(1, 18), indexing="ij"))
+    low = -6 if shortest else -4
+    X, neg, n = (a.reshape(-1, 1) for a in np.meshgrid(
+        np.arange(low, 17), (0, 1), np.arange(1, 18), indexing="ij"))
     j = np.arange(24)
-    lead = np.maximum(X + 1, 0)                 # digits before the point
-    dotted = (X >= 0) & (k > lead)
-    prefix = neg + np.where(X < 0, 1 - X, 0)    # bytes of "-0.000"
-    shift = np.maximum(prefix - 3, 0) + dotted
-    fill = np.where(j < prefix, np.frombuffer(b"-0.000", np.uint8)[
-        np.minimum(j + 1 - neg, 5)], np.where(dotted & (j == 3 + lead), 46, 0))
-    masks = [(j >= 3) & (j < 3 + np.minimum(k, lead)),
-             (j >= 3 + shift + lead) & (j < 3 + shift + k)]
-    other = np.frombuffer(b"0".ljust(24, b"\0") + b"-0".ljust(24, b"\0") + bytes(24), np.uint8)
-    fill = np.vstack([fill, other.reshape(3, 24)])
-    fill[:, 23] = 32
+    sci = shortest & ((X < -4) | (X > 15))
+    lead = np.where(sci, 1, np.maximum(X + 1, 0))           # digits before the point
+    shown = np.maximum(n, lead + (shortest & ~sci & (X >= 0)))
+    dotted = ((X >= 0) | sci) & (shown > lead)
+    prefix = neg + np.where(~sci & (X < 0), 1 - X, 0)      # bytes of "-0.000"
+    shift = np.maximum(prefix - 1, 0) + dotted
+    end = 1 + shift + shown                                 # the byte after the last digit
+    suffix = np.frombuffer(b"".join(b"e%+03d" % x for x in X.ravel().tolist()), np.uint8)
+    fill = np.where(j < prefix, np.frombuffer(b"-0.000", np.uint8)[np.minimum(j + 1 - neg, 5)],
+                    np.where(dotted & (j == 1 + lead), 46, 0))
+    suffix = suffix.reshape(-1, 4)[np.arange(len(X))[:, None], np.clip(j - end, 0, 3)]
+    fill = np.where(sci & (j >= end) & (j < end + 4), suffix, fill)
+    masks = [(j >= 1) & (j < 1 + np.minimum(shown, lead)),
+             (j >= 1 + shift + lead) & (j < end)]
+    if shortest:                                # '\n' after the text
+        fill = np.where(j == end + 4 * sci, 10, fill)
+        other = (b"0.0\n", b"-0.0\n", b"\n")
+    else:                                       # ' ' in byte 23
+        fill[:, 23] = 32
+        other = (b"0".ljust(23, b"\0") + b" ", b"-0".ljust(23, b"\0") + b" ", bytes(23) + b" ")
+    fill = np.vstack([fill, np.frombuffer(b"".join(o.ljust(24, b"\0") for o in other), np.uint8)
+                      .reshape(3, 24)])
     words = [np.vstack([255 * m, np.zeros((3, 24), int)]) for m in masks] + [fill]
+    text = (words[0] | words[1] | words[2]) != 0
     return [np.ascontiguousarray(w.astype(np.uint8).view(_LE64).T, np.uint64) for w in words] \
-        + [np.append(8 * shift.ravel(), [0, 0, 0]).astype(np.uint64)]
+        + [np.append(8 * shift.ravel(), [0, 0, 0]).astype(np.uint64),
+           24 - np.argmax(text[:, ::-1], axis=1)]
 
 
-_IN_PLACE, _SHIFTED, _FILL, _SHIFT = _layouts()
-_ZERO = 21 * 34                             # the class of 0; -0 and "%.17g" follow
+_FIXED = _layouts(False)                    # "%.17g"
+_SHORTEST = _layouts(True)                  # repr
+_FIXED_ZERO, _SHORTEST_ZERO = 21 * 34, 23 * 34   # the class of 0; -0 and the others follow
 _LINE = np.uint64((32 ^ 10) << 56)          # turns the separator of a cell into '\n'
 
 
-def _cells(a, neg):
-    """The cell words (3 x n) of each value of magnitude a in [1e-4, 1e17) and sign bit neg."""
+def _laid_out(D, c, tables, out):
+    """Write the cell words (3 x n) of the digits of each D in [0, 10**17), laid out in
+    its class c, to out."""
+    in_place, shifted, fill, shift, _ = tables
+    words = _digit_words(D)
+    shift = shift.take(c)
+    moved = words << shift                      # the cell as a 192-bit number, shifted
+    moved[1:] |= words[:2] >> (_64 - shift)
+    for word, up, keep, keep_up, put, dest in zip(words, moved, in_place, shifted, fill, out):
+        word &= keep.take(c)
+        up &= keep_up.take(c)
+        word |= up
+        np.bitwise_or(word, put.take(c), out=dest)
+
+
+def _fixed_cells(a, neg, out):
+    """Write the "%.17g" cell words (3 x n) of each value of magnitude a in [1e-4, 1e17)
+    and sign bit neg to out; return their classes."""
     X, e, f, D = _scaled(a)
     half = f + 0.5
     D += (e > half) | ((e == half) & (D & 1).astype(bool))
     # No carry reaches 10**17: that would need a double within 5e-18 (relative)
     # below a power of ten, and in (1e-6, 1e17) the nearest lies 4.5e-17 away.
-    k = np.full(D.size, 17)                     # digits kept: all but trailing zeros ...
-    tenth, whole = _tenths(D.view(np.uint64))
-    live = np.flatnonzero(whole)
-    tenth = tenth[live]
-    while live.size:
-        k[live] -= 1
-        tenth, whole = _tenths(tenth)
-        live, tenth = live[whole], tenth[whole]
-    np.maximum(k, X + 1, out=k)                 # ... after the point
-    c = X * 34 + neg * 17 + k + (4 * 34 - 1)
-    words = _words17(D)
-    shift = _SHIFT.take(c)
-    moved = words << shift                      # the cell as a 192-bit number, shifted
-    moved[1:] |= words[:2] >> (_64 - shift)
-    for word, up, in_place, shifted, fill in zip(words, moved, _IN_PLACE, _SHIFTED, _FILL):
-        word &= in_place.take(c)
-        up &= shifted.take(c)
-        word |= up
-        word |= fill.take(c)
-    return words
+    c = X * 34 + neg * 17 + (4 * 34 + 16) - _trailing_zeros(D)
+    _laid_out(D, c, _FIXED, out)
+    return c
+
+
+def _shortest_cells(a, neg, out):
+    """Write the repr cell words (3 x n) of each value of magnitude a in (1e-6, 1e17) and
+    sign bit neg to out; return their classes."""
+    R, n, X = _shortest(a)
+    c = X * 34 + neg * 17 + n + (6 * 34 - 1)
+    _laid_out(R, c, _SHORTEST, out)
+    return c
+
+
+def _block(vals, mag, fast, cells, tables, zero, out):
+    """Write the cell words (3 x n) of every value to out: those of the fast ones by
+    cells(magnitude, sign bit, out), those of zeros from their classes, and the others
+    void but for the fill of the class zero + 2.  Returns (classes, slow): the class
+    of every value and the indices of the others."""
+    neg = np.signbit(vals)
+    if fast.all():
+        return cells(mag, neg, out), np.empty(0, np.intp)
+    classes = np.where(mag == 0, zero + neg, zero + 2)
+    for dest, fill in zip(out, tables[2]):
+        dest[...] = fill.take(classes)
+    idx = np.flatnonzero(fast)
+    words = np.empty((3, idx.size), np.uint64)
+    classes[idx] = cells(mag[idx], neg[idx], words)
+    out[:, idx] = words
+    return classes, np.flatnonzero(~fast & (mag != 0))
+
+
+def insert_texts(text: bytes, at, texts) -> bytes:
+    """text with each of texts inserted before its byte offset at (ascending)."""
+    if not len(at):
+        return text
+    parts, start = [], 0
+    for cut, piece in zip(np.asarray(at).tolist(), texts):
+        parts += [text[start:cut], piece]
+        start = cut
+    parts.append(text[start:])
+    return b"".join(parts)
 
 
 def format_rows(values: np.ndarray) -> bytes:
@@ -201,27 +274,11 @@ def format_rows(values: np.ndarray) -> bytes:
     """
     vals = values.ravel()
     mag = np.abs(vals)
-    neg = np.signbit(vals)
-    fast = (mag >= 1e-4) & (mag < 1e17)
-    if fast.all():
-        words, slow = _cells(mag, neg), []
-    else:                                       # the array values computed apart
-        words = np.empty((3, vals.size), np.uint64)
-        other = np.where(mag == 0, _ZERO + neg, _ZERO + 2)
-        for word, fill in zip(words, _FILL):
-            fill.take(other, out=word)
-        idx = np.flatnonzero(fast)
-        words[:, idx] = _cells(mag[idx], neg[idx])
-        slow = np.flatnonzero(~fast & (mag != 0))
-    words[2].reshape(values.shape[0], -1)[:, -1] ^= _LINE
-    text = words.T.astype(_LE64, copy=False).tobytes()
-    if len(slow):
-        parts, start = [], 0
-        for cut, v in zip((24 * slow).tolist(), vals[slow].tolist()):
-            parts += [text[start:cut], b"%.17g" % v]
-            start = cut
-        parts.append(text[start:])
-        text = b"".join(parts)
+    cells = np.empty((vals.size, 3), _LE64)
+    _, slow = _block(vals, mag, (mag >= 1e-4) & (mag < 1e17), _fixed_cells, _FIXED,
+                     _FIXED_ZERO, cells.T)
+    cells[:, 2].reshape(values.shape[0], -1)[:, -1] ^= _LINE
+    text = insert_texts(cells.tobytes(), 24 * slow, [b"%.17g" % v for v in vals[slow].tolist()])
     return text.translate(None, b"\0")
 
 
@@ -235,7 +292,6 @@ _KEEP = (255 * (np.arange(_WINDOW) >= _WINDOW - np.arange(_WINDOW + 1)[:, None])
 _AFTER = (np.arange(_WINDOW)[::-1].reshape(3, 8)[:, ::-1].astype(np.uint8).copy()
           .view(_LE64).astype(np.uint64))
 _ONES = np.uint64(0x0101010101010101)
-_MANTISSA = 2**52 - 1
 
 
 def _digits(words, L):
@@ -367,33 +423,30 @@ def _float(token: bytes):
         return None
 
 
-def _trailing_zeros(D):
-    """The number of trailing decimal zeros of each D in [10**16, 10**17)."""
-    t = np.zeros(D.shape, np.int64)
-    for k in (16, 8, 4, 2, 1):
-        whole = D % _POW10_INT[k] == 0
-        D = np.where(whole, D // _POW10_INT[k], D)
-        t += k * whole
-    return t
-
-
 def _shortest(a):
     """Shortest round-trip digits of each a in (1e-6, 1e17).
 
     A decimal value reads back to a when it lies in a's rounding interval: within
-    half the gap to each neighbouring double (the gaps differ at powers of two),
-    an end included when a's mantissa is even (reading rounds ties to even).  With
-    the exact scaled value D + frac, the n-digit values next to a are q M and
-    (q + 1) M, M = 10**(17 - n), q = D // M.  If an n-digit value lies in the
-    interval, so does an (n+1)-digit one, so the lengths are scanned downwards
-    from 16 while a candidate stays inside (17 digits always do); a value that
-    is itself a short decimal starts lower (see below).  Of two
-    candidates inside, the nearer is kept, and of two as near, the one with an
-    even last digit, as repr does.
+    half the gap to each neighbouring double (the gap below is half as wide where
+    the mantissa is 0), an end included when the mantissa is even (reading rounds
+    ties to even).  In the exact scaled form a * 10**(16 - X) = D + frac, the
+    n-digit decimals are the multiples of 10**(17 - n), and repr keeps, of the
+    fewest digits that land in the interval, the candidate nearest D + frac (of
+    two as near, the one with an even last digit).
 
-    Every test is exact: each distance minus its half gap is formed from an
-    integer, a half gap and frac in an order that rounds at most where the sign
-    cannot change, and a rounded sum is zero only where the exact one is.
+    The search is done once, without trying length after length.  D + frac, the
+    half gaps and 1 are all whole multiples of u = 2**-52, so the least and
+    greatest integers in the interval, low and high, follow from integer
+    arithmetic in units of u: one subtraction or addition and one arithmetic
+    shift by 52.  The interval is less than 23 wide and more than 1 (each half
+    gap exceeds 1/2), so:
+
+    * a multiple of 100 in [low, high] is the only one, high // 100 * 100, and
+      its trailing zeros give the fewest digits;
+    * else, with a multiple of 10 in it, the multiple of 10 nearest D + frac is
+      kept, or where that one lies outside (only the unequal half gaps at a
+      power of two allow it), its neighbour on the other side of D + frac;
+    * else D + frac rounded half-even, always inside, takes all 17 digits.
 
     Returns (R, n, X): the digits are the n leading ones of the 17-digit integer
     R (10**17 carried back to 10**16, with X raised by one), and a is shown as
@@ -401,105 +454,61 @@ def _shortest(a):
     """
     X, e, f, D = _scaled(a)
     frac = e - f
-    scale = 0.5 * _POW10[16 - X]                    # gaps are powers of two: exact
     bits = a.view(np.int64)
-    up_gap = ((bits + 1).view(np.float64) - a) * scale
-    down_gap = (a - (bits - 1).view(np.float64)) * scale
-    # an interval end is inside where the mantissa is even: with 5e-324 the least
-    # positive double, d < end means d < 0, or d <= 0 where the mantissa is even
-    end = np.where(bits & 1, 0.0, 5e-324)
-
-    def nearest(i, M):
-        """(inside, candidate): whether an n-digit value lies in the interval of a[i],
-        and the one kept, for M = 10**(17 - n)."""
-        Di, fr, lim = D[i], frac[i], end[i]
-        q = Di // M
-        rem = Di - q * M
-        down_in = (rem.astype(np.float64) - down_gap[i]) + fr < lim
-        up_in = ((M - rem).astype(np.float64) - up_gap[i]) - fr < lim
-        lean = (2 * rem - M).astype(np.float64) + 2.0 * fr     # distance down - up
-        tie = np.flatnonzero(lean == 0)
-        lean[tie] = q[tie] % 2 - 0.5                            # to the even digit
-        return down_in | up_in, (q + (up_in & (~down_in | (lean > 0)))) * M
-
-    # Where frac = 0, a is the decimal D * 10**(X - 16) itself: with t trailing zeros
-    # in D, every length from 17 - t up has D as its candidate, so the scan of such
-    # a value starts at 16 - t with R = D, n = 17 - t.
-    R, n = np.empty_like(D), np.empty_like(D)
-    exact = np.flatnonzero(frac == 0)
-    zeros = _trailing_zeros(D[exact])
-    R[exact], n[exact] = D[exact], 17 - zeros
-    starts_late = np.zeros(a.size, bool)
-    starts_late[exact[zeros > 0]] = True
-    live = np.flatnonzero(~starts_late)
-    most_zeros = zeros.max(initial=0)
-    for digits in range(16, 0, -1):
-        if digits < 16:
-            live = np.concatenate([live, exact[zeros == 16 - digits]])
-        if not live.size:
-            if 16 - digits >= most_zeros:           # no scan starts below
-                break
-            continue
-        inside, cand = nearest(live, _POW10_INT[17 - digits])
-        if digits == 16:
-            rest = live[~inside]
-            R[rest], n[rest] = nearest(rest, 1)[1], 17
-        kept = np.flatnonzero(inside)
-        live = live[kept]
-        R[live], n[live] = cand[kept], digits
-    carry = R == 10**17
+    k = 16 - X
+    # a * 10**k is the mantissa times 5**k * 2**(E + 2), E >= -52, so frac, the half
+    # gaps and 1 are whole multiples of u = 2**-52; the half gap above is
+    # 5**k * 2**(E + 1), below it half that where the mantissa is 0
+    up = _POW5_INT.take(k) << ((bits >> 52) + (k - 1024))     # E + 53 = exponent + k - 1
+    down = up >> ((bits & _MANTISSA) == 0).view(np.int8)
+    odd = bits & 1                                  # an odd mantissa leaves the ends out
+    up -= odd
+    down -= odd
+    fr = (frac * 2.0**52).astype(np.int64)
+    down -= fr
+    up += fr
+    low = D - (down >> 52)
+    high = D + (up >> 52)
+    hundreds = high // 100
+    tens = high // 10
+    ten = tens * 10
+    fr += fr                                        # frac in units of u / 2
+    # below: the multiple of 10 nearest D + frac is ten - 10, not ten: ten - D - frac > 5,
+    # or = 5 with an odd tens digit (in units of u / 2, plus the digit's parity)
+    below = (((ten - D) << 53) - fr + (tens & 1)) > (5 << 53)
+    below &= ten - low >= 10                        # ... and ten - 10 lies inside
+    # without a multiple of 10 inside, D + frac rounded half-even
+    np.subtract(ten, 10, out=ten, where=below)
+    tenth = ten >= low
+    R = np.where(tenth, ten, D + ((fr + (D & 1)) > 2**52))
+    n = 17 - tenth
+    ten = hundreds * 100
+    inside = ten >= low
+    np.copyto(R, ten, where=inside)
+    hundred = np.flatnonzero(inside)
+    n[hundred] = 15 - _trailing_zeros(hundreds[hundred])
+    carry = hundred[n[hundred] == 0]
     R[carry], n[carry], X[carry] = 10**16, 1, X[carry] + 1
     return R, n, X
 
 
-# _SHOWN[k]: the first k digit columns (3..19) of a _chars17 row, as three words
-_SHOWN = (255 * ((np.arange(24) >= 3) & (np.arange(24) < 3 + np.arange(18)[:, None]))
-          ).astype(np.uint8).view(np.uint64)
+def repr_words(values: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Write the bytes of repr(v) and a newline for every value to out, as a 24-byte
+    cell padded with void (zero) bytes held as three little-endian words (out is
+    3 x n).  Returns (ends, slow): the byte after each cell's newline, and the
+    indices of the values whose text is left out, for repr itself to write before
+    their newline (alone in byte 0).
 
-
-def repr_cells(values: np.ndarray) -> np.ndarray:
-    """The bytes of repr(v) for every value, one REPR_CELL-wide row each, padded with
-    void (zero) bytes.
-
-    repr writes d.ddd positionally for 1e-4 <= |v| < 1e16, with ".0" after an
-    integer, and as d.ddde-05 / d.ddde+16 otherwise.  The fast values are laid
-    out one exponent at a time in fixed columns, the others by repr itself.
+    Values with 1e-6 < |v| < 1e17 are laid out as arrays by one sequence of word
+    operations: the shortest digits (_shortest), the point, the prefix and repr's
+    exponent suffix placed by the tables of _layouts, positional d.ddd for
+    1e-4 <= |v| < 1e16 with ".0" after an integer, d.ddde-05 / de+16 otherwise.
+    The text starts in byte 0, or in byte 1 where it begins with a digit other
+    than that of '0.000ddd'.  Zeros take the fixed cells of "0.0" and "-0.0";
+    subnormals, tiny values, |v| >= 1e17 and non-finite values are left to repr.
     """
     vals = np.asarray(values, np.float64).ravel()
     mag = np.abs(vals)
-    fast = (mag > 1e-6) & (mag < 1e17)
-    idx = np.flatnonzero(fast)
-    R, n, X = _shortest(mag[idx])
-    chars = _chars17(R)
-    shown = np.where((X >= 0) & (X < 16), np.maximum(n, X + 2), n)   # a '0' after the point
-    chars.view(np.uint64)[:] &= np.take(_SHOWN, shown, axis=0)
-    # one run per exponent: sort by X, lay out each run with fixed columns
-    order = np.argsort(X.astype(np.int8), kind="stable")   # int8: a radix sort
-    counts = np.bincount(X + 6, minlength=24)
-    chars, idx, n = np.take(chars, order, axis=0)[:, 3:20], idx[order], n[order]
-    block = np.zeros((vals.size, REPR_CELL), np.uint8)     # the fast values, then the others
-    block[:idx.size, 0] = np.where(vals[idx] < 0, 45, 0)
-    end = 0
-    for c in np.flatnonzero(counts) - 6:
-        start, end = end, end + counts[c + 6]
-        dig, cell = chars[start:end], block[start:end]
-        if 0 <= c < 16:                         # ddd.ddd
-            cell[:, 1:c + 2] = dig[:, :c + 1]
-            cell[:, c + 2] = 46
-            cell[:, c + 3:19] = dig[:, c + 1:]
-        elif -4 <= c < 0:                       # 0.000ddd
-            cell[:, 1:2 - c] = np.frombuffer(b"0.000"[:1 - c], np.uint8)
-            cell[:, 2 - c:19 - c] = dig
-        else:                                   # d.ddde-05, de+16
-            cell[:, 1] = dig[:, 0]
-            cell[:, 2] = np.where(n[start:end] > 1, 46, 0)
-            cell[:, 3:19] = dig[:, 1:]
-            cell[:, 19:23] = np.frombuffer(b"e%+03d" % c, np.uint8)
-    slow = np.flatnonzero(~fast)
-    if slow.size:
-        text = "".join(repr(v).ljust(REPR_CELL, "\0") for v in vals[slow].tolist())
-        block[idx.size:] = np.frombuffer(text.encode(), np.uint8).reshape(-1, REPR_CELL)
-    where = np.empty(vals.size, np.intp)
-    where[idx] = np.arange(idx.size)
-    where[slow] = np.arange(idx.size, vals.size)
-    return np.take(block, where, axis=0)
+    classes, slow = _block(vals, mag, (mag > 1e-6) & (mag < 1e17), _shortest_cells, _SHORTEST,
+                           _SHORTEST_ZERO, out)
+    return _SHORTEST[4].take(classes), slow       # the table of the byte after the text

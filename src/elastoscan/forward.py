@@ -41,9 +41,10 @@ size:
                     array and no copy of it.  A self block's Hankel part waits
                     in its destination while the log part's radial functions
                     are evaluated, so the two sets are never held together.
-  * factorize    -- A's 1-norm is taken for the condition estimate, then A's
-                    C-ordered buffer is transposed in place (tile by tile) into
-                    the Fortran-ordered array LAPACK reads, and getrf overwrites
+  * factorize    -- A's 1-norm is taken for the condition estimate over strips
+                    of rows, with no float copy of |A|; then A's C-ordered
+                    buffer is transposed in place (tile by tile) into the
+                    Fortran-ordered array LAPACK reads, and getrf overwrites
                     it with the LU; SystemMatrix.matrix is None from then on.
   * solve        -- the negated right-hand sides of all 4m plane waves (the 2m
                     P waves, then the 2m S waves) are written straight into
@@ -376,6 +377,20 @@ def _fortran_in_place(a: np.ndarray) -> np.ndarray:
     return a.T
 
 
+def _one_norm(a: np.ndarray) -> float:
+    """np.linalg.norm(a, 1), the largest column sum of |a|, bit for bit, without a
+    float copy of |a|: |a| is taken over strips of 64 rows into one
+    (65, n) buffer whose row 0 carries the running column sums, and each strip is
+    added to them row after row, the order in which numpy sums the whole |a|."""
+    rows = 64
+    buf = np.empty((rows + 1, a.shape[1]))
+    for i in range(0, len(a), rows):
+        strip = a[i:i + rows]
+        np.abs(strip, out=buf[1:len(strip) + 1])
+        np.add.reduce(buf[int(i == 0):len(strip) + 1], axis=0, out=buf[0])
+    return float(buf[0].max())
+
+
 @dataclass
 class SystemMatrix:
     """Assembled Nystrom system with its quadrature and, once factored, its LU.
@@ -402,7 +417,7 @@ class SystemMatrix:
         the factors; matrix is None afterwards.
         """
         if self._lu is None:
-            anorm = np.linalg.norm(self.matrix, 1)
+            anorm = _one_norm(self.matrix)
             lu, piv = sla.lu_factor(_fortran_in_place(self.matrix), overwrite_a=True,
                                     check_finite=False)
             self.matrix = None

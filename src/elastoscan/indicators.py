@@ -73,7 +73,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, qr, solve_triangular
 
-from ._numtext import CHUNK_VALUES, repr_cells
+from ._numtext import CHUNK_VALUES, insert_texts, repr_words
 from .elastic import Medium
 from .forward import direction_grid
 
@@ -144,28 +144,59 @@ class IndicatorField:
         """Header 'x,y,value', then nx*ny rows 'x,y,value' (x fastest), each number the
         bytes of repr(float).
 
-        Whole lines are laid out a chunk of grid rows at a time in one buffer of
-        fixed-width cells padded with void (zero) bytes, which are dropped once per
-        chunk; the x and y strings of the grid are formatted once.
+        A chunk of grid rows at a time, each line is laid out as three pieces of w
+        64-bit words: the x and y cells of the grid, 'x,' and 'y,' (formatted once per
+        grid, _axis_cells), and the value's cell from repr_words, its text and a
+        newline.  Every piece's text starts at its first byte (a value's at its first
+        or second) and is padded with void bytes.  The pieces are written in order,
+        each as one 8w-byte item, at the byte where its text goes in the file, so that
+        each overwrites the padding of the one before; a void first byte of a value's
+        cell falls on the comma after y, which is written again.  The values that
+        repr_words leaves out are written by repr itself.
         """
-        nx = self.grid.nx
-        axes = repr_cells(np.concatenate([self.grid.xs, self.grid.ys]))
-        xs, ys = (cells[:, :np.flatnonzero(cells.any(axis=0))[-1] + 1]
-                  for cells in (axes[:nx], axes[nx:]))
-        wx, wy = xs.shape[1], ys.shape[1]
-        rows = max(1, CHUNK_VALUES // nx)
+        xs, ys, x_len, y_len = _axis_cells(self.grid.xs.tobytes(), self.grid.ys.tobytes())
+        nx, w = self.grid.nx, xs.shape[1]
+        rows = min(self.grid.ny, max(1, CHUNK_VALUES // nx))
+        pieces = np.zeros((rows, nx, 3, w), "<u8")
+        pieces[:, :, 0] = xs
+        cells = pieces[:, :, 2, :3].reshape(-1, 3).T
+        text = np.empty(pieces.nbytes + 8 * w, np.uint8)
+        slots = np.ndarray((text.size - 8 * w + 1,), f"V{8 * w}", text, strides=(1,))
         with open(path, "wb") as fh:
             fh.write(b"x,y,value\n")
             for r0 in range(0, self.grid.ny, rows):
                 vals = self.values[r0:r0 + rows]
-                cells = repr_cells(vals)
-                lines = np.empty(vals.shape + (wx + wy + cells.shape[1] + 3,), np.uint8)
-                lines[..., :wx] = xs
-                lines[..., wx + 1:wx + wy + 1] = ys[r0:r0 + rows, None]
-                lines[..., wx + wy + 2:-1] = cells.reshape(vals.shape + (-1,))
-                lines[..., [wx, wx + wy + 1]] = 44           # ','
-                lines[..., -1] = 10
-                fh.write(lines.tobytes().translate(None, b"\0"))
+                r = len(vals)
+                pieces[:r, :, 1] = ys[r0:r0 + r, None]
+                ends, slow = repr_words(vals, cells[:, :vals.size])
+                first = (pieces[:r, :, 2, 0] & np.uint64(255)) == 0   # text from byte 1
+                y_at = x_len + y_len[r0:r0 + r, None]               # the byte after 'x,y,'
+                line = y_at + ends.reshape(r, nx) - first
+                at = np.empty((r, nx, 3), np.int64)                 # each piece's byte
+                at[..., 0] = (np.cumsum(line) - line.ravel()).reshape(r, nx)
+                at[..., 1] = at[..., 0] + x_len
+                at[..., 2] = at[..., 0] + y_at - first
+                # numpy assigns an index array's items in order: each padding is overwritten
+                slots[at.ravel()] = pieces[:r].view(f"V{8 * w}").ravel()
+                text[at[..., 0] + y_at - 1] = 44                    # the comma after y
+                data = memoryview(text)[:at[-1, -1, 0] + line[-1, -1]]
+                if slow.size:
+                    data = insert_texts(bytes(data), at[..., 2].ravel()[slow],
+                                        [repr(v).encode() for v in vals.ravel()[slow].tolist()])
+                fh.write(data)
+
+
+@lru_cache(maxsize=8)
+def _axis_cells(xs: bytes, ys: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(x cells, y cells, their lengths): the pieces 'x,' and 'y,' of a grid's CSV lines,
+    repr of each coordinate and a comma, as (nx, w) and (ny, w) 64-bit words padded
+    with void bytes, w = 3 or the words of the longest.  The axes are given as the
+    bytes of their values, so that -0.0 and 0.0 differ."""
+    texts = [[b"%r," % v for v in np.frombuffer(axis).tolist()] for axis in (xs, ys)]
+    w = max(3, -(-max(len(t) for axis in texts for t in axis) // 8))
+    cells = [np.frombuffer(b"".join(t.ljust(8 * w, b"\0") for t in axis), "<u8")
+             .reshape(len(axis), w) for axis in texts]
+    return (*cells, *(np.array([len(t) for t in axis]) for axis in texts))
 
 
 def _half_bandwidth(coords: np.ndarray, band: float) -> float:

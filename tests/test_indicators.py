@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from elastoscan import indicators
+from elastoscan._numtext import CHUNK_VALUES
 from elastoscan.aperture import apply_mask, retrieved_forms
 from elastoscan.elastic import Medium, point_source_farfield
 from elastoscan.forward import MSRMatrix, add_noise, direction_grid, synthesize_msr
@@ -612,6 +613,32 @@ class TestCsv:
             f"{x!r},{y!r},{v!r}\n"
             for (x, y), v in zip(grid.points().tolist(), vals.ravel().tolist()))
         assert path.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("grid", [
+        SamplingGrid(-6.0, 6.0, -0.5, 0.5, CHUNK_VALUES + 9, 3),   # one grid row per chunk
+        SamplingGrid(1e-5, 3e-5, -2e-5, 7e-5, 9, 7),               # exponent cells in the axes
+        SamplingGrid(-1.0, 1.0, -1.0, 1.0, 6, 5),                  # values written one at a time
+    ], ids=["rows-wider-than-a-chunk", "exponent-axes", "slow-values"])
+    def test_bytes_equal_repr_line_writer(self, tmp_path, grid):
+        from elastoscan.indicators import IndicatorField
+
+        rng = np.random.default_rng(grid.nx)
+        vals = rng.random((grid.ny, grid.nx)) * 10.0 ** rng.integers(-8, 18, (grid.ny, grid.nx))
+        vals.flat[:8] = [5e-324, 1e300, -0.0, np.nan, 0.0, -np.inf, 1e-7, 123456.0]
+        path = tmp_path / "f.csv"
+        IndicatorField(grid, vals, FF, Q_DEFAULT).to_csv(path)
+        expected = "x,y,value\n" + "".join(
+            f"{x!r},{y!r},{v!r}\n"
+            for (x, y), v in zip(grid.points().tolist(), vals.ravel().tolist()))
+        assert path.read_bytes() == expected.encode()
+
+    def test_axes_of_grids_equal_but_for_a_signed_zero(self, tmp_path):
+        from elastoscan.indicators import IndicatorField
+
+        for x1 in (0.0, -0.0, 0.0):                 # equal grids, but not the same text
+            grid = SamplingGrid(-1.0, x1, -1.0, 1.0, 2, 2)
+            IndicatorField(grid, np.ones((2, 2)), FF, Q_DEFAULT).to_csv(tmp_path / "f.csv")
+            assert (tmp_path / "f.csv").read_text().splitlines()[2] == f"{x1!r},-1.0,1.0"
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())

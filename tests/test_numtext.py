@@ -2,13 +2,27 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elastoscan._numtext import CHUNK_VALUES, REPR_CELL, format_rows, repr_cells
+from elastoscan._numtext import CHUNK_VALUES, format_rows, repr_words
 
 
 def texts(values) -> list[str]:
-    cells = repr_cells(np.asarray(values, np.float64))
-    assert cells.shape == (np.size(values), REPR_CELL)
-    return [bytes(row).replace(b"\0", b"").decode() for row in cells]
+    """The text repr_words writes for every value, repr's own where it leaves a value
+    out; each cell holds one void byte at most before its text, and none inside it or
+    after its newline."""
+    vals = np.asarray(values, np.float64).ravel()
+    cells = np.empty((vals.size, 3), "<u8")
+    ends, slow = repr_words(vals, cells.T)
+    rows = cells.view(np.uint8)
+    assert not rows[np.arange(24) >= ends[:, None]].any()
+    out = []
+    for row, end in zip(rows, ends.tolist()):
+        text = bytes(row[int(row[0] == 0):end])
+        assert b"\0" not in text and text.endswith(b"\n")
+        out.append(text[:-1].decode())
+    for i in slow.tolist():
+        assert out[i] == ""
+        out[i] = repr(vals[i].item())
+    return out
 
 
 def interval_end_values() -> list[float]:
@@ -56,7 +70,7 @@ def grid_axis_values() -> list[float]:
 
 
 class TestReprCells:
-    """repr_cells writes exactly the bytes of repr(x)."""
+    """repr_words writes exactly the bytes of repr(x)."""
 
     def test_edge_table(self):
         vals = edge_values()
@@ -81,6 +95,76 @@ class TestReprCells:
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64))
     def test_matches_repr(self, values):
         assert texts(values) == [repr(v) for v in values]
+
+
+def repr_class(v: float) -> tuple[int, int, bool]:
+    """(X, n, sign) of repr(v): decimal exponent X, n significant digits (trailing zeros
+    left out), and the sign."""
+    text = repr(v)
+    mantissa, _, exponent = text.lstrip("-").partition("e")
+    whole, _, frac = mantissa.partition(".")
+    digits = (whole + frac).lstrip("0").rstrip("0")
+    if exponent:
+        X = int(exponent)
+    elif whole != "0":
+        X = len(whole) - 1
+    else:
+        X = len(frac.lstrip("0")) - len(frac) - 1
+    return X, len(digits), text.startswith("-")
+
+
+def repr_class_values() -> dict[tuple[int, int, bool], float]:
+    """One value for every (X, n, sign) repr_words lays out with its tables: X in -6..16
+    (positional for -4..15, d.ddde-05 / de+16 otherwise), n in 1..17, integers
+    written with '.0' included."""
+    rng = np.random.default_rng(24)
+    found = {}
+    for X in range(-6, 17):
+        for n in range(1, 18):
+            for _ in range(1000):                 # an n-digit decimal, last digit not 0
+                d = int(rng.integers(10 ** (n - 1), 10**n)) // 10 * 10 + int(rng.integers(1, 10))
+                v = float(f"{d}e{X - n + 1}")
+                if repr_class(v) == (X, n, False):
+                    found[X, n, False], found[X, n, True] = v, -v
+                    break
+    return found
+
+
+class TestReprLayout:
+    """Every entry of repr_words' layout tables, against repr."""
+
+    CLASSES = repr_class_values()
+
+    def test_every_class_is_reached(self):
+        classes = {(X, n, sign) for X in range(-6, 17) for n in range(1, 18)
+                   for sign in (False, True)}
+        assert set(self.CLASSES) == classes
+        assert all(repr_class(v) == c for c, v in self.CLASSES.items())
+        # the positional integers (n <= X + 1) are written with '.0'
+        assert all(repr(v).endswith(".0") for (X, n, _), v in self.CLASSES.items()
+                   if 0 <= X < 16 and n <= X + 1)
+
+    @staticmethod
+    def edges() -> list[float]:
+        """The ends of the array range and of the positional form, their neighbours,
+        values written one at a time, and zeros."""
+        vals = []
+        for p in (1e-6, 1e-4, 1e16, 1e17):
+            vals += [p, float(np.nextafter(p, 0.0)), float(np.nextafter(p, np.inf))]
+        vals += [0.0, 5e-324, 2.2250738585072014e-308, 1e300, np.inf, np.nan]
+        return vals + [-v for v in vals]
+
+    def test_classes_and_edges_alone(self):
+        vals = list(self.CLASSES.values()) + self.edges()
+        assert texts(vals) == [repr(v) for v in vals]
+
+    def test_all_array_mixed_and_no_array_blocks(self):
+        classes = np.array(list(self.CLASSES.values()))
+        others = np.array([v for v in self.edges() if not 1e-6 < abs(v) < 1e17])
+        rng = np.random.default_rng(6)
+        for vals in (classes, np.concatenate([classes, others]), others):
+            block = rng.permutation(np.resize(vals, CHUNK_VALUES))   # each value at least once
+            assert texts(block) == [repr(v) for v in block.tolist()]
 
 
 def percent_text(rows) -> bytes:
