@@ -49,6 +49,7 @@ from .indicators import (
     IndicatorKind,
     SamplingGrid,
     indicator_fields,
+    indicator_forms,
     indicator_values_at,
 )
 from .aperture import (

@@ -54,7 +54,7 @@ import numpy as np
 
 from .forward import MSRMatrix, blocks
 from .indicators import (IndicatorField, IndicatorKind, SamplingGrid, indicator_fields,
-                         indicator_forms_at)
+                         indicator_forms)
 
 
 def antipode(i, m: int):
@@ -113,17 +113,17 @@ def reciprocity_fill(masked: MaskedMSR) -> MaskedMSR:
 
 def retrieved_forms(masked: MaskedMSR, limited: dict[str, np.ndarray], grid: SamplingGrid,
                     kinds, q) -> dict[str, np.ndarray]:
-    """The complex forms of reciprocity_fill(masked).data at the grid points, for the kinds.
+    """The complex forms of reciprocity_fill(masked).data on the grid, for the kinds.
 
-    limited holds the forms indicator_forms_at gives for masked.data at those points
-    with the same kinds and q.  One more pass, over the entries known together with
+    limited holds the forms indicator_forms gives for masked.data on that grid with
+    the same kinds and q.  One more pass, over the entries known together with
     their image (K & sigma K), gives the rest: G_ret = 2 G(F|K) - G(F|K & sigma K)
     for PP, SS and FF (see the module docstring).
     """
     image = _image(masked.m)
     both = masked.mask & masked.mask[image].T
-    doubly = indicator_forms_at(grid.points(), np.where(both, masked.data, 0.0), masked.m,
-                                masked.base.medium, q, kinds)
+    doubly = indicator_forms(np.where(both, masked.data, 0.0), masked.m, masked.base.medium,
+                             grid, kinds, q)
     return {kind.value: 2.0 * limited[kind.value] - doubly[kind.value] for kind in kinds}
 
 
@@ -131,8 +131,8 @@ def limited_indicator(masked: MaskedMSR, grid: SamplingGrid, kinds, q=(1.0, 0.0)
                       ) -> dict[IndicatorKind, IndicatorField]:
     """Indicator fields restricted to known (j, i) pairs (unknown ones are 0).
 
-    The pipeline evaluates the same fields through harness.forms_of, which keeps
-    their complex forms for retrieved_forms.
+    Nothing in the package calls it; the pipeline keeps the complex forms of
+    harness.forms_of for retrieved_forms.  It stays as the target bench/tracing.py names.
     """
     return indicator_fields(masked.data, masked.m, masked.base.medium, grid, kinds, q)
 

@@ -39,9 +39,9 @@ import numpy as np
 from .forward import MsrFormatError, NumericError, add_noise, load_msr, synthesize_msr
 from .harness import (ENV_OUT, PRESET_BUILDERS, SMALL_GRID_PTS, SMALL_M, SMALL_N, ConfigError,
                       ExperimentConfig, MaskSpec, _Emitter, build_preset, check_limited,
-                      fields_of, parse_arcs, parse_config, parse_grid, parse_q, preset_names,
+                      forms_of, parse_arcs, parse_config, parse_grid, parse_q, preset_names,
                       restrict, retrieve_msr, run_preset, run_recorded)
-from .indicators import IndicatorKind, SamplingGrid
+from .indicators import IndicatorKind, SamplingGrid, fields_from_forms
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -126,7 +126,8 @@ def cmd_indicate(args) -> int:
     kinds = ([IndicatorKind(args.kind)] if args.kind != "all"
              else [IndicatorKind.SS, IndicatorKind.PP, IndicatorKind.FF])
     observed, incident = _arc_masks(args)
-    fields = fields_of(restrict(load_msr(args.msr), observed, incident), grid, kinds, q)
+    data = restrict(load_msr(args.msr), observed, incident)
+    fields = fields_from_forms(forms_of(data, grid, kinds, q), data.m, grid, kinds, q)
     with _Emitter(_resolve_out(args)) as emitter:
         emitter.write_fields("indicator", fields)
     if not args.quiet:

@@ -33,7 +33,7 @@ zeros where reciprocity cannot reach) -> indicators -> emit CSV (raw values),
 PGM (squared, normalized) and a JSON manifest listing every artifact with its
 sha256.  An observed or incident spec becomes a boolean vector over the 2m
 directions (MaskSpec.directions), and limited data are the masked operator
-with unknown entries 0.  The stages (restrict, fields_of, retrieve_msr), the
+with unknown entries 0.  The stages (restrict, forms_of, retrieve_msr), the
 flag parsers (parse_grid, parse_q, parse_arcs) and the one artifact writer
 (_Emitter) are shared with the CLI subcommands.
 
@@ -69,7 +69,7 @@ from .forward import MSRMatrix, NumericError, add_noise, save_msr, synthesize_ms
 from .geometry import (BoundaryCondition, BoundaryCurve, BoundaryKind, Scene, boundary_quadrature,
                        scene_from_string)
 from .indicators import (IndicatorField, IndicatorKind, SamplingGrid, fields_from_forms,
-                         indicator_forms_at, skeleton_summary)
+                         indicator_forms, skeleton_summary)
 
 ENV_OUT = "ELASTOSCAN_OUT"
 
@@ -474,16 +474,11 @@ def restrict(msr: MSRMatrix, observed: MaskSpec | None, incident: MaskSpec | Non
                       incident.directions(msr.m) if incident else every)
 
 def forms_of(data: MSRMatrix | MaskedMSR, grid: SamplingGrid, kinds, q) -> dict[str, np.ndarray]:
-    """Complex indicator forms at the grid points (indicators.indicator_forms_at) of full
-    data, or of the known entries of limited data."""
+    """Complex indicator forms on the grid (indicators.indicator_forms) of full data, or
+    of the known entries of limited data; fields_from_forms takes their modulus."""
     if isinstance(data, MaskedMSR):
-        return indicator_forms_at(grid.points(), data.data, data.m, data.base.medium, q, kinds)
-    return indicator_forms_at(grid.points(), data.assembled(), data.m, data.medium, q, kinds)
-
-def fields_of(data: MSRMatrix | MaskedMSR, grid: SamplingGrid, kinds, q
-              ) -> dict[IndicatorKind, IndicatorField]:
-    """Indicator fields of full data, or of the known entries of limited data."""
-    return fields_from_forms(forms_of(data, grid, kinds, q), data.m, grid, kinds, q)
+        return indicator_forms(data.data, data.m, data.base.medium, grid, kinds, q)
+    return indicator_forms(data.assembled(), data.m, data.medium, grid, kinds, q)
 
 def retrieve_msr(masked: MaskedMSR) -> MSRMatrix:
     """The data completed by reciprocity fill; entries it cannot reach stay 0.

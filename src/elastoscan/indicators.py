@@ -13,10 +13,10 @@ and with the direction-grid weight w = pi/m the indicators are
 
 where F is the assembled 4m x 4m operator layout [[pp, sp], [ps, ss]].
 I_FF is the sum of the four block forms, of which the pp and ss forms are
-I_PP and I_SS, so every kind comes from one pass over the sampling points.
-The complex forms are linear in F: indicator_forms_at gives them and
-fields_from_forms takes the modulus on a grid, so the forms of related matrices
-can be combined first.  The experiment keeps the forms of a limited pass and gets the
+I_PP and I_SS, so every kind comes from one pass over the sampling grid.
+The complex forms are linear in F: indicator_forms gives them on a SamplingGrid
+and fields_from_forms takes the modulus, so the forms of related matrices can be
+combined first.  The experiment keeps the forms of a limited pass and gets the
 retrieved fields from them and one pass over the doubly known entries
 (aperture.retrieved_forms); that pass is what overlaps the writer's work on the
 limited fields and the retrieved MSR.
@@ -50,18 +50,19 @@ function: its frequencies k_a cos t_j - k_b cos t_i lie within the band k_a + k_
 (2 k_p for pp, k_p + k_s for ps and sp, 2 k_s for ss).  On an axis of n equispaced
 points of spacing h, such samples lie to rounding in the span of the leading
 discrete prolate spheroidal sequences of half-bandwidth W = band h / 2 pi (Slepian
-1978), of which about 2nW carry the band, whatever n.  For a grid with equispaced
-axes each block form is therefore evaluated exactly on a skeleton of each axis for
-its own band and interpolated to the full grid before the modulus is taken.  The
+1978), of which about 2nW carry the band, whatever n.  The axes of a SamplingGrid
+are equispaced, so each block form is evaluated exactly on a skeleton of each axis
+for its own band and interpolated to the full grid before the modulus is taken.  The
 band alone fixes the rank, K = ceil(2nW) + SKELETON_MARGIN; the K leading sequences
 V are the top eigenvectors of Slepian's tridiagonal matrix, a column-pivoted QR of
 the real K x n matrix V^T picks K skeleton points, and B = [I, R11^-1 R12] (K x n)
-maps forms on the skeleton to the axis, G -> B_y^T G B_x.  PP and SS are the interpolated pp and ss forms, FF the sum of
-all four.  The skeleton depends only on n and W, so it is cached and shared
-between passes and between axes.  Where K >= n (a short axis, or W near 1/2 or
-above) the axis is its own skeleton: nothing is factorized, B is not applied, and
-the block's values are those of the per-row evaluation bit for bit (the ss and
-mixed blocks on every omega = 8 pi grid of 161 points).
+maps forms on the skeleton to the axis, G -> B_y^T G B_x.  PP and SS are the
+interpolated pp and ss forms, FF the sum of all four.  The skeleton depends only on
+n and W, so it is cached and shared between passes and between axes.  Where K >= n
+(a short axis, or W near 1/2 or above) the axis is its own skeleton: nothing is
+factorized, B is not applied, and the block's values are those of the per-row
+evaluation bit for bit (the ss and mixed blocks on every omega = 8 pi grid of 161
+points).
 """
 
 from __future__ import annotations
@@ -201,7 +202,7 @@ def _axis_cells(xs: bytes, ys: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 def _half_bandwidth(coords: np.ndarray, band: float) -> float:
     """W = band h / 2 pi of an axis of mean spacing h."""
-    return float(band) * (coords[-1] - coords[0]) / (2.0 * np.pi * max(len(coords) - 1, 1))
+    return float(band) * (coords[-1] - coords[0]) / (2.0 * np.pi * (len(coords) - 1))
 
 
 def _skeleton_rank(n: int, half_bandwidth: float) -> int:
@@ -389,24 +390,11 @@ def _needed_blocks(fmat: np.ndarray, m: int, kinds) -> dict[tuple[str, str], np.
     return {(a, b): fmat[half[a], half[b]] for a, b in _block_pairs(kinds)}
 
 
-def _direct_forms(blocks, m, k, weight, points) -> dict[str, np.ndarray]:
-    """Complex block forms phi_a^H F_ab phi_b at scattered points, unfolded and batched."""
+def _weights(m: int, q) -> dict[str, np.ndarray]:
+    """The weights q.theta of phi_p and q.theta_perp of phi_s on the 2m directions."""
     dirs = direction_grid(m)
-    forms = {a + b: np.empty(len(points), complex) for a, b in blocks}
-    for lo in range(0, len(points), _DIRECT_CHUNK):
-        chunk = slice(lo, lo + _DIRECT_CHUNK)
-        zdot = dirs @ points[chunk].T
-        phi = {c: np.exp(-1j * k[c] * zdot) * weight[c][:, None] for c in k}
-        for (a, b), blk in blocks.items():
-            forms[a + b][chunk] = (np.conj(phi[a]) * (blk @ phi[b])).sum(axis=0)
-    return forms
-
-
-def indicator_values_at(points: np.ndarray, fmat: np.ndarray, m: int, medium: Medium,
-                        q, kinds) -> dict[IndicatorKind, np.ndarray]:
-    """Indicators of every requested kind at points (M, 2) from an assembled 4m x 4m matrix:
-    the modulus |w^2 G| of each kind's complex form G (see indicator_forms_at)."""
-    return _moduli(indicator_forms_at(points, fmat, m, medium, q, kinds), m, kinds)
+    q = np.asarray(q, float)
+    return {"p": dirs @ q, "s": -dirs[:, 1] * q[0] + dirs[:, 0] * q[1]}
 
 
 def _moduli(forms: dict[str, np.ndarray], m: int, kinds) -> dict[IndicatorKind, np.ndarray]:
@@ -415,68 +403,48 @@ def _moduli(forms: dict[str, np.ndarray], m: int, kinds) -> dict[IndicatorKind, 
     return {kind: np.abs(w**2 * forms[kind.value]) for kind in kinds}
 
 
-def indicator_forms_at(points: np.ndarray, fmat: np.ndarray, m: int, medium: Medium, q,
-                       kinds) -> dict[str, np.ndarray]:
-    """Complex forms phi_a^H F_ab phi_b (without w^2) at points (M, 2), by block name
-    ('pp', 'ps', 'sp', 'ss': the blocks the kinds need), and 'ff', their sum, with FF.
-
-    The phases separate, e^{-ik d.z} = e^{-ik cos(t) x} e^{-ik sin(t) y}, and are
-    built once per distinct x and per distinct y.  Direction d and 2m - d share
-    cos(t), so the x phases have m + 1 distinct rows (classes r = 0..m, where
-    r = 0 and r = m have one member and the others two).  Each needed 2m x 2m block
-    is split once into its four (m+1) x (m+1) member parts; for each row of points
-    with equal y the y phases are folded into them, giving an (m+1) x (m+1) kernel
-    K, and the forms are conj(X_a)^T (K X_b) column by column, a batch of rows at a
-    time (_Fold.rows).  Only the blocks the kinds need are used (pp for PP, ss for
-    SS, all four for FF); the FF form is the sum of the four block forms, so PP and
-    SS come free with it.  Works on masked (zero-filled) matrices as well.
-
-    When the points are the full x-fastest tensor grid of their distinct
-    coordinates and each axis is np.linspace of its ends bit for bit
-    (SamplingGrid.points), each block form is evaluated on the skeleton of each axis
-    for its own band k_a + k_b, with the x tables of the skeleton columns built once
-    per block, and interpolated to the grid, G -> B_y^T G B_x, before the modulus.
-    Any other point set, a tensor grid with unequal spacing included, is evaluated
-    exactly: runs of two or more points with equal y by the same routine, one row
-    each, single points by one batched unfolded product.
-    """
-    q = np.asarray(q, float)
+def indicator_values_at(points: np.ndarray, fmat: np.ndarray, m: int, medium: Medium,
+                        q, kinds) -> dict[IndicatorKind, np.ndarray]:
+    """Indicators of every requested kind at scattered points (M, 2), by the exact
+    unfolded product |w^2 phi^H F phi|, _DIRECT_CHUNK points at a time.  Nothing in the
+    package calls it; it stays as the target bench/tracing.py names."""
     points = np.atleast_2d(np.asarray(points, float))
-    dirs = direction_grid(m)
+    dirs, k, weight = direction_grid(m), _wave_numbers(medium), _weights(m, q)
     blocks = _needed_blocks(fmat, m, kinds)
-    k = _wave_numbers(medium)
-    weight = {"p": dirs @ q, "s": -dirs[:, 1] * q[0] + dirs[:, 0] * q[1]}
+    forms = {a + b: np.empty(len(points), complex) for a, b in blocks}
+    for lo in range(0, len(points), _DIRECT_CHUNK):
+        chunk = slice(lo, lo + _DIRECT_CHUNK)
+        zdot = dirs @ points[chunk].T
+        phi = {c: np.exp(-1j * k[c] * zdot) * weight[c][:, None] for c in k}
+        for (a, b), blk in blocks.items():
+            forms[a + b][chunk] = (np.conj(phi[a]) * (blk @ phi[b])).sum(axis=0)
+    if IndicatorKind.FF in kinds:
+        forms["ff"] = sum(forms.values())
+    return _moduli(forms, m, kinds)
 
-    xs, xi = np.unique(points[:, 0], return_inverse=True)
-    ys, yi = np.unique(points[:, 1], return_inverse=True)
-    nx, ny = len(xs), len(ys)
-    fold = _Fold(blocks, m, k, weight, xs, ys)
-    if (len(points) == nx * ny and np.array_equal(xi, np.tile(np.arange(nx), ny))
-            and np.array_equal(yi, np.repeat(np.arange(ny), nx))
-            and all(np.array_equal(c, np.linspace(c[0], c[-1], len(c))) for c in (xs, ys))):
-        forms = {}
-        for a, b in blocks:
-            sx, bx = _axis_skeleton(xs, k[a] + k[b])
-            sy, by = _axis_skeleton(ys, k[a] + k[b])
-            xa_conj, xb = fold.tables(a, b, sx)
-            g = fold.rows(a, b, sy, xa_conj, xb)
-            if by is not None:
-                g = by.T @ g
-            if bx is not None:
-                g = g @ bx
-            forms[a + b] = g.ravel()
-    else:
-        starts = np.flatnonzero(np.diff(yi, prepend=-1))
-        ends = np.append(starts[1:], len(points))
-        folded = ends - starts > 1
-        lone = starts[~folded]
-        forms = _direct_forms(blocks, m, k, weight, points[lone])
-        for a, b in blocks:
-            direct, forms[a + b] = forms[a + b], np.empty(len(points), complex)
-            forms[a + b][lone] = direct
-            for lo, hi in zip(starts[folded], ends[folded]):
-                forms[a + b][lo:hi] = fold.rows(a, b, yi[lo:lo + 1],
-                                                *fold.tables(a, b, xi[lo:hi]))[0]
+
+def indicator_forms(fmat: np.ndarray, m: int, medium: Medium, grid: SamplingGrid, kinds,
+                    q=(1.0, 0.0)) -> dict[str, np.ndarray]:
+    """Complex forms phi_a^H F_ab phi_b (without w^2) on the grid, as (ny, nx) arrays by
+    block name (the blocks the kinds need: pp for PP, ss for SS, all four for FF), and
+    'ff', their sum, with FF; fmat is any assembled 4m x 4m matrix, zero-filled limited
+    data included.  Each block form is evaluated by the direction fold (_Fold.rows) on
+    the skeleton rows and columns of the grid's axes for its band k_a + k_b, and
+    interpolated to the grid, G -> B_y^T G B_x (see the module docstring).
+    """
+    blocks, k = _needed_blocks(fmat, m, kinds), _wave_numbers(medium)
+    xs, ys = grid.xs, grid.ys
+    fold = _Fold(blocks, m, k, _weights(m, q), xs, ys)
+    forms = {}
+    for a, b in blocks:
+        sx, bx = _axis_skeleton(xs, k[a] + k[b])
+        sy, by = _axis_skeleton(ys, k[a] + k[b])
+        g = fold.rows(a, b, sy, *fold.tables(a, b, sx))
+        if by is not None:
+            g = by.T @ g
+        if bx is not None:
+            g = g @ bx
+        forms[a + b] = g
     if IndicatorKind.FF in kinds:
         forms["ff"] = sum(forms.values())
     return forms
@@ -484,15 +452,11 @@ def indicator_forms_at(points: np.ndarray, fmat: np.ndarray, m: int, medium: Med
 
 def fields_from_forms(forms: dict[str, np.ndarray], m: int, grid: SamplingGrid, kinds, q
                       ) -> dict[IndicatorKind, IndicatorField]:
-    """Indicator fields on a grid, in the order of kinds, from the complex forms at its
-    points (indicator_forms_at of grid.points()).
-
-    The forms are linear in the data, so the forms of related matrices can be
-    combined before the modulus is taken (aperture.retrieved_forms).
-    """
+    """Indicator fields on a grid, in the order of kinds, from their complex forms on it
+    (indicator_forms).  The forms are linear in the data, so the forms of related
+    matrices can be combined before the modulus is taken (aperture.retrieved_forms)."""
     q = (float(q[0]), float(q[1]))
-    return {kind: IndicatorField(grid, v.reshape(grid.ny, grid.nx), kind, q)
-            for kind, v in _moduli(forms, m, kinds).items()}
+    return {kind: IndicatorField(grid, v, kind, q) for kind, v in _moduli(forms, m, kinds).items()}
 
 
 def indicator_fields(fmat: np.ndarray, m: int, medium: Medium, grid: SamplingGrid, kinds,
@@ -502,5 +466,4 @@ def indicator_fields(fmat: np.ndarray, m: int, medium: Medium, grid: SamplingGri
     fmat is any assembled 4m x 4m matrix: full data (MSRMatrix.assembled), limited
     data with its unknown entries 0 (MaskedMSR.data), or retrieved data.
     """
-    forms = indicator_forms_at(grid.points(), fmat, m, medium, q, kinds)
-    return fields_from_forms(forms, m, grid, kinds, q)
+    return fields_from_forms(indicator_forms(fmat, m, medium, grid, kinds, q), m, grid, kinds, q)

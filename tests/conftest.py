@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -60,22 +61,27 @@ def msr_disk_m16(medium):
 
 @pytest.fixture(scope="class")
 def one_blas_thread():
-    """numpy's OpenBLAS at one thread for a test class, where its thread symbols exist.
+    """numpy's and scipy's bundled OpenBLAS at one thread for a test class, where their
+    thread symbols exist; the value is whether both copies were pinned.
 
     With more threads OpenBLAS may split a product differently by its row count, and
     so round a row differently; at one thread a row's bits do not depend on the rows
-    around it.
+    around it.  numpy's copy runs the indicator products, scipy's the LU.
     """
-    libs = Path(np.__file__).parent.parent.joinpath("numpy.libs").glob("*openblas*")
-    for lib in map(ctypes.CDLL, map(str, libs)):
-        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
-        set_threads = getattr(lib, "scipy_openblas_set_num_threads64_", None)
-        if get is not None and set_threads is not None:
-            before = get()
-            set_threads(1)
-            try:
-                yield
-            finally:
-                set_threads(before)
-            return
-    yield
+    restore = []
+    for pkg, suffix in ((np, "64_"), (scipy, "")):
+        libs = Path(pkg.__file__).parent.parent.joinpath(f"{pkg.__name__}.libs").glob("*openblas*")
+        for lib in map(ctypes.CDLL, map(str, libs)):
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            set_threads = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is not None and set_threads is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                restore.append((set_threads, get()))
+                set_threads(1)
+                break
+    try:
+        yield len(restore) == 2
+    finally:
+        for set_threads, before in restore:
+            set_threads(before)

@@ -237,12 +237,13 @@ def test_criterion_07_oracle_equivalence(msr_kite_m64):
     grid = SamplingGrid(-2.0, 2.0, -2.0, 2.0, 5, 5)
     pts = grid.points()
     worst = 0.0
-    batched = indicator_values_at(pts, msr_kite_m64.assembled(), msr_kite_m64.m,
-                                  medium, Q10, IndicatorKind)
+    fields = indicator_fields(msr_kite_m64.assembled(), msr_kite_m64.m, medium, grid,
+                              IndicatorKind, Q10)
     for kind in IndicatorKind:
+        batched = fields[kind].values.ravel()
         for idx in range(len(pts)):
             ref = naive_indicator(msr_kite_m64, pts[idx], Q10, kind, medium)
-            worst = max(worst, abs(batched[kind][idx] - ref) / max(1.0, ref))
+            worst = max(worst, abs(batched[idx] - ref) / max(1.0, ref))
     assert report(7, "batched = naive double sum", worst <= 1e-12, f"max rel {worst:.2e}")
 
 

@@ -27,7 +27,7 @@ from elastoscan.indicators import (
     _axis_skeleton,
     fields_from_forms,
     indicator_fields,
-    indicator_forms_at,
+    indicator_forms,
 )
 
 QUARTER = (0.0, np.pi / 2)
@@ -250,7 +250,7 @@ class TestRetrievedForms:
         reciprocity-filled data."""
         msr, observed, incident, kinds, q, grid = case
         masked = apply_mask(msr, observed, incident)
-        limited = indicator_forms_at(grid.points(), masked.data, msr.m, msr.medium, q, kinds)
+        limited = indicator_forms(masked.data, msr.m, msr.medium, grid, kinds, q)
         got = fields_from_forms(retrieved_forms(masked, limited, grid, kinds, q), msr.m, grid,
                                 kinds, q)
         want = indicator_fields(retrieve_msr(masked).full, msr.m, msr.medium, grid, kinds, q)

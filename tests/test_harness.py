@@ -1024,7 +1024,7 @@ class TestWriterThread:
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text(TINY_KITE)
         assert cli_main(["synth", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
-        monkeypatch.setattr(cli, "fields_of", out_of_memory)
+        monkeypatch.setattr(cli, "forms_of", out_of_memory)
         out = tmp_path / "out"
         assert cli_main(["indicate", "--msr", str(tmp_path / "data.msr"), "--out", str(out),
                          "--quiet"]) == 2
@@ -1118,3 +1118,58 @@ class TestWriterThread:
         assert all(manifest.timings[f"main{i:02d}"] == i for i in range(len(fields)))
         assert all(f"f{i:02d}.write_s" in manifest.timings for i in range(len(fields)))
         assert json.loads((tmp_path / "s" / "manifest.json").read_text())["files"] == manifest.files
+
+
+class TestGridOnly:
+    """The pipeline evaluates the indicators on the SamplingGrid itself: no stage lists
+    the grid's points."""
+
+    # sha256 of each artifact at one thread of each OpenBLAS copy (x86-64, OpenBLAS
+    # 0.3.31); a change that moves one changes the numbers and must say so
+    EXPERIMENT = {
+        "run.msr": "dd2ae98246a2da45ccc487dc424f8cf5512cd67ef94baed91b2567721e543115",
+        "run_limit_ff.csv": "b8c9258597cff050e23c302e4a40336b3d6b5080d182757cc95b5ef8fec9d551",
+        "run_limit_ff.pgm": "75b2bcf2c046e7533300cfdd3cbe2eae44976975931fde5902d2d4e36bade18c",
+        "run_limit_pp.csv": "05927e73a54217dd5ac7aa020476ca518c9f64006c27a691b105e8f2bfc1155f",
+        "run_limit_pp.pgm": "5651dbd953326b209d11685a5320340e4c41dbacff1096c3ba332d6c615b5f8a",
+        "run_limit_ss.csv": "36fb2ced0f86ac3e9a2486753fc9a831b217eca75856955baa0309da592c28d2",
+        "run_limit_ss.pgm": "0c6b1276eccd1e03b47ed3e6272336f7ead61a91b90ad0590ad71c0cd6ddbcd0",
+        "run_retr_ff.csv": "7ea9d44e9f73b774b7123e5ff1d46e63538e581ad1c8d77030271c4f0de6e46f",
+        "run_retr_ff.pgm": "a6b61d307c68f9fab84c647198852d9ad4ec9cf0f7b2dd074235d0f0a9a96984",
+        "run_retr_pp.csv": "5b148cdf3e006cf8a6aaa227b9ed2461f2449d5b25351d1e6f42efa9d28430b6",
+        "run_retr_pp.pgm": "f30f9ab69ec91e93aab40e9b44d9dd4704f6626619381f34a6176cc9594e986f",
+        "run_retr_ss.csv": "ee847338ae202b6cdaedd57e672bd8062cb0df70d87ae6a3e73bc2b694246a74",
+        "run_retr_ss.pgm": "67bb8a4c9aa7a94a5c212774eb60cb44959dd9b94a766944940ae027c38cb311",
+        "run_retrieved.msr": "85c293fd9b951e43df20eb7bf5c5498f2054678ee6a256415df6655dc2a71024",
+    }
+    INDICATE = {
+        "indicator_ff.csv": "523853da77a0a4908d8fe1398f34bce102f6324b38a2e571cf9c04742438ce84",
+        "indicator_ff.pgm": "7660b9dff3aba264f708abcc175850d211f23d5c1142d6809b78a4f97053a106",
+        "indicator_pp.csv": "312a7d249339305a800524f48d4f5c437c4f3043b26f2a5b4d20ab1af2ed554f",
+        "indicator_pp.pgm": "19895a8a52938552aa7f800b324b47e4d2d841956fe825509392c01676c6b5d0",
+        "indicator_ss.csv": "471dbfabc0148be0e0c3606eeea42140745810ba51f91f9ae5b39a17480690ae",
+        "indicator_ss.pgm": "2929caa1e954daaf97796ee793839f3997e220a5a8ad3d38de406ecfe6b4d44c",
+    }
+
+    @staticmethod
+    def digests(out):
+        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()
+                if p.name != "manifest.json"}
+
+    def test_experiment_and_indicate_never_list_grid_points(self, tmp_path, monkeypatch,
+                                                            one_blas_thread):
+        if not one_blas_thread:
+            pytest.skip("the digests hold at one thread of each OpenBLAS copy")
+
+        def no_points(self):
+            raise AssertionError("SamplingGrid.points called by the pipeline")
+
+        monkeypatch.setattr(SamplingGrid, "points", no_points)
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY_RETRIEVAL)
+        exp, ind = tmp_path / "exp", tmp_path / "ind"
+        assert cli_main(["experiment", "--config", str(cfg), "--out", str(exp), "--quiet"]) == 0
+        assert cli_main(["indicate", "--msr", str(exp / "run.msr"), "--kind", "all",
+                         "--observed", "[0,1.5708)", "--out", str(ind), "--quiet"]) == 0
+        assert self.digests(exp) == self.EXPERIMENT
+        assert self.digests(ind) == self.INDICATE

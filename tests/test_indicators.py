@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -18,7 +18,7 @@ from elastoscan.indicators import (
     IndicatorKind,
     SamplingGrid,
     indicator_fields,
-    indicator_forms_at,
+    indicator_forms,
     indicator_values_at,
     skeleton_summary,
 )
@@ -123,12 +123,13 @@ class TestIndicatorAlgebra:
     def test_batched_equals_naive(self, msr_kite_m64, medium):
         grid = SamplingGrid(-2, 2, -2, 2, 5, 5)
         pts = grid.points()
-        batched = indicator_values_at(pts, msr_kite_m64.assembled(), msr_kite_m64.m,
-                                      medium, Q_DEFAULT, IndicatorKind)
+        fields = indicator_fields(msr_kite_m64.assembled(), msr_kite_m64.m, medium, grid,
+                                  IndicatorKind, Q_DEFAULT)
         for kind in IndicatorKind:
+            batched = fields[kind].values.ravel()
             for idx in (0, 7, 24):
                 ref = naive_indicator(msr_kite_m64, pts[idx], Q_DEFAULT, kind, medium)
-                assert abs(batched[kind][idx] - ref) < 1e-12 * max(1.0, ref)
+                assert abs(batched[idx] - ref) < 1e-12 * max(1.0, ref)
 
     def test_polarization_sign_invariance(self, msr_kite_m64):
         grid = SamplingGrid(-3, 3, -3, 3, 7, 7)
@@ -170,40 +171,34 @@ def direct_values(points, fmat, m, medium, q):
 
 
 @st.composite
-def point_sets(draw):
-    """Full grid rows, rows and points sharing y values across non-adjacent runs,
-    duplicate points and single scattered points, in drawn order."""
-    coord = st.floats(-6.0, 6.0, allow_nan=False)
-    xs = draw(st.lists(coord, min_size=1, max_size=6, unique=True))
-    ys = draw(st.lists(coord, min_size=1, max_size=3))
-    row = st.sampled_from(ys).map(lambda y: [(x, y) for x in xs])
-    on_grid = st.tuples(st.sampled_from(xs), st.sampled_from(ys)).map(lambda p: [p])
-    scattered = st.tuples(coord, coord).map(lambda p: [p])
-    pieces = draw(st.lists(st.one_of(row, on_grid, scattered), min_size=1, max_size=8))
-    points = [p for piece in pieces for p in piece]
-    if draw(st.booleans()):
-        points.append(draw(st.sampled_from(points)))
-    return np.array(points, float)
+def sampling_grids(draw):
+    """Grids of 2..8 points per axis, each axis 1e-3 to 6 long, in [-6, 12]^2."""
+    def axis():
+        return draw(st.floats(-6.0, 6.0)), draw(st.floats(1e-3, 6.0))
+
+    (x0, dx), (y0, dy) = axis(), axis()
+    return SamplingGrid(x0, x0 + dx, y0, y0 + dy, draw(st.integers(2, 8)),
+                        draw(st.integers(2, 8)))
 
 
 class TestFoldedEvaluator:
     @settings(max_examples=60, deadline=None)
     @given(m=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
            omega=st.floats(0.5, 12.0), angle=st.floats(0.0, 2 * np.pi),
-           points=point_sets(),
+           grid=sampling_grids(),
            kinds=st.lists(st.sampled_from(list(IndicatorKind)), min_size=1, max_size=3,
                           unique=True))
-    def test_equals_direct_quadratic_form(self, m, seed, omega, angle, points, kinds):
+    def test_equals_direct_quadratic_form(self, m, seed, omega, angle, grid, kinds):
         rng = np.random.default_rng(seed)
         fmat = rng.normal(size=(4 * m, 4 * m)) + 1j * rng.normal(size=(4 * m, 4 * m))
         medium = Medium(1.0, 1.0, omega)
         q = (np.cos(angle), np.sin(angle))
-        got = indicator_values_at(points, fmat, m, medium, q, kinds)
-        ref = direct_values(points, fmat, m, medium, q)
+        got = indicator_fields(fmat, m, medium, grid, kinds, q)
+        ref = direct_values(grid.points(), fmat, m, medium, q)
         assert list(got) == kinds
         for kind in kinds:
             tol = 1e-12 * max(1.0, ref[kind].max())
-            assert np.abs(got[kind] - ref[kind]).max() <= tol
+            assert np.abs(got[kind].values.ravel() - ref[kind]).max() <= tol
 
     def test_grid_field_equals_per_point_values(self, msr_kite_m64, medium):
         grid = SamplingGrid(-3.0, 2.5, -1.5, 4.0, 33, 17)
@@ -219,8 +214,7 @@ class TestFoldedEvaluator:
 
 class TestScatteredPoints:
     def test_scattered_points_equal_direct_values(self, msr_kite_m64, medium, monkeypatch):
-        # distinct random y values: every point is its own run, so all of them go
-        # through the batched unfolded product, here in three chunks
+        # the batched unfolded product, here in three chunks
         monkeypatch.setattr(indicators, "_DIRECT_CHUNK", 100)
         points = np.random.default_rng(8).uniform(-6.0, 6.0, (257, 2))
         fmat, m = msr_kite_m64.assembled(), msr_kite_m64.m
@@ -231,12 +225,24 @@ class TestScatteredPoints:
             assert np.abs(got[kind] - ref[kind]).max() <= tol
 
 
+def reference_rows(fold, a, b, iys, xa_conj, xb):
+    """_Fold.rows one row at a time, by the reference per-row routine."""
+    return np.array([reference_fold_row(fold, a, b, iy, xa_conj, xb) for iy in iys]
+                    ).reshape(len(iys), xb.shape[1])
+
+
 def exact_rows(grid, fmat, m, medium, q, kinds):
-    """Grid values from the exact per-row evaluation: one point off the grid makes
-    the point set non-tensor, so every grid row runs through the fold."""
-    points = np.vstack([grid.points(), [[100.0, 100.0]]])
-    vals = indicator_values_at(points, fmat, m, medium, q, kinds)
-    return {kind: v[:-1].reshape(grid.ny, grid.nx) for kind, v in vals.items()}
+    """Grid values with no skeleton: every grid row of a _Fold on the grid's axes, at
+    every grid column, by the per-row routine of tests/oracles.py."""
+    k = indicators._wave_numbers(medium)
+    blocks = indicators._needed_blocks(fmat, m, kinds)
+    fold = indicators._Fold(blocks, m, k, indicators._weights(m, q), grid.xs, grid.ys)
+    forms = {a + b: reference_rows(fold, a, b, range(grid.ny),
+                                   *fold.tables(a, b, np.arange(grid.nx)))
+             for a, b in blocks}
+    if FF in kinds:
+        forms["ff"] = sum(forms.values())
+    return indicators._moduli(forms, m, kinds)
 
 
 @pytest.fixture(scope="module")
@@ -334,8 +340,9 @@ class TestSkeletonGrid:
         indicators._skeleton_of.cache_clear()
 
     def test_unequal_spacing_is_evaluated_exactly(self, monkeypatch, msr_kite_m64, medium):
-        # prolate skeletons assume equal spacing, so a tensor grid whose axes are not
-        # np.linspace of their ends goes through the exact row path
+        # prolate skeletons assume equal spacing, which a SamplingGrid always has; the
+        # scattered-point evaluator takes a tensor grid with unequal spacing as it takes
+        # any points, exactly and with no skeleton
         def no_skeleton(*args, **kwargs):
             raise AssertionError("skeleton used on an unequally spaced axis")
 
@@ -401,11 +408,17 @@ class TestVoidClasses:
     def test_limited_fields_equal_known_sum_and_dense_pass(self, limited, name, layout):
         masked, m = limited[name], self.M
         medium = Medium(1.0, 1.0, 3 * np.pi)
-        points = SamplingGrid(-2.0, 2.5, -1.5, 2.0, 9, 7).points()
-        if layout == "runs":          # two lone points: the rows run through the fold
-            points = np.vstack([points, [[0.3, 10.0], [-4.0, 11.0]]])
+        grid = SamplingGrid(-2.0, 2.5, -1.5, 2.0, 9, 7)
         fmat = masked.data
-        got = indicator_values_at(points, fmat, m, medium, Q_DEFAULT, IndicatorKind)
+        if layout == "grid":
+            fields = indicator_fields(fmat, m, medium, grid, IndicatorKind, Q_DEFAULT)
+            points = grid.points()
+            got = {kind: fld.values.ravel() for kind, fld in fields.items()}
+        else:
+            # the grid's rows as runs of a point list, and two lone points, through the
+            # scattered-point evaluator (the unfolded product)
+            points = np.vstack([grid.points(), [[0.3, 10.0], [-4.0, 11.0]]])
+            got = indicator_values_at(points, fmat, m, medium, Q_DEFAULT, IndicatorKind)
         # the double sum over every entry: the unknown ones are exact zeros
         known = MSRMatrix(m, fmat, medium.lam, medium.mu, medium.omega,
                           scene="circle@(0.0,0.0)*1.0", bc="dirichlet")
@@ -440,12 +453,6 @@ class TestVoidClasses:
             assert fold.members[ab] == [(0, (0, 1)), (1, (0, 1))]
 
 
-def reference_rows(fold, a, b, iys, xa_conj, xb):
-    """_Fold.rows one row at a time, by the reference per-row routine."""
-    return np.array([reference_fold_row(fold, a, b, iy, xa_conj, xb) for iy in iys]
-                    ).reshape(len(iys), xb.shape[1])
-
-
 def batched_and_per_row(evaluate):
     """The forms of evaluate() as the package computes them, the same forms with every
     _Fold.rows call run one row at a time by the reference routine, and (rows, rows per
@@ -478,41 +485,37 @@ class TestBatchedRows:
 
     M = 64
 
+    GRID = SamplingGrid(-6.0, 6.0, -6.0, 6.0, 161, 157)
+
     @pytest.fixture(scope="class")
     def cases(self, msr_kite_m64_noisy):
-        """name -> (4m x 4m data, points) at m = 64 on a 161 x 157 grid of [-6, 6]^2: 157
-        rows, a prime number, leave a shorter last batch whatever the batch."""
+        """name -> 4m x 4m data at m = 64, evaluated on GRID, 161 x 157 points of
+        [-6, 6]^2: 157 rows, a prime number, leave a shorter last batch whatever the
+        batch."""
         m, msr = self.M, msr_kite_m64_noisy
         every = np.ones(2 * m, dtype=bool)
         quarter = MaskSpec(arcs=((0.0, np.pi / 2),)).directions(m)
-        points = SamplingGrid(-6.0, 6.0, -6.0, 6.0, 161, 157).points()
         zero_sp = msr.assembled()
         zero_sp[2 * m:, :2 * m] = 0.0
-        # every grid row a run of the fold, and two lone points
-        scattered = np.vstack([points[:40 * 161], [[0.3, 10.0], [-4.0, 11.0]]])
         return {
-            "full": (msr.assembled(), points),
-            "observed-arc": (apply_mask(msr, quarter, every).data, points),
-            "few-incident": (apply_mask(msr, every, MaskSpec(indices=(1, 40, 77))
-                                        .directions(m)).data, points),
+            "full": msr.assembled(),
+            "observed-arc": apply_mask(msr, quarter, every).data,
+            "few-incident": apply_mask(msr, every, MaskSpec(indices=(1, 40, 77))
+                                       .directions(m)).data,
             # one live row class: one row per batch
-            "one-observed": (apply_mask(msr, MaskSpec(indices=(6,)).directions(m), every)
-                             .data, points),
-            "zero-block": (zero_sp, points),
-            "scattered-runs": (msr.assembled(), scattered),
+            "one-observed": apply_mask(msr, MaskSpec(indices=(6,)).directions(m), every).data,
+            "zero-block": zero_sp,
         }
 
     @pytest.mark.parametrize("name", ["full", "observed-arc", "few-incident", "one-observed",
-                                      "zero-block", "scattered-runs"])
+                                      "zero-block"])
     def test_forms_equal_per_row_routine(self, cases, medium, name):
-        fmat, points = cases[name]
+        fmat = cases[name]
         got, ref, batches = batched_and_per_row(
-            lambda: indicator_forms_at(points, fmat, self.M, medium, Q_DEFAULT, IndicatorKind))
+            lambda: indicator_forms(fmat, self.M, medium, self.GRID, IndicatorKind, Q_DEFAULT))
         assert_same_bits(got, ref)
         if name == "one-observed":
             assert {batch for _, batch in batches} == {1}
-        elif name == "scattered-runs":
-            assert {rows for rows, _ in batches} == {1}
         else:
             # batches of several rows, and a last batch that is shorter
             assert any(batch > 1 and rows % batch for rows, batch in batches)
@@ -523,21 +526,18 @@ class TestBatchedRows:
         m = self.M
         masked = apply_mask(msr_kite_m64_noisy, MaskSpec(arcs=((0.0, np.pi / 2),)).directions(m),
                             np.ones(2 * m, dtype=bool))
-        grid = SamplingGrid(-6.0, 6.0, -6.0, 6.0, 161, 157)
-        limited = indicator_forms_at(grid.points(), masked.data, m, medium, Q_DEFAULT,
-                                     IndicatorKind)
+        limited = indicator_forms(masked.data, m, medium, self.GRID, IndicatorKind, Q_DEFAULT)
         got, ref, batches = batched_and_per_row(
-            lambda: retrieved_forms(masked, limited, grid, IndicatorKind, Q_DEFAULT))
+            lambda: retrieved_forms(masked, limited, self.GRID, IndicatorKind, Q_DEFAULT))
         assert_same_bits(got, ref)
         assert any(batch > 1 and rows % batch for rows, batch in batches)
 
     @settings(max_examples=50, deadline=None)
     @given(m=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
            omega=st.floats(0.5, 30.0), nx=st.integers(2, 40), ny=st.integers(2, 40),
-           layout=st.sampled_from(["grid", "runs", "scattered"]),
            cap=st.one_of(st.integers(1, 100_000), st.just(indicators.BATCH_BYTES)),
            data=st.data())
-    def test_any_masks_grids_and_batches(self, m, seed, omega, nx, ny, layout, cap, data):
+    def test_any_masks_grids_and_batches(self, m, seed, omega, nx, ny, cap, data):
         observed, incident = (data.draw(arrays(bool, 2 * m)) for _ in range(2))
         kinds = data.draw(st.lists(st.sampled_from(list(IndicatorKind)), min_size=1,
                                    max_size=3, unique=True))
@@ -546,16 +546,12 @@ class TestBatchedRows:
         msr = MSRMatrix(m, full, 1.0, 1.0, omega, scene="circle@(0.0,0.0)*1.0",
                         bc="dirichlet")
         fmat = apply_mask(msr, observed, incident).data
-        points = SamplingGrid(-6.0, 6.0, -4.0, 5.0, nx, ny).points()
-        if layout == "runs":
-            points = np.vstack([points, [[50.0, 50.0]]])
-        elif layout == "scattered":
-            points = data.draw(point_sets())
+        grid = SamplingGrid(-6.0, 6.0, -4.0, 5.0, nx, ny)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(indicators, "BATCH_BYTES", cap)
             got, ref, _ = batched_and_per_row(
-                lambda: indicator_forms_at(points, fmat, m, Medium(1.0, 1.0, omega), Q_DEFAULT,
-                                           kinds))
+                lambda: indicator_forms(fmat, m, Medium(1.0, 1.0, omega), grid, kinds,
+                                        Q_DEFAULT))
         assert_same_bits(got, ref)
 
 
@@ -648,8 +644,12 @@ class TestCsv:
         bounds = st.lists(st.floats(-1e12, 1e12), min_size=2, max_size=2,
                           unique=True).map(sorted)
         (x0, x1), (y0, y1) = data.draw(bounds), data.draw(bounds)
-        grid = SamplingGrid(x0, x1, y0, y1, data.draw(st.integers(2, 9)),
-                            data.draw(st.integers(2, 9)))
+        try:
+            grid = SamplingGrid(x0, x1, y0, y1, data.draw(st.integers(2, 9)),
+                                data.draw(st.integers(2, 9)))
+        except ValueError:
+            # ends a few ulps apart give repeated points, which SamplingGrid refuses
+            assume(False)
         vals = data.draw(arrays(np.float64, (grid.ny, grid.nx),
                                 elements=st.floats(allow_nan=False, allow_infinity=False)))
         with tempfile.TemporaryDirectory() as tmp:
