@@ -24,12 +24,9 @@ from .elastic import (
     WaveMode,
     greens_tensor,
     perp,
-    plane_wave_field,
-    plane_wave_traction,
     point_source_farfield,
 )
 from .forward import (
-    Density,
     MSRMatrix,
     MsrDimensionError,
     MsrFormatError,
@@ -38,10 +35,8 @@ from .forward import (
     add_noise,
     assemble_system,
     direction_grid,
-    farfield_from_density,
     load_msr,
     save_msr,
-    solve_density,
     synthesize_msr,
 )
 from .indicators import (

@@ -127,7 +127,7 @@ def cmd_indicate(args) -> int:
              else [IndicatorKind.SS, IndicatorKind.PP, IndicatorKind.FF])
     observed, incident = _arc_masks(args)
     data = restrict(load_msr(args.msr), observed, incident)
-    fields = fields_from_forms(forms_of(data, grid, kinds, q), data.m, grid, kinds, q)
+    fields = fields_from_forms(forms_of(data, grid, kinds, q), data.m, grid, kinds)
     with _Emitter(_resolve_out(args)) as emitter:
         emitter.write_fields("indicator", fields)
     if not args.quiet:

@@ -20,9 +20,10 @@ the complex-argument AMOS routines are kept only as the test oracle.
 Radial functions
 ----------------
 The Bessel values at r (hankel_pack for the kernel, logcoef_pack for its
-logarithmic coefficient) share their J values: a caller that needs both packs
-at one r, as the singular self blocks do, evaluates bessel_j once and passes
-it to each, so j0/j1 run once per argument and y0/y1 only for the kernel.
+logarithmic coefficient) share their J values: logcoef_pack is built from
+bessel_j's values alone, and a caller that needs both packs at one r, as the
+singular self blocks do, passes the same values to hankel_pack, so j0/j1 run
+once per argument and y0/y1 only for the kernel.
 The packs feed two sets of radial functions, each holding only
 what its kernel reads: green_radial's (phi1, phi2) for green_of_w and
 traction_radial's (phi1', b, b', D, W) for traction_of_green.  The two tensor
@@ -130,16 +131,16 @@ def hankel_pack(r, medium: Medium, j=None) -> tuple:
     return tuple(ja + 1j * yf(z) for ja, (_, yf, z) in zip(j, args))
 
 
-def logcoef_pack(r, medium: Medium, j=None) -> tuple:
-    """Bessel values of the coefficient of ln(4 sin^2((t-tau)/2)) in the same kernels.
+def logcoef_pack(j) -> tuple:
+    """Bessel values of the coefficient of ln(4 sin^2((t-tau)/2)) in the same kernels,
+    from j = bessel_j(r, medium).
 
     Obtained by the substitution H_a(k r) -> (i/pi) J_a(k r), which extracts
     the logarithmic part of every Hankel function while preserving the
-    pole-cancelling combinations.  j is bessel_j(r, medium) where the caller
-    has it.
+    pole-cancelling combinations.
     """
     c = 1j / np.pi
-    return tuple(c * v for v in (bessel_j(r, medium) if j is None else j))
+    return tuple(c * v for v in j)
 
 
 def _g_derivatives(r, h0s, h1s, h0p, h1p, medium: Medium):
@@ -279,10 +280,12 @@ class PlaneWave:
             raise ValueError(f"direction must be unit, |d| = {np.hypot(d[0], d[1])}")
 
     def field(self, x, medium: Medium) -> np.ndarray:
-        return plane_wave_field(self, x, medium)
+        """u^in(x): d e^{i kp x.d} (P) or d_perp e^{i ks x.d} (S). x (..., 2)."""
+        return _one_wave(plane_wave_entries(x, [self.direction], medium), self.mode)
 
     def traction(self, x, nu, medium: Medium) -> np.ndarray:
-        return plane_wave_traction(self, x, nu, medium)
+        """T_nu u^in at x (see plane_wave_entries)."""
+        return _one_wave(plane_wave_entries(x, [self.direction], medium, nu), self.mode)
 
 
 def _along(v, directions: np.ndarray) -> np.ndarray:
@@ -331,16 +334,6 @@ def _one_wave(entries, mode: WaveMode) -> np.ndarray:
     """The (..., 2) vector of one mode from plane_wave_entries of one direction."""
     i = _MODES.index(mode)
     return np.stack([values[..., 0] for j, _, values in entries if j == i], axis=-1)
-
-
-def plane_wave_field(wave: PlaneWave, x, medium: Medium) -> np.ndarray:
-    """u^in(x) of one plane wave: d e^{i kp x.d} (P) or d_perp e^{i ks x.d} (S). x (..., 2)."""
-    return _one_wave(plane_wave_entries(x, [wave.direction], medium), wave.mode)
-
-
-def plane_wave_traction(wave: PlaneWave, x, nu, medium: Medium) -> np.ndarray:
-    """T_nu u^in at x of one plane wave (see plane_wave_entries)."""
-    return _one_wave(plane_wave_entries(x, [wave.direction], medium, nu), wave.mode)
 
 
 @dataclass(frozen=True)

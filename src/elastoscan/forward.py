@@ -20,15 +20,20 @@ on the per-component diagonal blocks:
                      globally and integrated by the exact cotangent rule, with
                      the smooth remainder's diagonal Richardson-extrapolated.
 
+Both kernels split the same way, so one routine (_self_block) evaluates the
+self block of either condition; the two differ only in the kernel they read
+(_kernel: green_radial and green_of_w for a Dirichlet row block,
+traction_radial and traction_of_green for a Neumann one) and in the singular
+corrections (the Neumann Cauchy part, -I/2 and the extrapolated diagonal).
 Cross-component blocks are smooth and use plain trapezoid weights.  Off the
 diagonal both schemes reduce to kernel-times-weight, so assembly is fully
 vectorized; one LU factorization per (scene, medium, bc) is reused for all
-right-hand sides.
+right-hand sides, and synthesis is the one solve: every incident field is a
+column of one right-hand-side block.
 
 The kernel at (x_i, x_j) and at (x_j, x_i) has the same radial functions, so
 each unordered node pair's Bessel values and radial functions are evaluated
-once, and only those the block's kernel reads (green_radial's for a Dirichlet
-row block, traction_radial's for a Neumann one): a self block on its upper
+once, and only those the block's kernel reads: a self block on its upper
 triangle, mirrored, and block (j, i) from the transposes of block (i, j)'s.
 
 Memory.  Synthesis holds at any stage only one 2N x 2N array, first the matrix A
@@ -204,13 +209,25 @@ def _mirrored(n: int, upper, values) -> list[np.ndarray]:
     return out
 
 
-def _dirichlet_self_block(quad: Quadrature, medium: Medium, out) -> None:
-    """Singular Nystrom block of the single-layer operator on one component, written
-    one entry at a time: out[a][b] (n x n) receives the (a, b) entries."""
+def _kernel(bc: BoundaryCondition) -> tuple:
+    """The kernel a bc's rows read: (radial(r, pack, medium), entry(w, r, nu, radial,
+    medium, (a, b))), green_radial and green_of_w for Dirichlet rows (which ignore the
+    normals nu), traction_radial and traction_of_green for Neumann ones."""
+    if bc is BoundaryCondition.DIRICHLET:
+        return green_radial, lambda w, r, nu, radial, medium, ab: green_of_w(w, r, radial, ab)
+    return traction_radial, traction_of_green
+
+
+def _self_block(curve: BoundaryCurve, quad: Quadrature, bc: BoundaryCondition,
+                medium: Medium, out) -> None:
+    """Singular Nystrom block on one component, of S (Dirichlet) or of -I/2 + K'
+    (Neumann), written one entry at a time: out[a][b] (n x n) receives the (a, b)
+    entries."""
+    radial_of, kernel = _kernel(bc)
+    neumann = bc is BoundaryCondition.NEUMANN
     n = quad.n_nodes
-    x, s = quad.points, quad.speeds
-    t = quad.t
-    diag = np.eye(n, dtype=bool)
+    x, s, nu, t = quad.points, quad.speeds, quad.normals[:, None, :], quad.t
+    diag, eye = np.eye(n, dtype=bool), np.eye(2)
 
     # keep the diagonal finite during vectorized evaluation; overwritten below
     w = x[:, None, :] - x[None, :, :]
@@ -219,81 +236,51 @@ def _dirichlet_self_block(quad: Quadrature, medium: Medium, out) -> None:
     upper = np.triu_indices(n)
     rv = r[upper]
     jv = bessel_j(rv, medium)                   # shared by the kernel and its log part
-    # the Hankel kernel first, held in out until its log part is subtracted
-    radial = _mirrored(n, upper, green_radial(rv, hankel_pack(rv, medium, jv), medium))
+    # the Hankel kernel first, held in out until its singular parts are subtracted
+    radial = _mirrored(n, upper, radial_of(rv, hankel_pack(rv, medium, jv), medium))
     del rv
     for a, b in ENTRIES:
-        np.multiply(green_of_w(w, r, radial, (a, b)), s[None, :], out=out[a][b])
+        np.multiply(kernel(w, r, nu, radial, medium, (a, b)), s[None, :], out=out[a][b])
     del radial
     rv = r[upper]
-    values = green_radial(rv, logcoef_pack(rv, medium, jv), medium)
+    values = radial_of(rv, logcoef_pack(jv), medium)
     del rv, jv                                  # freed before the n x n arrays exist
     radial_log = _mirrored(n, upper, values)
     del upper, values
 
     dt = t[:, None] - t[None, :]
+    if neumann:
+        cot = np.where(diag, 0.0, 1.0 / np.tan(np.where(diag, 1.0, -dt) / 2.0))
     logterm = np.log(np.where(diag, 1.0, 4.0 * np.sin(dt / 2.0) ** 2))
     del dt
-    a_diag, b_diag = _single_layer_smooth_diag(medium, s)
-    that = perp(quad.normals)
-    log_diag = _single_layer_log_diag_coef(medium) * s
     rmat = _toeplitz_circ(log_quadrature_weights(n))
-    eye = np.eye(2)
-    for a, b in ENTRIES:
-        kern_log = green_of_w(w, r, radial_log, (a, b))
-        kern_log *= s[None, :]
-        smooth = out[a][b] - kern_log * logterm
-        smooth[diag] = s * (a_diag * eye[a, b] + b_diag * that[:, a] * that[:, b])
-        kern_log[diag] = log_diag * eye[a, b]
-        np.add(rmat * kern_log, (2.0 * np.pi / n) * smooth, out=out[a][b])
-
-
-def _neumann_self_block(curve: BoundaryCurve, quad: Quadrature, medium: Medium, out) -> None:
-    """Singular Nystrom block of (-I/2 + K') on one component, written one entry at a
-    time: out[a][b] (n x n) receives the (a, b) entries."""
-    n = quad.n_nodes
-    x, s, nu, t = quad.points, quad.speeds, quad.normals, quad.t
-    diag = np.eye(n, dtype=bool)
-
-    w = x[:, None, :] - x[None, :, :]
-    w[diag] = (1.0, 0.0)
-    r = np.linalg.norm(w, axis=-1)
-    upper = np.triu_indices(n)
-    rv = r[upper]
-    jv = bessel_j(rv, medium)                   # shared by the kernel and its log part
-    nui = np.broadcast_to(nu[:, None, :], w.shape)
-    # the Hankel kernel first, held in out until the Cauchy and log parts are subtracted
-    radial = _mirrored(n, upper, traction_radial(rv, hankel_pack(rv, medium, jv), medium))
-    del rv
-    for a, b in ENTRIES:
-        np.multiply(traction_of_green(w, r, nui, radial, medium, (a, b)), s[None, :],
-                    out=out[a][b])
-    del radial
-    rv = r[upper]
-    values = traction_radial(rv, logcoef_pack(rv, medium, jv), medium)
-    del rv, jv                                  # freed before the n x n arrays exist
-    radial_log = _mirrored(n, upper, values)
-    del upper, values
-
-    lam_mat = cauchy_strength(medium)
-    dt = t[:, None] - t[None, :]
-    cot = np.where(diag, 0.0, 1.0 / np.tan(np.where(diag, 1.0, -dt) / 2.0))
-    logterm = np.log(np.where(diag, 1.0, 4.0 * np.sin(dt / 2.0) ** 2))
-    del dt
-    smooth_diag = _neumann_smooth_diag(curve, quad, medium)
-    rmat = _toeplitz_circ(log_quadrature_weights(n))
-    hmat = _toeplitz_circ(cot_quadrature_weights(n))
-    minus_half = -0.5 * np.eye(2)
+    # per node (n, 2, 2): the smooth remainder's diagonal and the log coefficient's
+    if neumann:
+        smooth_diag = _neumann_smooth_diag(curve, quad, medium)
+        log_diag = np.broadcast_to(0.0, (n, 2, 2))
+        lam_mat, hmat = cauchy_strength(medium), _toeplitz_circ(cot_quadrature_weights(n))
+    else:
+        a_diag, b_diag = _single_layer_smooth_diag(medium, s)
+        that = perp(quad.normals)
+        smooth_diag = s[:, None, None] * (a_diag[:, None, None] * eye
+                                          + b_diag * that[:, :, None] * that[:, None, :])
+        log_diag = (_single_layer_log_diag_coef(medium) * s)[:, None, None] * eye
     for a, b in ENTRIES:
         block = out[a][b]
-        blog = traction_of_green(w, r, nui, radial_log, medium, (a, b))
+        blog = kernel(w, r, nu, radial_log, medium, (a, b))
         blog *= s[None, :]
-        smooth = block - 0.5 * cot * lam_mat[a, b] - logterm * blog
-        blog[diag] = 0.0
+        if neumann:
+            smooth = block - 0.5 * cot * lam_mat[a, b] - logterm * blog
+        else:
+            smooth = block - logterm * blog
         smooth[diag] = smooth_diag[:, a, b]
-        np.add(0.5 * hmat * lam_mat[a, b] + rmat * blog, (2.0 * np.pi / n) * smooth,
-               out=block)
-        block[diag] += minus_half[a, b]
+        blog[diag] = log_diag[:, a, b]
+        if neumann:
+            np.add(0.5 * hmat * lam_mat[a, b] + rmat * blog, (2.0 * np.pi / n) * smooth,
+                   out=block)
+            block[diag] += -0.5 * eye[a, b]
+        else:
+            np.add(rmat * blog, (2.0 * np.pi / n) * smooth, out=block)
 
 
 def _neumann_smooth_diag(curve: BoundaryCurve, quad: Quadrature, medium: Medium) -> np.ndarray:
@@ -317,7 +304,7 @@ def _neumann_smooth_diag(curve: BoundaryCurve, quad: Quadrature, medium: Medium)
             jv = bessel_j(r, medium)
             fv, bv = (traction_of_green(w, r, nu, traction_radial(r, pack, medium), medium)
                       * st[:, None, None]
-                      for pack in (hankel_pack(r, medium, jv), logcoef_pack(r, medium, jv)))
+                      for pack in (hankel_pack(r, medium, jv), logcoef_pack(jv)))
             acc = acc + fv - logterm * bv
         vals.append(acc / 2.0)
     v1, v2, v3 = vals
@@ -335,17 +322,14 @@ def _cross_blocks(qi: Quadrature, qj: Quadrature, bci: BoundaryCondition,
     w = qi.points[:, None, :] - qj.points[None, :, :]
     r = np.linalg.norm(w, axis=-1)
     pack = hankel_pack(r, medium)
-    radial = {bc: (green_radial if bc is BoundaryCondition.DIRICHLET else traction_radial)(
-        r, pack, medium) for bc in (bci, bcj)}
+    radial = {bc: _kernel(bc)[0](r, pack, medium) for bc in (bci, bcj)}
     del pack
 
     def smooth(w, r, bc, radial, normals, weights, out):
+        kernel = _kernel(bc)[1]
         for a, b in ENTRIES:
-            if bc is BoundaryCondition.DIRICHLET:
-                kern = green_of_w(w, r, radial, (a, b))
-            else:
-                kern = traction_of_green(w, r, normals[:, None, :], radial, medium, (a, b))
-            np.multiply(kern, weights[None, :], out=out[a][b])
+            np.multiply(kernel(w, r, normals[:, None, :], radial, medium, (a, b)),
+                        weights[None, :], out=out[a][b])
 
     smooth(w, r, bci, radial[bci], qi.normals, qj.weights, out_ij)
     # contiguous, so every elementwise step runs on the layout block (j, i) would have
@@ -463,10 +447,7 @@ def assemble_system(scene: Scene, medium: Medium, n_per_component: int) -> Syste
 
     for i in range(ncomp):
         si = span[i]
-        if conditions[i] is BoundaryCondition.DIRICHLET:
-            _dirichlet_self_block(quads[i], medium, views(si, si))
-        else:
-            _neumann_self_block(scene.components[i][0], quads[i], medium, views(si, si))
+        _self_block(scene.components[i][0], quads[i], conditions[i], medium, views(si, si))
         for j in range(i + 1, ncomp):
             sj = span[j]
             _cross_blocks(quads[i], quads[j], conditions[i], conditions[j], medium,
@@ -475,14 +456,6 @@ def assemble_system(scene: Scene, medium: Medium, n_per_component: int) -> Syste
     quad = Quadrature(*(np.concatenate([getattr(q, f) for q in quads])
                         for f in ("t", "points", "normals", "speeds", "weights", "component")))
     return SystemMatrix(matrix, quad, scene, medium, conditions)
-
-
-@dataclass(frozen=True)
-class Density:
-    """Single-layer density: one complex 2-vector per quadrature node."""
-
-    values: np.ndarray            # (N, 2) complex
-    nodes: Quadrature
 
 
 def _stacked_rhs(system: SystemMatrix, k: int, entries) -> np.ndarray:
@@ -527,23 +500,6 @@ def _plane_wave_rhs(system: SystemMatrix, directions: np.ndarray) -> np.ndarray:
                 for i, a, f in plane_wave_entries(x, directions, medium, nu))
 
     return _stacked_rhs(system, 2 * count, entries)
-
-
-def solve_density(system: SystemMatrix, incident: Incident) -> Density:
-    """Solve for the single-layer density of one incident field."""
-    sol = system.solve(_incident_rhs(system, incident))
-    n = system.n_nodes
-    return Density(np.stack([sol[:n], sol[n:]], axis=-1), system.quadrature)
-
-
-def farfield_from_density(density: Density, medium: Medium, directions: np.ndarray
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Trapezoid far fields (u_p, u_s) of a density at unit directions (L, 2)."""
-    psi = density.values
-    directions = np.asarray(directions, float)
-    out = np.empty((2 * len(directions), 1), dtype=complex)
-    _farfields(psi[:, 0, None], psi[:, 1, None], density.nodes, medium, directions, out)
-    return out[:len(directions), 0], out[len(directions):, 0]
 
 
 def _farfields(px: np.ndarray, py: np.ndarray, quad: Quadrature, medium: Medium,

@@ -591,7 +591,7 @@ class _Emitter:
         if self.manifest is not None:
             self.manifest.timings["emit_wait_s"] = round(self._waited, 3)
 
-    def _commit(self, name: str, write, hashed: bool = True, timing: str | None = None) -> None:
+    def _commit(self, name: str, write, timing: str | None = None) -> None:
         """Queue the artifact name, written by write(tmp_path); return at once."""
         if self._failure is not None:
             raise self._failure
@@ -599,7 +599,7 @@ class _Emitter:
             writer = threading.Thread(target=self._run, name="elastoscan-writer")
             writer.start()
             self._writer = writer
-        self._jobs.put(functools.partial(self._land, name, write, hashed, timing))
+        self._jobs.put(functools.partial(self._land, name, write, True, timing))
 
     def _land(self, name: str, write, hashed: bool, timing: str | None) -> None:
         """write(tmp_path) the artifact, rename it to name and hash it."""
@@ -663,31 +663,25 @@ def _forward_key(config: ExperimentConfig) -> tuple:
     return (config.scene, config.bc, config.lam, config.mu, config.omega, config.m, config.n,
             config.delta, config.seed)
 
-def run_experiment(config: ExperimentConfig, label: str = "run", outdir: str | None = None,
-                   emitter: _Emitter | None = None, solved: dict | None = None) -> RunManifest:
+def run_experiment(config: ExperimentConfig, emitter: _Emitter, label: str = "run",
+                   solved: dict | None = None) -> RunManifest:
     """Synthesize, perturb, (mask/fill/retrieve), indicate, and emit artifacts.
 
     Deterministic for a fixed config: the only randomness is the seeded noise.
-    Writes through emitter, whose owner cleans up on failure; without one, a
-    fresh emitter into outdir (default config.out) removes this run's files
-    on failure.  Each artifact is queued to the emitter's writer thread as soon
-    as it is computed, so the noisy MSR is written during the first indicator
-    pass, and the limited fields and the retrieved MSR during retrieval and the
-    retrieved pass; <label>.msr_write_s and <tag>.write_s are the writer's time
-    for them.  The retrieved fields come from the limited pass's complex forms
-    and one pass over the doubly known entries (aperture.retrieved_forms), not
-    from a pass over the retrieved MSR; that shorter pass is what overlaps the
-    writing of the limited fields and the retrieved MSR.  Writes no
-    manifest.json.  solved maps _forward_key to a noisy
-    MSR this emitter has written and the name of its file; a config found there
-    copies that file to <label>.msr instead of solving again, and a config solved
-    here is added.
+    Writes through emitter, whose owner (run_recorded) cleans up on failure.
+    Each artifact is queued to the emitter's writer thread as soon as it is
+    computed, so the noisy MSR is written during the first indicator pass, and
+    the limited fields and the retrieved MSR during retrieval and the retrieved
+    pass; <label>.msr_write_s and <tag>.write_s are the writer's time for them.
+    The retrieved fields come from the limited pass's complex forms and one pass
+    over the doubly known entries (aperture.retrieved_forms), not from a pass
+    over the retrieved MSR; that shorter pass is what overlaps the writing of
+    the limited fields and the retrieved MSR.  Writes no manifest.json.  solved
+    maps _forward_key to a noisy MSR this emitter has written and the name of
+    its file; a config found there copies that file to <label>.msr instead of
+    solving again, and a config solved here is added.
     """
     config.validate()
-    if emitter is None:
-        manifest = RunManifest(config_text=emit_config(config), seed=config.seed)
-        with _Emitter(outdir or config.out, manifest) as own:
-            return run_experiment(config, label, emitter=own, solved=solved)
     span = emitter.manifest.span
     solved = {} if solved is None else solved
     key = _forward_key(config)
@@ -710,7 +704,7 @@ def run_experiment(config: ExperimentConfig, label: str = "run", outdir: str | N
         """The forms evaluate(*data, grid, kinds, q), whose fields are emitted under tag."""
         with span(f"{tag}.eval_s"):
             forms = evaluate(*data, grid, config.kinds, config.q)
-            fields = fields_from_forms(forms, config.m, grid, config.kinds, config.q)
+            fields = fields_from_forms(forms, config.m, grid, config.kinds)
         emitter.write_fields(tag, fields, f"{tag}.write_s")
         emitter.manifest.skeletons[tag] = skeleton_summary(grid, medium, config.kinds)
         return forms

@@ -134,8 +134,6 @@ class IndicatorField:
 
     grid: SamplingGrid
     values: np.ndarray            # (ny, nx) float
-    kind: IndicatorKind
-    q: tuple[float, float]
 
     def argmax_point(self) -> np.ndarray:
         iy, ix = np.unravel_index(int(np.argmax(self.values)), self.values.shape)
@@ -450,13 +448,12 @@ def indicator_forms(fmat: np.ndarray, m: int, medium: Medium, grid: SamplingGrid
     return forms
 
 
-def fields_from_forms(forms: dict[str, np.ndarray], m: int, grid: SamplingGrid, kinds, q
+def fields_from_forms(forms: dict[str, np.ndarray], m: int, grid: SamplingGrid, kinds
                       ) -> dict[IndicatorKind, IndicatorField]:
     """Indicator fields on a grid, in the order of kinds, from their complex forms on it
     (indicator_forms).  The forms are linear in the data, so the forms of related
     matrices can be combined before the modulus is taken (aperture.retrieved_forms)."""
-    q = (float(q[0]), float(q[1]))
-    return {kind: IndicatorField(grid, v, kind, q) for kind, v in _moduli(forms, m, kinds).items()}
+    return {kind: IndicatorField(grid, v) for kind, v in _moduli(forms, m, kinds).items()}
 
 
 def indicator_fields(fmat: np.ndarray, m: int, medium: Medium, grid: SamplingGrid, kinds,
@@ -466,4 +463,4 @@ def indicator_fields(fmat: np.ndarray, m: int, medium: Medium, grid: SamplingGri
     fmat is any assembled 4m x 4m matrix: full data (MSRMatrix.assembled), limited
     data with its unknown entries 0 (MaskedMSR.data), or retrieved data.
     """
-    return fields_from_forms(indicator_forms(fmat, m, medium, grid, kinds, q), m, grid, kinds, q)
+    return fields_from_forms(indicator_forms(fmat, m, medium, grid, kinds, q), m, grid, kinds)

@@ -17,6 +17,10 @@ The reference kernels are the forward solver's formulas in their plainest
 form, one block and one plane wave at a time, against which the package's
 shared-work evaluation is checked bit for bit.
 
+The point-source error measures the package's whole single-incident path (its
+right-hand side, solve and far-field quadrature) against the exact far field of
+a point source inside an obstacle.
+
 The reference MSR/1 reader last reads a file as text, one line at a time, each
 number by numpy's string conversion (float() itself); the package's array
 reader is checked against it bit for bit and message for message.
@@ -422,6 +426,33 @@ def reference_msr_full(scene, medium, m, n_per_component) -> np.ndarray:
     up = d0 * (phase_p @ px) + d1 * (phase_p @ py)
     us = -d1 * (phase_s @ px) + d0 * (phase_s @ py)
     return np.block([[up[:, 0::2], up[:, 1::2]], [us[:, 0::2], us[:, 1::2]]])
+
+
+def solved_farfield(system, incident, dirs):
+    """Far fields (u_p, u_s) at the directions dirs (L, 2) of the density that system
+    solves for one incident field: the package's _incident_rhs, SystemMatrix.solve
+    and _farfields."""
+    from elastoscan.forward import _farfields, _incident_rhs
+
+    n, count = system.n_nodes, len(dirs)
+    sol = system.solve(_incident_rhs(system, incident))
+    out = np.empty((2 * count, 1), dtype=complex)
+    _farfields(sol[:n, None], sol[n:, None], system.quadrature, system.medium, dirs, out)
+    return out[:count, 0], out[count:, 0]
+
+
+def point_source_error(system, z0, q=(0.6, 0.8), m=32) -> float:
+    """Relative far-field error over direction_grid(m) of the field system scatters
+    for the point source Phi(., z0) q, z0 inside an obstacle.  There u^in + u^sc
+    vanishes outside the obstacle, so the exact scattered far field is -Phi_inf."""
+    from elastoscan.elastic import PointSource, point_source_farfield
+    from elastoscan.forward import direction_grid
+
+    dirs = direction_grid(m)
+    up, us = solved_farfield(system, PointSource(tuple(z0), tuple(q)), dirs)
+    ep, es = point_source_farfield(dirs, np.asarray(z0), np.asarray(q), system.medium)
+    return float(np.sqrt(np.sum(np.abs(up + ep) ** 2 + np.abs(us + es) ** 2)
+                         / np.sum(np.abs(ep) ** 2 + np.abs(es) ** 2)))
 
 
 def reference_load_msr(path):

@@ -252,7 +252,7 @@ class TestRetrievedForms:
         masked = apply_mask(msr, observed, incident)
         limited = indicator_forms(masked.data, msr.m, msr.medium, grid, kinds, q)
         got = fields_from_forms(retrieved_forms(masked, limited, grid, kinds, q), msr.m, grid,
-                                kinds, q)
+                                kinds)
         want = indicator_fields(retrieve_msr(masked).full, msr.m, msr.medium, grid, kinds, q)
         assert list(got) == list(want) == kinds
         for kind in kinds:

@@ -36,7 +36,6 @@ from elastoscan.harness import (
     parse_q,
     preset_names,
     render_heatmap,
-    run_experiment,
     run_preset,
     run_recorded,
 )
@@ -299,8 +298,7 @@ class TestPresetTable:
 class TestRenderHeatmap:
     def _field(self, values):
         ny, nx = values.shape
-        return IndicatorField(SamplingGrid(-1, 1, -1, 1, nx, ny), values,
-                              IndicatorKind.SS, (1.0, 0.0))
+        return IndicatorField(SamplingGrid(-1, 1, -1, 1, nx, ny), values)
 
     @staticmethod
     def _parse_pgm(data):
@@ -336,9 +334,10 @@ class TestRunExperiment:
         digests = []
         for sub in ("a", "b"):
             out = tmp_path / sub
-            run_experiment(cfg, label="tiny", outdir=str(out))
+            run_recorded(replace(cfg, out=str(out)), [("tiny", cfg)])
+            # manifest.json holds the run's timings, which differ between runs
             digests.append({p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                            for p in sorted(out.iterdir())})
+                            for p in sorted(out.iterdir()) if p.name != "manifest.json"})
         assert digests[0] == digests[1]
         assert any(name.endswith(".msr") for name in digests[0])
 
@@ -352,21 +351,21 @@ class TestRunExperiment:
         monkeypatch.setattr(hz, "render_heatmap", boom)
         out = tmp_path / "broken"
         with pytest.raises(RuntimeError):
-            run_experiment(cfg, label="tiny", outdir=str(out))
+            run_recorded(replace(cfg, out=str(out)), [("tiny", cfg)])
         assert list(out.iterdir()) == []
 
     def test_manifest_lists_every_artifact(self, tmp_path):
         cfg = parse_config(TINY_CONFIG)
         out = tmp_path / "m"
-        manifest = run_experiment(cfg, label="tiny", outdir=str(out))
+        manifest = run_recorded(replace(cfg, out=str(out)), [("tiny", cfg)])
         listed = {f["path"]: f["sha256"] for f in manifest.files}
         on_disk = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                   for p in out.iterdir()}
+                   for p in out.iterdir() if p.name != "manifest.json"}
         assert listed == on_disk
 
     def test_synthesis_sub_spans_add_up_to_at_most_synth_s(self, tmp_path):
-        manifest = run_experiment(parse_config(TINY_CONFIG), label="tiny",
-                                  outdir=str(tmp_path / "s"))
+        cfg = parse_config(TINY_CONFIG)
+        manifest = run_recorded(replace(cfg, out=str(tmp_path / "s")), [("tiny", cfg)])
         stages = [manifest.timings[f"tiny.{k}_s"]
                   for k in ("assemble", "factorize", "solve", "farfield")]
         # each timing is rounded to 1 ms: five roundings of at most 0.5 ms each
@@ -377,7 +376,7 @@ class TestRunExperiment:
         text = TINY_CONFIG + "observed = arcs [0.0,1.5707963267948966)\nretrieve = reciprocity\n"
         cfg = parse_config(text)
         out = tmp_path / "r"
-        manifest = run_experiment(cfg, label="lim", outdir=str(out))
+        manifest = run_recorded(replace(cfg, out=str(out)), [("lim", cfg)])
         names = {p.name for p in out.iterdir()}
         assert "lim_limit_ss.csv" in names
         assert "lim_retr_ss.csv" in names
@@ -1097,7 +1096,7 @@ class TestWriterThread:
 
         grid = SamplingGrid(-1.0, 1.0, -1.0, 1.0, 3, 3)
         rng = np.random.default_rng(0)
-        fields = [IndicatorField(grid, rng.random((3, 3)) + 0.1, IndicatorKind.SS, (1.0, 0.0))
+        fields = [IndicatorField(grid, rng.random((3, 3)) + 0.1)
                   for _ in range(40)]
         manifest = RunManifest(config_text="", seed=0)
         interval = sys.getswitchinterval()

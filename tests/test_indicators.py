@@ -586,7 +586,7 @@ class TestCsv:
         grid = SamplingGrid(-1.5, 2.0, -0.3, 0.7, 7, 5)
         vals = np.random.RandomState(3).rand(5, 7) * 1e3
         path = tmp_path / "f.csv"
-        IndicatorField(grid, vals, FF, Q_DEFAULT).to_csv(path)
+        IndicatorField(grid, vals).to_csv(path)
         header, *rows = path.read_text().splitlines()
         assert header == "x,y,value"
         table = np.array([[float(tok) for tok in row.split(",")] for row in rows])
@@ -604,7 +604,7 @@ class TestCsv:
         vals.flat[::3] = 0.0
         vals.flat[1] = 5e-324
         path = tmp_path / "f.csv"
-        IndicatorField(grid, vals, FF, Q_DEFAULT).to_csv(path)
+        IndicatorField(grid, vals).to_csv(path)
         expected = "x,y,value\n" + "".join(
             f"{x!r},{y!r},{v!r}\n"
             for (x, y), v in zip(grid.points().tolist(), vals.ravel().tolist()))
@@ -622,7 +622,7 @@ class TestCsv:
         vals = rng.random((grid.ny, grid.nx)) * 10.0 ** rng.integers(-8, 18, (grid.ny, grid.nx))
         vals.flat[:8] = [5e-324, 1e300, -0.0, np.nan, 0.0, -np.inf, 1e-7, 123456.0]
         path = tmp_path / "f.csv"
-        IndicatorField(grid, vals, FF, Q_DEFAULT).to_csv(path)
+        IndicatorField(grid, vals).to_csv(path)
         expected = "x,y,value\n" + "".join(
             f"{x!r},{y!r},{v!r}\n"
             for (x, y), v in zip(grid.points().tolist(), vals.ravel().tolist()))
@@ -633,7 +633,7 @@ class TestCsv:
 
         for x1 in (0.0, -0.0, 0.0):                 # equal grids, but not the same text
             grid = SamplingGrid(-1.0, x1, -1.0, 1.0, 2, 2)
-            IndicatorField(grid, np.ones((2, 2)), FF, Q_DEFAULT).to_csv(tmp_path / "f.csv")
+            IndicatorField(grid, np.ones((2, 2))).to_csv(tmp_path / "f.csv")
             assert (tmp_path / "f.csv").read_text().splitlines()[2] == f"{x1!r},-1.0,1.0"
 
     @settings(max_examples=60, deadline=None)
@@ -654,7 +654,7 @@ class TestCsv:
                                 elements=st.floats(allow_nan=False, allow_infinity=False)))
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "f.csv")
-            IndicatorField(grid, vals, FF, Q_DEFAULT).to_csv(path)
+            IndicatorField(grid, vals).to_csv(path)
             with open(path, "rb") as fh:
                 written = fh.read()
         expected = "x,y,value\n" + "".join(
