@@ -48,7 +48,7 @@ _QUAD_WORDS = ((48 + np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) %
                << np.arange(0, 32, 8)).sum(axis=1).astype(np.uint64)   # "0000" .. "9999"
 _PAIR_WORDS = _QUAD_WORDS[:100] >> np.uint64(16)                       # "00" .. "99"
 _FIFTH = np.uint64(0xCCCCCCCCCCCCCCCD)                  # 5 * _FIFTH = 1 mod 2**64
-_TENTH = np.uint64((2**64 - 1) // 10)
+_PAIR_ZEROS = np.array([2] + [int(p % 10 == 0) for p in range(1, 100)])   # of "00" .. "99"
 _1, _32, _63, _64 = (np.uint64(b) for b in (1, 32, 63, 64))
 
 
@@ -109,34 +109,23 @@ def _digit_words(D):
     return words
 
 
-def _tenths(x):
-    """(x / 10, whether 10 divides x) for uint64 x; the quotient is exact where it does.
-
-    x * _FIFTH is x / 5 where 5 divides x; rotated right by one bit it is x / 10
-    where 10 divides x, and otherwise exceeds (2**64 - 1) / 10.
-    """
-    r = x * _FIFTH
-    r = (r >> _1) | (r << _63)
-    return r, r <= _TENTH
-
-
 def _trailing_zeros(x):
-    """The number of trailing decimal zeros of each x in (0, 2**64)."""
-    zeros = np.zeros(x.size, np.int64)
-    tenth, whole = _tenths(x.view(np.uint64))
-    live = np.flatnonzero(whole)
-    tenth = tenth[live]
-    while live.size:
-        zeros[live] += 1
-        tenth, whole = _tenths(tenth)
-        live, tenth = live[whole], tenth[whole]
+    """The number of trailing decimal zeros of each x in (0, 2**63), two digits at a
+    time: those of its last two digits (_PAIR_ZEROS), and where both are zeros, 2
+    more than those of x // 100."""
+    h = x // 100
+    zeros = _PAIR_ZEROS.take(x - h * 100)
+    more = np.flatnonzero(zeros == 2)
+    if more.size:
+        zeros[more] += _trailing_zeros(h[more])
     return zeros
 
 
 def _layouts(shortest: bool):
-    """(in place, shifted, fill, shift, end) of every class of value: the tables a cell
-    is laid out with, cell = (digits & in place) | ((digits << shift) & shifted) | fill,
-    and the byte after the last one of the cell's text.
+    """(in place, shifted, fill, shift, end, length) of every class of value: the tables
+    a cell is laid out with, cell = (digits & in place) | ((digits << shift) & shifted)
+    | fill, the byte after the last one of the cell's text, and the number of its
+    bytes from the first one of its text (byte 0 or 1) to that end.
 
     The digits are those of _digit_words, in bytes 1..17, of the integer whose
     leading n digits (1..17) are the value's significant ones.  For "%.17g"
@@ -148,12 +137,12 @@ def _layouts(shortest: bool):
     Then come the classes of 0, of -0 and of a value written one at a time.
 
     The fill is the prefix ('-', and '0.000' for a positional X < 0) from byte 0,
-    the point, repr's exponent suffix after the last digit, and the separator:
-    ' ' in byte 23 for "%.17g", and for repr '\\n' right after the text (the end
-    of a CSV line; alone in the cell of a value written one at a time, whose text
-    goes before it).  A prefix of more than one byte moves the digits up by the
-    excess, and a point after the digits before it moves the digits after it up
-    by one byte.
+    the point, repr's exponent suffix after the last digit, and the separator
+    right after the text: ' ' for "%.17g" (between the numbers of a row) and
+    '\\n' for repr (the end of a CSV line); alone in the cell of a value written
+    one at a time, whose text goes before it.  A prefix of more than one byte
+    moves the digits up by the excess, and a point after the digits before it
+    moves the digits after it up by one byte.
     """
     low = -6 if shortest else -4
     X, neg, n = (a.reshape(-1, 1) for a in np.meshgrid(
@@ -176,37 +165,36 @@ def _layouts(shortest: bool):
     if shortest:                                # '\n' after the text
         fill = np.where(j == end + 4 * sci, 10, fill)
         other = (b"0.0\n", b"-0.0\n", b"\n")
-    else:                                       # ' ' in byte 23
-        fill[:, 23] = 32
-        other = (b"0".ljust(23, b"\0") + b" ", b"-0".ljust(23, b"\0") + b" ", bytes(23) + b" ")
+    else:                                       # ' ' after the text
+        fill = np.where(j == end, 32, fill)
+        other = (b"0 ", b"-0 ", b" ")
     fill = np.vstack([fill, np.frombuffer(b"".join(o.ljust(24, b"\0") for o in other), np.uint8)
                       .reshape(3, 24)])
     words = [np.vstack([255 * m, np.zeros((3, 24), int)]) for m in masks] + [fill]
     text = (words[0] | words[1] | words[2]) != 0
+    end = 24 - np.argmax(text[:, ::-1], axis=1)
     return [np.ascontiguousarray(w.astype(np.uint8).view(_LE64).T, np.uint64) for w in words] \
-        + [np.append(8 * shift.ravel(), [0, 0, 0]).astype(np.uint64),
-           24 - np.argmax(text[:, ::-1], axis=1)]
+        + [np.append(8 * shift.ravel(), [0, 0, 0]).astype(np.uint64), end,
+           end - np.argmax(text, axis=1)]
 
 
 _FIXED = _layouts(False)                    # "%.17g"
 _SHORTEST = _layouts(True)                  # repr
 _FIXED_ZERO, _SHORTEST_ZERO = 21 * 34, 23 * 34   # the class of 0; -0 and the others follow
-_LINE = np.uint64((32 ^ 10) << 56)          # turns the separator of a cell into '\n'
 
 
 def _laid_out(D, c, tables, out):
     """Write the cell words (3 x n) of the digits of each D in [0, 10**17), laid out in
     its class c, to out."""
-    in_place, shifted, fill, shift, _ = tables
+    in_place, shifted, fill, shift = tables[:4]
     words = _digit_words(D)
     shift = shift.take(c)
     moved = words << shift                      # the cell as a 192-bit number, shifted
     moved[1:] |= words[:2] >> (_64 - shift)
-    for word, up, keep, keep_up, put, dest in zip(words, moved, in_place, shifted, fill, out):
-        word &= keep.take(c)
-        up &= keep_up.take(c)
-        word |= up
-        np.bitwise_or(word, put.take(c), out=dest)
+    words &= in_place.take(c, axis=1)
+    moved &= shifted.take(c, axis=1)
+    words |= moved
+    np.bitwise_or(words, fill.take(c, axis=1), out=out)
 
 
 def _fixed_cells(a, neg, out):
@@ -235,24 +223,25 @@ def _block(vals, mag, fast, cells, tables, zero, out):
     """Write the cell words (3 x n) of every value to out: those of the fast ones by
     cells(magnitude, sign bit, out), those of zeros from their classes, and the others
     void but for the fill of the class zero + 2.  Returns (classes, slow): the class
-    of every value and the indices of the others."""
+    of every value and the indices of the others.
+
+    Every value is laid out as an array, the others as 1/3 (a cell depends on its
+    own value alone, and 1/3 has no trailing zeros to count); their few cells are
+    then replaced."""
     neg = np.signbit(vals)
     if fast.all():
         return cells(mag, neg, out), np.empty(0, np.intp)
-    classes = np.where(mag == 0, zero + neg, zero + 2)
-    for dest, fill in zip(out, tables[2]):
-        dest[...] = fill.take(classes)
-    idx = np.flatnonzero(fast)
-    words = np.empty((3, idx.size), np.uint64)
-    classes[idx] = cells(mag[idx], neg[idx], words)
-    out[:, idx] = words
-    return classes, np.flatnonzero(~fast & (mag != 0))
+    classes = cells(np.where(fast, mag, 1.0 / 3.0), neg, out)
+    other = np.flatnonzero(~fast)
+    classes[other] = np.where(mag[other] == 0, zero + neg[other], zero + 2)
+    out[:, other] = tables[2].take(classes[other], axis=1)
+    return classes, other[mag[other] != 0]
 
 
 def insert_texts(text: bytes, at, texts) -> bytes:
     """text with each of texts inserted before its byte offset at (ascending)."""
     if not len(at):
-        return text
+        return bytes(text)
     parts, start = [], 0
     for cut, piece in zip(np.asarray(at).tolist(), texts):
         parts += [text[start:cut], piece]
@@ -264,22 +253,33 @@ def insert_texts(text: bytes, at, texts) -> bytes:
 def format_rows(values: np.ndarray) -> bytes:
     """The bytes of "%.17g" % v for every value: ' ' between values, a newline after each row.
 
-    Each value gets a 24-byte cell of characters padded with void (zero) bytes;
-    the voids are dropped once for the whole block.  Values with 1e-4 <= |v| < 1e17
-    (written d.ddd or 0.000ddd) are laid out as arrays by one sequence of word
-    operations: their 17 digits rounded half-even, the trailing zeros after the
-    point masked off, and the prefix, point and separator placed by the tables of
-    _layouts.  Exact zeros ("0", "-0" where the sign bit is set) take a fixed cell;
-    the other values an empty one, and their text from "%.17g" itself.
+    Each value gets a 24-byte cell of characters padded with void (zero) bytes:
+    values with 1e-4 <= |v| < 1e17 (written d.ddd or 0.000ddd) are laid out as
+    arrays by one sequence of word operations, their 17 digits rounded
+    half-even, the trailing zeros after the point masked off, and the prefix,
+    point and separator placed by the tables of _layouts.  Exact zeros ("0", "-0"
+    where the sign bit is set) take a fixed cell; the other values one that holds
+    the separator alone, and their text from "%.17g" itself.  The cells are
+    written in order, each as one 24-byte item, at the byte where its text goes,
+    so that each overwrites the padding of the one before; a void first byte
+    falls on the separator before it, which is written again, and the last one
+    of each row becomes a newline.
     """
     vals = values.ravel()
     mag = np.abs(vals)
     cells = np.empty((vals.size, 3), _LE64)
-    _, slow = _block(vals, mag, (mag >= 1e-4) & (mag < 1e17), _fixed_cells, _FIXED,
-                     _FIXED_ZERO, cells.T)
-    cells[:, 2].reshape(values.shape[0], -1)[:, -1] ^= _LINE
-    text = insert_texts(cells.tobytes(), 24 * slow, [b"%.17g" % v for v in vals[slow].tolist()])
-    return text.translate(None, b"\0")
+    classes, slow = _block(vals, mag, (mag >= 1e-4) & (mag < 1e17), _fixed_cells, _FIXED,
+                           _FIXED_ZERO, cells.T)
+    _, _, _, _, end, length = _FIXED
+    ends = np.cumsum(length.take(classes))  # the byte of each cell's separator, from byte 1
+    text = np.empty(int(ends[-1]) + 24, np.uint8)
+    slots = np.ndarray((text.size - 23,), "V24", text, strides=(1,))
+    # numpy assigns an index array's items in order: each padding is overwritten
+    slots[ends - (end.take(classes) - 1)] = cells.view("V24").ravel()
+    text[ends] = 32                         # where a void first byte fell on it
+    text[ends.reshape(values.shape[0], -1)[:, -1]] = 10        # the end of each row
+    return insert_texts(memoryview(text)[1:int(ends[-1]) + 1], ends[slow] - 1,
+                        [b"%.17g" % v for v in vals[slow].tolist()])
 
 
 # The reader's 24-byte windows hold a token right-aligned, as three little-endian

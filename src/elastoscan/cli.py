@@ -29,6 +29,8 @@ Exit codes, mapped from exceptions in main() alone:
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import logging
 import os
 import sys
@@ -36,7 +38,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .forward import MsrFormatError, NumericError, add_noise, load_msr, synthesize_msr
+from .forward import (MsrFormatError, NoiseDraw, NumericError, add_noise, load_msr,
+                      noise_drawn, synthesize_msr)
 from .harness import (ENV_OUT, PRESET_BUILDERS, SMALL_GRID_PTS, SMALL_M, SMALL_N, ConfigError,
                       ExperimentConfig, MaskSpec, _Emitter, build_preset, check_limited,
                       forms_of, parse_arcs, parse_config, parse_grid, parse_q, preset_names,
@@ -103,21 +106,42 @@ def _arc_masks(args) -> tuple[MaskSpec | None, MaskSpec | None]:
 def _write_msr(args, name: str, msr) -> int:
     with _Emitter(_resolve_out(args)) as emitter:
         emitter.write_msr(name, msr)
+    return _wrote(args, emitter.path(name))
+
+
+def _wrote(args, path: str) -> int:
     if not args.quiet:
-        print(f"wrote {emitter.path(name)}")
+        print(f"wrote {path}")
     return EXIT_OK
 
 
 def cmd_synth(args) -> int:
+    """The far field's rows are formatted and written while synthesis makes them."""
     cfg = _load_config(args)
-    return _write_msr(args, "data.msr",
-                      synthesize_msr(cfg.scene_object(), cfg.medium(), cfg.m, cfg.n))
+    with _Emitter(_resolve_out(args)) as emitter:
+        synthesize_msr(cfg.scene_object(), cfg.medium(), cfg.m, cfg.n,
+                       started=functools.partial(emitter.write_msr, "data.msr"))
+    return _wrote(args, emitter.path("data.msr"))
 
 
 def cmd_noise(args) -> int:
-    msr = load_msr(args.msr)
-    return _write_msr(args, "noisy.msr",
-                      add_noise(msr, args.delta, args.seed if args.seed is not None else 1))
+    """The normals are drawn on a helper thread while the numbers of the file are
+    read; a bad file is reported before a bad delta or seed."""
+    seed = args.seed if args.seed is not None else 1
+    with contextlib.ExitStack() as joined:
+        draws = []
+
+        def shape_read(m: int) -> None:
+            try:
+                wanted = noise_drawn(args.delta, seed)
+            except ValueError:                      # add_noise reports it after the load
+                return
+            if wanted:
+                draws.append(joined.enter_context(NoiseDraw(m, seed)))
+
+        msr = load_msr(args.msr, shape_read)
+        noise = draws[0].result() if draws else None
+    return _write_msr(args, "noisy.msr", add_noise(msr, args.delta, seed, noise))
 
 
 def cmd_indicate(args) -> int:

@@ -56,10 +56,14 @@ size:
                     one Fortran-ordered 2N x 4m block, which the LU solve
                     overwrites with the densities.
   * far field    -- the LU is released as soon as the solve returns; the far
-                    field is read from views of the two halves of the
-                    solution, one receiver mode at a time, and the products
-                    are written straight into the rows of a preallocated
-                    4m x 4m array, whose columns are ordered as the solution's.
+                    field is read from views of the solution's x and y halves
+                    and made in two row blocks, the p receivers' and then the
+                    s receivers' (the row order of an MSR/1 file), written
+                    straight into the rows of a preallocated 4m x 4m array
+                    whose columns are ordered as the solution's.  A block's
+                    rows are final once it is written (MSRMatrix.wait_rows),
+                    so save_msr on another thread formats the p block while
+                    the s block is computed.
 
 Far fields of a density follow the trapezoid rule
 
@@ -72,21 +76,22 @@ into one 4m x 4m operator [[F_pp, F_sp], [F_ps, F_ss]]; block() is the one
 place that slices it.
 
 MSR/1 files hold that operator as text.  save_msr writes each number as the
-bytes of "%.17g" % x, computed for a chunk of rows at a time with exact array
-arithmetic (_numtext.format_rows).  load_msr reads the file once as bytes and
-each number to the binary64 value float() gives, a chunk of numbers at a time
-with exact array arithmetic (_numtext.read_tokens), so a load and a save
-reproduce a file, the sign of zero included.  It takes any spelling float()
-reads, one space between numbers, '\n', '\r\n' or '\r' line ends, blank lines
-and '#key=value' lines anywhere (a key given twice is an error); a fault names
-the first line that has one.
+bytes of "%.17g" % x, computed for a chunk of rows at a time, as soon as they
+are final, with exact array arithmetic (_numtext.format_rows).  load_msr reads
+the file once as bytes and each number to the binary64 value float() gives, a
+chunk of numbers at a time with exact array arithmetic (_numtext.read_tokens),
+so a load and a save reproduce a file, the sign of zero included.  It takes
+any spelling float() reads, one space between numbers, '\n', '\r\n' or '\r'
+line ends, blank lines and '#key=value' lines anywhere (a key given twice is an
+error); a fault names the first line that has one.
 """
 
 from __future__ import annotations
 
 import contextlib
 import logging
-from dataclasses import dataclass, replace
+import threading
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Union
 
@@ -503,21 +508,24 @@ def _plane_wave_rhs(system: SystemMatrix, directions: np.ndarray) -> np.ndarray:
 
 
 def _farfields(px: np.ndarray, py: np.ndarray, quad: Quadrature, medium: Medium,
-               directions: np.ndarray, out: np.ndarray) -> None:
+               directions: np.ndarray, out: np.ndarray, made: RowsMade | None = None) -> None:
     """Far fields of the density components px, py (N, K, any strides) at directions
-    (L, 2): u_p into out[:L] and u_s into out[L:] (out (2L, K))."""
+    (L, 2): u_p into out[:L] and u_s into out[L:] (out (2L, K)), in that order; made,
+    if given, is advanced as each half's rows become final."""
     y, w = quad.points, quad.weights
     d0, d1 = directions[:, 0:1], directions[:, 1:2]
     count = len(directions)
     # u_p = xhat . g(k_p), u_s = xhat_perp . g(k_s), xhat_perp = (-d1, d0)
-    for u, k, c0, c1 in ((out[:count], medium.k_p, d0, d1),
-                         (out[count:], medium.k_s, -d1, d0)):
+    for half, (u, k, c0, c1) in enumerate(((out[:count], medium.k_p, d0, d1),
+                                           (out[count:], medium.k_s, -d1, d0)), start=1):
         phase = np.exp(-1j * k * (directions @ y.T)) * w[None, :]            # (L, N)
         np.matmul(phase, px, out=u)
         u *= c0
         gy = phase @ py
         gy *= c1
         u += gy
+        if made is not None:
+            made.advance(half * count)
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +553,34 @@ def blocks(a: np.ndarray, m: int) -> dict[str, np.ndarray]:
     return {name: block(a, m, name) for name in _BLOCK_HALVES}
 
 
+class RowsMade:
+    """How many leading rows of an array are final: advanced by the thread that
+    computes them, waited on by another (save_msr, while synthesis goes on)."""
+
+    def __init__(self) -> None:
+        self._cond = threading.Condition()
+        self._rows = 0
+        self._closed = False
+
+    def advance(self, rows: int) -> None:
+        with self._cond:
+            self._rows = rows
+            self._cond.notify_all()
+
+    def close(self) -> None:
+        """No more rows will be made, so that no wait for them lasts forever."""
+        with self._cond:
+            self._closed = True
+            self._cond.notify_all()
+
+    def wait(self, rows: int) -> None:
+        """Return once the first rows rows are final; raise RuntimeError if they will not be."""
+        with self._cond:
+            self._cond.wait_for(lambda: self._rows >= rows or self._closed)
+            if self._rows < rows:
+                raise RuntimeError("the far field ended before its rows were made")
+
+
 @dataclass
 class MSRMatrix:
     """Multi-static far-field data over the equidistant direction grid.
@@ -565,6 +601,8 @@ class MSRMatrix:
     seed: int | None = None
     noise_norm: str = NOISE_NORM
     retrieval: str | None = None  # "reciprocity" on completed limited data
+    # set by synthesize_msr while the far field is being made; replace() drops it
+    made: RowsMade | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         shape = (4 * self.m, 4 * self.m)
@@ -587,18 +625,28 @@ class MSRMatrix:
     def frobenius(self) -> float:
         return float(np.linalg.norm(self.full))
 
+    def wait_rows(self, rows: int) -> None:
+        """Return once the first rows rows of full are final (at once but while
+        synthesize_msr is making them)."""
+        if self.made is not None:
+            self.made.wait(rows)
+
 
 def _untimed(key: str):
     return contextlib.nullcontext()
 
 
 def synthesize_msr(scene: Scene, medium: Medium, m: int, n_per_component: int,
-                   span=_untimed) -> MSRMatrix:
+                   span=_untimed, started=None) -> MSRMatrix:
     """Solve the forward problem for all 2m P and S incidences and fill the MSR.
 
     span(key) gives a context manager around each stage, for key "assemble_s",
     "factorize_s", "solve_s" (right-hand sides and solve) and "farfield_s";
-    RunManifest.span records their wall times.
+    RunManifest.span records their wall times.  started(msr), if given, is
+    called with the MSRMatrix before its far field is computed: another thread
+    may read its rows as they become final (msr.wait_rows), the p receivers'
+    half and then the s receivers'; if the far field fails, the wait for the
+    rows not made raises.
     """
     if m < 4:
         raise ValueError(f"need m >= 4, got {m}")
@@ -615,41 +663,100 @@ def synthesize_msr(scene: Scene, medium: Medium, m: int, n_per_component: int,
     with span("farfield_s"):
         # rows: p then s receivers; columns: P then S incidences, as the solution's
         n = quad.n_nodes
-        full = np.empty((4 * m, 4 * m), dtype=complex)
-        _farfields(sol[:n], sol[n:], quad, medium, dirs, full)
-    return MSRMatrix(m, full, medium.lam, medium.mu, medium.omega,
-                     scene=scene.describe(), bc=bc_names)
+        msr = MSRMatrix(m, np.empty((4 * m, 4 * m), dtype=complex), medium.lam, medium.mu,
+                        medium.omega, scene=scene.describe(), bc=bc_names)
+        msr.made = RowsMade()
+        try:
+            if started is not None:
+                started(msr)
+            _farfields(sol[:n], sol[n:], quad, medium, dirs, msr.full, msr.made)
+        finally:
+            msr.made.close()
+    return msr
 
 
-def add_noise(msr: MSRMatrix, delta: float, seed: int) -> MSRMatrix:
-    """F + delta ||F||_F (R1 + i R2)/||R1 + i R2||_F with Philox-seeded normals.
+def draw_noise(seed: int, out: np.ndarray) -> None:
+    """Fill the n x n complex array out with R1 + i R2, the normals of add_noise.
 
-    R1 then R2 are drawn row-major over the assembled 4m x 4m matrix; normals
-    come from the inverse CDF of Philox uniforms so the stream is reproducible
-    across platforms and library versions.  The relative Frobenius perturbation
-    equals delta exactly by construction.  Needs a finite delta >= 0 and an
-    integer seed >= 0 (ValueError otherwise); raises NumericError where
-    delta ||F||_F or the perturbed operator overflows.
+    R1 then R2 are drawn row-major from the inverse CDF of Philox uniforms, a
+    CHUNK_VALUES block at a time, so that the stream is reproducible across
+    platforms and library versions and the only large array is out.
     """
+    gen = np.random.Generator(np.random.Philox(seed))
+    flat = out.reshape(-1)
+    u = np.empty(min(CHUNK_VALUES, flat.size))
+    for part in (flat.real, flat.imag):
+        for c in range(0, part.size, u.size):
+            block = u[:part.size - c]
+            gen.random(out=block)
+            ndtri(block, out=part[c:c + block.size])
+
+
+class NoiseDraw:
+    """draw_noise for a 4m x 4m operator on a helper thread, into a buffer allocated
+    here, on the calling thread; result() joins the thread and returns the buffer.
+    Used as a context manager, the end of the with-block joins it as well."""
+
+    def __init__(self, m: int, seed: int):
+        self._noise = np.empty((4 * m, 4 * m), dtype=complex)
+        self._failure: BaseException | None = None
+        self._thread = threading.Thread(target=self._draw, args=(seed,),
+                                        name="elastoscan-noise")
+        self._thread.start()
+
+    def _draw(self, seed: int) -> None:
+        try:
+            draw_noise(seed, self._noise)
+        except BaseException as exc:              # re-raised by result()
+            self._failure = exc
+
+    def __enter__(self) -> "NoiseDraw":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._thread.join()
+
+    def result(self) -> np.ndarray:
+        self._thread.join()
+        if self._failure is not None:
+            raise self._failure
+        return self._noise
+
+
+def noise_drawn(delta: float, seed) -> bool:
+    """Whether add_noise(msr, delta, seed) draws noise: delta > 0.  Raises ValueError
+    unless delta is finite and >= 0 and seed an integer >= 0."""
     if not (np.isfinite(delta) and delta >= 0):
         raise ValueError(f"delta must be finite and >= 0, got {delta}")
     if not isinstance(seed, (int, np.integer)):
         raise ValueError(f"need an integer seed, got {seed!r}")
     if seed < 0:
         raise ValueError(f"need seed >= 0, got {seed}")
-    if delta == 0.0:
+    return delta != 0.0
+
+
+def add_noise(msr: MSRMatrix, delta: float, seed: int, noise: np.ndarray | None = None
+              ) -> MSRMatrix:
+    """F + delta ||F||_F (R1 + i R2)/||R1 + i R2||_F with Philox-seeded normals.
+
+    R1 + i R2 is draw_noise(seed) of the assembled 4m x 4m matrix, drawn here, or
+    given as noise (drawn ahead, as NoiseDraw does), which then holds the result.
+    The relative Frobenius perturbation equals delta exactly by construction.
+    Needs a finite delta >= 0 and an integer seed >= 0 (ValueError otherwise);
+    raises NumericError where delta ||F||_F or the perturbed operator overflows.
+    """
+    if not noise_drawn(delta, seed):
         return replace(msr, delta=0.0, seed=seed)
-    n = 4 * msr.m
-    gen = np.random.Generator(np.random.Philox(seed))
-    u = gen.random(2 * n * n)
-    normals = ndtri(u)
-    r1 = normals[: n * n].reshape(n, n)
-    r2 = normals[n * n:].reshape(n, n)
-    noise = r1 + 1j * r2
+    if noise is None:
+        noise = np.empty((4 * msr.m, 4 * msr.m), dtype=complex)
+        draw_noise(seed, noise)
     full = msr.full
     with np.errstate(over="ignore", invalid="ignore"):
         level = delta * np.linalg.norm(full)
-        noisy = full + level * noise / np.linalg.norm(noise)
+        scale = np.linalg.norm(noise)
+        np.multiply(level, noise, out=noise)
+        np.divide(noise, scale, out=noise)
+        noisy = np.add(full, noise, out=noise)
     if not (np.isfinite(level) and np.isfinite(noisy).all()):
         raise NumericError(f"noise of delta={float(delta)!r} overflows: "
                            f"delta ||F|| = {float(level)!r}")
@@ -686,8 +793,9 @@ def save_msr(msr: MSRMatrix, path) -> None:
 
     Each number is written as the bytes of ``"%.17g" % x``, which load_msr
     reads back to the same binary64 value, the sign of zero included.  Rows
-    are formatted a chunk at a time by _numtext.format_rows; any memory layout of
-    ``msr.full`` is accepted.
+    are formatted a chunk at a time by _numtext.format_rows, each as soon as its
+    rows are final (msr.wait_rows: a far field being made streams to the file);
+    any memory layout of ``msr.full`` is accepted.
     """
     n = 4 * msr.m
     chunk = max(1, CHUNK_VALUES // (2 * n))
@@ -700,24 +808,47 @@ def save_msr(msr: MSRMatrix, path) -> None:
     with open(path, "wb") as fh:
         fh.write("".join(line + "\n" for line in header).encode())
         for r0 in range(0, n, chunk):
+            msr.wait_rows(min(r0 + chunk, n))
             rows = np.ascontiguousarray(msr.full[r0:r0 + chunk], dtype=np.complex128)
             fh.write(format_rows(rows.view(np.float64)))
 
 
-def _msr_text(data: bytes) -> tuple[dict[str, str], list[int], np.ndarray | None]:
+def _separators(text: np.ndarray) -> np.ndarray:
+    """Offsets of the ' ' and '\\n' bytes of text (uint8), counted and then found a
+    CHUNK_VALUES x 24 bytes at a time, straight into the one array returned: no
+    array of the text's size is made, and no list of pieces, which would leave
+    heap behind the load."""
+    step = 24 * CHUNK_VALUES
+    starts = range(0, text.size, step)
+
+    def marks(c):
+        block = text[c:c + step]
+        return (block == 32) | (block == 10)
+
+    counts = [np.count_nonzero(marks(c)) for c in starts]
+    seps = np.empty(sum(counts), np.intp)
+    done = 0
+    for c, count in zip(starts, counts):
+        np.add(np.flatnonzero(marks(c)), c, out=seps[done:done + count])
+        done += count
+    return seps
+
+
+def _msr_text(data: bytes, lines_read=None
+              ) -> tuple[dict[str, str], list[int], np.ndarray | None]:
     """(header, entries per data row, numbers) of MSR/1 text with '\\n' line ends, the
     last line ended; numbers is (rows x 2 entries) when every row has one length.
 
     One scan for bytes <= 32 finds the lines ('\\n') and tokens (' '); any other
-    such byte belongs to its token, which read_tokens then reads by float().
-    Of several faulty lines, the first is named.
+    such byte belongs to its token, which read_tokens then reads by float().  The
+    numbers are read a CHUNK_VALUES block of separators at a time, into the one
+    array returned.  lines_read(header, fields per data line), if given, is
+    called before they are read, unless a line has a fault already.  Of several
+    faulty lines, the first is named.
     """
     text = np.frombuffer(data, np.uint8)
-    seps = np.flatnonzero(text <= 32)
-    kind = text[seps]
-    split = (kind == 32) | (kind == 10)
-    seps, kind = seps[split], kind[split]
-    line_seps = np.flatnonzero(kind == 10)                  # the last separator of each line
+    seps = _separators(text)
+    line_seps = np.flatnonzero(text[seps] == 10)            # the last separator of each line
     line_end = seps[line_seps]
     line_start = np.concatenate([[0], line_end[:-1] + 1])
     fields = np.diff(line_seps, prepend=-1)
@@ -737,30 +868,45 @@ def _msr_text(data: bytes) -> tuple[dict[str, str], list[int], np.ndarray | None
     odd = np.flatnonzero(data_line & (fields % 2 == 1))
     if odd.size:
         faults.append((int(odd[0]) + 1, 0, f"line {odd[0] + 1}: odd number of fields"))
+    widths = fields[data_line]
+    if lines_read is not None and not faults:
+        lines_read(header, widths)
 
     tokens = np.repeat(data_line, fields)                   # per separator: ends a number
-    lengths = np.diff(seps, prepend=-1) - 1
-    token_end, lengths = seps[tokens], lengths[tokens]
-    numbers, failed = read_tokens(data, token_end, lengths)
+    numbers = np.empty(int(widths.sum()))
+    failed, done = None, 0
+    for c in range(0, seps.size, CHUNK_VALUES):
+        ends = seps[c:c + CHUNK_VALUES]
+        lengths = np.diff(ends, prepend=seps[c - 1] if c else -1) - 1
+        keep = tokens[c:c + CHUNK_VALUES]
+        values, bad = read_tokens(data, ends[keep], lengths[keep])
+        numbers[done:done + values.size] = values
+        if failed is None and bad.size:
+            failed = done + bad[0]
+        done += values.size
+    nonfinite = np.flatnonzero(~np.isfinite(numbers))
     for rank, what, where in ((1, "non-numeric", failed),
-                              (2, "non-finite", np.flatnonzero(~np.isfinite(numbers)))):
-        if where.size:
-            line = int(np.searchsorted(line_end, token_end[where[0]])) + 1
+                              (2, "non-finite", nonfinite[0] if nonfinite.size else None)):
+        if where is not None:
+            token_end = seps[np.flatnonzero(tokens)[where]]
+            line = int(np.searchsorted(line_end, token_end)) + 1
             faults.append((line, rank, f"line {line}: {what} entry"))
     if faults:
         raise MsrFormatError(min(faults)[2])
-    widths = fields[data_line]
     if widths.size and (widths == widths[0]).all():
         return header, (widths // 2).tolist(), numbers.reshape(-1, widths[0])
     return header, (widths // 2).tolist(), None
 
 
-def load_msr(path) -> MSRMatrix:
+def load_msr(path, shape_read=None) -> MSRMatrix:
     """Read an MSR/1 file (UTF-8 text); raises MsrVersionError / MsrDimensionError /
     MsrFormatError, the last also for bytes that are not UTF-8 (checked only where
     the file is not ASCII, and named unless a line before them has a fault).
 
     The file is read once as bytes; see _msr_text for the lines and numbers.
+    shape_read(m), if given, is called once the header's m and the data lines
+    agree on a 4m x 4m operator, before the numbers are read (the noise
+    subcommand starts drawing its noise there).
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -776,7 +922,16 @@ def load_msr(path) -> MSRMatrix:
             raise MsrFormatError(f"not UTF-8 text: {exc.reason}") from None
     if not data.endswith(b"\n"):
         data += b"\n"
-    header, lengths, numbers = _msr_text(data)
+
+    def lines_read(header: dict[str, str], widths: np.ndarray) -> None:
+        try:
+            m = int(header["m"])
+        except (KeyError, ValueError):
+            return
+        if m >= 1 and widths.size == 4 * m and (widths == 8 * m).all():
+            shape_read(m)
+
+    header, lengths, numbers = _msr_text(data, None if shape_read is None else lines_read)
 
     missing = [k for k in _HEADER_KEYS if k not in header]
     if missing:

@@ -159,24 +159,36 @@ class Scene:
         samples = [curve_point(c, t) for c, _ in self.components]
         for i in range(len(samples)):
             for j in range(i + 1, len(samples)):
-                d = samples[i][:, None, :] - samples[j][None, :, :]
-                dmin = np.sqrt((d**2).sum(axis=-1)).min()
-                if dmin <= SCENE_SEPARATION_MIN:
-                    raise ValueError(
-                        f"components {i} and {j} are not disjoint "
-                        f"(min boundary distance {dmin:.3e})"
-                    )
-                # sampled distance alone misses transversal crossings; also
-                # reject any boundary sample landing inside the other closure
-                for a, b in ((i, j), (j, i)):
-                    if _inside_polygon(samples[b], samples[a]).any():
-                        raise ValueError(
-                            f"components {a} and {b} are not disjoint "
-                            f"(boundary of {a} enters {b})"
-                        )
+                if not _boxes_apart(samples[i], samples[j]):
+                    fault = _overlap_fault(samples, i, j)
+                    if fault is not None:
+                        raise ValueError(fault)
 
     def describe(self) -> str:
         return " + ".join(c.describe() for c, _ in self.components)
+
+
+def _boxes_apart(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether the bounding boxes of the samples a and b (S, 2) are more than
+    SCENE_SEPARATION_MIN apart along an axis.  Then _overlap_fault finds nothing:
+    every sample distance, rounded as it rounds them, is at least the gap, and no
+    sample lies inside the other's polygon, which stays in its box."""
+    gap = np.maximum(a.min(axis=0) - b.max(axis=0), b.min(axis=0) - a.max(axis=0)).max()
+    return bool(gap > 0 and np.sqrt(gap * gap) > SCENE_SEPARATION_MIN)
+
+
+def _overlap_fault(samples: list[np.ndarray], i: int, j: int) -> str | None:
+    """Why components i and j of the boundary samples are not disjoint, or None."""
+    d = samples[i][:, None, :] - samples[j][None, :, :]
+    dmin = np.sqrt((d**2).sum(axis=-1)).min()
+    if dmin <= SCENE_SEPARATION_MIN:
+        return f"components {i} and {j} are not disjoint (min boundary distance {dmin:.3e})"
+    # sampled distance alone misses transversal crossings; also reject any boundary
+    # sample landing inside the other closure
+    for a, b in ((i, j), (j, i)):
+        if _inside_polygon(samples[b], samples[a]).any():
+            return f"components {a} and {b} are not disjoint (boundary of {a} enters {b})"
+    return None
 
 
 def scene_from_string(text: str) -> Scene:

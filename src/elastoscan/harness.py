@@ -65,7 +65,7 @@ import numpy as np
 
 from .aperture import MaskedMSR, apply_mask, reciprocity_fill, retrieved_forms
 from .elastic import Medium
-from .forward import MSRMatrix, NumericError, add_noise, save_msr, synthesize_msr
+from .forward import MSRMatrix, NoiseDraw, NumericError, add_noise, save_msr, synthesize_msr
 from .geometry import (BoundaryCondition, BoundaryCurve, BoundaryKind, Scene, boundary_quadrature,
                        scene_from_string)
 from .indicators import (IndicatorField, IndicatorKind, SamplingGrid, fields_from_forms,
@@ -667,8 +667,10 @@ def run_experiment(config: ExperimentConfig, emitter: _Emitter, label: str = "ru
                    solved: dict | None = None) -> RunManifest:
     """Synthesize, perturb, (mask/fill/retrieve), indicate, and emit artifacts.
 
-    Deterministic for a fixed config: the only randomness is the seeded noise.
-    Writes through emitter, whose owner (run_recorded) cleans up on failure.
+    Deterministic for a fixed config: the only randomness is the seeded noise,
+    whose normals are drawn on a helper thread while the far field is computed
+    (forward.NoiseDraw).  Writes through emitter, whose owner (run_recorded)
+    cleans up on failure.
     Each artifact is queued to the emitter's writer thread as soon as it is
     computed, so the noisy MSR is written during the first indicator pass, and
     the limited fields and the retrieved MSR during retrieval and the retrieved
@@ -689,12 +691,20 @@ def run_experiment(config: ExperimentConfig, emitter: _Emitter, label: str = "ru
         msr, source = solved[key]
         emitter.copy(f"{label}.msr", source, f"{label}.msr_write_s")
     else:
-        with span(f"{label}.synth_s"):
-            msr = synthesize_msr(config.scene_object(), config.medium(), config.m, config.n,
-                                 lambda stage: span(f"{label}.{stage}"))
-        if config.delta > 0:
-            with span(f"{label}.noise_s"):
-                msr = add_noise(msr, config.delta, config.seed)
+        with contextlib.ExitStack() as joined:
+            draws = []
+
+            def draw_beside(_msr) -> None:
+                """Draw the noise on a helper thread while the far field is computed."""
+                draws.append(joined.enter_context(NoiseDraw(config.m, config.seed)))
+
+            with span(f"{label}.synth_s"):
+                msr = synthesize_msr(config.scene_object(), config.medium(), config.m, config.n,
+                                     lambda stage: span(f"{label}.{stage}"),
+                                     draw_beside if config.delta > 0 else None)
+            if draws:
+                with span(f"{label}.noise_s"):
+                    msr = add_noise(msr, config.delta, config.seed, draws[0].result())
         emitter.write_msr(f"{label}.msr", msr, f"{label}.msr_write_s")
         solved[key] = (msr, f"{label}.msr")
 

@@ -1,3 +1,4 @@
+import contextlib
 import ctypes
 import sys
 from pathlib import Path
@@ -59,15 +60,10 @@ def msr_disk_m16(medium):
     return synthesize_msr(scene, medium, 16, 128)
 
 
-@pytest.fixture(scope="class")
-def one_blas_thread():
-    """numpy's and scipy's bundled OpenBLAS at one thread for a test class, where their
-    thread symbols exist; the value is whether both copies were pinned.
-
-    With more threads OpenBLAS may split a product differently by its row count, and
-    so round a row differently; at one thread a row's bits do not depend on the rows
-    around it.  numpy's copy runs the indicator products, scipy's the LU.
-    """
+@contextlib.contextmanager
+def blas_threads(count: int):
+    """numpy's and scipy's bundled OpenBLAS at count threads in the with-block, where
+    their thread symbols exist; yields whether both copies were set."""
     restore = []
     for pkg, suffix in ((np, "64_"), (scipy, "")):
         libs = Path(pkg.__file__).parent.parent.joinpath(f"{pkg.__name__}.libs").glob("*openblas*")
@@ -78,10 +74,23 @@ def one_blas_thread():
                 get.argtypes, get.restype = [], ctypes.c_int
                 set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
                 restore.append((set_threads, get()))
-                set_threads(1)
+                set_threads(count)
                 break
     try:
         yield len(restore) == 2
     finally:
         for set_threads, before in restore:
             set_threads(before)
+
+
+@pytest.fixture(scope="class")
+def one_blas_thread():
+    """numpy's and scipy's bundled OpenBLAS at one thread for a test class, where their
+    thread symbols exist; the value is whether both copies were pinned.
+
+    With more threads OpenBLAS may split a product differently by its row count, and
+    so round a row differently; at one thread a row's bits do not depend on the rows
+    around it.  numpy's copy runs the indicator products, scipy's the LU.
+    """
+    with blas_threads(1) as pinned:
+        yield pinned

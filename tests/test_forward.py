@@ -6,6 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.special import ndtri
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,7 @@ from elastoscan.forward import (
     MsrDimensionError,
     MsrFormatError,
     MsrVersionError,
+    NoiseDraw,
     NumericError,
     _farfields,
     _incident_rhs,
@@ -372,7 +374,74 @@ class TestSynthesizeMSR:
         assert peaks["assemble_s"] <= a + 24 * unit, peaks
 
 
+def traced_peak(fn, *args):
+    """Traced peak of fn(*args) in bytes above the traced memory before it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestLoadAndNoisePeaks:
+    """Traced peaks of load_msr and add_noise at m = 128 (the --small direction
+    grid), on far-field-sized random data, in units of the 4m x 4m result."""
+
+    M = 128
+
+    @pytest.fixture(scope="class")
+    def random_msr(self, msr_disk_m16):
+        rng = np.random.default_rng(29)
+        n = 4 * self.M
+        full = 0.05 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        return replace(msr_disk_m16, m=self.M, full=full)
+
+    def test_load_holds_the_bytes_the_numbers_and_one_offset_per_number(self, random_msr,
+                                                                        tmp_path):
+        """The file's bytes, the numbers, one int64 offset per number and a result's
+        worth of temporaries (about 2.6 results above the bytes; a whole-file scan for
+        separators, its filtered copy and whole-file token arrays reach 4.9)."""
+        path = tmp_path / "r.msr"
+        save_msr(random_msr, path)
+        result = random_msr.full.nbytes
+        peak = traced_peak(load_msr, path)
+        assert peak <= path.stat().st_size + 3 * result, (peak, path.stat().st_size, result)
+
+    def test_add_noise_holds_the_noise_buffer_that_becomes_the_result(self, random_msr):
+        """One 4m x 4m buffer, which holds the normals and then the noisy operator, and
+        block-sized temporaries (about 1.06 results; 4.1 with a normals array, its
+        uniforms and separate noise and sum arrays)."""
+        peak = traced_peak(add_noise, random_msr, 0.3, 1)
+        assert peak <= 2 * random_msr.full.nbytes, peak
+
+
+def one_shot_noise(msr, delta, seed):
+    """add_noise with every array whole: 2n^2 Philox uniforms at once, their normals,
+    R1 + i R2, and F + level N / ||N|| as one expression; the reference for the
+    blockwise draw and the in-place scaling."""
+    n = 4 * msr.m
+    normals = ndtri(np.random.Generator(np.random.Philox(seed)).random(2 * n * n))
+    noise = normals[:n * n].reshape(n, n) + 1j * normals[n * n:].reshape(n, n)
+    return msr.full + delta * np.linalg.norm(msr.full) * noise / np.linalg.norm(noise)
+
+
 class TestNoise:
+    @pytest.mark.parametrize("seed", [0, 1, 11])
+    def test_blockwise_draw_and_in_place_scaling_equal_the_one_shot_noise(self, msr_kite_m64,
+                                                                        seed):
+        # 4m = 256: 2 x 65536 normals, eight CHUNK_VALUES blocks of each part
+        expected = one_shot_noise(msr_kite_m64, 0.3, seed)
+        with NoiseDraw(msr_kite_m64.m, seed) as draw:
+            ahead = add_noise(msr_kite_m64, 0.3, seed, draw.result()).full
+        for got in (add_noise(msr_kite_m64, 0.3, seed).full, ahead):
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
     def test_zero_delta_identity(self, msr_disk_m16):
         out = add_noise(msr_disk_m16, 0.0, seed=9)
         assert np.array_equal(out.assembled(), msr_disk_m16.assembled())

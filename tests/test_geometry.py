@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elastoscan.elastic import Medium
 from elastoscan.forward import assemble_system
 from elastoscan.geometry import (
+    SCENE_SEPARATION_SAMPLES,
     BoundaryCondition,
     BoundaryCurve,
     BoundaryKind,
@@ -12,6 +15,7 @@ from elastoscan.geometry import (
     contains_points,
     curve_point,
     curve_tangent,
+    _overlap_fault,
     scene_from_string,
 )
 from oracles import arc_length_adaptive, winding_number
@@ -176,3 +180,57 @@ class TestScene:
         scene = Scene(((curve(BoundaryKind.CIRCLE, rho=1.0), BoundaryCondition.DIRICHLET),))
         pts = np.array([[0.0, 0.0], [0.5, 0.5], [2.0, 0.0], [0.0, -1.5]])
         assert contains_points(scene, pts).tolist() == [True, True, False, False]
+
+
+def full_disjointness_check(components):
+    """The fault Scene reports without the bounding-box early-out: every pair's
+    sample distances and polygon tests, or None."""
+    t = 2.0 * np.pi * np.arange(SCENE_SEPARATION_SAMPLES) / SCENE_SEPARATION_SAMPLES
+    samples = [curve_point(c, t) for c, _ in components]
+    for i in range(len(samples)):
+        for j in range(i + 1, len(samples)):
+            fault = _overlap_fault(samples, i, j)
+            if fault is not None:
+                return fault
+    return None
+
+
+def scene_fault(components):
+    try:
+        Scene(tuple(components))
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+# offsets that put a bounding-box gap at, below and above SCENE_SEPARATION_MIN
+NUDGES = st.sampled_from([0.0, 5e-7, 1e-6, 1.5e-6, 1e-3, 0.5])
+
+
+@st.composite
+def drawn_components(draw):
+    """Two or three components on a coarse grid of centers and sizes, nudged by
+    NUDGES, so that overlapping, touching and barely apart scenes all occur."""
+    comps = []
+    for _ in range(draw(st.integers(2, 3))):
+        center = tuple(float(draw(st.integers(-3, 3))) + draw(NUDGES) for _ in range(2))
+        rho = draw(st.sampled_from([0.25, 0.5, 1.0, 1.5]))
+        comps.append((curve(draw(st.sampled_from(ALL_KINDS)), center, rho),
+                      BoundaryCondition.DIRICHLET))
+    return comps
+
+
+class TestDisjointEarlyOut:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(components=drawn_components())
+    def test_scene_check_equals_the_full_check(self, components):
+        assert scene_fault(components) == full_disjointness_check(components)
+
+    @pytest.mark.parametrize("gap", [0.0, 5e-7, 1e-6, 1.0000000000000002e-06, 1.5e-6, 1e-3])
+    def test_circles_at_the_separation_bound(self, gap):
+        # unit circles sampled at t = 0 and pi: their boxes are gap apart along x
+        comps = [(curve(BoundaryKind.CIRCLE), BoundaryCondition.DIRICHLET),
+                 (curve(BoundaryKind.CIRCLE, (2.0 + gap, 0.0)), BoundaryCondition.DIRICHLET)]
+        assert scene_fault(comps) == full_disjointness_check(comps)
+        if gap != 1e-6 and gap != 1.0000000000000002e-06:     # rounding decides these two
+            assert (scene_fault(comps) is None) == (gap > 1e-6)

@@ -1119,6 +1119,201 @@ class TestWriterThread:
         assert json.loads((tmp_path / "s" / "manifest.json").read_text())["files"] == manifest.files
 
 
+# the tiny kite at m = 32: each half of its far field is two MSR/1 row chunks, so a
+# streamed save formats some rows while the others are still being made
+STREAM_M = 32
+
+
+class TestPipeline:
+    """synth streams the far field's rows to the writer; noise draws its normals
+    while the file's numbers are read; experiment draws them beside synthesis."""
+
+    @staticmethod
+    def config(tmp_path, scene="kite@(0.0,0.0)*1.0", bc="dirichlet") -> str:
+        path = tmp_path / "stream.cfg"
+        path.write_text(TINY_KITE.replace("m = 8", f"m = {STREAM_M}").replace(
+            "scene = kite@(0.0,0.0)*1.0", f"scene = {scene}\nbc = {bc}"))
+        return str(path)
+
+    @staticmethod
+    def run_with_timeout(argv, seconds=120.0) -> int:
+        """cli_main(argv) on a thread; fails the test if it has not returned in time."""
+        result = []
+        call = threading.Thread(target=lambda: result.append(cli_main(argv)), daemon=True)
+        call.start()
+        call.join(seconds)
+        assert not call.is_alive(), f"{argv[0]} hangs"
+        return result[0]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("scene,bc", [
+        ("kite@(0.0,0.0)*1.0", "dirichlet"), ("kite@(0.0,0.0)*1.0", "neumann"),
+        ("kite@(-3.0,3.0)*1.0 + peanut@(3.0,-3.0)*1.0", "dirichlet")],
+        ids=["dirichlet", "neumann", "two-components"])
+    def test_streamed_save_gives_the_bytes_of_a_complete_matrix_save(self, tmp_path, threads,
+                                                                     scene, bc):
+        from conftest import blas_threads
+        from elastoscan.forward import save_msr, synthesize_msr
+
+        path = self.config(tmp_path, scene, bc)
+        cfg = parse_config((tmp_path / path).read_text())
+        with blas_threads(threads):
+            assert cli_main(["synth", "--config", path, "--out", str(tmp_path / "s"),
+                             "--quiet"]) == 0
+            msr = synthesize_msr(cfg.scene_object(), cfg.medium(), cfg.m, cfg.n)
+        save_msr(msr, tmp_path / "whole.msr")
+        assert (tmp_path / "s" / "data.msr").read_bytes() == (tmp_path / "whole.msr").read_bytes()
+
+    def test_streamed_save_under_fast_thread_switching(self, tmp_path):
+        """Rows read before they are final would change the bytes; switching threads
+        every microsecond gives such a read every chance to happen."""
+        from elastoscan.forward import save_msr, synthesize_msr
+
+        cfg = parse_config((tmp_path / self.config(tmp_path)).read_text())
+        save_msr(synthesize_msr(cfg.scene_object(), cfg.medium(), cfg.m, cfg.n),
+                 tmp_path / "whole.msr")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for run in range(3):
+                out = tmp_path / f"s{run}"
+                assert self.run_with_timeout(["synth", "--config", self.config(tmp_path),
+                                              "--out", str(out), "--quiet"]) == 0
+                assert (out / "data.msr").read_bytes() == (tmp_path / "whole.msr").read_bytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_writer_failure_mid_stream_exits_4_and_leaves_no_file_or_thread(self, tmp_path,
+                                                                              monkeypatch):
+        import elastoscan.forward as fw
+
+        calls = []
+
+        def second_chunk_fails(rows):
+            calls.append(len(rows))
+            if len(calls) == 2:
+                raise OSError(28, "No space left on device")
+            return format_rows(rows)
+
+        format_rows = fw.format_rows
+        monkeypatch.setattr(fw, "format_rows", second_chunk_fails)
+        out = tmp_path / "out"
+        before = set(threading.enumerate())
+        assert self.run_with_timeout(["synth", "--config", self.config(tmp_path),
+                                      "--out", str(out), "--quiet"]) == 4
+        assert len(calls) == 2
+        assert set(threading.enumerate()) == before
+        assert not out.exists() or os.listdir(out) == []
+
+    @pytest.mark.parametrize("rows_made", [0, 1], ids=["none", "p-half"])
+    def test_synthesis_failure_after_the_job_is_queued_exits_and_does_not_hang(
+            self, tmp_path, monkeypatch, rows_made):
+        import elastoscan.forward as fw
+        from elastoscan.forward import NumericError
+
+        queued, writing = [], threading.Event()
+        wait = fw.RowsMade.wait
+
+        def writer_waits(made, rows):
+            writing.set()
+            return wait(made, rows)
+
+        def farfields_fail(px, py, quad, medium, directions, out, made):
+            queued.append(made)
+            if rows_made:                        # the p receivers' rows, then a failure
+                out[:len(directions)] = 1.0
+                made.advance(len(directions))
+            assert writing.wait(60)              # the writer is in the streamed job
+            raise NumericError("forced failure in the far field")
+
+        monkeypatch.setattr(fw.RowsMade, "wait", writer_waits)
+        monkeypatch.setattr(fw, "_farfields", farfields_fail)
+        out = tmp_path / "out"
+        before = set(threading.enumerate())
+        assert self.run_with_timeout(["synth", "--config", self.config(tmp_path),
+                                      "--out", str(out), "--quiet"]) == 3
+        assert len(queued) == 1
+        assert set(threading.enumerate()) == before
+        assert not out.exists() or os.listdir(out) == []
+
+    @pytest.fixture
+    def tiny_msr(self, tmp_path):
+        assert cli_main(["synth", "--config", self.config(tmp_path), "--out",
+                         str(tmp_path / "src"), "--quiet"]) == 0
+        return str(tmp_path / "src" / "data.msr")
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """The m of every noise draw the noise subcommand starts."""
+        import elastoscan.cli as cli
+
+        started = []
+
+        class Counted(cli.NoiseDraw):
+            def __init__(self, m, seed):
+                started.append(m)
+                super().__init__(m, seed)
+
+        monkeypatch.setattr(cli, "NoiseDraw", Counted)
+        return started
+
+    def noise(self, tmp_path, msr, *flags) -> tuple[int, list[str]]:
+        out = tmp_path / "noisy"
+        before = set(threading.enumerate())
+        code = cli_main(["noise", "--msr", msr, "--out", str(out), "--quiet", *flags])
+        assert set(threading.enumerate()) == before
+        return code, sorted(os.listdir(out)) if out.exists() else []
+
+    def test_noise_drawn_ahead_gives_the_bytes_of_add_noise(self, tmp_path, tiny_msr, draws):
+        from elastoscan.forward import add_noise, load_msr, save_msr
+
+        assert self.noise(tmp_path, tiny_msr, "--delta", "0.3", "--seed", "4") == (
+            0, ["noisy.msr"])
+        assert draws == [STREAM_M]
+        save_msr(add_noise(load_msr(tiny_msr), 0.3, 4), tmp_path / "direct.msr")
+        assert (tmp_path / "noisy" / "noisy.msr").read_bytes() == \
+            (tmp_path / "direct.msr").read_bytes()
+
+    def test_noise_with_a_bad_file_and_a_bad_delta_exits_4(self, tmp_path, tiny_msr, draws):
+        bad = tmp_path / "bad.msr"
+        text = (tmp_path / tiny_msr).read_text().splitlines(keepends=True)
+        text[-1] = text[-1].replace(" ", " x", 1)              # a non-numeric entry
+        bad.write_text("".join(text))
+        assert self.noise(tmp_path, str(bad), "--delta", "-1") == (4, [])
+        assert self.noise(tmp_path, str(bad), "--delta", "0.1") == (4, [])
+        assert draws == [STREAM_M]                   # drawn beside the read, then dropped
+
+    def test_noise_with_a_negative_seed_exits_2_and_draws_nothing(self, tmp_path, tiny_msr,
+                                                                 draws):
+        assert self.noise(tmp_path, tiny_msr, "--delta", "0.1", "--seed", "-1") == (2, [])
+        assert draws == []
+
+    def test_noise_at_delta_0_draws_nothing(self, tmp_path, tiny_msr, draws):
+        assert self.noise(tmp_path, tiny_msr, "--delta", "0") == (0, ["noisy.msr"])
+        assert draws == []
+
+    def test_experiment_draws_the_noise_beside_synthesis(self, tmp_path, monkeypatch):
+        import elastoscan.harness as hz
+
+        stages = []
+
+        class Recorded(hz.NoiseDraw):
+            def __init__(self, m, seed):
+                stages.append(m)
+                super().__init__(m, seed)
+
+        monkeypatch.setattr(hz, "NoiseDraw", Recorded)
+        cfg = parse_config(TINY_KITE)
+        run_recorded(replace(cfg, out=str(tmp_path / "a")))
+        assert stages == [cfg.m]
+        from elastoscan.forward import add_noise, save_msr, synthesize_msr
+
+        msr = add_noise(synthesize_msr(cfg.scene_object(), cfg.medium(), cfg.m, cfg.n),
+                        cfg.delta, cfg.seed)
+        save_msr(msr, tmp_path / "direct.msr")
+        assert (tmp_path / "a" / "run.msr").read_bytes() == (tmp_path / "direct.msr").read_bytes()
+
+
 class TestGridOnly:
     """The pipeline evaluates the indicators on the SamplingGrid itself: no stage lists
     the grid's points."""
