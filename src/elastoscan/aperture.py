@@ -48,7 +48,7 @@ quarter aperture and m = 128.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -111,6 +111,14 @@ def reciprocity_fill(masked: MaskedMSR) -> MaskedMSR:
                      np.where(masked.mask, masked.data, masked.data[image].T))
 
 
+def retrieve_msr(masked: MaskedMSR) -> MSRMatrix:
+    """The data completed by reciprocity fill; entries it cannot reach stay 0.
+
+    Measured entries are kept verbatim.
+    """
+    return replace(masked.base, full=reciprocity_fill(masked).data, retrieval="reciprocity")
+
+
 def retrieved_forms(masked: MaskedMSR, limited: dict[str, np.ndarray], grid: SamplingGrid,
                     kinds, q) -> dict[str, np.ndarray]:
     """The complex forms of reciprocity_fill(masked).data on the grid, for the kinds.
@@ -138,10 +146,8 @@ def limited_indicator(masked: MaskedMSR, grid: SamplingGrid, kinds, q=(1.0, 0.0)
 
 
 def tikhonov_retrieve(masked: MaskedMSR) -> MSRMatrix:
-    """harness.retrieve_msr, under the name bench/tracing.py lists as its retrieval target.
+    """retrieve_msr, under the name bench/tracing.py lists as its retrieval target.
 
-    Nothing in the package calls it; it goes when that target names
-    harness.retrieve_msr.
+    Nothing in the package calls it; it goes when that target names retrieve_msr.
     """
-    from .harness import retrieve_msr
     return retrieve_msr(masked)

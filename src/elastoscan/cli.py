@@ -3,17 +3,20 @@
 Subcommands: synth, noise, indicate, retrieve, experiment, presets.  Each one
 turns its flags into the harness's value types (parse_grid, parse_q,
 parse_arcs), runs the harness's pipeline stages and writes through its
-emitter.  The emitter formats and writes on one writer thread, which the
-command joins before it returns: every artifact lands atomically and in the
-order it was submitted, and a failure on either thread removes every file of
-the command.  Only experiment hashes its artifacts and writes manifest.json;
-its <label>.msr_write_s and <tag>.write_s timings are measured by the writer,
-and emit_wait_s is how long the pipeline waited for the writer.
-synth and experiment take the experiment from --config or --preset (with
---small); noise, indicate and retrieve take their data from --msr and
-everything else from their own flags.  --seed belongs to synth, noise and
-experiment: noise and experiment draw noise with it, and synth accepts it so
-that one seed can be passed to every stage, although clean synthesis uses none.
+emitter.  The emitter formats and writes on one worker thread, which the
+command shuts down before it returns: every artifact lands atomically and in
+the order it was submitted, and a failure on either thread removes every file
+of the command and the directories it created.  noise and experiment draw their
+noise on that worker too.  Only experiment hashes its artifacts and writes
+manifest.json; its <label>.msr_write_s and <tag>.write_s timings are measured by
+the worker, and emit_wait_s is how long the pipeline waited for the worker.
+synth and experiment take the experiment from --config or --preset (--small
+goes with --preset only); noise, indicate and retrieve take their data from
+--msr and everything else from their own flags.  The output directory is --out,
+else $ELASTOSCAN_OUT, else the config's out (default out).  --seed belongs to
+synth, noise and experiment: noise and experiment draw noise with it, and synth
+accepts it so that one seed can be passed to every stage, although clean
+synthesis uses none.
 
 Exit codes, mapped from exceptions in main() alone:
 
@@ -29,7 +32,6 @@ Exit codes, mapped from exceptions in main() alone:
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import logging
 import os
@@ -38,12 +40,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from .forward import (MsrFormatError, NoiseDraw, NumericError, add_noise, load_msr,
+from .aperture import retrieve_msr
+from .forward import (MsrFormatError, NumericError, add_noise, draw_noise, load_msr,
                       noise_drawn, synthesize_msr)
 from .harness import (ENV_OUT, PRESET_BUILDERS, SMALL_GRID_PTS, SMALL_M, SMALL_N, ConfigError,
                       ExperimentConfig, MaskSpec, _Emitter, build_preset, check_limited,
                       forms_of, parse_arcs, parse_config, parse_grid, parse_q, preset_names,
-                      restrict, retrieve_msr, run_preset, run_recorded)
+                      restrict, run_preset, run_recorded)
 from .indicators import IndicatorKind, SamplingGrid, fields_from_forms
 
 EXIT_OK = 0
@@ -71,17 +74,17 @@ def _add_seed(p: argparse.ArgumentParser, help_text: str) -> None:
     p.add_argument("--seed", type=int, default=None, help=help_text)
 
 
-def _resolve_out(args) -> str:
-    if args.out:
-        return args.out
-    if ENV_OUT in os.environ:
-        return os.environ[ENV_OUT]
-    return "out"
+def _resolve_out(args, configured: str = "out") -> str:
+    """--out, else $ELASTOSCAN_OUT, else configured (the config's out)."""
+    return args.out or os.environ.get(ENV_OUT) or configured
 
 
 def _load_config(args) -> ExperimentConfig:
+    """The config of --config or --preset, with --seed and the resolved output directory."""
     if args.config and args.preset:
         raise ConfigError("give either --config or --preset, not both")
+    if args.config and args.small:
+        raise ConfigError("--small goes with --preset, not --config")
     if args.config:
         try:
             with open(args.config) as fh:
@@ -95,18 +98,12 @@ def _load_config(args) -> ExperimentConfig:
         raise ConfigError("a --config file or --preset name is required")
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    return cfg
+    return replace(cfg, out=_resolve_out(args, cfg.out))
 
 
 def _arc_masks(args) -> tuple[MaskSpec | None, MaskSpec | None]:
     return tuple(None if spec is None else MaskSpec(arcs=parse_arcs(spec))
                  for spec in (args.observed, args.incident))
-
-
-def _write_msr(args, name: str, msr) -> int:
-    with _Emitter(_resolve_out(args)) as emitter:
-        emitter.write_msr(name, msr)
-    return _wrote(args, emitter.path(name))
 
 
 def _wrote(args, path: str) -> int:
@@ -118,30 +115,32 @@ def _wrote(args, path: str) -> int:
 def cmd_synth(args) -> int:
     """The far field's rows are formatted and written while synthesis makes them."""
     cfg = _load_config(args)
-    with _Emitter(_resolve_out(args)) as emitter:
+    with _Emitter(cfg.out) as emitter:
         synthesize_msr(cfg.scene_object(), cfg.medium(), cfg.m, cfg.n,
                        started=functools.partial(emitter.write_msr, "data.msr"))
     return _wrote(args, emitter.path("data.msr"))
 
 
 def cmd_noise(args) -> int:
-    """The normals are drawn on a helper thread while the numbers of the file are
-    read; a bad file is reported before a bad delta or seed."""
+    """The normals are drawn on the emitter's worker while the numbers of the file
+    are read; a bad file is reported before a bad delta or seed."""
     seed = args.seed if args.seed is not None else 1
-    with contextlib.ExitStack() as joined:
-        draws = []
+    with _Emitter(_resolve_out(args)) as emitter:
+        drawn = None
 
         def shape_read(m: int) -> None:
+            nonlocal drawn
             try:
                 wanted = noise_drawn(args.delta, seed)
             except ValueError:                      # add_noise reports it after the load
                 return
             if wanted:
-                draws.append(joined.enter_context(NoiseDraw(m, seed)))
+                drawn = emitter.submit(draw_noise, seed, np.empty((4 * m, 4 * m), dtype=complex))
 
         msr = load_msr(args.msr, shape_read)
-        noise = draws[0].result() if draws else None
-    return _write_msr(args, "noisy.msr", add_noise(msr, args.delta, seed, noise))
+        emitter.write_msr("noisy.msr", add_noise(msr, args.delta, seed,
+                                                 None if drawn is None else drawn.result()))
+    return _wrote(args, emitter.path("noisy.msr"))
 
 
 def cmd_indicate(args) -> int:
@@ -165,11 +164,14 @@ def cmd_retrieve(args) -> int:
     observed, incident = _arc_masks(args)
     msr = load_msr(args.msr)
     check_limited(observed, incident, msr.m)
-    return _write_msr(args, "retrieved.msr", retrieve_msr(restrict(msr, observed, incident)))
+    retrieved = retrieve_msr(restrict(msr, observed, incident))
+    with _Emitter(_resolve_out(args)) as emitter:
+        emitter.write_msr("retrieved.msr", retrieved)
+    return _wrote(args, emitter.path("retrieved.msr"))
 
 
 def cmd_experiment(args) -> int:
-    cfg = replace(_load_config(args), out=_resolve_out(args))
+    cfg = _load_config(args)
     if args.preset:
         manifest = run_preset(args.preset, cfg)
     else:

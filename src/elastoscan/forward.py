@@ -60,10 +60,11 @@ size:
                     and made in two row blocks, the p receivers' and then the
                     s receivers' (the row order of an MSR/1 file), written
                     straight into the rows of a preallocated 4m x 4m array
-                    whose columns are ordered as the solution's.  A block's
-                    rows are final once it is written (MSRMatrix.wait_rows),
-                    so save_msr on another thread formats the p block while
-                    the s block is computed.
+                    whose columns are ordered as the solution's.  Each block
+                    has a Future (MSRMatrix.made) whose result is set once its
+                    rows are written, so save_msr on another thread
+                    (MSRMatrix.wait_rows) formats the p block while the s
+                    block is computed.
 
 Far fields of a density follow the trapezoid rule
 
@@ -90,7 +91,7 @@ from __future__ import annotations
 
 import contextlib
 import logging
-import threading
+from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Union
@@ -508,16 +509,17 @@ def _plane_wave_rhs(system: SystemMatrix, directions: np.ndarray) -> np.ndarray:
 
 
 def _farfields(px: np.ndarray, py: np.ndarray, quad: Quadrature, medium: Medium,
-               directions: np.ndarray, out: np.ndarray, made: RowsMade | None = None) -> None:
+               directions: np.ndarray, out: np.ndarray, made: tuple[Future, Future] | None = None
+               ) -> None:
     """Far fields of the density components px, py (N, K, any strides) at directions
-    (L, 2): u_p into out[:L] and u_s into out[L:] (out (2L, K)), in that order; made,
-    if given, is advanced as each half's rows become final."""
+    (L, 2): u_p into out[:L] and u_s into out[L:] (out (2L, K)), in that order; the
+    result of made[0] or made[1], if given, is set once that half's rows are final."""
     y, w = quad.points, quad.weights
     d0, d1 = directions[:, 0:1], directions[:, 1:2]
     count = len(directions)
     # u_p = xhat . g(k_p), u_s = xhat_perp . g(k_s), xhat_perp = (-d1, d0)
     for half, (u, k, c0, c1) in enumerate(((out[:count], medium.k_p, d0, d1),
-                                           (out[count:], medium.k_s, -d1, d0)), start=1):
+                                           (out[count:], medium.k_s, -d1, d0))):
         phase = np.exp(-1j * k * (directions @ y.T)) * w[None, :]            # (L, N)
         np.matmul(phase, px, out=u)
         u *= c0
@@ -525,7 +527,7 @@ def _farfields(px: np.ndarray, py: np.ndarray, quad: Quadrature, medium: Medium,
         gy *= c1
         u += gy
         if made is not None:
-            made.advance(half * count)
+            made[half].set_result(None)
 
 
 # ---------------------------------------------------------------------------
@@ -553,34 +555,6 @@ def blocks(a: np.ndarray, m: int) -> dict[str, np.ndarray]:
     return {name: block(a, m, name) for name in _BLOCK_HALVES}
 
 
-class RowsMade:
-    """How many leading rows of an array are final: advanced by the thread that
-    computes them, waited on by another (save_msr, while synthesis goes on)."""
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._rows = 0
-        self._closed = False
-
-    def advance(self, rows: int) -> None:
-        with self._cond:
-            self._rows = rows
-            self._cond.notify_all()
-
-    def close(self) -> None:
-        """No more rows will be made, so that no wait for them lasts forever."""
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
-
-    def wait(self, rows: int) -> None:
-        """Return once the first rows rows are final; raise RuntimeError if they will not be."""
-        with self._cond:
-            self._cond.wait_for(lambda: self._rows >= rows or self._closed)
-            if self._rows < rows:
-                raise RuntimeError("the far field ended before its rows were made")
-
-
 @dataclass
 class MSRMatrix:
     """Multi-static far-field data over the equidistant direction grid.
@@ -601,8 +575,10 @@ class MSRMatrix:
     seed: int | None = None
     noise_norm: str = NOISE_NORM
     retrieval: str | None = None  # "reciprocity" on completed limited data
-    # set by synthesize_msr while the far field is being made; replace() drops it
-    made: RowsMade | None = field(default=None, init=False, repr=False, compare=False)
+    # the p and the s receivers' halves, set by synthesize_msr while the far field is
+    # being made; replace() drops it
+    made: tuple[Future, Future] | None = field(default=None, init=False, repr=False,
+                                               compare=False)
 
     def __post_init__(self) -> None:
         shape = (4 * self.m, 4 * self.m)
@@ -627,9 +603,10 @@ class MSRMatrix:
 
     def wait_rows(self, rows: int) -> None:
         """Return once the first rows rows of full are final (at once but while
-        synthesize_msr is making them)."""
+        synthesize_msr is making them); raise CancelledError if they will not be."""
         if self.made is not None:
-            self.made.wait(rows)
+            for half in self.made[:1 if rows <= 2 * self.m else 2]:
+                half.result()
 
 
 def _untimed(key: str):
@@ -645,8 +622,8 @@ def synthesize_msr(scene: Scene, medium: Medium, m: int, n_per_component: int,
     RunManifest.span records their wall times.  started(msr), if given, is
     called with the MSRMatrix before its far field is computed: another thread
     may read its rows as they become final (msr.wait_rows), the p receivers'
-    half and then the s receivers'; if the far field fails, the wait for the
-    rows not made raises.
+    half and then the s receivers'; if the far field fails, the halves not made
+    are cancelled, so the wait for their rows raises CancelledError.
     """
     if m < 4:
         raise ValueError(f"need m >= 4, got {m}")
@@ -665,18 +642,20 @@ def synthesize_msr(scene: Scene, medium: Medium, m: int, n_per_component: int,
         n = quad.n_nodes
         msr = MSRMatrix(m, np.empty((4 * m, 4 * m), dtype=complex), medium.lam, medium.mu,
                         medium.omega, scene=scene.describe(), bc=bc_names)
-        msr.made = RowsMade()
+        msr.made = (Future(), Future())
         try:
             if started is not None:
                 started(msr)
             _farfields(sol[:n], sol[n:], quad, medium, dirs, msr.full, msr.made)
         finally:
-            msr.made.close()
+            for half in msr.made:
+                half.cancel()                   # no effect on a half that is made
     return msr
 
 
-def draw_noise(seed: int, out: np.ndarray) -> None:
-    """Fill the n x n complex array out with R1 + i R2, the normals of add_noise.
+def draw_noise(seed: int, out: np.ndarray) -> np.ndarray:
+    """Fill the n x n complex array out with R1 + i R2, the normals of add_noise;
+    return out.
 
     R1 then R2 are drawn row-major from the inverse CDF of Philox uniforms, a
     CHUNK_VALUES block at a time, so that the stream is reproducible across
@@ -690,37 +669,7 @@ def draw_noise(seed: int, out: np.ndarray) -> None:
             block = u[:part.size - c]
             gen.random(out=block)
             ndtri(block, out=part[c:c + block.size])
-
-
-class NoiseDraw:
-    """draw_noise for a 4m x 4m operator on a helper thread, into a buffer allocated
-    here, on the calling thread; result() joins the thread and returns the buffer.
-    Used as a context manager, the end of the with-block joins it as well."""
-
-    def __init__(self, m: int, seed: int):
-        self._noise = np.empty((4 * m, 4 * m), dtype=complex)
-        self._failure: BaseException | None = None
-        self._thread = threading.Thread(target=self._draw, args=(seed,),
-                                        name="elastoscan-noise")
-        self._thread.start()
-
-    def _draw(self, seed: int) -> None:
-        try:
-            draw_noise(seed, self._noise)
-        except BaseException as exc:              # re-raised by result()
-            self._failure = exc
-
-    def __enter__(self) -> "NoiseDraw":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._thread.join()
-
-    def result(self) -> np.ndarray:
-        self._thread.join()
-        if self._failure is not None:
-            raise self._failure
-        return self._noise
+    return out
 
 
 def noise_drawn(delta: float, seed) -> bool:
@@ -740,7 +689,8 @@ def add_noise(msr: MSRMatrix, delta: float, seed: int, noise: np.ndarray | None 
     """F + delta ||F||_F (R1 + i R2)/||R1 + i R2||_F with Philox-seeded normals.
 
     R1 + i R2 is draw_noise(seed) of the assembled 4m x 4m matrix, drawn here, or
-    given as noise (drawn ahead, as NoiseDraw does), which then holds the result.
+    given as noise (draw_noise(seed, ...) drawn ahead, on another thread), which then
+    holds the result.
     The relative Frobenius perturbation equals delta exactly by construction.
     Needs a finite delta >= 0 and an integer seed >= 0 (ValueError otherwise);
     raises NumericError where delta ||F||_F or the perturbed operator overflows.
@@ -748,8 +698,7 @@ def add_noise(msr: MSRMatrix, delta: float, seed: int, noise: np.ndarray | None 
     if not noise_drawn(delta, seed):
         return replace(msr, delta=0.0, seed=seed)
     if noise is None:
-        noise = np.empty((4 * msr.m, 4 * msr.m), dtype=complex)
-        draw_noise(seed, noise)
+        noise = draw_noise(seed, np.empty((4 * msr.m, 4 * msr.m), dtype=complex))
     full = msr.full
     with np.errstate(over="ignore", invalid="ignore"):
         level = delta * np.linalg.norm(full)

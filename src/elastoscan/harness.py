@@ -33,39 +33,39 @@ zeros where reciprocity cannot reach) -> indicators -> emit CSV (raw values),
 PGM (squared, normalized) and a JSON manifest listing every artifact with its
 sha256.  An observed or incident spec becomes a boolean vector over the 2m
 directions (MaskSpec.directions), and limited data are the masked operator
-with unknown entries 0.  The stages (restrict, forms_of, retrieve_msr), the
-flag parsers (parse_grid, parse_q, parse_arcs) and the one artifact writer
-(_Emitter) are shared with the CLI subcommands.
+with unknown entries 0.  The stages (restrict, forms_of, and retrieve_msr from
+aperture), the flag parsers (parse_grid, parse_q, parse_arcs) and the one
+artifact writer (_Emitter) are shared with the CLI subcommands.
 
-Emission runs behind the pipeline on one writer thread, so an artifact is
-formatted and written while the next stage computes.  Artifacts land
+Emission runs behind the pipeline on the writer's one worker thread, so an
+artifact is formatted and written while the next stage computes; the same
+worker draws the noise while the far field is computed.  Artifacts land
 atomically (a temporary name, then os.replace) and in submission order, and
 the manifest lists them in that order.  A failure on either thread removes
-every file of the command.  The manifest timings <label>.msr_write_s and
-<tag>.write_s are the writer's own time (formatting, writing, hashing);
-emit_wait_s is the time the pipeline spent waiting for the writer to finish
-before the manifest was written.
+every file of the command and the directories the writer created.  The
+manifest timings <label>.msr_write_s and <tag>.write_s are the worker's own
+time (formatting, writing, hashing); emit_wait_s is the time the pipeline spent
+waiting for the worker to finish before the manifest was written.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import hashlib
 import json
 import os
-import queue
 import shutil
-import threading
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .aperture import MaskedMSR, apply_mask, reciprocity_fill, retrieved_forms
+from .aperture import MaskedMSR, apply_mask, retrieve_msr, retrieved_forms
 from .elastic import Medium
-from .forward import MSRMatrix, NoiseDraw, NumericError, add_noise, save_msr, synthesize_msr
+from .forward import (MSRMatrix, NumericError, add_noise, draw_noise, save_msr,
+                      synthesize_msr)
 from .geometry import (BoundaryCondition, BoundaryCurve, BoundaryKind, Scene, boundary_quadrature,
                        scene_from_string)
 from .indicators import (IndicatorField, IndicatorKind, SamplingGrid, fields_from_forms,
@@ -480,13 +480,6 @@ def forms_of(data: MSRMatrix | MaskedMSR, grid: SamplingGrid, kinds, q) -> dict[
         return indicator_forms(data.data, data.m, data.base.medium, grid, kinds, q)
     return indicator_forms(data.assembled(), data.m, data.medium, grid, kinds, q)
 
-def retrieve_msr(masked: MaskedMSR) -> MSRMatrix:
-    """The data completed by reciprocity fill; entries it cannot reach stay 0.
-
-    Measured entries are kept verbatim.
-    """
-    return replace(masked.base, full=reciprocity_fill(masked).data, retrieval="reciprocity")
-
 # ---------------------------------------------------------------------------
 # Artifact emission
 # ---------------------------------------------------------------------------
@@ -524,45 +517,50 @@ class RunManifest:
                           indent=2, sort_keys=True)
 
 class _Emitter:
-    """The only writer of artifacts, with one writer thread behind it.
+    """The only writer of artifacts, with one worker thread behind it.
 
-    Each write call queues a job and returns at once; the writer thread,
-    started by the first job, runs the jobs one at a time in submission order.
-    A job formats the artifact (save_msr, IndicatorField.to_csv,
+    Each write call submits a job to the worker and returns at once; the
+    worker, a single-thread executor, runs the jobs one at a time in submission
+    order.  A job formats the artifact (save_msr, IndicatorField.to_csv,
     render_heatmap), writes it under a temporary name in the output directory,
     moves it into place with os.replace and, with a manifest, hashes it into
     the manifest's file list.  So artifacts land atomically and in submission
     order, manifest entries included, and a copy runs after the file it
-    copies.  A job given a timing key adds the writer's own seconds for it to
-    that manifest timing.  write_manifest and the end of the with-block wait
-    for the queue to empty and join the writer; the manifest's emit_wait_s is
-    the total time spent waiting there.
+    copies.  A job given a timing key adds the worker's own seconds for it to
+    that manifest timing.  submit runs any other job (the noise draw) on the
+    same worker and hands its result back as a Future.  write_manifest and the
+    end of the with-block shut the worker down once it has run every job; the
+    manifest's emit_wait_s is the time write_manifest waited for it.
 
-    Used as a context manager, a failure on either thread cancels the jobs not
-    yet run, joins the writer, then removes every file the emitter wrote,
-    temporary ones included.  An exception of the with-block propagates as it
-    is; a writer exception is re-raised on the calling thread, at the next
-    write call or at the end of the block.
+    Used as a context manager, a failure on either thread skips the jobs not
+    yet run, shuts the worker down, then removes every file the emitter wrote,
+    temporary ones included, and every directory it created that is left
+    empty.  An exception of the with-block propagates as it is; a worker
+    exception is re-raised on the calling thread, at the next write call or at
+    the end of the block.
     """
 
     def __init__(self, outdir: str, manifest: RunManifest | None = None):
         self.outdir = outdir
         self.manifest = manifest
         self.written: list[str] = []
-        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
-        self._writer: threading.Thread | None = None
         self._failure: BaseException | None = None
-        self._busy: dict[str, float] = {}     # timing key -> writer seconds
-        self._waited = 0.0
+        self._busy: dict[str, float] = {}     # timing key -> worker seconds
+        self._created: list[str] = []         # the directories makedirs creates, deepest first
+        path = outdir
+        while path and not os.path.exists(path):
+            self._created.append(path)
+            path = os.path.dirname(path)
         os.makedirs(outdir, exist_ok=True)
+        self._worker = ThreadPoolExecutor(1, thread_name_prefix="elastoscan-writer")
 
     def __enter__(self) -> "_Emitter":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         if exc is not None and self._failure is None:
-            self._failure = exc               # the writer skips the jobs left
-        self._join()
+            self._failure = exc               # the worker skips the jobs left
+        self._worker.shutdown()
         if self._failure is not None:
             self.cleanup()
             if exc is None:
@@ -571,35 +569,24 @@ class _Emitter:
     def path(self, name: str) -> str:
         return os.path.join(self.outdir, name)
 
-    def _run(self) -> None:
-        while (job := self._jobs.get()) is not None:
-            if self._failure is None:
-                try:
-                    job()
-                except BaseException as exc:     # re-raised on the calling thread
-                    self._failure = exc
-
-    def _join(self) -> None:
-        """Let the writer run the queued jobs, then join it."""
-        if self._writer is None:
-            return
-        t0 = time.perf_counter()
-        self._jobs.put(None)
-        self._writer.join()
-        self._writer = None
-        self._waited += time.perf_counter() - t0
-        if self.manifest is not None:
-            self.manifest.timings["emit_wait_s"] = round(self._waited, 3)
-
-    def _commit(self, name: str, write, timing: str | None = None) -> None:
-        """Queue the artifact name, written by write(tmp_path); return at once."""
+    def submit(self, fn, *args) -> Future:
+        """Run fn(*args) on the worker after the jobs submitted before; return at once."""
         if self._failure is not None:
             raise self._failure
-        if self._writer is None:
-            writer = threading.Thread(target=self._run, name="elastoscan-writer")
-            writer.start()
-            self._writer = writer
-        self._jobs.put(functools.partial(self._land, name, write, True, timing))
+        return self._worker.submit(self._run, fn, *args)
+
+    def _run(self, fn, *args):
+        if self._failure is not None:         # a job before failed, or the pipeline did
+            raise self._failure
+        try:
+            return fn(*args)
+        except BaseException as exc:          # re-raised on the calling thread
+            self._failure = exc
+            raise
+
+    def _commit(self, name: str, write, timing: str | None = None) -> None:
+        """Submit the artifact name, written by write(tmp_path); return at once."""
+        self.submit(self._land, name, write, True, timing)
 
     def _land(self, name: str, write, hashed: bool, timing: str | None) -> None:
         """write(tmp_path) the artifact, rename it to name and hash it."""
@@ -624,7 +611,7 @@ class _Emitter:
         self._commit(name, lambda tmp: save_msr(msr, tmp), timing=timing)
 
     def copy(self, name: str, source: str, timing: str | None = None) -> None:
-        """Write the bytes of the artifact source, written or queued before, under name."""
+        """Write the bytes of the artifact source, written or submitted before, under name."""
         self._commit(name, lambda tmp: shutil.copyfile(self.path(source), tmp), timing=timing)
 
     def write_field(self, label: str, fld: IndicatorField, timing: str | None = None) -> None:
@@ -644,7 +631,8 @@ class _Emitter:
 
     def write_manifest(self) -> None:
         """Wait for every artifact, then write manifest.json (not hashed) on this thread."""
-        self._join()
+        with self.manifest.span("emit_wait_s"):
+            self._worker.shutdown()
         if self._failure is not None:
             raise self._failure
         data = self.manifest.to_json().encode()
@@ -654,6 +642,9 @@ class _Emitter:
         for p in self.written:
             with contextlib.suppress(OSError):
                 os.remove(p)
+        for d in self._created:
+            with contextlib.suppress(OSError):
+                os.rmdir(d)                   # only where it is empty
 
 # ---------------------------------------------------------------------------
 # Pipeline runner
@@ -668,13 +659,13 @@ def run_experiment(config: ExperimentConfig, emitter: _Emitter, label: str = "ru
     """Synthesize, perturb, (mask/fill/retrieve), indicate, and emit artifacts.
 
     Deterministic for a fixed config: the only randomness is the seeded noise,
-    whose normals are drawn on a helper thread while the far field is computed
-    (forward.NoiseDraw).  Writes through emitter, whose owner (run_recorded)
-    cleans up on failure.
-    Each artifact is queued to the emitter's writer thread as soon as it is
+    whose normals are drawn on the emitter's worker while the far field is
+    computed, into a buffer allocated here.  Writes through emitter, whose owner
+    (run_recorded) cleans up on failure.
+    Each artifact is submitted to the emitter's worker as soon as it is
     computed, so the noisy MSR is written during the first indicator pass, and
     the limited fields and the retrieved MSR during retrieval and the retrieved
-    pass; <label>.msr_write_s and <tag>.write_s are the writer's time for them.
+    pass; <label>.msr_write_s and <tag>.write_s are the worker's time for them.
     The retrieved fields come from the limited pass's complex forms and one pass
     over the doubly known entries (aperture.retrieved_forms), not from a pass
     over the retrieved MSR; that shorter pass is what overlaps the writing of
@@ -691,20 +682,21 @@ def run_experiment(config: ExperimentConfig, emitter: _Emitter, label: str = "ru
         msr, source = solved[key]
         emitter.copy(f"{label}.msr", source, f"{label}.msr_write_s")
     else:
-        with contextlib.ExitStack() as joined:
-            draws = []
+        drawn = None
 
-            def draw_beside(_msr) -> None:
-                """Draw the noise on a helper thread while the far field is computed."""
-                draws.append(joined.enter_context(NoiseDraw(config.m, config.seed)))
+        def draw_beside(_msr) -> None:
+            """Draw the noise on the emitter's worker while the far field is computed."""
+            nonlocal drawn
+            drawn = emitter.submit(draw_noise, config.seed,
+                                   np.empty((4 * config.m, 4 * config.m), dtype=complex))
 
-            with span(f"{label}.synth_s"):
-                msr = synthesize_msr(config.scene_object(), config.medium(), config.m, config.n,
-                                     lambda stage: span(f"{label}.{stage}"),
-                                     draw_beside if config.delta > 0 else None)
-            if draws:
-                with span(f"{label}.noise_s"):
-                    msr = add_noise(msr, config.delta, config.seed, draws[0].result())
+        with span(f"{label}.synth_s"):
+            msr = synthesize_msr(config.scene_object(), config.medium(), config.m, config.n,
+                                 lambda stage: span(f"{label}.{stage}"),
+                                 draw_beside if config.delta > 0 else None)
+        if drawn is not None:
+            with span(f"{label}.noise_s"):
+                msr = add_noise(msr, config.delta, config.seed, drawn.result())
         emitter.write_msr(f"{label}.msr", msr, f"{label}.msr_write_s")
         solved[key] = (msr, f"{label}.msr")
 

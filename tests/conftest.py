@@ -1,6 +1,7 @@
 import contextlib
 import ctypes
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,15 @@ from elastoscan import (
 )
 
 OMEGA_DEFAULT = 8.0 * np.pi
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left():
+    """Every test ends with no thread it started still alive: each command shuts its
+    writer's worker down, whether it succeeds or fails."""
+    before = set(threading.enumerate())
+    yield
+    assert set(threading.enumerate()) <= before
 
 
 @pytest.fixture(scope="session")

@@ -16,6 +16,7 @@ from elastoscan.aperture import (
     apply_mask,
     limited_indicator,
     reciprocity_fill,
+    retrieve_msr,
 )
 from elastoscan.elastic import Medium, point_source_farfield
 from elastoscan.forward import (
@@ -32,7 +33,7 @@ from elastoscan.geometry import (
     contains_points,
     distance_to_boundary,
 )
-from elastoscan.harness import MaskSpec, retrieve_msr
+from elastoscan.harness import MaskSpec
 from elastoscan.indicators import (
     IndicatorKind,
     SamplingGrid,

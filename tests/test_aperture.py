@@ -9,6 +9,7 @@ from elastoscan.aperture import (
     apply_mask,
     limited_indicator,
     reciprocity_fill,
+    retrieve_msr,
     retrieved_forms,
 )
 from elastoscan.elastic import Medium
@@ -20,7 +21,7 @@ from elastoscan.geometry import (
     Scene,
     distance_to_boundary,
 )
-from elastoscan.harness import MaskSpec, retrieve_msr
+from elastoscan.harness import MaskSpec
 from elastoscan.indicators import (
     IndicatorKind,
     SamplingGrid,
